@@ -53,14 +53,10 @@ def save_bundle(path, geometry, config, params):
 
 
 def _readline(fh):
-    line = bytearray()
-    while True:
-        ch = fh.read(1)
-        if not ch:
-            raise BundleError("unexpected end of file")
-        if ch == b"\n":
-            return line.decode("utf-8")
-        line.extend(ch)
+    line = fh.readline()
+    if not line.endswith(b"\n"):
+        raise BundleError("unexpected end of file")
+    return line[:-1].decode("utf-8")
 
 
 def load_bundle(path):

@@ -163,11 +163,14 @@ def _classifier_parser(prog):
 def cmd_train_classifier(argv):
     parser = _classifier_parser("gyronet train-classifier")
     args = _parse_with_config(parser, argv)
-    if args.preset:
-        for key, value in PRESETS[args.preset].items():
-            if key != "dim":
-                setattr(args, key, value)
+    preset = PRESETS.get(args.preset, {})
+    for key, value in preset.items():
+        if key != "dim":
+            setattr(args, key, value)
     token_map = train.load_embedding_points(args.embeddings, args.geometry)
+    if preset and token_map.dim != preset["dim"]:
+        raise CliError(f"preset '{args.preset}' needs dim {preset['dim']}, "
+                       f"but {args.embeddings} has dim {token_map.dim}")
     dataset = data.load_intent_dataset(args.data, args.holdout, args.seed)
     model_dim = token_map.dim
     head_dim = args.head_dim or max(model_dim // args.heads, 1)

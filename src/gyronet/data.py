@@ -80,13 +80,16 @@ def _stratified_split(records, label_to_id, holdout_fraction, seed):
         train.extend(idx[n_hold:].tolist())
     train.sort()
     heldout.sort()
+    train_set = set(train)
     for label, idx in by_label.items():
-        if not any(i in set(train) for i in idx):
+        if not any(i in train_set for i in idx):
             raise ValueError(f"label '{label}' has no training examples after split")
     return train, heldout
 
 
 def make_dataset(records, holdout_fraction=0.15, seed=0):
+    if not 0.0 <= holdout_fraction < 1.0:
+        raise ValueError(f"holdout fraction must lie in [0, 1), got {holdout_fraction}")
     labels = sorted({label for _, label in records})
     for _, label in records:
         if not label:

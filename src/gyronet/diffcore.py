@@ -3,11 +3,11 @@
 A :class:`Tape` records primitive operations as they are executed eagerly.
 Each record keeps the op name, input node ids and the computed value, so the
 node list is topologically ordered by construction.  ``backward`` walks the
-records in reverse and accumulates vector-Jacobian products; ``forward``
-replays the recorded program against fresh input bindings.
+records in reverse and accumulates vector-Jacobian products; gradients of
+inputs that were broadcast are summed back to their shapes.  To evaluate at
+new inputs, record a new tape.
 
-First-order gradients only; shapes are fixed at record time except that any
-leading batch extent simply flows through broadcasting.
+First-order gradients only.
 """
 
 from __future__ import annotations
@@ -18,14 +18,13 @@ _TINY = 1e-15
 
 
 class Node:
-    __slots__ = ("op", "inputs", "value", "attrs", "name", "requires_grad")
+    __slots__ = ("op", "inputs", "value", "attrs", "requires_grad")
 
-    def __init__(self, op, inputs, value, attrs=None, name=None, requires_grad=False):
+    def __init__(self, op, inputs, value, attrs=None, requires_grad=False):
         self.op = op
         self.inputs = inputs
         self.value = value
         self.attrs = attrs or {}
-        self.name = name
         self.requires_grad = requires_grad
 
 
@@ -101,82 +100,24 @@ class TapeError(RuntimeError):
 class Tape:
     """Append-only record of primitive operations."""
 
-    def __init__(self, check_finite=True):
+    def __init__(self):
         self.nodes: list[Node] = []
-        self.outputs: dict[str, int] = {}
-        self.check_finite = check_finite
 
-    # -- construction -----------------------------------------------------
-
-    def leaf(self, data, requires_grad=False, name=None):
+    def leaf(self, data, requires_grad=False):
         value = np.asarray(data, dtype=float)
-        node = Node("leaf", (), value, name=name, requires_grad=requires_grad)
+        node = Node("leaf", (), value, requires_grad=requires_grad)
         self.nodes.append(node)
         return Tensor(self, len(self.nodes) - 1)
 
     def constant(self, data):
         return self.leaf(data, requires_grad=False)
 
-    def mark_output(self, name, tensor):
-        self.outputs[name] = tensor.nid
-
     def record(self, op, inputs, value, **attrs):
-        if self.check_finite and not np.all(np.isfinite(value)):
+        if not np.all(np.isfinite(value)):
             raise TapeError(f"non-finite value at node {len(self.nodes)} (op {op})")
         node = Node(op, tuple(t.nid for t in inputs), value, attrs)
         self.nodes.append(node)
         return Tensor(self, len(self.nodes) - 1)
-
-    # -- replay -----------------------------------------------------------
-
-    def forward(self, inputs):
-        """Re-evaluate the recorded program with new leaf bindings.
-
-        ``inputs`` maps leaf names to arrays.  Returns the values of all
-        tensors registered through :meth:`mark_output`.
-        """
-        for name, data in inputs.items():
-            nid = self._named_leaf(name)
-            bound = np.asarray(data, dtype=float)
-            if bound.shape != self.nodes[nid].value.shape:
-                raise TapeError(
-                    f"shape mismatch for input '{name}': "
-                    f"{bound.shape} vs {self.nodes[nid].value.shape}"
-                )
-            self.nodes[nid].value = bound
-        for i, node in enumerate(self.nodes):
-            if node.op == "leaf":
-                continue
-            args = [self.nodes[j].value for j in node.inputs]
-            node.value = _FORWARD[node.op](args, node.attrs)
-            if self.check_finite and not np.all(np.isfinite(node.value)):
-                raise TapeError(f"non-finite value at node {i} (op {node.op})")
-        return {name: self.nodes[nid].value for name, nid in self.outputs.items()}
-
-    def _named_leaf(self, name):
-        for i, node in enumerate(self.nodes):
-            if node.op == "leaf" and node.name == name:
-                return i
-        raise TapeError(f"no leaf named '{name}'")
-
-
-class Gradients:
-    """Mapping from tensors (or leaf names) to gradient arrays."""
-
-    def __init__(self, by_nid, tape):
-        self._by_nid = by_nid
-        self._tape = tape
-
-    def __getitem__(self, key):
-        if isinstance(key, Tensor):
-            nid = key.nid
-        else:
-            nid = self._tape._named_leaf(key)
-        return self._by_nid[nid]
-
-    def __contains__(self, key):
-        nid = key.nid if isinstance(key, Tensor) else self._tape._named_leaf(key)
-        return nid in self._by_nid
 
 
 def _unbroadcast(grad, shape):
@@ -190,8 +131,11 @@ def _unbroadcast(grad, shape):
     return grad.reshape(shape)
 
 
-def backward(tape: Tape, output: Tensor) -> Gradients:
-    """Reverse accumulation of d(output)/d(leaf) for all grad-enabled leaves."""
+def backward(tape: Tape, output: Tensor) -> dict[Tensor, np.ndarray]:
+    """Reverse accumulation of d(output)/d(leaf) for all grad-enabled leaves.
+
+    Returns a dict keyed by the leaf tensors.
+    """
     out_node = tape.nodes[output.nid]
     if np.size(out_node.value) != 1:
         raise TapeError(f"backward output must be scalar, got shape {np.shape(out_node.value)}")
@@ -217,8 +161,9 @@ def backward(tape: Tape, output: Tensor) -> Gradients:
     result = {}
     for nid, node in enumerate(tape.nodes):
         if node.op == "leaf" and node.requires_grad:
-            result[nid] = grads.get(nid, np.zeros_like(np.asarray(node.value, dtype=float)))
-    return Gradients(result, tape)
+            zero = np.zeros_like(np.asarray(node.value, dtype=float))
+            result[Tensor(tape, nid)] = grads.get(nid, zero)
+    return result
 
 
 def _grad_mask(tape):
@@ -233,16 +178,11 @@ def _grad_mask(tape):
 
 
 # ---------------------------------------------------------------------------
-# Primitive ops.  Each has an eager wrapper, a replay rule and a VJP rule.
+# Primitive ops.  Each is an eager forward plus one VJP rule in _BACKWARD,
+# called as vjp(grad_out, out_value, input_values, attrs).
 # ---------------------------------------------------------------------------
 
-_FORWARD = {}
 _BACKWARD = {}
-
-
-def _primitive(name, fwd, bwd):
-    _FORWARD[name] = fwd
-    _BACKWARD[name] = bwd
 
 
 def _same_tape(*ts):
@@ -258,7 +198,7 @@ def add(a, b):
     return tape.record("add", (a, b), a.value + b.value)
 
 
-_primitive("add", lambda v, at: v[0] + v[1], lambda g, out, v, at: (g, g))
+_BACKWARD["add"] = lambda g, out, v, at: (g, g)
 
 
 def sub(a, b):
@@ -266,7 +206,7 @@ def sub(a, b):
     return tape.record("sub", (a, b), a.value - b.value)
 
 
-_primitive("sub", lambda v, at: v[0] - v[1], lambda g, out, v, at: (g, -g))
+_BACKWARD["sub"] = lambda g, out, v, at: (g, -g)
 
 
 def mul(a, b):
@@ -274,8 +214,7 @@ def mul(a, b):
     return tape.record("mul", (a, b), a.value * b.value)
 
 
-_primitive("mul", lambda v, at: v[0] * v[1],
-           lambda g, out, v, at: (g * v[1], g * v[0]))
+_BACKWARD["mul"] = lambda g, out, v, at: (g * v[1], g * v[0])
 
 
 def div(a, b):
@@ -283,15 +222,14 @@ def div(a, b):
     return tape.record("div", (a, b), a.value / b.value)
 
 
-_primitive("div", lambda v, at: v[0] / v[1],
-           lambda g, out, v, at: (g / v[1], -g * v[0] / (v[1] * v[1])))
+_BACKWARD["div"] = lambda g, out, v, at: (g / v[1], -g * v[0] / (v[1] * v[1]))
 
 
 def neg(a):
     return a.tape.record("neg", (a,), -a.value)
 
 
-_primitive("neg", lambda v, at: -v[0], lambda g, out, v, at: (-g,))
+_BACKWARD["neg"] = lambda g, out, v, at: (-g,)
 
 
 def matmul(a, b):
@@ -306,7 +244,7 @@ def _matmul_bwd(g, out, v, at):
     return (ga, gb)
 
 
-_primitive("matmul", lambda v, at: v[0] @ v[1], _matmul_bwd)
+_BACKWARD["matmul"] = _matmul_bwd
 
 
 def tsum(a, axis=None, keepdims=False):
@@ -322,9 +260,8 @@ def _expand_reduced(g, x_shape, axis, keepdims):
     return np.broadcast_to(g, x_shape)
 
 
-_primitive("sum",
-           lambda v, at: np.sum(v[0], axis=at["axis"], keepdims=at["keepdims"]),
-           lambda g, out, v, at: (_expand_reduced(g, np.shape(v[0]), at["axis"], at["keepdims"]),))
+_BACKWARD["sum"] = lambda g, out, v, at: (
+    _expand_reduced(g, np.shape(v[0]), at["axis"], at["keepdims"]),)
 
 
 def tmax(a, axis=None, keepdims=False):
@@ -344,16 +281,14 @@ def _max_bwd(g, out, v, at):
     return (g_exp * mask / count,)
 
 
-_primitive("max",
-           lambda v, at: np.max(v[0], axis=at["axis"], keepdims=at["keepdims"]),
-           _max_bwd)
+_BACKWARD["max"] = _max_bwd
 
 
 def _unary(name, f, vjp):
     def op(a):
         return a.tape.record(name, (a,), f(a.value))
 
-    _primitive(name, lambda v, at: f(v[0]), vjp)
+    _BACKWARD[name] = vjp
     return op
 
 
@@ -361,19 +296,9 @@ exp = _unary("exp", np.exp, lambda g, out, v, at: (g * out,))
 log = _unary("log", np.log, lambda g, out, v, at: (g / v[0],))
 tanh = _unary("tanh", np.tanh, lambda g, out, v, at: (g * (1.0 - out * out),))
 atanh = _unary("atanh", np.arctanh, lambda g, out, v, at: (g / (1.0 - v[0] * v[0]),))
-sinh = _unary("sinh", np.sinh, lambda g, out, v, at: (g * np.cosh(v[0]),))
 asinh = _unary("asinh", np.arcsinh, lambda g, out, v, at: (g / np.sqrt(1.0 + v[0] * v[0]),))
-cosh = _unary("cosh", np.cosh, lambda g, out, v, at: (g * np.sinh(v[0]),))
-sqrt = _unary("sqrt", np.sqrt, lambda g, out, v, at: (g / (2.0 * out),))
 relu = _unary("relu", lambda x: np.maximum(x, 0.0),
               lambda g, out, v, at: (g * (v[0] > 0.0),))
-
-
-def _sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))
-
-
-sigmoid = _unary("sigmoid", _sigmoid, lambda g, out, v, at: (g * out * (1.0 - out),))
 
 
 def softmax(a, axis=-1):
@@ -384,29 +309,13 @@ def softmax(a, axis=-1):
     return a.tape.record("softmax", (a,), val, axis=axis)
 
 
-def _softmax_fwd(v, at):
-    x = v[0]
-    shifted = x - np.max(x, axis=at["axis"], keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=at["axis"], keepdims=True)
-
-
 def _softmax_bwd(g, out, v, at):
     axis = at["axis"]
     dot_ = np.sum(g * out, axis=axis, keepdims=True)
     return (out * (g - dot_),)
 
 
-_primitive("softmax", _softmax_fwd, _softmax_bwd)
-
-
-def dot(a, b):
-    tape = _same_tape(a, b)
-    return tape.record("dot", (a, b), np.dot(a.value, b.value))
-
-
-_primitive("dot", lambda v, at: np.dot(v[0], v[1]),
-           lambda g, out, v, at: (g * v[1], g * v[0]))
+_BACKWARD["softmax"] = _softmax_bwd
 
 
 def norm(a, axis=-1, keepdims=True):
@@ -422,25 +331,7 @@ def _norm_bwd(g, out, v, at):
     return (g_k * x / np.maximum(out_k, _TINY),)
 
 
-_primitive("norm",
-           lambda v, at: np.linalg.norm(v[0], axis=at["axis"], keepdims=at["keepdims"]),
-           _norm_bwd)
-
-
-def concat(tensors, axis=-1):
-    tape = _same_tape(*tensors)
-    val = np.concatenate([t.value for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    return tape.record("concat", tuple(tensors), val, axis=axis, sizes=sizes)
-
-
-def _concat_bwd(g, out, v, at):
-    axis = at["axis"]
-    splits = np.cumsum(at["sizes"])[:-1]
-    return tuple(np.split(g, splits, axis=axis))
-
-
-_primitive("concat", lambda v, at: np.concatenate(v, axis=at["axis"]), _concat_bwd)
+_BACKWARD["norm"] = _norm_bwd
 
 
 def tslice(a, key):
@@ -453,15 +344,14 @@ def _slice_bwd(g, out, v, at):
     return (gx,)
 
 
-_primitive("slice", lambda v, at: v[0][at["key"]], _slice_bwd)
+_BACKWARD["slice"] = _slice_bwd
 
 
 def reshape(a, shape):
     return a.tape.record("reshape", (a,), np.reshape(a.value, shape), shape=shape)
 
 
-_primitive("reshape", lambda v, at: np.reshape(v[0], at["shape"]),
-           lambda g, out, v, at: (np.reshape(g, np.shape(v[0])),))
+_BACKWARD["reshape"] = lambda g, out, v, at: (np.reshape(g, np.shape(v[0])),)
 
 
 def swap_last(a):
@@ -469,16 +359,7 @@ def swap_last(a):
     return a.tape.record("swap_last", (a,), np.swapaxes(a.value, -1, -2))
 
 
-_primitive("swap_last", lambda v, at: np.swapaxes(v[0], -1, -2),
-           lambda g, out, v, at: (np.swapaxes(g, -1, -2),))
-
-
-def broadcast_to(a, shape):
-    return a.tape.record("broadcast", (a,), np.broadcast_to(a.value, shape).copy(), shape=shape)
-
-
-_primitive("broadcast", lambda v, at: np.broadcast_to(v[0], at["shape"]).copy(),
-           lambda g, out, v, at: (_unbroadcast(g, np.shape(v[0])),))
+_BACKWARD["swap_last"] = lambda g, out, v, at: (np.swapaxes(g, -1, -2),)
 
 
 def clip_min(a, floor):
@@ -486,8 +367,7 @@ def clip_min(a, floor):
     return a.tape.record("clip_min", (a,), np.maximum(a.value, floor), floor=floor)
 
 
-_primitive("clip_min", lambda v, at: np.maximum(v[0], at["floor"]),
-           lambda g, out, v, at: (g * (v[0] > at["floor"]),))
+_BACKWARD["clip_min"] = lambda g, out, v, at: (g * (v[0] > at["floor"]),)
 
 
 def ball_project(a, max_norm, axis=-1):
@@ -502,20 +382,13 @@ def ball_project(a, max_norm, axis=-1):
     return a.tape.record("ball_project", (a,), x * factor, max_norm=max_norm, axis=axis)
 
 
-def _ball_project_fwd(v, at):
-    x = v[0]
-    n = np.linalg.norm(x, axis=at["axis"], keepdims=True)
-    factor = np.where(n >= at["max_norm"], at["max_norm"] / np.maximum(n, _TINY), 1.0)
-    return x * factor
-
-
 def _ball_project_bwd(g, out, v, at):
     n = np.linalg.norm(v[0], axis=at["axis"], keepdims=True)
     inside = (n < at["max_norm"]).astype(float)
     return (g * inside,)
 
 
-_primitive("ball_project", _ball_project_fwd, _ball_project_bwd)
+_BACKWARD["ball_project"] = _ball_project_bwd
 
 
 # ---------------------------------------------------------------------------

@@ -160,6 +160,24 @@ def pair_log_likelihood(pair, E, theta=1.0):
     return float(np.sum(-np.logaddexp(0.0, -signs * logits)))
 
 
+def _sgns_gradients(pair, E, theta):
+    """Gradients of the pair log-likelihood w.r.t. the center row of A and the
+    sampled rows of B; repeated sample tokens accumulate."""
+    logits, rows = _pair_logits(pair, E, theta)
+    ys = np.zeros(len(logits))
+    ys[0] = 1.0
+    coeff = ys - _sigmoid(logits)  # (m+1,)
+    grad_a = coeff @ rows
+    grads_b: dict[int, np.ndarray] = {}
+    center_row = E.A[pair.center]
+    for wid, ci in zip([pair.context] + list(pair.negatives), coeff):
+        if wid in grads_b:
+            grads_b[wid] = grads_b[wid] + ci * center_row
+        else:
+            grads_b[wid] = ci * center_row
+    return grad_a, grads_b
+
+
 def minkowski_gradients(pair, E, theta=1.0):
     """Minkowski gradients of the pair log-likelihood (hyperboloid geometry).
 
@@ -170,37 +188,12 @@ def minkowski_gradients(pair, E, theta=1.0):
     """
     if E.geometry != "hyperboloid":
         raise ValueError("minkowski_gradients requires hyperboloid geometry")
-    logits, rows = _pair_logits(pair, E, theta)
-    ys = np.zeros(len(logits))
-    ys[0] = 1.0
-    coeff = ys - _sigmoid(logits)  # (m+1,)
-    grad_a = coeff @ rows
-    grads_b: dict[int, np.ndarray] = {}
-    center_row = E.A[pair.center]
-    sample_ids = [pair.context] + list(pair.negatives)
-    for wid, ci in zip(sample_ids, coeff):
-        if wid in grads_b:
-            grads_b[wid] = grads_b[wid] + ci * center_row
-        else:
-            grads_b[wid] = ci * center_row
-    return grad_a, grads_b
+    return _sgns_gradients(pair, E, theta)
 
 
 def euclidean_gradients(pair, E):
     """Euclidean analogue: gradients of the plain dot-product log-likelihood."""
-    logits, rows = _pair_logits(pair, E, 0.0)
-    ys = np.zeros(len(logits))
-    ys[0] = 1.0
-    coeff = ys - _sigmoid(logits)
-    grad_a = coeff @ rows
-    grads_b: dict[int, np.ndarray] = {}
-    center_row = E.A[pair.center]
-    for wid, ci in zip([pair.context] + list(pair.negatives), coeff):
-        if wid in grads_b:
-            grads_b[wid] = grads_b[wid] + ci * center_row
-        else:
-            grads_b[wid] = ci * center_row
-    return grad_a, grads_b
+    return _sgns_gradients(pair, E, 0.0)
 
 
 def rsgd_step_hyperboloid(param, ambient_grad, eta):
@@ -224,7 +217,6 @@ class SkipgramConfig:
     seed: int = 0
     min_count: int = 1
     alpha: float = 0.75
-    subsample: float = 0.0  # frequency subsampling threshold; 0 disables
 
 
 def train_skipgram(tokens, config: SkipgramConfig, log_fn=None):
@@ -243,15 +235,9 @@ def train_skipgram(tokens, config: SkipgramConfig, log_fn=None):
     E = init_embeddings(len(vocab), config.dim, config.geometry, rng)
     history = []
     for epoch in range(config.epochs):
-        epoch_ids = ids
-        if config.subsample > 0.0:
-            freqs = vocab.counts / vocab.counts.sum()
-            keep = np.sqrt(config.subsample / freqs).clip(max=1.0)
-            draws = rng.random(len(ids))
-            epoch_ids = [w for w, u in zip(ids, draws) if u < keep[w]]
         loss_sum = 0.0
         count = 0
-        for step, pair in enumerate(generate_pairs(epoch_ids, config.mu, config.m, vocab, rng)):
+        for step, pair in enumerate(generate_pairs(ids, config.mu, config.m, vocab, rng)):
             nll = -pair_log_likelihood(pair, E, config.theta)
             if not np.isfinite(nll):
                 raise ValueError(f"divergence (non-finite loss) at epoch {epoch} step {step}")

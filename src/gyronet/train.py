@@ -105,7 +105,7 @@ def _build_batch(records, indices, token_map, max_len):
 def _forward_batch(params_np, points_np, unk_np, mask, labels, config,
                    rng=None, training=False):
     tape = dc.Tape()
-    tensors = {name: tape.leaf(value, requires_grad=True, name=name)
+    tensors = {name: tape.leaf(value, requires_grad=True)
                for name, value in params_np.items()}
     pts = embed_sequences(tape, points_np, unk_np, tensors["unk"])
     if config.geometry == "poincare":

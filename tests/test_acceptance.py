@@ -138,28 +138,27 @@ def _full_model_gradcheck(seed):
     params_np = hf.init_params(cfg, rng, gain=0.3)
     # move manifold parameters off the origin: at exactly zero bias the lifted
     # ReLU can sit on its kink, where finite differences are meaningless
-    for name in hf.manifold_param_names(cfg) | {"unk"}:
+    for name in sorted(hf.manifold_param_names(cfg) | {"unk"}):
         params_np[name] = params_np[name] + rng.normal(
             0.0, 0.02, params_np[name].shape)
     pts = random_ball_points(rng, 3, 8, radius=0.3).reshape(1, 3, 8)
     labels = np.array([seed % 3])
-    tape = dc.Tape()
-    tensors = {k: tape.leaf(v, requires_grad=True, name=k)
-               for k, v in params_np.items()}
-    scores = hf.classifier_forward(tape, tensors, tape.constant(pts),
-                                   np.ones((1, 3)), cfg)
-    loss = hf.cross_entropy(scores, labels)
-    tape.mark_output("loss", loss)
+
+    def record(params):
+        tape = dc.Tape()
+        tensors = {k: tape.leaf(v, requires_grad=True) for k, v in params.items()}
+        scores = hf.classifier_forward(tape, tensors, tape.constant(pts),
+                                       np.ones((1, 3)), cfg)
+        return tape, tensors, hf.cross_entropy(scores, labels)
+
+    tape, tensors, loss = record(params_np)
     grads = dc.backward(tape, loss)
     worst = 0.0
     for name in sorted(params_np):
-        analytic = grads[tensors[name]]
-
         def fn(arr, name=name):
-            return float(tape.forward({name: arr})["loss"])
+            return float(record({**params_np, name: arr})[2].value)
 
-        report = dc.check_gradient(fn, params_np[name].copy(), analytic)
-        tape.forward({name: params_np[name]})  # restore leaf binding
+        report = dc.check_gradient(fn, params_np[name].copy(), grads[tensors[name]])
         worst = max(worst, report.max_rel_err)
     return worst
 

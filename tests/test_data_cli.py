@@ -90,6 +90,14 @@ def test_split_deterministic(tmp_path):
     assert a.heldout_indices != c.heldout_indices
 
 
+@pytest.mark.parametrize("fraction", [-0.5, 1.0, 1.5, float("nan")])
+def test_holdout_fraction_out_of_range(fraction):
+    records = [(f"utt{i}", f"label{i % 3}") for i in range(12)]
+    with pytest.raises(ValueError, match="holdout fraction") as exc:
+        data.make_dataset(records, fraction)
+    assert str(fraction) in str(exc.value)
+
+
 # ---------------------------------------------------------------------------
 # Synthetic generator
 # ---------------------------------------------------------------------------
@@ -308,3 +316,27 @@ def test_cli_evaluate_label_mismatch(tmp_path, capsys):
                      "--data", str(other)])
     assert code == 1
     assert "labels" in capsys.readouterr().err
+
+
+def test_cli_preset_dim_must_match_embeddings(tmp_path, capsys):
+    dataset = tmp_path / "d.tsv"
+    assert cli.main(["gen-data", "--classes", "3", "--per-class", "6",
+                     "--vocab-size", "30", "--composites", "1", "--seed", "4",
+                     "--out", str(dataset)]) == 0
+    chars = sorted({ch for u, _ in data.load_intent_dataset(dataset).records for ch in u})
+    rng = np.random.default_rng(0)
+    for dim in (8, 128):
+        embed.write_embeddings(tmp_path / f"e{dim}.txt", chars,
+                               rng.normal(0.0, 0.1, (len(chars), dim)), "euclidean")
+    base = ["train-classifier", "--data", str(dataset), "--preset", "eucl-c2v-128",
+            "--epochs", "1", "--layers", "1"]
+    code = cli.main(base + ["--embeddings", str(tmp_path / "e8.txt"),
+                            "--out", str(tmp_path / "m8.bin")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "'eucl-c2v-128' needs dim 128" in err and "has dim 8" in err
+    assert not (tmp_path / "m8.bin").exists()
+    assert cli.main(base + ["--embeddings", str(tmp_path / "e128.txt"),
+                            "--out", str(tmp_path / "m128.bin")]) == 0
+    metrics = json.loads((tmp_path / "m128.bin.metrics.json").read_text())
+    assert metrics["dims"] == 128 and metrics["geometry"] == "euclidean"

@@ -298,7 +298,7 @@ def test_mlr_scores_matches_brute_force(rng):
 def _forward(config, rng, length=5, batch=2):
     params_np = hf.init_params(config, rng)
     tape = dc.Tape()
-    params = {k: tape.leaf(v, requires_grad=True, name=k) for k, v in params_np.items()}
+    params = {k: tape.leaf(v, requires_grad=True) for k, v in params_np.items()}
     if config.geometry == "poincare":
         pts = random_ball_points(rng, batch * length, config.model_dim, radius=0.4)
     else:
@@ -436,7 +436,9 @@ def test_bundle_truncated(tmp_path, rng):
     params = hf.init_params(cfg, rng)
     path = tmp_path / "model.bin"
     bundle.save_bundle(path, cfg.geometry, cfg.to_dict(), params)
+    blob = path.read_bytes()
     clipped = tmp_path / "clipped.bin"
-    clipped.write_bytes(path.read_bytes()[:-40])
-    with pytest.raises(bundle.BundleError):
-        bundle.load_bundle(clipped)
+    for size in range(len(blob)):  # every proper prefix, header and blocks alike
+        clipped.write_bytes(blob[:size])
+        with pytest.raises(bundle.BundleError):
+            bundle.load_bundle(clipped)
