@@ -8,9 +8,14 @@ written in sorted name order so identical models serialize byte-identically.
 
 from __future__ import annotations
 
+import math
+import os
+import re
+
 import numpy as np
 
 MAGIC = b"GYRONET1"
+_DIGITS = re.compile(r"[0-9]+")
 
 
 class BundleError(ValueError):
@@ -52,39 +57,81 @@ def save_bundle(path, geometry, config, params):
             fh.write(b"\n")
 
 
-def _readline(fh):
-    line = fh.readline()
-    if not line.endswith(b"\n"):
-        raise BundleError("unexpected end of file")
-    return line[:-1].decode("utf-8")
+class _Reader:
+    """Line and block reads that raise :class:`BundleError` naming the file
+    and the part of it being read."""
+
+    def __init__(self, fh, path):
+        self.fh = fh
+        self.path = path
+        self.size = os.fstat(fh.fileno()).st_size
+
+    def fail(self, message):
+        raise BundleError(f"{self.path}: {message}")
+
+    def line(self, what):
+        raw = self.fh.readline()
+        if not raw.endswith(b"\n"):
+            self.fail(f"unexpected end of file in {what}")
+        try:
+            return raw[:-1].decode("utf-8")
+        except UnicodeDecodeError:
+            self.fail(f"{what} is not valid UTF-8")
+
+    def count(self, text, what):
+        if not _DIGITS.fullmatch(text):
+            self.fail(f"{what}: expected a non-negative integer, got {text!r}")
+        return int(text)
+
+    def header(self, tag):
+        line = self.line(f"'{tag}' header")
+        fields = line.split(" ")
+        if len(fields) != 2 or fields[0] != tag:
+            self.fail(f"expected '{tag} <count>', got {line!r}")
+        return self.count(fields[1], f"'{tag}' header")
+
+    def block(self, name, shape):
+        nbytes = 8 * math.prod(shape)
+        if nbytes > self.size - self.fh.tell():
+            self.fail(f"truncated block '{name}'")
+        values = np.frombuffer(self.fh.read(nbytes), dtype="<f8").reshape(shape)
+        if not np.isfinite(values).all():
+            self.fail(f"block '{name}' holds non-finite values")
+        if self.fh.read(1) != b"\n":
+            self.fail(f"missing block terminator after '{name}'")
+        return values.copy()
 
 
 def load_bundle(path):
-    """Returns (geometry, config dict, params dict)."""
+    """Returns (geometry, config dict, params dict).
+
+    A file that does not follow the layout exactly, or whose parameters are
+    not all finite, raises :class:`BundleError` naming the file and the line
+    or block at fault.
+    """
     with open(path, "rb") as fh:
         if fh.read(len(MAGIC)) != MAGIC or fh.read(1) != b"\n":
             raise BundleError(f"{path}: bad magic, not a model bundle")
-        geometry = _readline(fh)
-        tag, count = _readline(fh).split()
-        if tag != "config":
-            raise BundleError(f"{path}: expected config block, got '{tag}'")
+        reader = _Reader(fh, path)
+        geometry = reader.line("geometry tag")
         config = {}
-        for _ in range(int(count)):
-            key, _, value = _readline(fh).partition("=")
+        for i in range(reader.header("config")):
+            key, eq, value = reader.line(f"config line {i + 1}").partition("=")
+            if not eq or key in config:
+                reader.fail(f"config line {i + 1}: expected a new key=value, got {key!r}")
             config[key] = _unescape(value)
-        tag, count = _readline(fh).split()
-        if tag != "blocks":
-            raise BundleError(f"{path}: expected blocks header, got '{tag}'")
         params = {}
-        for _ in range(int(count)):
-            fields = _readline(fh).split()
-            name, ndim = fields[0], int(fields[1])
-            shape = tuple(int(d) for d in fields[2:2 + ndim])
-            size = int(np.prod(shape)) if shape else 1
-            raw = fh.read(size * 8)
-            if len(raw) != size * 8:
-                raise BundleError(f"{path}: truncated block '{name}'")
-            params[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-            if fh.read(1) != b"\n":
-                raise BundleError(f"{path}: missing block terminator after '{name}'")
+        for i in range(reader.header("blocks")):
+            what = f"block {i + 1} header"
+            fields = reader.line(what).split(" ")
+            name = fields[0]
+            if len(fields) < 2 or not name or name in params:
+                reader.fail(f"{what}: expected '<new name> <ndim> <dims...>', got {fields!r}")
+            ndim = reader.count(fields[1], what)
+            if len(fields) != 2 + ndim:
+                reader.fail(f"{what}: '{name}' has ndim {ndim} but {len(fields) - 2} dims")
+            shape = tuple(reader.count(d, what) for d in fields[2:])
+            params[name] = reader.block(name, shape)
+        if fh.read(1):
+            reader.fail("unexpected data after the last block")
     return geometry, config, params

@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from . import bundle, checks, data, embed, train
+from . import bundle, checks, data, diffcore, embed, train
 from .geometry import to_hyperboloid, to_poincare
 from .hypformer import TransformerConfig
 
@@ -210,6 +210,22 @@ def cmd_train_classifier(argv):
     print(payload)
 
 
+def _model_config(path, geometry, meta):
+    """(classifier config, labels) of a loaded bundle; a bundle whose config
+    block is incomplete or disagrees with its geometry tag is refused."""
+    try:
+        config = TransformerConfig.from_dict(meta)
+        labels = meta["labels"].split("\t")
+    except KeyError as exc:
+        raise bundle.BundleError(f"{path}: config block lacks key {exc}") from None
+    except ValueError as exc:
+        raise bundle.BundleError(f"{path}: bad config block: {exc}") from None
+    if geometry != config.geometry:
+        raise bundle.BundleError(f"{path}: geometry tag '{geometry}' does not match "
+                                 f"the config block's '{config.geometry}'")
+    return config, labels
+
+
 def cmd_evaluate(argv):
     parser = argparse.ArgumentParser(prog="gyronet evaluate")
     _add_common(parser)
@@ -221,10 +237,10 @@ def cmd_evaluate(argv):
     parser.add_argument("--metrics-out")
     args = _parse_with_config(parser, argv)
     geometry, meta, params = bundle.load_bundle(args.model)
-    config = TransformerConfig.from_dict(meta)
+    config, labels = _model_config(args.model, geometry, meta)
     token_map = train.load_embedding_points(args.embeddings, geometry)
     dataset = data.load_intent_dataset(args.data, args.holdout, args.seed)
-    if sorted(dataset.label_to_id) != sorted(meta["labels"].split("\t")):
+    if sorted(dataset.label_to_id) != sorted(labels):
         raise CliError("dataset labels do not match the trained model")
     indices = {"heldout": dataset.heldout_indices,
                "train": dataset.train_indices,
@@ -301,7 +317,7 @@ def main(argv=None):
         return 2
     try:
         result = handler(argv[1:])
-    except (CliError, ValueError, OSError, bundle.BundleError) as exc:
+    except (CliError, ValueError, OSError, bundle.BundleError, diffcore.TapeError) as exc:
         print(f"gyronet {command}: error: {exc}", file=sys.stderr)
         return 1
     return int(result or 0)

@@ -2,10 +2,13 @@
 
 A :class:`Tape` records primitive operations as they are executed eagerly.
 Each record keeps the op name, input node ids and the computed value, so the
-node list is topologically ordered by construction.  ``backward`` walks the
-records in reverse and accumulates vector-Jacobian products; gradients of
-inputs that were broadcast are summed back to their shapes.  To evaluate at
-new inputs, record a new tape.
+node list is topologically ordered by construction.  Every recorded value is
+checked to be finite; a non-finite one raises :class:`TapeError` naming the
+node index and op.  A node's ``requires_grad`` flag is set when it is
+recorded: true when any of its inputs requires grad.  ``backward`` walks the
+records in reverse, skips nodes without the flag, and accumulates
+vector-Jacobian products; gradients of inputs that were broadcast are summed
+back to their shapes.  To evaluate at new inputs, record a new tape.
 
 First-order gradients only.
 """
@@ -29,17 +32,14 @@ class Node:
 
 
 class Tensor:
-    """Handle to a node on a tape."""
+    """Handle to a node on a tape, with that node's (immutable) value."""
 
-    __slots__ = ("tape", "nid")
+    __slots__ = ("tape", "nid", "value")
 
-    def __init__(self, tape, nid):
+    def __init__(self, tape, nid, value):
         self.tape = tape
         self.nid = nid
-
-    @property
-    def value(self):
-        return self.tape.nodes[self.nid].value
+        self.value = value
 
     @property
     def shape(self):
@@ -105,23 +105,26 @@ class Tape:
 
     def leaf(self, data, requires_grad=False):
         value = np.asarray(data, dtype=float)
-        node = Node("leaf", (), value, requires_grad=requires_grad)
-        self.nodes.append(node)
-        return Tensor(self, len(self.nodes) - 1)
+        self.nodes.append(Node("leaf", (), value, requires_grad=requires_grad))
+        return Tensor(self, len(self.nodes) - 1, value)
 
     def constant(self, data):
         return self.leaf(data, requires_grad=False)
 
     def record(self, op, inputs, value, **attrs):
-        if not np.all(np.isfinite(value)):
-            raise TapeError(f"non-finite value at node {len(self.nodes)} (op {op})")
-        node = Node(op, tuple(t.nid for t in inputs), value, attrs)
-        self.nodes.append(node)
-        return Tensor(self, len(self.nodes) - 1)
+        nodes = self.nodes
+        if not np.isfinite(value).all():
+            raise TapeError(f"non-finite value at node {len(nodes)} (op {op})")
+        ids = tuple([t.nid for t in inputs])
+        requires_grad = any([nodes[j].requires_grad for j in ids])
+        nodes.append(Node(op, ids, value, attrs, requires_grad))
+        return Tensor(self, len(nodes) - 1, value)
 
 
 def _unbroadcast(grad, shape):
     """Sum a gradient over axes that were produced by broadcasting."""
+    if grad.shape == shape:
+        return grad
     grad = np.asarray(grad, dtype=float)
     while grad.ndim > len(shape):
         grad = grad.sum(axis=0)
@@ -136,61 +139,47 @@ def backward(tape: Tape, output: Tensor) -> dict[Tensor, np.ndarray]:
 
     Returns a dict keyed by the leaf tensors.
     """
-    out_node = tape.nodes[output.nid]
+    nodes = tape.nodes
+    out_node = nodes[output.nid]
     if np.size(out_node.value) != 1:
         raise TapeError(f"backward output must be scalar, got shape {np.shape(out_node.value)}")
     grads: dict[int, np.ndarray] = {output.nid: np.ones_like(np.asarray(out_node.value, dtype=float))}
-    needs = _grad_mask(tape)
     for nid in range(output.nid, -1, -1):
-        if nid not in grads or not needs[nid]:
-            continue
-        node = tape.nodes[nid]
-        if node.op == "leaf":
+        node = nodes[nid]
+        if not node.requires_grad or node.op == "leaf" or nid not in grads:
             continue
         g = grads.pop(nid)
-        vals = [tape.nodes[j].value for j in node.inputs]
-        partials = _BACKWARD[node.op](g, node.value, vals, node.attrs)
-        for j, pg in zip(node.inputs, partials):
-            if pg is None or not needs[j]:
+        vals = [nodes[j].value for j in node.inputs]
+        for j, vjp in zip(node.inputs, _BACKWARD[node.op]):
+            src = nodes[j]
+            if not src.requires_grad:
                 continue
-            pg = _unbroadcast(pg, np.shape(tape.nodes[j].value))
+            pg = _unbroadcast(vjp(g, node.value, vals, node.attrs), src.value.shape)
             if j in grads:
                 grads[j] = grads[j] + pg
             else:
                 grads[j] = pg
     result = {}
-    for nid, node in enumerate(tape.nodes):
+    for nid, node in enumerate(nodes):
         if node.op == "leaf" and node.requires_grad:
             zero = np.zeros_like(np.asarray(node.value, dtype=float))
-            result[Tensor(tape, nid)] = grads.get(nid, zero)
+            result[Tensor(tape, nid, node.value)] = grads.get(nid, zero)
     return result
 
 
-def _grad_mask(tape):
-    """Which nodes lie on a path from a grad-enabled leaf."""
-    needs = [False] * len(tape.nodes)
-    for i, node in enumerate(tape.nodes):
-        if node.op == "leaf":
-            needs[i] = node.requires_grad
-        else:
-            needs[i] = any(needs[j] for j in node.inputs)
-    return needs
-
-
 # ---------------------------------------------------------------------------
-# Primitive ops.  Each is an eager forward plus one VJP rule in _BACKWARD,
-# called as vjp(grad_out, out_value, input_values, attrs).
+# Primitive ops.  Each is an eager forward plus, in _BACKWARD, one VJP rule
+# per input, called as rule(grad_out, out_value, input_values, attrs).
+# backward calls only the rules of inputs that require grad.
 # ---------------------------------------------------------------------------
 
 _BACKWARD = {}
 
 
-def _same_tape(*ts):
-    tape = ts[0].tape
-    for t in ts[1:]:
-        if t.tape is not tape:
-            raise TapeError("operands live on different tapes")
-    return tape
+def _same_tape(a, b):
+    if a.tape is not b.tape:
+        raise TapeError("operands live on different tapes")
+    return a.tape
 
 
 def add(a, b):
@@ -198,7 +187,7 @@ def add(a, b):
     return tape.record("add", (a, b), a.value + b.value)
 
 
-_BACKWARD["add"] = lambda g, out, v, at: (g, g)
+_BACKWARD["add"] = (lambda g, out, v, at: g,) * 2
 
 
 def sub(a, b):
@@ -206,7 +195,7 @@ def sub(a, b):
     return tape.record("sub", (a, b), a.value - b.value)
 
 
-_BACKWARD["sub"] = lambda g, out, v, at: (g, -g)
+_BACKWARD["sub"] = (lambda g, out, v, at: g, lambda g, out, v, at: -g)
 
 
 def mul(a, b):
@@ -214,7 +203,7 @@ def mul(a, b):
     return tape.record("mul", (a, b), a.value * b.value)
 
 
-_BACKWARD["mul"] = lambda g, out, v, at: (g * v[1], g * v[0])
+_BACKWARD["mul"] = (lambda g, out, v, at: g * v[1], lambda g, out, v, at: g * v[0])
 
 
 def div(a, b):
@@ -222,14 +211,15 @@ def div(a, b):
     return tape.record("div", (a, b), a.value / b.value)
 
 
-_BACKWARD["div"] = lambda g, out, v, at: (g / v[1], -g * v[0] / (v[1] * v[1]))
+_BACKWARD["div"] = (lambda g, out, v, at: g / v[1],
+                    lambda g, out, v, at: -g * v[0] / (v[1] * v[1]))
 
 
 def neg(a):
     return a.tape.record("neg", (a,), -a.value)
 
 
-_BACKWARD["neg"] = lambda g, out, v, at: (-g,)
+_BACKWARD["neg"] = (lambda g, out, v, at: -g,)
 
 
 def matmul(a, b):
@@ -237,18 +227,12 @@ def matmul(a, b):
     return tape.record("matmul", (a, b), a.value @ b.value)
 
 
-def _matmul_bwd(g, out, v, at):
-    a, b = v
-    ga = g @ np.swapaxes(b, -1, -2)
-    gb = np.swapaxes(a, -1, -2) @ g
-    return (ga, gb)
-
-
-_BACKWARD["matmul"] = _matmul_bwd
+_BACKWARD["matmul"] = (lambda g, out, v, at: g @ np.swapaxes(v[1], -1, -2),
+                       lambda g, out, v, at: np.swapaxes(v[0], -1, -2) @ g)
 
 
 def tsum(a, axis=None, keepdims=False):
-    return a.tape.record("sum", (a,), np.sum(a.value, axis=axis, keepdims=keepdims),
+    return a.tape.record("sum", (a,), np.add.reduce(a.value, axis=axis, keepdims=keepdims),
                          axis=axis, keepdims=keepdims)
 
 
@@ -260,12 +244,12 @@ def _expand_reduced(g, x_shape, axis, keepdims):
     return np.broadcast_to(g, x_shape)
 
 
-_BACKWARD["sum"] = lambda g, out, v, at: (
-    _expand_reduced(g, np.shape(v[0]), at["axis"], at["keepdims"]),)
+_BACKWARD["sum"] = (
+    lambda g, out, v, at: _expand_reduced(g, np.shape(v[0]), at["axis"], at["keepdims"]),)
 
 
 def tmax(a, axis=None, keepdims=False):
-    return a.tape.record("max", (a,), np.max(a.value, axis=axis, keepdims=keepdims),
+    return a.tape.record("max", (a,), np.maximum.reduce(a.value, axis=axis, keepdims=keepdims),
                          axis=axis, keepdims=keepdims)
 
 
@@ -278,27 +262,26 @@ def _max_bwd(g, out, v, at):
     mask = (x == out_k).astype(float)
     count = np.sum(mask, axis=axis, keepdims=True) if axis is not None else np.sum(mask)
     g_exp = _expand_reduced(g, np.shape(x), axis, keepdims)
-    return (g_exp * mask / count,)
+    return g_exp * mask / count
 
 
-_BACKWARD["max"] = _max_bwd
+_BACKWARD["max"] = (_max_bwd,)
 
 
 def _unary(name, f, vjp):
     def op(a):
         return a.tape.record(name, (a,), f(a.value))
 
-    _BACKWARD[name] = vjp
+    _BACKWARD[name] = (vjp,)
     return op
 
 
-exp = _unary("exp", np.exp, lambda g, out, v, at: (g * out,))
-log = _unary("log", np.log, lambda g, out, v, at: (g / v[0],))
-tanh = _unary("tanh", np.tanh, lambda g, out, v, at: (g * (1.0 - out * out),))
-atanh = _unary("atanh", np.arctanh, lambda g, out, v, at: (g / (1.0 - v[0] * v[0]),))
-asinh = _unary("asinh", np.arcsinh, lambda g, out, v, at: (g / np.sqrt(1.0 + v[0] * v[0]),))
-relu = _unary("relu", lambda x: np.maximum(x, 0.0),
-              lambda g, out, v, at: (g * (v[0] > 0.0),))
+exp = _unary("exp", np.exp, lambda g, out, v, at: g * out)
+log = _unary("log", np.log, lambda g, out, v, at: g / v[0])
+tanh = _unary("tanh", np.tanh, lambda g, out, v, at: g * (1.0 - out * out))
+atanh = _unary("atanh", np.arctanh, lambda g, out, v, at: g / (1.0 - v[0] * v[0]))
+asinh = _unary("asinh", np.arcsinh, lambda g, out, v, at: g / np.sqrt(1.0 + v[0] * v[0]))
+relu = _unary("relu", lambda x: np.maximum(x, 0.0), lambda g, out, v, at: g * (v[0] > 0.0))
 
 
 def softmax(a, axis=-1):
@@ -312,14 +295,20 @@ def softmax(a, axis=-1):
 def _softmax_bwd(g, out, v, at):
     axis = at["axis"]
     dot_ = np.sum(g * out, axis=axis, keepdims=True)
-    return (out * (g - dot_),)
+    return out * (g - dot_)
 
 
-_BACKWARD["softmax"] = _softmax_bwd
+_BACKWARD["softmax"] = (_softmax_bwd,)
+
+
+def _norm(x, axis, keepdims):
+    """Euclidean norm along ``axis``: the same arithmetic as ``np.linalg.norm``
+    takes for real input and one axis, without its argument handling."""
+    return np.sqrt(np.add.reduce(x * x, axis=axis, keepdims=keepdims))
 
 
 def norm(a, axis=-1, keepdims=True):
-    val = np.linalg.norm(a.value, axis=axis, keepdims=keepdims)
+    val = _norm(a.value, axis, keepdims)
     return a.tape.record("norm", (a,), val, axis=axis, keepdims=keepdims)
 
 
@@ -328,10 +317,10 @@ def _norm_bwd(g, out, v, at):
     axis, keepdims = at["axis"], at["keepdims"]
     out_k = out if keepdims else np.expand_dims(out, axis)
     g_k = g if keepdims else np.expand_dims(g, axis)
-    return (g_k * x / np.maximum(out_k, _TINY),)
+    return g_k * x / np.maximum(out_k, _TINY)
 
 
-_BACKWARD["norm"] = _norm_bwd
+_BACKWARD["norm"] = (_norm_bwd,)
 
 
 def tslice(a, key):
@@ -341,17 +330,17 @@ def tslice(a, key):
 def _slice_bwd(g, out, v, at):
     gx = np.zeros_like(v[0])
     gx[at["key"]] = g
-    return (gx,)
+    return gx
 
 
-_BACKWARD["slice"] = _slice_bwd
+_BACKWARD["slice"] = (_slice_bwd,)
 
 
 def reshape(a, shape):
     return a.tape.record("reshape", (a,), np.reshape(a.value, shape), shape=shape)
 
 
-_BACKWARD["reshape"] = lambda g, out, v, at: (np.reshape(g, np.shape(v[0])),)
+_BACKWARD["reshape"] = (lambda g, out, v, at: np.reshape(g, np.shape(v[0])),)
 
 
 def swap_last(a):
@@ -359,7 +348,7 @@ def swap_last(a):
     return a.tape.record("swap_last", (a,), np.swapaxes(a.value, -1, -2))
 
 
-_BACKWARD["swap_last"] = lambda g, out, v, at: (np.swapaxes(g, -1, -2),)
+_BACKWARD["swap_last"] = (lambda g, out, v, at: np.swapaxes(g, -1, -2),)
 
 
 def clip_min(a, floor):
@@ -367,28 +356,25 @@ def clip_min(a, floor):
     return a.tape.record("clip_min", (a,), np.maximum(a.value, floor), floor=floor)
 
 
-_BACKWARD["clip_min"] = lambda g, out, v, at: (g * (v[0] > at["floor"]),)
+_BACKWARD["clip_min"] = (lambda g, out, v, at: g * (v[0] > at["floor"]),)
 
 
 def ball_project(a, max_norm, axis=-1):
     """Radial clamp onto the shell of radius ``max_norm``.
 
     Gradient convention: identity for rows that were inside, zero for rows
-    that got clamped (projected-gradient treatment of the boundary).
+    that got clamped (projected-gradient treatment of the boundary).  The
+    forward keeps the ``inside`` mask for the VJP.
     """
     x = a.value
-    n = np.linalg.norm(x, axis=axis, keepdims=True)
-    factor = np.where(n >= max_norm, max_norm / np.maximum(n, _TINY), 1.0)
-    return a.tape.record("ball_project", (a,), x * factor, max_norm=max_norm, axis=axis)
+    n = _norm(x, axis, True)
+    inside = n < max_norm
+    factor = np.where(inside, 1.0, max_norm / np.maximum(n, _TINY))
+    return a.tape.record("ball_project", (a,), x * factor, max_norm=max_norm, axis=axis,
+                         inside=inside)
 
 
-def _ball_project_bwd(g, out, v, at):
-    n = np.linalg.norm(v[0], axis=at["axis"], keepdims=True)
-    inside = (n < at["max_norm"]).astype(float)
-    return (g * inside,)
-
-
-_BACKWARD["ball_project"] = _ball_project_bwd
+_BACKWARD["ball_project"] = (lambda g, out, v, at: g * at["inside"],)
 
 
 # ---------------------------------------------------------------------------

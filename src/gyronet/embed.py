@@ -20,6 +20,9 @@ from .geometry import (
 )
 
 GEOMETRIES = ("euclidean", "hyperboloid")
+# Geometries an embedding file may carry: the trained ones, and ball
+# coordinates written by ``convert``.
+FILE_GEOMETRIES = GEOMETRIES + ("poincare",)
 
 
 def tokenize(text):
@@ -276,22 +279,47 @@ def write_embeddings(path, tokens, matrix, geometry):
             fh.write(f"{token} {coords}\n")
 
 
+def _decoded_line(fh, path, lineno):
+    try:
+        return fh.readline().decode("utf-8").rstrip("\n")
+    except UnicodeDecodeError:
+        raise ValueError(f"{path}:{lineno}: not valid UTF-8") from None
+
+
 def read_embeddings(path):
-    """Inverse of :func:`write_embeddings`; returns (tokens, matrix, geometry)."""
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 3:
-            raise ValueError(f"{path}: malformed embedding header")
-        size, dim, geometry = int(header[0]), int(header[1]), header[2]
+    """Inverse of :func:`write_embeddings`; returns (tokens, matrix, geometry).
+
+    A malformed header, a short or unparsable row and a non-finite
+    coordinate raise ``ValueError("<path>:<line>: ...")``.
+    """
+    with open(path, "rb") as fh:
+        header = _decoded_line(fh, path, 1).split()
+        try:
+            size, dim, geometry = int(header[0]), int(header[1]), header[2]
+            ok = len(header) == 3 and size >= 0 and dim >= 1 and geometry in FILE_GEOMETRIES
+        except (IndexError, ValueError):
+            ok = False
+        if not ok:
+            raise ValueError(f"{path}:1: malformed embedding header, expected "
+                             f"'<size> <dim> <{'|'.join(FILE_GEOMETRIES)}>'")
         cols = dim + 1 if geometry == "hyperboloid" else dim
-        tokens = []
-        rows = np.empty((size, cols))
+        tokens, rows = [], []
         for i in range(size):
-            line = fh.readline().rstrip("\n")
+            lineno = i + 2
+            line = _decoded_line(fh, path, lineno)
             if not line:
-                raise ValueError(f"{path}: truncated at row {i}")
+                raise ValueError(f"{path}:{lineno}: truncated at row {i}")
             fields = line.split(" ")
-            token = " ".join(fields[: len(fields) - cols])
-            tokens.append(token)
-            rows[i] = [float(v) for v in fields[len(fields) - cols:]]
-    return tokens, rows, geometry
+            if len(fields) <= cols:
+                raise ValueError(f"{path}:{lineno}: expected a token and {cols} coordinates, "
+                                 f"got {len(fields)} fields")
+            tokens.append(" ".join(fields[:-cols]))
+            try:
+                rows.append([float(v) for v in fields[-cols:]])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+    matrix = np.array(rows, dtype=float).reshape(size, cols)
+    bad = ~np.isfinite(matrix).all(axis=1)
+    if bad.any():
+        raise ValueError(f"{path}:{int(np.argmax(bad)) + 2}: non-finite coordinate")
+    return tokens, matrix, geometry

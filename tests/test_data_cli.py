@@ -340,3 +340,58 @@ def test_cli_preset_dim_must_match_embeddings(tmp_path, capsys):
                             "--out", str(tmp_path / "m128.bin")]) == 0
     metrics = json.loads((tmp_path / "m128.bin.metrics.json").read_text())
     assert metrics["dims"] == 128 and metrics["geometry"] == "euclidean"
+
+
+def _tiny_dataset(tmp_path):
+    dataset = tmp_path / "d.tsv"
+    assert cli.main(["gen-data", "--classes", "3", "--per-class", "6",
+                     "--vocab-size", "30", "--composites", "1", "--seed", "4",
+                     "--out", str(dataset)]) == 0
+    chars = sorted({ch for u, _ in data.load_intent_dataset(dataset).records for ch in u})
+    return dataset, chars
+
+
+def test_cli_diverging_run_reports_tape_error(tmp_path, capsys):
+    # finite but huge coordinates overflow in the first projection
+    dataset, chars = _tiny_dataset(tmp_path)
+    emb = tmp_path / "huge.txt"
+    embed.write_embeddings(emb, chars, np.full((len(chars), 4), 1e200), "euclidean")
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = cli.main(["train-classifier", "--geometry", "euclidean", "--embeddings", str(emb),
+                         "--data", str(dataset), "--epochs", "1", "--layers", "1",
+                         "--heads", "2", "--out", str(tmp_path / "m.bin")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "gyronet train-classifier: error: non-finite value at node" in err
+    assert "Traceback" not in err
+
+
+def test_cli_non_finite_embedding_names_file_and_line(tmp_path, capsys):
+    dataset, chars = _tiny_dataset(tmp_path)
+    emb = tmp_path / "nan.txt"
+    matrix = np.full((len(chars), 4), 0.1)
+    matrix[2, 1] = np.nan
+    embed.write_embeddings(emb, chars, matrix, "euclidean")
+    code = cli.main(["train-classifier", "--geometry", "euclidean", "--embeddings", str(emb),
+                     "--data", str(dataset), "--epochs", "1", "--layers", "1",
+                     "--heads", "2", "--out", str(tmp_path / "m.bin")])
+    assert code == 1
+    assert f"error: {emb}:4: non-finite coordinate" in capsys.readouterr().err
+
+
+def test_cli_evaluate_refuses_bundle_without_config_key(tmp_path, capsys):
+    dataset, chars = _tiny_dataset(tmp_path)
+    emb = tmp_path / "e.txt"
+    embed.write_embeddings(emb, chars, np.random.default_rng(0).normal(0, 0.1, (len(chars), 4)),
+                           "euclidean")
+    model = tmp_path / "model.bin"
+    assert cli.main(["train-classifier", "--geometry", "euclidean", "--embeddings", str(emb),
+                     "--data", str(dataset), "--epochs", "1", "--layers", "1",
+                     "--heads", "2", "--out", str(model)]) == 0
+    model.write_bytes(model.read_bytes().replace(b"\nmodel_dim=", b"\nmodel_dix="))
+    code = cli.main(["evaluate", "--model", str(model), "--embeddings", str(emb),
+                     "--data", str(dataset)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"error: {model}: config block lacks key 'model_dim'" in err
+    assert "Traceback" not in err

@@ -256,6 +256,55 @@ def test_ball_project_gradient_convention():
     np.testing.assert_array_equal(grads[x][1], [0.0, 0.0])  # clamped: zero
 
 
+def test_norm_and_ball_project_match_linalg_norm():
+    rng = np.random.default_rng(3)
+    max_norm = 5.0
+    x = np.vstack([rng.normal(size=(6, 3)) * 3.0, np.zeros(3), [3.0, 4.0, 0.0], [0.0, -5.0, 0.0]])
+    n = np.linalg.norm(x, axis=-1, keepdims=True)
+    assert np.count_nonzero(n == max_norm) == 2 and np.any(n > max_norm) and np.any(n < max_norm)
+    tape = dc.Tape()
+    tx = tape.leaf(x, requires_grad=True)
+    np.testing.assert_array_equal(dc.norm(tx).value, n)
+    np.testing.assert_array_equal(dc.norm(tx, axis=0, keepdims=False).value,
+                                  np.linalg.norm(x, axis=0))
+    out = dc.ball_project(tx, max_norm)
+    factor = np.where(n >= max_norm, max_norm / np.maximum(n, dc._TINY), 1.0)
+    np.testing.assert_array_equal(out.value, x * factor)
+    grad = dc.backward(tape, dc.tsum(out))[tx]
+    np.testing.assert_array_equal(grad, np.broadcast_to(n < max_norm, x.shape))  # norm == max_norm: clamped
+
+
+def test_constant_subgraph_gets_no_vjp_call(monkeypatch):
+    calls = {"exp": 0, "tanh": 0}
+    for op in calls:
+        (vjp,) = dc._BACKWARD[op]
+
+        def counted(*args, _vjp=vjp, _op=op):
+            calls[_op] += 1
+            return _vjp(*args)
+
+        monkeypatch.setitem(dc._BACKWARD, op, (counted,))
+    rng = np.random.default_rng(4)
+    x0, c0 = rng.normal(size=(2, 3)), rng.normal(size=(2, 3))
+
+    def build(tape, x):
+        const = tape.constant(c0)
+        return dc.tsum(dc.tanh(x) * (dc.exp(const) * const))  # exp sees constants only
+
+    report = _gradcheck_scalar_fn(build, x0)
+    assert report.passed, report
+    assert calls == {"exp": 0, "tanh": 1}
+
+
+def test_unbroadcast_sums_broadcast_axes():
+    g = np.arange(12.0).reshape(3, 4)
+    assert dc._unbroadcast(g, (3, 4)) is g
+    np.testing.assert_array_equal(dc._unbroadcast(g, (1, 4)), g.sum(axis=0, keepdims=True))
+    np.testing.assert_array_equal(dc._unbroadcast(g, (4,)), g.sum(axis=0))
+    np.testing.assert_array_equal(dc._unbroadcast(g, (3, 1)), g.sum(axis=1, keepdims=True))
+    assert dc._unbroadcast(g, ()).shape == () and dc._unbroadcast(g, ()) == g.sum()
+
+
 # ---------------------------------------------------------------------------
 # diffgeom agrees with the pure-numpy kernels
 # ---------------------------------------------------------------------------

@@ -318,3 +318,26 @@ def test_embedding_file_truncated(tmp_path):
     path.write_text("2 2 euclidean\nx 0.1 0.2\n", encoding="utf-8")
     with pytest.raises(ValueError, match="truncated"):
         embed.read_embeddings(path)
+
+
+@pytest.mark.parametrize("text, line, reason", [
+    ("2 2 euclidean\nx 0.1 0.2\n丁 0.3\n", 3, "expected a token and 2 coordinates"),
+    ("2 2 euclidean\nx 0.1 0.2\ny nan 0.3\n", 3, "non-finite coordinate"),
+    ("1 1 hyperboloid\nx inf 1.0\n", 2, "non-finite coordinate"),
+    ("1 2 euclidean\nx 0.1 zero\n", 2, "could not convert"),
+    ("1 two euclidean\nx 0.1 0.2\n", 1, "malformed embedding header"),
+    ("1 2 sphere\nx 0.1 0.2\n", 1, "malformed embedding header"),
+    ("99999999999 2 euclidean\nx 0.1 0.2\n", 3, "truncated at row 1"),  # no allocation first
+])
+def test_embedding_file_malformed_names_line(tmp_path, text, line, reason):
+    path = tmp_path / "emb.txt"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match=rf"emb\.txt:{line}: {reason}"):
+        embed.read_embeddings(path)
+
+
+def test_embedding_file_invalid_utf8_names_line(tmp_path):
+    path = tmp_path / "emb.txt"
+    path.write_bytes(b"1 2 euclidean\n\xff 0.1 0.2\n")
+    with pytest.raises(ValueError, match=r"emb\.txt:2: not valid UTF-8"):
+        embed.read_embeddings(path)

@@ -442,3 +442,30 @@ def test_bundle_truncated(tmp_path, rng):
         clipped.write_bytes(blob[:size])
         with pytest.raises(bundle.BundleError):
             bundle.load_bundle(clipped)
+
+
+def test_bundle_corrupted_bytes(tmp_path, rng):
+    cfg = _config()
+    path = tmp_path / "model.bin"
+    bundle.save_bundle(path, cfg.geometry, cfg.to_dict(), hf.init_params(cfg, rng))
+    blob = path.read_bytes()
+    corrupted = tmp_path / "corrupted.bin"
+    refused = 0
+    for i in range(len(blob)):  # every byte, header and blocks alike
+        for byte in (0x00, 0xFF, 0x20, 0x0A):
+            corrupted.write_bytes(blob[:i] + bytes([byte]) + blob[i + 1:])
+            try:
+                _, _, params = bundle.load_bundle(corrupted)
+            except bundle.BundleError as exc:
+                assert str(corrupted) in str(exc)
+                refused += 1
+            else:
+                assert all(np.isfinite(v).all() for v in params.values()), (i, byte)
+    assert refused > 0
+
+
+def test_bundle_refuses_non_finite_parameters(tmp_path):
+    path = tmp_path / "model.bin"
+    bundle.save_bundle(path, "poincare", {}, {"a": np.ones(2), "w": np.array([1.0, np.nan])})
+    with pytest.raises(bundle.BundleError, match=r"model\.bin: block 'w' holds non-finite"):
+        bundle.load_bundle(path)
