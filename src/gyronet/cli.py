@@ -20,7 +20,7 @@ import numpy as np
 
 from . import bundle, checks, data, diffcore, embed, train
 from .geometry import to_hyperboloid, to_poincare
-from .hypformer import TransformerConfig
+from .hypformer import TransformerConfig, param_shapes
 
 log = logging.getLogger("gyronet")
 
@@ -210,12 +210,14 @@ def cmd_train_classifier(argv):
     print(payload)
 
 
-def _model_config(path, geometry, meta):
-    """(classifier config, labels) of a loaded bundle; a bundle whose config
-    block is incomplete or disagrees with its geometry tag is refused."""
+def _model_config(path, geometry, meta, params):
+    """(classifier config, labels, epochs) of a loaded bundle.  A bundle whose
+    config block is incomplete or disagrees with its geometry tag, or whose
+    parameter blocks differ from the config's in name or shape, is refused."""
     try:
         config = TransformerConfig.from_dict(meta)
         labels = meta["labels"].split("\t")
+        epochs = int(meta.get("epochs") or 0)
     except KeyError as exc:
         raise bundle.BundleError(f"{path}: config block lacks key {exc}") from None
     except ValueError as exc:
@@ -223,7 +225,22 @@ def _model_config(path, geometry, meta):
     if geometry != config.geometry:
         raise bundle.BundleError(f"{path}: geometry tag '{geometry}' does not match "
                                  f"the config block's '{config.geometry}'")
-    return config, labels
+    if len(labels) != config.num_classes:
+        raise bundle.BundleError(f"{path}: {len(labels)} labels for "
+                                 f"{config.num_classes} classes")
+    # param_shapes lists 8 blocks per layer: refuse a layer count that the
+    # file cannot hold before listing them
+    if config.num_layers > len(params):
+        raise bundle.BundleError(f"{path}: {config.num_layers} layers, but only "
+                                 f"{len(params)} parameter blocks")
+    shapes = param_shapes(config)
+    problems = [f"block '{n}' is missing" for n in sorted(shapes.keys() - params.keys())]
+    problems += [f"unexpected block '{n}'" for n in sorted(params.keys() - shapes.keys())]
+    problems += [f"block '{n}' has shape {params[n].shape}, the config needs {shape}"
+                 for n, shape in shapes.items() if n in params and params[n].shape != shape]
+    if problems:
+        raise bundle.BundleError(f"{path}: " + "; ".join(problems))
+    return config, labels, epochs
 
 
 def cmd_evaluate(argv):
@@ -237,8 +254,11 @@ def cmd_evaluate(argv):
     parser.add_argument("--metrics-out")
     args = _parse_with_config(parser, argv)
     geometry, meta, params = bundle.load_bundle(args.model)
-    config, labels = _model_config(args.model, geometry, meta)
+    config, labels, epochs = _model_config(args.model, geometry, meta, params)
     token_map = train.load_embedding_points(args.embeddings, geometry)
+    if token_map.dim != config.model_dim:
+        raise CliError(f"{args.model} has model dim {config.model_dim}, "
+                       f"but {args.embeddings} has dim {token_map.dim}")
     dataset = data.load_intent_dataset(args.data, args.holdout, args.seed)
     if sorted(dataset.label_to_id) != sorted(labels):
         raise CliError("dataset labels do not match the trained model")
@@ -249,7 +269,7 @@ def cmd_evaluate(argv):
     report = {
         "accuracy": metrics["accuracy"],
         "cross_entropy": metrics["cross_entropy"],
-        "epochs": int(meta.get("epochs", "0")) if meta.get("epochs") else 0,
+        "epochs": epochs,
         "geometry": geometry,
         "dims": config.model_dim,
         "seed": args.seed,

@@ -61,9 +61,6 @@ class IntentDataset:
             inv[i] = label
         return inv
 
-    def subset(self, indices):
-        return [self.records[i] for i in indices]
-
 
 def _stratified_split(records, label_to_id, holdout_fraction, seed):
     rng = np.random.default_rng(seed)

@@ -33,10 +33,6 @@ def project_to_ball(x, c=1.0):
     return x * factor
 
 
-def in_ball(x, c=1.0):
-    return bool(np.all(_norm(np.asarray(x, dtype=float), keepdims=False) < c))
-
-
 def _check_same_dim(x, y):
     if x.shape[-1] != y.shape[-1]:
         raise ValueError(
@@ -187,13 +183,6 @@ def hyperboloid_renormalize(x):
     spatial = x[..., :-1]
     time = np.sqrt(1.0 + np.sum(spatial * spatial, axis=-1, keepdims=True))
     return np.concatenate([spatial, time], axis=-1)
-
-
-def on_hyperboloid(x, tol=1e-9):
-    x = np.asarray(x, dtype=float)
-    return bool(
-        np.all(np.abs(lorentz_inner(x, x) + 1.0) <= tol) and np.all(x[..., -1] > 0)
-    )
 
 
 def hyperboloid_origin(n):

@@ -5,13 +5,19 @@ maps become Mobius matrix applications, biases are gyro-added, attention runs
 in the tangent space at the origin (log -> scaled dot product -> exp), heads
 are merged by a left-associated gyro-sum, pooling and dropout act on tangent
 coordinates, and classification uses hyperbolic multinomial logistic
-regression.  The euclidean variant is the same network with flat operations.
+regression.
+
+The euclidean variant is the same network in flat space, the limit in which
+Mobius addition becomes ``+``, Mobius matvec becomes matmul and log_0/exp_0
+become the identity.  The blocks that share one formula take the ball radius
+``c`` and read ``c=None`` as flat space.  Only attention, the FFN and the
+classification head keep one form per geometry.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -50,37 +56,17 @@ class TransformerConfig:
         return self.num_heads * self.head_dim
 
     def to_dict(self):
-        return {
-            "geometry": self.geometry,
-            "model_dim": str(self.model_dim),
-            "num_layers": str(self.num_layers),
-            "num_heads": str(self.num_heads),
-            "head_dim": str(self.head_dim),
-            "ffn_dim": str(self.ffn_dim),
-            "num_classes": str(self.num_classes),
-            "dropout": f"{self.dropout:g}",
-            "max_seq_len": str(self.max_seq_len),
-            "curvature": f"{self.curvature:g}",
-            "pe_scale": f"{self.pe_scale:g}",
-            "use_residual": "1" if self.use_residual else "0",
-        }
+        """Config block of a model bundle: field name -> string."""
+        return {f.name: _FORMAT.get(f.type, str)(getattr(self, f.name)) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, d):
-        return cls(
-            geometry=d["geometry"],
-            model_dim=int(d["model_dim"]),
-            num_layers=int(d["num_layers"]),
-            num_heads=int(d["num_heads"]),
-            head_dim=int(d["head_dim"]),
-            ffn_dim=int(d["ffn_dim"]),
-            num_classes=int(d["num_classes"]),
-            dropout=float(d["dropout"]),
-            max_seq_len=int(d["max_seq_len"]),
-            curvature=float(d["curvature"]),
-            pe_scale=float(d["pe_scale"]),
-            use_residual=d["use_residual"] == "1",
-        )
+        return cls(**{f.name: _PARSE[f.type](d[f.name]) for f in fields(cls)})
+
+
+# field type (as annotated) -> string form in a bundle and back
+_FORMAT = {"float": lambda v: f"{v:g}", "bool": lambda v: "1" if v else "0"}
+_PARSE = {"str": str, "int": int, "float": float, "bool": lambda s: s == "1"}
 
 
 def positional_encoding(pos, d):
@@ -98,36 +84,42 @@ def positional_encoding_matrix(length, d):
     return np.stack([positional_encoding(p, d) for p in range(length)])
 
 
+def param_shapes(config: TransformerConfig):
+    """Name -> shape of every model parameter, in initialisation order."""
+    n, pd, f, k = config.model_dim, config.proj_dim, config.ffn_dim, config.num_classes
+    shapes = {}
+    for i in range(config.num_layers):
+        p = f"layer{i}."
+        shapes.update({p + "wq": (n, pd), p + "wk": (n, pd), p + "wv": (n, pd),
+                       p + "merge": (config.num_heads, config.head_dim, n),
+                       p + "ffn_w1": (n, f), p + "ffn_w2": (f, n),
+                       p + "ffn_b1": (f,), p + "ffn_b2": (n,)})
+    shapes["unk"] = (n,)
+    if config.geometry == "poincare":
+        shapes.update(mlr_a=(k, n), mlr_p=(k, n))
+    else:
+        shapes.update(out_w=(n, k), out_b=(k,))
+    return shapes
+
+
+# biases and ball points; every other parameter is a random matrix
+_ZERO_INIT = ("ffn_b1", "ffn_b2", "unk", "mlr_p", "out_b")
+
+
 def init_params(config: TransformerConfig, rng, gain=1.0):
     """Fresh parameter arrays.  Manifold-valued parameters (hyperbolic biases,
     MLR offsets, the UNK embedding point) start at the origin.
 
-    Weight matrices use std = gain / sqrt(fan_out): for ``y = x @ W`` this
-    keeps ||y|| close to ||x||, which matters on the ball where a shrinking
-    norm chain collapses every point toward the origin.
+    Weight matrices use std = gain / sqrt(fan_out) (the last axis): for
+    ``y = x @ W`` this keeps ||y|| close to ||x||, which matters on the ball
+    where a shrinking norm chain collapses every point toward the origin.
     """
-
-    def matrix(fan_in, fan_out):
-        return rng.normal(0.0, gain / math.sqrt(fan_out), (fan_in, fan_out))
-
-    n, pd = config.model_dim, config.proj_dim
     params: dict[str, np.ndarray] = {}
-    for i in range(config.num_layers):
-        for tag in ("wq", "wk", "wv"):
-            params[f"layer{i}.{tag}"] = matrix(n, pd)
-        params[f"layer{i}.merge"] = rng.normal(
-            0.0, gain / math.sqrt(n), (config.num_heads, config.head_dim, n))
-        params[f"layer{i}.ffn_w1"] = matrix(n, config.ffn_dim)
-        params[f"layer{i}.ffn_w2"] = matrix(config.ffn_dim, n)
-        params[f"layer{i}.ffn_b1"] = np.zeros(config.ffn_dim)
-        params[f"layer{i}.ffn_b2"] = np.zeros(n)
-    params["unk"] = np.zeros(n)
-    if config.geometry == "poincare":
-        params["mlr_a"] = rng.normal(0.0, gain / math.sqrt(n), (config.num_classes, n))
-        params["mlr_p"] = np.zeros((config.num_classes, n))
-    else:
-        params["out_w"] = matrix(n, config.num_classes)
-        params["out_b"] = np.zeros(config.num_classes)
+    for name, shape in param_shapes(config).items():
+        if name.rpartition(".")[2] in _ZERO_INIT:
+            params[name] = np.zeros(shape)
+        else:
+            params[name] = rng.normal(0.0, gain / math.sqrt(shape[-1]), shape)
     return params
 
 
@@ -146,12 +138,26 @@ def manifold_param_names(config: TransformerConfig):
 # Building blocks (operate on diffcore tensors)
 # ---------------------------------------------------------------------------
 
-def attach_positions(x, pe, config):
-    """Add positional information: gyro-addition of exp_0(PE) on the ball,
-    plain addition in euclidean mode.  ``pe`` is a constant tensor."""
-    if config.geometry == "poincare":
-        return dg.mobius_add(x, dg.expmap0(pe, config.curvature), config.curvature)
-    return x + pe
+def _add(x, y, c):
+    return x + y if c is None else dg.mobius_add(x, y, c)
+
+
+def _matvec(x, w, c):
+    return dc.matmul(x, w) if c is None else dg.mobius_matvec(x, w, c)
+
+
+def _log0(x, c):
+    return x if c is None else dg.logmap0(x, c)
+
+
+def _exp0(v, c):
+    return v if c is None else dg.expmap0(v, c)
+
+
+def attach_positions(x, pe, c):
+    """Add positional information: x (+) exp_0(PE), which is x + PE in flat
+    space.  ``pe`` is a constant tensor."""
+    return _add(x, _exp0(pe, c), c)
 
 
 def scaled_dot_attention(q, k, v, mask_bias):
@@ -187,23 +193,17 @@ def split_heads(y, num_heads, head_dim, c=None):
     return heads
 
 
-def merge_heads(heads, merge_w, geometry, c=1.0):
+def merge_heads(heads, merge_w, c):
     """Project each head back to model width and combine.
 
-    Hyperbolic mode gyro-adds the per-head results left-associated in
-    ascending head order; the order is part of the contract because
-    gyro-addition is not associative.  Euclidean mode sums.
+    The per-head results are gyro-added left-associated in ascending head
+    order; the order is part of the contract because gyro-addition is not
+    associative.  In flat space this is a plain sum.
     """
-    parts = []
-    for i, h in enumerate(heads):
-        w_i = merge_w[i]
-        if geometry == "poincare":
-            parts.append(dg.mobius_matvec(h, w_i, c))
-        else:
-            parts.append(dc.matmul(h, w_i))
+    parts = [_matvec(h, w_i, c) for h, w_i in zip(heads, merge_w)]
     out = parts[0]
     for p in parts[1:]:
-        out = dg.mobius_add(out, p, c) if geometry == "poincare" else out + p
+        out = _add(out, p, c)
     return out
 
 
@@ -218,28 +218,23 @@ def euclidean_ffn(x, w1, b1, w2, b2):
     return dc.matmul(dc.relu(dc.matmul(x, w1) + b1), w2) + b2
 
 
-def tangent_dropout(x, rate, rng, training, geometry, c=1.0):
-    """Inverted dropout on tangent coordinates (ball) or raw coordinates
-    (euclidean); identity in eval mode."""
+def tangent_dropout(x, rate, rng, training, c):
+    """Inverted dropout on tangent coordinates at the origin (raw
+    coordinates in flat space); identity in eval mode."""
     if not training or rate <= 0.0:
         return x
     keep = (rng.random(x.shape) >= rate).astype(float) / (1.0 - rate)
     mask = x.tape.constant(keep)
-    if geometry == "poincare":
-        return dg.expmap0(dg.logmap0(x, c) * mask, c)
-    return x * mask
+    return _exp0(_log0(x, c) * mask, c)
 
 
-def pooled_representation(x, mask_keep, geometry, c=1.0):
+def pooled_representation(x, mask_keep, c):
     """Coordinate-wise max over unmasked positions, taken in the tangent
-    space at the origin for ball inputs.  ``mask_keep``: constant (..., L, 1),
-    1 for real positions."""
-    t = dg.logmap0(x, c) if geometry == "poincare" else x
+    space at the origin.  ``mask_keep``: constant (..., L, 1), 1 for real
+    positions."""
+    t = _log0(x, c)
     neg = (1.0 - mask_keep) * (-1e30)
-    pooled = dc.tmax(t + neg, axis=-2, keepdims=False)
-    if geometry == "poincare":
-        return dg.expmap0(pooled, c)
-    return pooled
+    return _exp0(dc.tmax(t + neg, axis=-2, keepdims=False), c)
 
 
 def classifier_forward(tape, params, points, mask, config: TransformerConfig,
@@ -254,57 +249,39 @@ def classifier_forward(tape, params, points, mask, config: TransformerConfig,
     mask = np.asarray(mask, dtype=float)
     if not np.all(mask.sum(axis=-1) >= 1):
         raise ValueError("every sequence needs at least one unmasked position")
-    c = config.curvature
+    poincare = config.geometry == "poincare"
+    c = config.curvature if poincare else None
     length = points.shape[-2]
     pe = tape.constant(config.pe_scale * positional_encoding_matrix(length, config.model_dim))
     mask_bias = tape.constant((-1e9) * (1.0 - mask)[..., None, :])  # (B, 1, L)
     mask_keep = tape.constant(mask[..., None])  # (B, L, 1)
 
-    x = attach_positions(points, pe, config)
+    x = attach_positions(points, pe, c)
     if rng is None:
         rng = np.random.default_rng(0)
     for i in range(config.num_layers):
-        wq, wk, wv = (params[f"layer{i}.{t}"] for t in ("wq", "wk", "wv"))
-        if config.geometry == "poincare":
-            q = dg.mobius_matvec(x, wq, c)
-            k = dg.mobius_matvec(x, wk, c)
-            v = dg.mobius_matvec(x, wv, c)
-            ball = c
-        else:
-            q, k, v = dc.matmul(x, wq), dc.matmul(x, wk), dc.matmul(x, wv)
-            ball = None
-        q_h = split_heads(q, config.num_heads, config.head_dim, ball)
-        k_h = split_heads(k, config.num_heads, config.head_dim, ball)
-        v_h = split_heads(v, config.num_heads, config.head_dim, ball)
-        outs = []
-        for qi, ki, vi in zip(q_h, k_h, v_h):
-            if config.geometry == "poincare":
-                outs.append(hyperbolic_attention(qi, ki, vi, mask_bias, c))
-            else:
-                outs.append(scaled_dot_attention(qi, ki, vi, mask_bias))
-        merged = merge_heads(outs, [params[f"layer{i}.merge"][j] for j in range(config.num_heads)],
-                             config.geometry, c)
+        p = f"layer{i}."
+        # backward sums gradients in recording order, so this order (all three
+        # projections before any split) is part of what fixes the trained bits
+        q, k, v = [_matvec(x, params[p + t], c) for t in ("wq", "wk", "wv")]
+        heads = [split_heads(t, config.num_heads, config.head_dim, c) for t in (q, k, v)]
+        outs = [hyperbolic_attention(qi, ki, vi, mask_bias, c) if poincare
+                else scaled_dot_attention(qi, ki, vi, mask_bias)
+                for qi, ki, vi in zip(*heads)]
+        merged = merge_heads(outs, [params[p + "merge"][j] for j in range(config.num_heads)], c)
         if config.use_residual:
-            merged = (dg.mobius_add(x, merged, c) if config.geometry == "poincare"
-                      else x + merged)
-        merged = tangent_dropout(merged, config.dropout, rng, training, config.geometry, c)
-        if config.geometry == "poincare":
-            ff = hyperbolic_ffn(merged, params[f"layer{i}.ffn_w1"], params[f"layer{i}.ffn_b1"],
-                                params[f"layer{i}.ffn_w2"], params[f"layer{i}.ffn_b2"], c)
-        else:
-            ff = euclidean_ffn(merged, params[f"layer{i}.ffn_w1"], params[f"layer{i}.ffn_b1"],
-                               params[f"layer{i}.ffn_w2"], params[f"layer{i}.ffn_b2"])
+            merged = _add(x, merged, c)
+        merged = tangent_dropout(merged, config.dropout, rng, training, c)
+        ffn = [merged] + [params[p + t] for t in ("ffn_w1", "ffn_b1", "ffn_w2", "ffn_b2")]
+        ff = hyperbolic_ffn(*ffn, c) if poincare else euclidean_ffn(*ffn)
         if config.use_residual:
-            ff = (dg.mobius_add(merged, ff, c) if config.geometry == "poincare"
-                  else merged + ff)
-        x = tangent_dropout(ff, config.dropout, rng, training, config.geometry, c)
+            ff = _add(merged, ff, c)
+        x = tangent_dropout(ff, config.dropout, rng, training, c)
 
-    pooled = pooled_representation(x, mask_keep, config.geometry, c)
-    if config.geometry == "poincare":
-        scores = dg.mlr_scores(pooled, params["mlr_a"], params["mlr_p"], c)
-    else:
-        scores = dc.matmul(pooled, params["out_w"]) + params["out_b"]
-    return scores
+    pooled = pooled_representation(x, mask_keep, c)
+    if poincare:
+        return dg.mlr_scores(pooled, params["mlr_a"], params["mlr_p"], c)
+    return dc.matmul(pooled, params["out_w"]) + params["out_b"]
 
 
 def embed_sequences(tape, base_points, unk_mask, unk_param):

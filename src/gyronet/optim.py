@@ -3,8 +3,6 @@ Poincare ball for manifold parameters, and the one-restart schedule."""
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .geometry import conformal_factor, exp_map_poincare, project_to_ball
@@ -57,30 +55,16 @@ def rsgd_step_poincare(param, euclidean_grad, lr, c=1.0):
 class RestartSchedule:
     """Single warm restart: at ``restart_epoch`` learning rates snap back to
     their initial values and accumulator state is cleared.  Parameters are
-    untouched.  Optional cosine annealing between restarts (off by default).
+    untouched.
     """
 
-    def __init__(self, restart_epoch, total_epochs=None, cosine=False, lr_min_ratio=0.01):
+    def __init__(self, restart_epoch):
         self.restart_epoch = restart_epoch
-        self.total_epochs = total_epochs
-        self.cosine = cosine
-        self.lr_min_ratio = lr_min_ratio
 
     def apply(self, epoch, optimizers):
         """Update optimizer state for ``epoch``; returns True on restart."""
-        restarted = False
-        if epoch == self.restart_epoch:
-            for opt in optimizers:
-                opt.reset()
-            restarted = True
-        if self.cosine and self.total_epochs:
-            if epoch < self.restart_epoch:
-                t, span = epoch, max(self.restart_epoch, 1)
-            else:
-                t = epoch - self.restart_epoch
-                span = max(self.total_epochs - self.restart_epoch, 1)
-            frac = 0.5 * (1.0 + math.cos(math.pi * t / span))
-            for opt in optimizers:
-                lr_min = opt.lr0 * self.lr_min_ratio
-                opt.lr = lr_min + (opt.lr0 - lr_min) * frac
-        return restarted
+        if epoch != self.restart_epoch:
+            return False
+        for opt in optimizers:
+            opt.reset()
+        return True

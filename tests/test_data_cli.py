@@ -379,7 +379,8 @@ def test_cli_non_finite_embedding_names_file_and_line(tmp_path, capsys):
     assert f"error: {emb}:4: non-finite coordinate" in capsys.readouterr().err
 
 
-def test_cli_evaluate_refuses_bundle_without_config_key(tmp_path, capsys):
+def _tiny_euclidean_model(tmp_path):
+    """(dataset, dim-4 embeddings, one-layer two-head euclidean model) paths."""
     dataset, chars = _tiny_dataset(tmp_path)
     emb = tmp_path / "e.txt"
     embed.write_embeddings(emb, chars, np.random.default_rng(0).normal(0, 0.1, (len(chars), 4)),
@@ -388,10 +389,53 @@ def test_cli_evaluate_refuses_bundle_without_config_key(tmp_path, capsys):
     assert cli.main(["train-classifier", "--geometry", "euclidean", "--embeddings", str(emb),
                      "--data", str(dataset), "--epochs", "1", "--layers", "1",
                      "--heads", "2", "--out", str(model)]) == 0
+    return dataset, emb, model
+
+
+def test_cli_evaluate_refuses_bundle_without_config_key(tmp_path, capsys):
+    dataset, emb, model = _tiny_euclidean_model(tmp_path)
     model.write_bytes(model.read_bytes().replace(b"\nmodel_dim=", b"\nmodel_dix="))
     code = cli.main(["evaluate", "--model", str(model), "--embeddings", str(emb),
                      "--data", str(dataset)])
     assert code == 1
     err = capsys.readouterr().err
     assert f"error: {model}: config block lacks key 'model_dim'" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("old, new, message", [
+    (b"\nout_w 2 4 3\n", b"\nout_x 2 4 3\n", "block 'out_w' is missing; unexpected block 'out_x'"),
+    (b"\nout_w 2 4 3\n", b"\nout_w 2 3 4\n",
+     "block 'out_w' has shape (3, 4), the config needs (4, 3)"),
+    (b"\nnum_layers=1\n", b"\nnum_layers=2\n", "block 'layer1.ffn_b1' is missing"),
+    (b"\nnum_layers=1\n", b"\nnum_layers=12\n", "12 layers, but only 11 parameter blocks"),
+    (b"\nnum_classes=3\n", b"\nnum_classes=4\n", "3 labels for 4 classes"),
+    (b"\nepochs=1\n", b"\nepochs=x\n", "bad config block: invalid literal for int()"),
+], ids=["renamed-block", "reshaped-block", "missing-layer", "layers-beyond-blocks",
+        "labels-vs-classes", "epochs"])
+def test_cli_evaluate_checks_bundle_against_its_config(tmp_path, capsys, old, new, message):
+    dataset, emb, model = _tiny_euclidean_model(tmp_path)
+    blob = model.read_bytes()
+    assert blob.count(old) == 1
+    model.write_bytes(blob.replace(old, new))
+    code = cli.main(["evaluate", "--model", str(model), "--embeddings", str(emb),
+                     "--data", str(dataset)])
+    assert code == 1
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("gyronet evaluate: error:")]
+    assert len(errors) == 1 and errors[0].startswith(f"gyronet evaluate: error: {model}: ")
+    assert message in errors[0]
+    assert "Traceback" not in err
+
+
+def test_cli_evaluate_refuses_embeddings_of_another_dim(tmp_path, capsys):
+    dataset, emb, model = _tiny_euclidean_model(tmp_path)
+    tokens, _, _ = embed.read_embeddings(emb)
+    wide = tmp_path / "wide.txt"
+    embed.write_embeddings(wide, tokens, np.full((len(tokens), 6), 0.1), "euclidean")
+    code = cli.main(["evaluate", "--model", str(model), "--embeddings", str(wide),
+                     "--data", str(dataset)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"gyronet evaluate: error: {model} has model dim 4, but {wide} has dim 6\n" in err
     assert "Traceback" not in err

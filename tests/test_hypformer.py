@@ -40,15 +40,15 @@ def test_attach_positions():
     tape = dc.Tape()
     x = tape.constant([0.5, 0.0])
     pe0 = tape.constant([0.0, 0.0])
-    np.testing.assert_allclose(hf.attach_positions(x, pe0, cfg).value, [0.5, 0.0],
+    np.testing.assert_allclose(hf.attach_positions(x, pe0, cfg.curvature).value, [0.5, 0.0],
                                atol=1e-12)
     zero = tape.constant([0.0, 0.0])
     pe = tape.constant([0.3, 0.1])
-    np.testing.assert_allclose(hf.attach_positions(zero, pe, cfg).value,
+    np.testing.assert_allclose(hf.attach_positions(zero, pe, cfg.curvature).value,
                                geo.exp_map_poincare(np.zeros(2), np.array([0.3, 0.1])),
                                atol=1e-12)
     pe2 = tape.constant([np.arctanh(0.5), 0.0])
-    np.testing.assert_allclose(hf.attach_positions(x, pe2, cfg).value, [0.8, 0.0],
+    np.testing.assert_allclose(hf.attach_positions(x, pe2, cfg.curvature).value, [0.8, 0.0],
                                atol=1e-12)
 
 
@@ -148,13 +148,13 @@ def test_merge_heads_definitions(rng):
     h1 = tape.constant(random_ball_points(rng, 1, 3, radius=0.5))
     h2 = tape.constant(random_ball_points(rng, 1, 3, radius=0.5))
     eye = tape.constant(np.eye(3))
-    np.testing.assert_allclose(hf.merge_heads([h1], [eye], "poincare").value,
+    np.testing.assert_allclose(hf.merge_heads([h1], [eye], 1.0).value,
                                h1.value, atol=1e-12)
     zero = tape.constant(np.zeros((1, 3)))
-    assert np.abs(hf.merge_heads([zero, zero], [eye, eye], "poincare").value).max() == 0.0
+    assert np.abs(hf.merge_heads([zero, zero], [eye, eye], 1.0).value).max() == 0.0
     m1 = tape.constant(rng.normal(size=(3, 3)) * 0.5)
     m2 = tape.constant(rng.normal(size=(3, 3)) * 0.5)
-    merged = hf.merge_heads([h1, h2], [m1, m2], "poincare").value
+    merged = hf.merge_heads([h1, h2], [m1, m2], 1.0).value
     expect = geo.mobius_add(geo.mobius_matvec(m1.value.T, h1.value),
                             geo.mobius_matvec(m2.value.T, h2.value))
     np.testing.assert_allclose(merged, expect, atol=1e-10)
@@ -164,8 +164,8 @@ def test_merge_heads_order_dependence(rng):
     tape = dc.Tape()
     heads = [tape.constant(random_ball_points(rng, 1, 3, radius=0.6)) for _ in range(3)]
     mats = [tape.constant(rng.normal(size=(3, 3))) for _ in range(3)]
-    fwd = hf.merge_heads(heads, mats, "poincare").value
-    rev = hf.merge_heads(heads[::-1], mats[::-1], "poincare").value
+    fwd = hf.merge_heads(heads, mats, 1.0).value
+    rev = hf.merge_heads(heads[::-1], mats[::-1], 1.0).value
     assert np.linalg.norm(fwd - rev) > 1e-6
 
 
@@ -203,11 +203,11 @@ def test_pooling_cases(rng):
     pt = random_ball_points(rng, 1, 3, radius=0.5)
     single = tape.constant(pt[None])  # (1, 1, 3)
     keep = tape.constant(np.ones((1, 1, 1)))
-    out = hf.pooled_representation(single, keep, "poincare")
+    out = hf.pooled_representation(single, keep, 1.0)
     np.testing.assert_allclose(out.value[0], pt[0], atol=1e-10)
     same = tape.constant(np.repeat(pt[None], 4, axis=1))
     keep4 = tape.constant(np.ones((1, 4, 1)))
-    out = hf.pooled_representation(same, keep4, "poincare")
+    out = hf.pooled_representation(same, keep4, 1.0)
     np.testing.assert_allclose(out.value[0], pt[0], atol=1e-10)
 
 
@@ -215,7 +215,7 @@ def test_pooling_two_points_value():
     tape = dc.Tape()
     pts = tape.constant(np.array([[[0.5, 0.0], [0.0, 0.5]]]))
     keep = tape.constant(np.ones((1, 2, 1)))
-    out = hf.pooled_representation(pts, keep, "poincare")
+    out = hf.pooled_representation(pts, keep, 1.0)
     t = np.arctanh(0.5)
     expect = geo.exp_map_poincare(np.zeros(2), np.array([t, t]))
     np.testing.assert_allclose(out.value[0], expect, atol=1e-10)
@@ -226,19 +226,19 @@ def test_pooling_ignores_masked_positions(rng):
     pts = random_ball_points(rng, 3, 4, radius=0.5)
     full = tape.constant(pts[None])
     keep = tape.constant(np.array([1.0, 1.0, 0.0])[None, :, None])
-    masked = hf.pooled_representation(full, keep, "poincare").value
+    masked = hf.pooled_representation(full, keep, 1.0).value
     two = tape.constant(pts[None, :2])
     keep2 = tape.constant(np.ones((1, 2, 1)))
-    np.testing.assert_allclose(masked, hf.pooled_representation(two, keep2, "poincare").value,
+    np.testing.assert_allclose(masked, hf.pooled_representation(two, keep2, 1.0).value,
                                atol=1e-12)
 
 
 def test_tangent_dropout_identity_cases(rng):
     tape = dc.Tape()
     x = tape.constant(random_ball_points(rng, 4, 3))
-    out = hf.tangent_dropout(x, 0.0, rng, True, "poincare")
+    out = hf.tangent_dropout(x, 0.0, rng, True, 1.0)
     assert out is x
-    out = hf.tangent_dropout(x, 0.5, rng, False, "poincare")
+    out = hf.tangent_dropout(x, 0.5, rng, False, 1.0)
     assert out is x
 
 
@@ -247,7 +247,7 @@ def test_tangent_dropout_unbiased(rng):
     copies = np.repeat(pt[None], 20000, axis=0)
     tape = dc.Tape()
     x = tape.constant(copies)
-    out = hf.tangent_dropout(x, 0.3, rng, True, "poincare")
+    out = hf.tangent_dropout(x, 0.3, rng, True, 1.0)
     mean_t = dg.logmap0(out).value.mean(axis=0)
     target = geo.log_map_poincare(np.zeros(3), pt)
     assert np.abs(mean_t - target).max() / np.abs(target).max() < 0.05
@@ -369,6 +369,46 @@ def test_flat_limit_consistency(rng):
     assert np.abs(hyp_ffn - flat_ffn).max() < 1e-3
 
 
+def test_blocks_flat_limit_is_euclidean(rng):
+    """With c=None the shared blocks are the plain euclidean formulas."""
+    tape = dc.Tape()
+    x_np = rng.normal(size=(2, 3, 4))
+    x = tape.constant(x_np)
+    heads = [rng.normal(size=(2, 3, 2)) for _ in range(3)]
+    mats = [rng.normal(size=(2, 4)) for _ in range(3)]
+    merged = hf.merge_heads([tape.constant(h) for h in heads],
+                            [tape.constant(m) for m in mats], None)
+    np.testing.assert_allclose(merged.value, sum(h @ m for h, m in zip(heads, mats)),
+                               atol=1e-12)
+    keep = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 0.0]])[..., None]
+    pooled = hf.pooled_representation(x, tape.constant(keep), None)
+    np.testing.assert_array_equal(pooled.value, [x_np[0, :2].max(axis=0), x_np[1, 0]])
+    dropped = hf.tangent_dropout(x, 0.4, np.random.default_rng(3), True, None)
+    mask = (np.random.default_rng(3).random(x_np.shape) >= 0.4) / 0.6
+    np.testing.assert_array_equal(dropped.value, x_np * mask)
+    pe = hf.positional_encoding_matrix(3, 4)
+    np.testing.assert_array_equal(hf.attach_positions(x, tape.constant(pe), None).value,
+                                  x_np + pe)
+
+
+def test_euclidean_forward_calls_no_diffgeom(rng, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("diffgeom called in flat space")
+
+    for name, fn in list(vars(dg).items()):
+        if callable(fn) and getattr(fn, "__module__", None) == dg.__name__:
+            monkeypatch.setattr(dg, name, refuse)
+    for residual in (False, True):
+        cfg = _config(geometry="euclidean", num_layers=2, dropout=0.2, use_residual=residual)
+        params_np = hf.init_params(cfg, rng)
+        tape = dc.Tape()
+        params = {k: tape.leaf(v, requires_grad=True) for k, v in params_np.items()}
+        pts = tape.constant(rng.normal(size=(2, 5, cfg.model_dim)))
+        scores = hf.classifier_forward(tape, params, pts, np.ones((2, 5)), cfg,
+                                       rng=rng, training=True)
+        dc.backward(tape, hf.cross_entropy(scores, np.array([0, 2])))
+
+
 def test_intermediate_points_stay_in_ball(rng):
     cfg = _config(num_layers=2)
     tape, params, scores = _forward(cfg, rng)
@@ -394,6 +434,39 @@ def test_config_round_trip():
         hf.TransformerConfig(geometry="klein")
     with pytest.raises(ValueError):
         _config(dropout=1.0)
+
+
+def test_config_to_dict_strings():
+    cfg = hf.TransformerConfig(geometry="euclidean", model_dim=6, num_layers=3, num_heads=2,
+                               head_dim=3, ffn_dim=12, num_classes=5, dropout=0.25,
+                               max_seq_len=32, curvature=0.5, pe_scale=1e-07,
+                               use_residual=True)
+    assert list(cfg.to_dict().items()) == [
+        ("geometry", "euclidean"), ("model_dim", "6"), ("num_layers", "3"),
+        ("num_heads", "2"), ("head_dim", "3"), ("ffn_dim", "12"), ("num_classes", "5"),
+        ("dropout", "0.25"), ("max_seq_len", "32"), ("curvature", "0.5"),
+        ("pe_scale", "1e-07"), ("use_residual", "1")]
+    assert hf.TransformerConfig().to_dict()["use_residual"] == "0"
+    assert hf.TransformerConfig.from_dict(cfg.to_dict()) == cfg
+
+
+def test_init_params_follows_param_shapes():
+    for geometry in hf.GEOMETRIES:
+        cfg = _config(geometry=geometry, num_layers=2)
+        shapes = hf.param_shapes(cfg)
+        params = hf.init_params(cfg, np.random.default_rng(1))
+        assert list(params) == list(shapes)
+        assert {k: v.shape for k, v in params.items()} == shapes
+        # random matrices are drawn layer by layer, then the head's; the rest is zero
+        drawn = [f"layer{i}.{t}" for i in range(2)
+                 for t in ("wq", "wk", "wv", "merge", "ffn_w1", "ffn_w2")]
+        drawn.append("mlr_a" if geometry == "poincare" else "out_w")
+        rng = np.random.default_rng(1)
+        for name in drawn:
+            expect = rng.normal(0.0, 1.0 / np.sqrt(shapes[name][-1]), shapes[name])
+            np.testing.assert_array_equal(params[name], expect)
+        for name in shapes.keys() - set(drawn):
+            assert not params[name].any()
 
 
 # ---------------------------------------------------------------------------

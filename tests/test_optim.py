@@ -110,14 +110,3 @@ def test_restart_schedule_resets_state():
     assert opt.lr == 0.01
     assert not opt.acc
 
-
-def test_restart_schedule_cosine_annealing():
-    opt = RmsProp(lr=0.01)
-    schedule = RestartSchedule(restart_epoch=10, total_epochs=20, cosine=True)
-    schedule.apply(0, [opt])
-    assert abs(opt.lr - 0.01) < 1e-12
-    schedule.apply(5, [opt])
-    mid_lr = opt.lr
-    assert mid_lr < 0.01
-    schedule.apply(10, [opt])  # restart snaps back
-    assert abs(opt.lr - 0.01) < 1e-12
