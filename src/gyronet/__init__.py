@@ -7,7 +7,7 @@ Submodules:
 - :mod:`gyronet.diffgeom` -- differentiable ball operations
 - :mod:`gyronet.embed` -- skip-gram embeddings (euclidean / hyperboloid)
 - :mod:`gyronet.hypformer` -- transformer intent classifier, both geometries
-- :mod:`gyronet.optim` -- RMSProp, Riemannian SGD, restart schedule
+- :mod:`gyronet.optim` -- RMSProp, Riemannian SGD
 - :mod:`gyronet.train` -- classifier training/evaluation harness
 - :mod:`gyronet.data` -- corpora, intent datasets, synthetic generator
 - :mod:`gyronet.bundle` -- model serialization

@@ -16,8 +16,6 @@ import logging
 import os
 import sys
 
-import numpy as np
-
 from . import bundle, checks, data, diffcore, embed, train
 from .geometry import to_hyperboloid, to_poincare
 from .hypformer import TransformerConfig, param_shapes
@@ -44,6 +42,10 @@ def _setup_logging():
     logging.basicConfig(stream=sys.stderr, level=level, format="%(asctime)s %(message)s")
 
 
+# the values a flag key takes in a config file
+FLAG_VALUES = {"1": True, "0": False, "true": True, "false": False}
+
+
 def _load_config_file(path, parser):
     values = {}
     valid = {action.dest: action for action in parser._actions if action.dest != "help"}
@@ -58,12 +60,21 @@ def _load_config_file(path, parser):
             key = key.strip().replace("-", "_")
             if key not in valid:
                 raise CliError(f"{path}:{lineno}: unknown config key '{key}'")
-            action = valid[key]
-            typ = action.type or str
+            action, raw = valid[key], raw.strip()
+            if action.nargs == 0:  # a flag such as --residual
+                if raw not in FLAG_VALUES:
+                    raise CliError(f"{path}:{lineno}: bad value for '{key}': '{raw}' "
+                                   f"is not one of {', '.join(FLAG_VALUES)}")
+                values[key] = FLAG_VALUES[raw]
+                continue
             try:
-                values[key] = typ(raw.strip())
+                value = (action.type or str)(raw)
             except ValueError as exc:
                 raise CliError(f"{path}:{lineno}: bad value for '{key}': {exc}") from exc
+            if action.choices is not None and value not in action.choices:
+                raise CliError(f"{path}:{lineno}: bad value for '{key}': '{raw}' "
+                               f"is not one of {', '.join(map(str, action.choices))}")
+            values[key] = value
     return values
 
 

@@ -1,50 +1,32 @@
-"""Corpus and intent-dataset plumbing: streaming character ingestion, TSV
-intent datasets with stratified splits, and a synthetic intent generator whose
+"""Corpus and intent-dataset plumbing: character ingestion, TSV intent
+datasets with stratified splits, and a synthetic intent generator whose
 composite classes induce a small label hierarchy."""
 
 from __future__ import annotations
 
-import codecs
 from dataclasses import dataclass
 
 import numpy as np
 
 
-def ingest_corpus(path, keep_whitespace=False, chunk_size=1 << 16):
-    """Stream the characters of a UTF-8 file, one Unicode scalar at a time.
+def ingest_corpus(path, keep_whitespace=False):
+    """The characters of a UTF-8 file, one Unicode scalar each.
 
     A leading BOM is stripped; whitespace characters are dropped unless
     ``keep_whitespace``.  Invalid UTF-8 raises with the byte offset; an empty
-    result (after filtering) raises as well.  Constant memory in file size.
+    result (after filtering) raises as well.
     """
-    decoder = codecs.getincrementaldecoder("utf-8")()
-    offset = 0
-    seen_text = False
-    yielded = False
     with open(path, "rb") as fh:
-        while True:
-            chunk = fh.read(chunk_size)
-            final = not chunk
-            try:
-                text = decoder.decode(chunk, final)
-            except UnicodeDecodeError as exc:
-                raise ValueError(
-                    f"{path}: invalid UTF-8 at byte offset {offset + exc.start}"
-                ) from exc
-            offset += len(chunk)
-            if not seen_text and text:
-                if text.startswith("\ufeff"):
-                    text = text[1:]
-                seen_text = True
-            for ch in text:
-                if not keep_whitespace and ch.isspace():
-                    continue
-                yielded = True
-                yield ch
-            if final:
-                break
-    if not yielded:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: invalid UTF-8 at byte offset {exc.start}") from exc
+    text = text.removeprefix("\ufeff")
+    chars = [ch for ch in text if keep_whitespace or not ch.isspace()]
+    if not chars:
         raise ValueError(f"{path}: empty corpus")
+    return chars
 
 
 @dataclass
@@ -77,10 +59,6 @@ def _stratified_split(records, label_to_id, holdout_fraction, seed):
         train.extend(idx[n_hold:].tolist())
     train.sort()
     heldout.sort()
-    train_set = set(train)
-    for label, idx in by_label.items():
-        if not any(i in train_set for i in idx):
-            raise ValueError(f"label '{label}' has no training examples after split")
     return train, heldout
 
 

@@ -7,8 +7,6 @@ Points live along the last axis; leading axes broadcast.
 
 from __future__ import annotations
 
-import numpy as np
-
 from . import diffcore as dc
 from .geometry import EPS_BOUNDARY
 
@@ -70,8 +68,6 @@ def mlr_scores(x, a, p, c=1.0):
     ``x``: points of shape (..., n); ``a``: class normals (K, n);
     ``p``: class offsets in the ball (K, n).  Returns scores (..., K).
     """
-    tape = x.tape
-    ndim_x = len(x.shape)
     # insert a class axis before the coordinate axis
     xe = dc.reshape(x, x.shape[:-1] + (1, x.shape[-1]))
     w = mobius_add(-p, xe, c)  # (..., K, n)

@@ -8,16 +8,11 @@ taken along the exponential map, so every embedding row stays on the manifold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (
-    exp_map_hyperboloid,
-    hyperboloid_renormalize,
-    lorentz_inner,
-    tangent_project,
-)
+from .geometry import exp_map_hyperboloid, lorentz_inner, tangent_project
 
 GEOMETRIES = ("euclidean", "hyperboloid")
 # Geometries an embedding file may carry: the trained ones, and ball
@@ -41,7 +36,6 @@ class Vocabulary:
         self.token_to_id = token_to_id
         self.id_to_token = id_to_token
         self.counts = np.asarray(counts, dtype=float)
-        self.alpha = alpha
         weights = self.counts ** alpha
         self.sampling_probs = weights / weights.sum()
         self._cum = np.cumsum(self.sampling_probs)
@@ -200,12 +194,13 @@ def euclidean_gradients(pair, E):
 
 
 def rsgd_step_hyperboloid(param, ambient_grad, eta):
-    """exp_param(-eta * proj_param(grad)), renormalized onto the hyperboloid."""
+    """exp_param(-eta * proj_param(grad)); the exponential map renormalizes
+    the result onto the hyperboloid."""
     grad = np.asarray(ambient_grad, dtype=float)
     if not np.all(np.isfinite(grad)):
         raise ValueError("non-finite gradient in rsgd_step_hyperboloid")
     step = -eta * tangent_project(param, grad)
-    return hyperboloid_renormalize(exp_map_hyperboloid(param, step))
+    return exp_map_hyperboloid(param, step)
 
 
 @dataclass
@@ -219,7 +214,6 @@ class SkipgramConfig:
     epochs: int = 10
     seed: int = 0
     min_count: int = 1
-    alpha: float = 0.75
 
 
 def train_skipgram(tokens, config: SkipgramConfig, log_fn=None):
@@ -230,7 +224,7 @@ def train_skipgram(tokens, config: SkipgramConfig, log_fn=None):
     if config.geometry not in GEOMETRIES:
         raise ValueError(f"unknown geometry '{config.geometry}'")
     tokens = list(tokens)
-    vocab = build_vocab(tokens, min_count=config.min_count, alpha=config.alpha)
+    vocab = build_vocab(tokens, min_count=config.min_count)
     ids = vocab.encode(tokens)
     if not ids:
         raise ValueError("corpus empty after vocabulary filtering")

@@ -24,7 +24,7 @@ from .hypformer import (
     init_params,
     manifold_param_names,
 )
-from .optim import RestartSchedule, RmsProp, rsgd_step_poincare
+from .optim import RmsProp, rsgd_step_poincare
 
 
 @dataclass
@@ -35,8 +35,6 @@ class TrainSettings:
     lr: float = 0.001  # RMSProp rate for euclidean parameters
     manifold_lr: float = 0.05  # Riemannian SGD rate for ball parameters
     restart_epoch: int | None = None  # default: epoch midpoint
-    rmsprop_rho: float = 0.9
-    rmsprop_eps: float = 1e-8
 
 
 class TokenMap:
@@ -127,18 +125,20 @@ def train_classifier(dataset, token_map, config: TransformerConfig,
     rng = np.random.default_rng(settings.seed)
     params = init_params(config, rng)
     manifold = manifold_param_names(config)
-    opt = RmsProp(lr=settings.lr, rho=settings.rmsprop_rho, eps=settings.rmsprop_eps)
+    opt = RmsProp(lr=settings.lr)
     restart_epoch = settings.restart_epoch
     if restart_epoch is None:
         restart_epoch = settings.epochs // 2
-    schedule = RestartSchedule(restart_epoch)
     records = dataset.records
     label_to_id = dataset.label_to_id
     train_idx = np.array(dataset.train_indices)
     history = []
     for epoch in range(settings.epochs):
-        if schedule.apply(epoch, [opt]) and log_fn:
-            log_fn(f"epoch {epoch} restart lr {opt.lr:g}")
+        if epoch == restart_epoch:
+            # single warm restart: RMSProp state is cleared, parameters kept
+            opt.reset()
+            if log_fn:
+                log_fn(f"epoch {epoch} restart lr {opt.lr:g}")
         order = train_idx.copy()
         rng.shuffle(order)
         loss_sum = 0.0

@@ -45,7 +45,11 @@ def test_ingest_corpus_bom_stripped(tmp_path):
 def test_ingest_corpus_invalid_utf8_offset(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_bytes(b"ok\xff\xfe")
-    with pytest.raises(ValueError, match="byte offset 2"):
+    with pytest.raises(ValueError, match="byte offset 2$"):
+        list(data.ingest_corpus(path))
+    # a bad sequence that starts one byte before 64 KiB and ends after it
+    path.write_bytes(b"a" * 65535 + b"\xe6\xb8\xff")
+    with pytest.raises(ValueError, match="byte offset 65535$"):
         list(data.ingest_corpus(path))
 
 
@@ -254,6 +258,40 @@ def test_cli_config_file_unknown_key(tmp_path, capsys):
     code = cli.main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "x")])
     assert code == 1
     assert "unknown config key" in capsys.readouterr().err
+
+
+def test_cli_config_file_flag_values(tmp_path):
+    parser = cli._classifier_parser("gyronet train-classifier")
+    required = ["--embeddings", "e.txt", "--data", "d.tsv", "--out", "m.bin"]
+    cfg = tmp_path / "run.cfg"
+    for raw, expected in (("0", False), ("false", False), ("1", True), ("true", True)):
+        cfg.write_text(f"residual={raw}\n", encoding="utf-8")
+        args = cli._parse_with_config(parser, ["--config", str(cfg)] + required)
+        assert args.residual is expected
+    # the command-line flag wins over the config file
+    cfg.write_text("residual=0\n", encoding="utf-8")
+    args = cli._parse_with_config(parser, ["--config", str(cfg), "--residual"] + required)
+    assert args.residual is True
+
+
+@pytest.mark.parametrize("command, line, message", [
+    ("train-classifier", "residual=yes",
+     "bad value for 'residual': 'yes' is not one of 1, 0, true, false"),
+    ("evaluate", "split=nope",
+     "bad value for 'split': 'nope' is not one of heldout, train, all"),
+    ("train-classifier", "preset=bogus",
+     "bad value for 'preset': 'bogus' is not one of " + ", ".join(sorted(cli.PRESETS))),
+], ids=["flag", "split", "preset"])
+def test_cli_config_file_refuses_bad_values(tmp_path, capsys, command, line, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"# settings\n{line}\n", encoding="utf-8")
+    target = "--model" if command == "evaluate" else "--out"
+    code = cli.main([command, "--config", str(cfg), "--embeddings", str(tmp_path / "e.txt"),
+                     "--data", str(tmp_path / "d.tsv"), target, str(tmp_path / "m.bin")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"gyronet {command}: error: {cfg}:2: {message}" in err
+    assert "Traceback" not in err
 
 
 def test_cli_classifier_train_evaluate_round_trip(tmp_path):

@@ -1,10 +1,12 @@
-"""Tests for RMSProp, Poincare Riemannian SGD, and the restart schedule."""
+"""Tests for RMSProp, Poincare Riemannian SGD, and the classifier's warm restart."""
 
 import numpy as np
 import pytest
 
+from gyronet import data, train
 from gyronet import geometry as geo
-from gyronet.optim import RestartSchedule, RmsProp, rsgd_step_poincare
+from gyronet import hypformer as hf
+from gyronet.optim import EPS, RHO, RmsProp, rsgd_step_poincare
 
 
 def test_rmsprop_zero_gradient():
@@ -18,11 +20,11 @@ def test_rmsprop_zero_gradient():
 
 
 def test_rmsprop_first_step_value():
-    lr, rho, eps = 0.01, 0.9, 1e-8
+    lr = 0.01
     g = np.array([0.5, -2.0])
-    opt = RmsProp(lr=lr, rho=rho, eps=eps)
+    opt = RmsProp(lr=lr)
     new = opt.step("p", np.zeros(2), g)
-    expect = -lr * g / np.sqrt((1.0 - rho) * g * g + eps)
+    expect = -lr * g / np.sqrt((1.0 - RHO) * g * g + EPS)
     np.testing.assert_allclose(new, expect, atol=1e-12)
 
 
@@ -92,21 +94,44 @@ def test_rsgd_poincare_stays_in_ball():
         rsgd_step_poincare(x, np.array([np.inf, 0.0]), 0.1)
 
 
-def test_restart_schedule_no_op_away_from_restart():
-    opt = RmsProp(lr=0.01)
-    opt.step("p", np.zeros(1), np.ones(1))
-    opt.lr = 0.005
-    schedule = RestartSchedule(restart_epoch=5)
-    assert not schedule.apply(3, [opt])
-    assert opt.lr == 0.005 and "p" in opt.acc
+def _train_logging_restarts(monkeypatch, epochs, restart_epoch):
+    """Train a tiny euclidean classifier; returns (log lines, one entry per
+    reset: whether it emptied accumulators that earlier steps had filled)."""
+    dataset = data.generate_synthetic_intents(3, 4, 30, seed=0, composites=0, noise_len=1)
+    chars = sorted({ch for utterance, _ in dataset.records for ch in utterance})
+    token_map = train.TokenMap(chars, np.random.default_rng(0).normal(0, 0.1, (len(chars), 4)))
+    config = hf.TransformerConfig(geometry="euclidean", model_dim=4, num_layers=1,
+                                  num_heads=2, head_dim=2, ffn_dim=4, num_classes=3)
+    resets = []
+
+    class SpyRmsProp(RmsProp):
+        def reset(self):
+            filled = bool(self.acc)
+            super().reset()
+            resets.append(filled and not self.acc)
+
+    monkeypatch.setattr(train, "RmsProp", SpyRmsProp)
+    log = []
+    settings = train.TrainSettings(epochs=epochs, batch_size=8, restart_epoch=restart_epoch)
+    train.train_classifier(dataset, token_map, config, settings, log_fn=log.append)
+    return log, resets
 
 
-def test_restart_schedule_resets_state():
-    opt = RmsProp(lr=0.01)
-    opt.step("p", np.zeros(1), np.ones(1))
-    opt.lr = 0.001
-    schedule = RestartSchedule(restart_epoch=5)
-    assert schedule.apply(5, [opt])
-    assert opt.lr == 0.01
-    assert not opt.acc
+def test_restart_schedule_no_op_away_from_restart(monkeypatch):
+    # an explicit restart epoch, then the default: the epoch midpoint
+    for epochs, restart_epoch, expected in ((4, 1, 1), (5, None, 2)):
+        log, resets = _train_logging_restarts(monkeypatch, epochs, restart_epoch)
+        assert len(resets) == 1
+        line = f"epoch {expected} restart lr 0.001"
+        assert [entry for entry in log if "restart" in entry] == [line]
+        # the restart comes before the first batch of its epoch
+        at = log.index(line)
+        assert log[at - 1].startswith(f"epoch {expected - 1} loss ")
+        assert log[at + 1].startswith(f"epoch {expected} loss ")
 
+
+def test_restart_schedule_resets_state(monkeypatch):
+    for epochs, restart_epoch in ((4, 1), (5, None)):
+        _, resets = _train_logging_restarts(monkeypatch, epochs, restart_epoch)
+        # the one reset empties accumulators that earlier steps had filled
+        assert resets == [True]

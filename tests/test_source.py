@@ -1,0 +1,27 @@
+"""Static checks on the package source."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import gyronet
+
+SOURCES = sorted(Path(gyronet.__file__).parent.glob("*.py"))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported, used = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
+                                            and node.module != "__future__"):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "__all__":
+            used.update(ast.literal_eval(node.value))  # re-exported names
+    unused = [f"{path.name}:{line}: '{name}'" for name, line in imported.items() if name not in used]
+    assert not unused, "imported but never used: " + ", ".join(unused)
