@@ -60,6 +60,9 @@ def _load_config_file(path, parser):
             key = key.strip().replace("-", "_")
             if key not in valid:
                 raise CliError(f"{path}:{lineno}: unknown config key '{key}'")
+            if key == "config":
+                raise CliError(f"{path}:{lineno}: a config file cannot name another "
+                               f"config file")
             action, raw = valid[key], raw.strip()
             if action.nargs == 0:  # a flag such as --residual
                 if raw not in FLAG_VALUES:
@@ -276,6 +279,9 @@ def cmd_evaluate(argv):
     indices = {"heldout": dataset.heldout_indices,
                "train": dataset.train_indices,
                "all": list(range(len(dataset.records)))}[args.split]
+    if not indices:
+        raise CliError(f"the {args.split} split of {args.data} is empty "
+                       f"at --holdout {args.holdout}")
     metrics = train.evaluate_classifier(dataset, indices, token_map, params, config)
     report = {
         "accuracy": metrics["accuracy"],

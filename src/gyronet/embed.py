@@ -4,6 +4,8 @@ The hyperboloid variant scores a (center, context) pair with the Lorentzian
 inner product plus an additive shift theta and is trained with Riemannian SGD:
 explicit Minkowski gradients are projected onto tangent spaces and steps are
 taken along the exponential map, so every embedding row stays on the manifold.
+Each pair makes one Riemannian step on the stacked rows: its center row of A
+and its distinct sampled rows of B go through one batched exponential map.
 """
 
 from __future__ import annotations
@@ -149,7 +151,7 @@ def _pair_logits(pair, E, theta):
 def pair_log_likelihood(pair, E, theta=1.0):
     """Sum of log sigma((-1)^(1-y) * logit) over the positive and negatives."""
     logits, _ = _pair_logits(pair, E, theta)
-    if not np.all(np.isfinite(logits)):
+    if not np.isfinite(logits).all():
         raise ValueError("non-finite logit in pair_log_likelihood")
     signs = np.full(len(logits), -1.0)
     signs[0] = 1.0
@@ -197,7 +199,7 @@ def rsgd_step_hyperboloid(param, ambient_grad, eta):
     """exp_param(-eta * proj_param(grad)); the exponential map renormalizes
     the result onto the hyperboloid."""
     grad = np.asarray(ambient_grad, dtype=float)
-    if not np.all(np.isfinite(grad)):
+    if not np.isfinite(grad).all():
         raise ValueError("non-finite gradient in rsgd_step_hyperboloid")
     step = -eta * tangent_project(param, grad)
     return exp_map_hyperboloid(param, step)
@@ -216,13 +218,26 @@ class SkipgramConfig:
     min_count: int = 1
 
 
+def _check_config(config):
+    """Refuse settings that would train nothing or fail deep in the loop."""
+    if config.geometry not in GEOMETRIES:
+        raise ValueError(f"unknown geometry '{config.geometry}'")
+    for name, low in (("dim", 1), ("mu", 1), ("m", 0), ("epochs", 0)):
+        value = getattr(config, name)
+        if value < low:
+            raise ValueError(f"skip-gram {name} must be >= {low}, got {value}")
+    if not (np.isfinite(config.lr) and config.lr > 0):
+        raise ValueError(f"skip-gram lr must be finite and > 0, got {config.lr}")
+    if not np.isfinite(config.theta):
+        raise ValueError(f"skip-gram theta must be finite, got {config.theta}")
+
+
 def train_skipgram(tokens, config: SkipgramConfig, log_fn=None):
     """Train skip-gram embeddings; deterministic for a fixed seed.
 
     Returns (EmbeddingMatrices, Vocabulary, per-epoch mean NLL history).
     """
-    if config.geometry not in GEOMETRIES:
-        raise ValueError(f"unknown geometry '{config.geometry}'")
+    _check_config(config)
     tokens = list(tokens)
     vocab = build_vocab(tokens, min_count=config.min_count)
     ids = vocab.encode(tokens)
@@ -231,6 +246,7 @@ def train_skipgram(tokens, config: SkipgramConfig, log_fn=None):
     rng = np.random.default_rng(config.seed)
     E = init_embeddings(len(vocab), config.dim, config.geometry, rng)
     history = []
+    hyperboloid = config.geometry == "hyperboloid"
     for epoch in range(config.epochs):
         loss_sum = 0.0
         count = 0
@@ -240,16 +256,22 @@ def train_skipgram(tokens, config: SkipgramConfig, log_fn=None):
                 raise ValueError(f"divergence (non-finite loss) at epoch {epoch} step {step}")
             loss_sum += nll
             count += 1
-            if config.geometry == "hyperboloid":
+            # every gradient is taken before any row moves; A and B are
+            # separate matrices and the wids are distinct, so one step on the
+            # stacked rows equals one step per row
+            if hyperboloid:
                 ga, gbs = minkowski_gradients(pair, E, config.theta)
-                E.A[pair.center] = rsgd_step_hyperboloid(E.A[pair.center], -ga, config.lr)
-                for wid, gb in gbs.items():
-                    E.B[wid] = rsgd_step_hyperboloid(E.B[wid], -gb, config.lr)
             else:
                 ga, gbs = euclidean_gradients(pair, E)
-                E.A[pair.center] = E.A[pair.center] + config.lr * ga
-                for wid, gb in gbs.items():
-                    E.B[wid] = E.B[wid] + config.lr * gb
+            wids = list(gbs)
+            rows = np.array([E.A[pair.center]] + [E.B[w] for w in wids])
+            grads = np.array([ga, *gbs.values()])
+            if hyperboloid:
+                new = rsgd_step_hyperboloid(rows, -grads, config.lr)
+            else:
+                new = rows + config.lr * grads
+            E.A[pair.center] = new[0]
+            E.B[wids] = new[1:]
         mean = loss_sum / max(count, 1)
         history.append(mean)
         if log_fn is not None:

@@ -172,7 +172,7 @@ def lorentz_inner(u, v, keepdims=False):
     if u.shape[-1] != v.shape[-1]:
         raise ValueError(f"length mismatch: {u.shape[-1]} vs {v.shape[-1]}")
     prod = u * v
-    return np.sum(prod[..., :-1], axis=-1, keepdims=keepdims) - (
+    return np.add.reduce(prod[..., :-1], axis=-1, keepdims=keepdims) - (
         prod[..., -1:] if keepdims else prod[..., -1]
     )
 
@@ -181,7 +181,7 @@ def hyperboloid_renormalize(x):
     """Recompute the time coordinate from the spatial ones so <x,x>_L = -1."""
     x = np.asarray(x, dtype=float)
     spatial = x[..., :-1]
-    time = np.sqrt(1.0 + np.sum(spatial * spatial, axis=-1, keepdims=True))
+    time = np.sqrt(1.0 + np.add.reduce(spatial * spatial, axis=-1, keepdims=True))
     return np.concatenate([spatial, time], axis=-1)
 
 
@@ -213,7 +213,7 @@ def exp_map_hyperboloid(x, v):
     nv = np.sqrt(np.maximum(sq, 0.0))
     safe = np.maximum(nv, _TINY)
     out = np.cosh(nv) * x + np.sinh(nv) * v / safe
-    out = np.where(nv > 0, out, x * np.ones_like(out))
+    out = np.where(nv > 0, out, x)
     return hyperboloid_renormalize(out)
 
 

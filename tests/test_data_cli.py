@@ -260,6 +260,21 @@ def test_cli_config_file_unknown_key(tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
+def test_cli_config_file_refuses_nested_config(tmp_path, capsys):
+    other = tmp_path / "other.cfg"
+    other.write_text("classes=3\n", encoding="utf-8")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"seed=2\nconfig={other}\n", encoding="utf-8")
+    out = tmp_path / "d.tsv"
+    code = cli.main(["gen-data", "--config", str(cfg), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"gyronet gen-data: error: {cfg}:2: a config file cannot name another " \
+           "config file\n" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_cli_config_file_flag_values(tmp_path):
     parser = cli._classifier_parser("gyronet train-classifier")
     required = ["--embeddings", "e.txt", "--data", "d.tsv", "--out", "m.bin"]
@@ -292,6 +307,30 @@ def test_cli_config_file_refuses_bad_values(tmp_path, capsys, command, line, mes
     err = capsys.readouterr().err
     assert f"gyronet {command}: error: {cfg}:2: {message}" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--lr", "nan"], "skip-gram lr must be finite and > 0, got nan"),
+    (["--lr", "0"], "skip-gram lr must be finite and > 0, got 0.0"),
+    (["--lr", "inf"], "skip-gram lr must be finite and > 0, got inf"),
+    (["--theta", "nan"], "skip-gram theta must be finite, got nan"),
+    (["--dim", "0"], "skip-gram dim must be >= 1, got 0"),
+    (["--window", "0"], "skip-gram mu must be >= 1, got 0"),
+    (["--negatives", "-1"], "skip-gram m must be >= 0, got -1"),
+    (["--epochs", "-1"], "skip-gram epochs must be >= 0, got -1"),
+], ids=["lr-nan", "lr-zero", "lr-inf", "theta-nan", "dim", "window", "negatives", "epochs"])
+def test_cli_train_embeddings_refuses_settings_that_train_nothing(tmp_path, capsys, flags,
+                                                                  message):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("abcabcbbca" * 5, encoding="utf-8")
+    emb = tmp_path / "emb.txt"
+    code = cli.main(["train-embeddings", "--corpus", str(corpus), "--epochs", "1",
+                     "--out", str(emb)] + flags)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"gyronet train-embeddings: error: {message}\n" in err
+    assert "Traceback" not in err
+    assert not emb.exists()
 
 
 def test_cli_classifier_train_evaluate_round_trip(tmp_path):
@@ -477,3 +516,17 @@ def test_cli_evaluate_refuses_embeddings_of_another_dim(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"gyronet evaluate: error: {model} has model dim 4, but {wide} has dim 6\n" in err
     assert "Traceback" not in err
+
+
+def test_cli_evaluate_refuses_empty_split(tmp_path, capsys):
+    dataset, emb, model = _tiny_euclidean_model(tmp_path)
+    capsys.readouterr()
+    code = cli.main(["evaluate", "--model", str(model), "--embeddings", str(emb),
+                     "--data", str(dataset), "--holdout", "0", "--split", "heldout"])
+    assert code == 1
+    captured = capsys.readouterr()
+    errors = [line for line in captured.err.splitlines() if "error" in line]
+    assert errors == [f"gyronet evaluate: error: the heldout split of {dataset} is empty "
+                      "at --holdout 0.0"]
+    assert "Traceback" not in captured.err
+    assert captured.out == ""

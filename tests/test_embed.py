@@ -285,6 +285,47 @@ def test_train_skipgram_early_loss_monotone():
     assert upticks <= 1
 
 
+def _per_row_reference(tokens, cfg):
+    """The trainer with one update per row: the oracle for the batched step."""
+    vocab = embed.build_vocab(tokens, min_count=cfg.min_count)
+    ids = vocab.encode(tokens)
+    rng = np.random.default_rng(cfg.seed)
+    E = embed.init_embeddings(len(vocab), cfg.dim, cfg.geometry, rng)
+    history = []
+    for _ in range(cfg.epochs):
+        losses = []
+        for pair in embed.generate_pairs(ids, cfg.mu, cfg.m, vocab, rng):
+            losses.append(-embed.pair_log_likelihood(pair, E, cfg.theta))
+            if cfg.geometry == "hyperboloid":
+                ga, gbs = embed.minkowski_gradients(pair, E, cfg.theta)
+                E.A[pair.center] = embed.rsgd_step_hyperboloid(E.A[pair.center], -ga, cfg.lr)
+                for wid, gb in gbs.items():
+                    E.B[wid] = embed.rsgd_step_hyperboloid(E.B[wid], -gb, cfg.lr)
+            else:
+                ga, gbs = embed.euclidean_gradients(pair, E)
+                E.A[pair.center] = E.A[pair.center] + cfg.lr * ga
+                for wid, gb in gbs.items():
+                    E.B[wid] = E.B[wid] + cfg.lr * gb
+        history.append(sum(losses) / max(len(losses), 1))
+    return E, history
+
+
+@pytest.mark.parametrize("geometry", embed.GEOMETRIES)
+@pytest.mark.parametrize("tokens, mu, m", [
+    (list("abcacbbacab" * 4), 1, 5),  # 3 tokens: negatives repeat and hit the context
+    (list("hello world, hello hyperboloid"), 2, 0),
+    (list("the quick brown fox jumps over the lazy dog"), 3, 2),
+], ids=["3-token-vocab-m5", "m0", "mu3"])
+def test_train_skipgram_equals_per_row_reference(geometry, tokens, mu, m):
+    cfg = embed.SkipgramConfig(geometry=geometry, dim=10, mu=mu, m=m, epochs=2, lr=0.1,
+                               seed=5)
+    E, _, history = embed.train_skipgram(tokens, cfg)
+    ref, ref_history = _per_row_reference(tokens, cfg)
+    assert np.array_equal(E.A, ref.A)
+    assert np.array_equal(E.B, ref.B)
+    assert history == ref_history
+
+
 # ---------------------------------------------------------------------------
 # Embedding text format
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from gyronet import geometry as geo
+from gyronet.embed import rsgd_step_hyperboloid
 
 from conftest import random_ball_points
 
@@ -282,6 +283,38 @@ def test_hyperboloid_parallel_transport():
     np.testing.assert_allclose(geo.lorentz_inner(y, out), 0.0, atol=1e-8)
     np.testing.assert_allclose(geo.lorentz_inner(out, out),
                                geo.lorentz_inner(w, w), atol=1e-8)
+
+
+@pytest.mark.parametrize("dim", [3, 10, 17])
+def test_hyperboloid_kernels_batch_exactly(dim):
+    # the skip-gram trainer steps a pair's rows as one stacked batch: every
+    # kernel on a (k, n+1) batch must give the per-row results bit for bit
+    rng = np.random.default_rng(13)
+    x = geo.to_hyperboloid(random_ball_points(rng, 6, dim, radius=0.8))
+    g = rng.normal(size=(6, dim + 1))
+    g[2] = 0.0   # zero gradient: the nv == 0 branch of the exponential map
+    g[4] *= 40.0  # a long step
+    v = geo.tangent_project(x, -0.05 * g)
+    batched = {
+        "lorentz_inner": geo.lorentz_inner(x, g),
+        "tangent_project": geo.tangent_project(x, g),
+        "exp_map_hyperboloid": geo.exp_map_hyperboloid(x, v),
+        "rsgd_step_hyperboloid": rsgd_step_hyperboloid(x, g, 0.05),
+    }
+    per_row = {
+        "lorentz_inner": [geo.lorentz_inner(r, h) for r, h in zip(x, g)],
+        "tangent_project": [geo.tangent_project(r, h) for r, h in zip(x, g)],
+        "exp_map_hyperboloid": [geo.exp_map_hyperboloid(r, w) for r, w in zip(x, v)],
+        "rsgd_step_hyperboloid": [rsgd_step_hyperboloid(r, h, 0.05) for r, h in zip(x, g)],
+    }
+    for name, value in batched.items():
+        assert np.array_equal(value, np.array(per_row[name])), name
+    np.testing.assert_array_equal(batched["rsgd_step_hyperboloid"][2],
+                                  geo.hyperboloid_renormalize(x[2]))
+    assert geo.hyperboloid_distance(x[4], batched["rsgd_step_hyperboloid"][4]) > 1.0
+    g[3, 1] = np.nan
+    with pytest.raises(ValueError, match="non-finite gradient"):
+        rsgd_step_hyperboloid(x, g, 0.05)
 
 
 # ---------------------------------------------------------------------------
