@@ -4,6 +4,7 @@ composite classes induce a small label hierarchy."""
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,17 +76,28 @@ def make_dataset(records, holdout_fraction=0.15, seed=0):
 
 
 def load_intent_dataset(path, holdout_fraction=0.15, seed=0):
-    """TSV file, two columns: utterance TAB label; deterministic split."""
+    """TSV file, two columns: utterance TAB label; deterministic split.
+
+    Lines end as in text mode (``\\n``, ``\\r\\n`` or ``\\r``).  Invalid UTF-8
+    and malformed lines raise ``ValueError("<path>:<line>: ...")``.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = raw[:exc.start]  # UTF-8 never uses CR or LF bytes inside a character
+        lineno = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        raise ValueError(f"{path}:{lineno}: not valid UTF-8") from None
     records = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2 or not parts[1]:
-                raise ValueError(f"{path}:{lineno}: malformed line (expected 'utterance<TAB>label')")
-            records.append((parts[0], parts[1]))
+    for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2 or not parts[1]:
+            raise ValueError(f"{path}:{lineno}: malformed line (expected 'utterance<TAB>label')")
+        records.append((parts[0], parts[1]))
     if not records:
         raise ValueError(f"{path}: no records")
     return make_dataset(records, holdout_fraction, seed)

@@ -3,12 +3,18 @@
 A :class:`Tape` records primitive operations as they are executed eagerly.
 Each record keeps the op name, input node ids and the computed value, so the
 node list is topologically ordered by construction.  Every recorded value is
-checked to be finite; a non-finite one raises :class:`TapeError` naming the
-node index and op.  A node's ``requires_grad`` flag is set when it is
-recorded: true when any of its inputs requires grad.  ``backward`` walks the
-records in reverse, skips nodes without the flag, and accumulates
-vector-Jacobian products; gradients of inputs that were broadcast are summed
-back to their shapes.  To evaluate at new inputs, record a new tape.
+checked to be finite, at record time, by one C-level reduction
+(``np.logical_and.reduce`` over ``np.isfinite``); a non-finite one raises
+:class:`TapeError` naming the node index and op.  A node's ``requires_grad``
+flag is set when it is recorded: true when any of its inputs requires grad.
+``backward`` walks the records in reverse, skips nodes without the flag, and
+accumulates vector-Jacobian products; a gradient whose shape differs from its
+input's (the input was broadcast) is summed back to that shape.  To evaluate
+at new inputs, record a new tape.
+
+:func:`ball_project` records its input array itself when no row reaches the
+shell (``x * 1.0`` is bitwise ``x``) and rescales only when some row is
+clamped, so values and gradients are the same bits either way.
 
 First-order gradients only.
 """
@@ -18,6 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 _TINY = 1e-15
+_all = np.logical_and.reduce
 
 
 class Node:
@@ -113,11 +120,15 @@ class Tape:
 
     def record(self, op, inputs, value, **attrs):
         nodes = self.nodes
-        if not np.isfinite(value).all():
+        # one C-level reduction; ndarray.all() goes through a Python wrapper
+        if not _all(np.isfinite(value), axis=None):
             raise TapeError(f"non-finite value at node {len(nodes)} (op {op})")
-        ids = tuple([t.nid for t in inputs])
-        requires_grad = any([nodes[j].requires_grad for j in ids])
-        nodes.append(Node(op, ids, value, attrs, requires_grad))
+        ids = []
+        requires_grad = False
+        for t in inputs:
+            ids.append(t.nid)
+            requires_grad = requires_grad or nodes[t.nid].requires_grad
+        nodes.append(Node(op, tuple(ids), value, attrs, requires_grad))
         return Tensor(self, len(nodes) - 1, value)
 
 
@@ -127,10 +138,10 @@ def _unbroadcast(grad, shape):
         return grad
     grad = np.asarray(grad, dtype=float)
     while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
+        grad = np.add.reduce(grad, axis=0)
     for axis, extent in enumerate(shape):
         if extent == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
+            grad = np.add.reduce(grad, axis=axis, keepdims=True)
     return grad.reshape(shape)
 
 
@@ -146,19 +157,20 @@ def backward(tape: Tape, output: Tensor) -> dict[Tensor, np.ndarray]:
     grads: dict[int, np.ndarray] = {output.nid: np.ones_like(np.asarray(out_node.value, dtype=float))}
     for nid in range(output.nid, -1, -1):
         node = nodes[nid]
-        if not node.requires_grad or node.op == "leaf" or nid not in grads:
+        if not node.requires_grad or node.op == "leaf":
             continue
-        g = grads.pop(nid)
+        g = grads.pop(nid, None)
+        if g is None:
+            continue
         vals = [nodes[j].value for j in node.inputs]
-        for j, vjp in zip(node.inputs, _BACKWARD[node.op]):
-            src = nodes[j]
-            if not src.requires_grad:
+        for j, val, vjp in zip(node.inputs, vals, _BACKWARD[node.op]):
+            if not nodes[j].requires_grad:
                 continue
-            pg = _unbroadcast(vjp(g, node.value, vals, node.attrs), src.value.shape)
-            if j in grads:
-                grads[j] = grads[j] + pg
-            else:
-                grads[j] = pg
+            pg = vjp(g, node.value, vals, node.attrs)
+            if pg.shape != val.shape:
+                pg = _unbroadcast(pg, val.shape)
+            prev = grads.get(j)
+            grads[j] = pg if prev is None else prev + pg
     result = {}
     for nid, node in enumerate(nodes):
         if node.op == "leaf" and node.requires_grad:
@@ -369,8 +381,9 @@ def ball_project(a, max_norm, axis=-1):
     x = a.value
     n = _norm(x, axis, True)
     inside = n < max_norm
-    factor = np.where(inside, 1.0, max_norm / np.maximum(n, _TINY))
-    return a.tape.record("ball_project", (a,), x * factor, max_norm=max_norm, axis=axis,
+    if not _all(inside, axis=None):  # x * 1.0 is x, so unclamped rows need no rescale
+        x = x * np.where(inside, 1.0, max_norm / np.maximum(n, _TINY))
+    return a.tape.record("ball_project", (a,), x, max_norm=max_norm, axis=axis,
                          inside=inside)
 
 

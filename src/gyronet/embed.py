@@ -236,6 +236,7 @@ def train_skipgram(tokens, config: SkipgramConfig, log_fn=None):
     """Train skip-gram embeddings; deterministic for a fixed seed.
 
     Returns (EmbeddingMatrices, Vocabulary, per-epoch mean NLL history).
+    A non-finite logit raises ``ValueError`` naming the epoch and step.
     """
     _check_config(config)
     tokens = list(tokens)
@@ -251,9 +252,11 @@ def train_skipgram(tokens, config: SkipgramConfig, log_fn=None):
         loss_sum = 0.0
         count = 0
         for step, pair in enumerate(generate_pairs(ids, config.mu, config.m, vocab, rng)):
-            nll = -pair_log_likelihood(pair, E, config.theta)
-            if not np.isfinite(nll):
-                raise ValueError(f"divergence (non-finite loss) at epoch {epoch} step {step}")
+            try:
+                nll = -pair_log_likelihood(pair, E, config.theta)
+            except ValueError as exc:  # its only check; a finite logit gives a finite loss
+                raise ValueError(f"divergence (non-finite loss) at epoch {epoch} "
+                                 f"step {step}: {exc}") from None
             loss_sum += nll
             count += 1
             # every gradient is taken before any row moves; A and B are

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -80,6 +81,42 @@ def test_load_intent_dataset_malformed_line(tmp_path):
     path.write_text("fine\ta\nbroken-line\n", encoding="utf-8")
     with pytest.raises(ValueError, match=":2"):
         data.load_intent_dataset(path)
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_load_intent_dataset_invalid_utf8_names_line(tmp_path, newline):
+    path = tmp_path / "d.tsv"
+    lines = ["丁一\ta", "七万\tb", "丈三\ta"]
+    path.write_bytes(newline.join(lines).encode("utf-8") + newline.encode())
+    records = [tuple(line.split("\t")) for line in lines]
+    assert data.load_intent_dataset(path, holdout_fraction=0.0).records == records
+    # replace the second byte of the last line's first character
+    blob = bytearray(path.read_bytes())
+    blob[blob.rindex("丈".encode()) + 1] = 0x41
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:3: not valid UTF-8$"):
+        data.load_intent_dataset(path)
+
+
+def test_load_intent_dataset_corrupted_bytes(tmp_path):
+    path = tmp_path / "d.tsv"
+    ds = data.generate_synthetic_intents(3, 3, 24, seed=2, composites=1, noise_len=2)
+    data.save_intent_dataset(path, ds.records)
+    blob = path.read_bytes()
+    rng = np.random.default_rng(8)
+    corrupted = tmp_path / "corrupted.tsv"
+    refused = 0
+    for i in range(len(blob)):  # every byte, with fixed and seeded replacements
+        for byte in (0x00, 0xFF, 0x20, 0x09, 0x0A, 0x0D, 0xE4, int(rng.integers(256))):
+            corrupted.write_bytes(blob[:i] + bytes([byte]) + blob[i + 1:])
+            try:
+                loaded = data.load_intent_dataset(corrupted)
+            except ValueError as exc:
+                assert str(corrupted) in str(exc), (i, byte, exc)
+                refused += 1
+            else:
+                assert all(label for _, label in loaded.records), (i, byte)
+    assert refused > 0
 
 
 def test_split_deterministic(tmp_path):
@@ -329,6 +366,22 @@ def test_cli_train_embeddings_refuses_settings_that_train_nothing(tmp_path, caps
     assert code == 1
     err = capsys.readouterr().err
     assert f"gyronet train-embeddings: error: {message}\n" in err
+    assert "Traceback" not in err
+    assert not emb.exists()
+
+
+def test_cli_train_embeddings_divergence_names_epoch_and_step(tmp_path, capsys):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("a" * 20 + "b" * 20 + "cccc", encoding="utf-8")
+    emb = tmp_path / "emb.txt"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = cli.main(["train-embeddings", "--corpus", str(corpus), "--dim", "10",
+                         "--window", "1", "--negatives", "5", "--lr", "0.3", "--epochs", "2",
+                         "--seed", "5", "--out", str(emb)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert ("gyronet train-embeddings: error: divergence (non-finite loss) at epoch 1 step 2: "
+            "non-finite logit in pair_log_likelihood\n") in err
     assert "Traceback" not in err
     assert not emb.exists()
 

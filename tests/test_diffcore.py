@@ -1,11 +1,15 @@
 """Tests for the tape autodiff core and the differentiable ball operations."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from gyronet import diffcore as dc
 from gyronet import diffgeom as dg
 from gyronet import geometry as geo
+from gyronet import hypformer as hf
+from gyronet import train
 
 from conftest import random_ball_points
 
@@ -54,6 +58,40 @@ def test_non_finite_value_reports_node():
     with np.errstate(divide="ignore", invalid="ignore"):
         with pytest.raises(dc.TapeError, match="node"):
             dc.log(x - 1.0)
+
+
+@pytest.mark.parametrize("build, plain, check, index, op", [
+    (lambda x: dc.log(x - 1.0), lambda x: np.log(x - 1.0), np.isnan, 3, "log"),
+    (lambda x: dc.exp(x * 1000.0), lambda x: np.exp(x * 1000.0), np.isposinf, 3, "exp"),
+    (lambda x: dc.log(x - x), lambda x: np.log(x - x), np.isneginf, 2, "log"),
+    (lambda x: x / (x - x), lambda x: x / (x - x), np.isposinf, 2, "div"),
+], ids=["nan", "+inf", "-inf", "div-by-zero"])
+def test_non_finite_value_names_exact_node_and_op(build, plain, check, index, op):
+    tape = dc.Tape()
+    x = tape.leaf([2.0, 0.5], requires_grad=True)
+    with np.errstate(all="ignore"):
+        assert check(plain(x.value)).any()
+        with pytest.raises(dc.TapeError, match=rf"^non-finite value at node {index} \(op {op}\)$"):
+            build(x)
+    assert len(tape.nodes) == index  # the bad node is not recorded
+
+
+def test_extreme_finite_values_record_cleanly():
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        tape = dc.Tape()
+        big = tape.leaf([1e308, 1e308], requires_grad=True)
+        neg = dc.neg(big)
+        scalar = dc.exp(tape.leaf(0.5, requires_grad=True))  # 0-d array
+        total = dc.tsum(tape.leaf(np.arange(3.0)))  # numpy scalar
+        empty = tape.leaf(np.zeros((0, 3)), requires_grad=True)
+        norms = dc.norm(empty)
+        projected = dc.ball_project(empty, 0.5)
+    np.testing.assert_array_equal(neg.value, [-1e308, -1e308])
+    assert np.shape(scalar.value) == () and np.shape(total.value) == ()
+    assert norms.value.shape == (0, 1) and projected.value.shape == (0, 3)
+    assert [n.requires_grad for n in tape.nodes] == [True, True, True, True, False, False,
+                                                      True, True, True]
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +312,28 @@ def test_norm_and_ball_project_match_linalg_norm():
     np.testing.assert_array_equal(grad, np.broadcast_to(n < max_norm, x.shape))  # norm == max_norm: clamped
 
 
+@pytest.mark.parametrize("x", [
+    np.array([[0.1, -0.2, 0.3], [0.0, 0.4, -0.0]]),
+    np.array([[3.0, 4.0, 0.0], [-1.0, 2.0, 7.0]]),
+    np.array([[0.1, 0.2, 0.3], [3.0, -4.0, 0.0], [0.0, 5.0, 0.0], [0.0, 0.0, 0.0]]),
+    np.zeros((2, 3)),
+    np.zeros((0, 3)),
+], ids=["all-inside", "all-clamped", "mixed", "zero-rows", "no-rows"])
+def test_ball_project_bits_and_vjp(x):
+    max_norm = 5.0 * (1.0 - geo.EPS_BOUNDARY)
+    n = np.linalg.norm(x, axis=-1, keepdims=True)
+    expected = x * np.where(n >= max_norm, max_norm / np.maximum(n, dc._TINY), 1.0)
+    tape = dc.Tape()
+    tx = tape.leaf(x, requires_grad=True)
+    out = dc.ball_project(tx, max_norm)
+    assert out.value.shape == x.shape and out.value.tobytes() == expected.tobytes()
+    if np.all(n < max_norm):
+        assert out.value is tx.value  # no rescale when nothing is clamped
+    probe = np.arange(1.0, x.size + 1.0).reshape(x.shape)
+    grad = dc.backward(tape, dc.tsum(out * tape.constant(probe)))[tx]
+    np.testing.assert_array_equal(grad, probe * (n < max_norm))  # identity inside, zero clamped
+
+
 def test_constant_subgraph_gets_no_vjp_call(monkeypatch):
     calls = {"exp": 0, "tanh": 0}
     for op in calls:
@@ -322,3 +382,114 @@ def test_diffgeom_matches_geometry_kernels(rng):
                                geo.exp_map_poincare(np.zeros(3), x), atol=1e-12)
     np.testing.assert_allclose(dg.mobius_matvec(tx, tape.constant(w)).value,
                                geo.mobius_matvec(w.T, x), atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Reference tape: the record, ball projection and backward walk as first
+# written, kept as the oracle the faster ones must match bit for bit
+# ---------------------------------------------------------------------------
+
+def _reference_record(self, op, inputs, value, **attrs):
+    nodes = self.nodes
+    if not np.isfinite(value).all():
+        raise dc.TapeError(f"non-finite value at node {len(nodes)} (op {op})")
+    ids = tuple([t.nid for t in inputs])
+    requires_grad = any([nodes[j].requires_grad for j in ids])
+    nodes.append(dc.Node(op, ids, value, attrs, requires_grad))
+    return dc.Tensor(self, len(nodes) - 1, value)
+
+
+def _reference_ball_project(a, max_norm, axis=-1):
+    x = a.value
+    n = dc._norm(x, axis, True)
+    inside = n < max_norm
+    factor = np.where(inside, 1.0, max_norm / np.maximum(n, dc._TINY))
+    return a.tape.record("ball_project", (a,), x * factor, max_norm=max_norm, axis=axis,
+                         inside=inside)
+
+
+def _reference_unbroadcast(grad, shape):
+    if grad.shape == shape:
+        return grad
+    grad = np.asarray(grad, dtype=float)
+    while grad.ndim > len(shape):
+        grad = grad.sum(axis=0)
+    for axis, extent in enumerate(shape):
+        if extent == 1 and grad.shape[axis] != 1:
+            grad = grad.sum(axis=axis, keepdims=True)
+    return grad.reshape(shape)
+
+
+def _reference_backward(tape, output):
+    """Leaf gradients keyed by node id."""
+    nodes = tape.nodes
+    grads = {output.nid: np.ones_like(np.asarray(nodes[output.nid].value, dtype=float))}
+    for nid in range(output.nid, -1, -1):
+        node = nodes[nid]
+        if not node.requires_grad or node.op == "leaf" or nid not in grads:
+            continue
+        g = grads.pop(nid)
+        vals = [nodes[j].value for j in node.inputs]
+        for j, vjp in zip(node.inputs, dc._BACKWARD[node.op]):
+            src = nodes[j]
+            if not src.requires_grad:
+                continue
+            pg = _reference_unbroadcast(vjp(g, node.value, vals, node.attrs), src.value.shape)
+            if j in grads:
+                grads[j] = grads[j] + pg
+            else:
+                grads[j] = pg
+    return {nid: grads.get(nid, np.zeros_like(np.asarray(node.value, dtype=float)))
+            for nid, node in enumerate(nodes) if node.op == "leaf" and node.requires_grad}
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _classifier_step(geometry):
+    """One training step's tape and leaf gradients (by node id), with dropout
+    and residuals on and some input rows outside the ball."""
+    cfg = hf.TransformerConfig(geometry=geometry, model_dim=8, num_layers=2, num_heads=2,
+                               head_dim=4, ffn_dim=12, num_classes=3, dropout=0.2,
+                               use_residual=True)
+    rng = np.random.default_rng(12)
+    params = hf.init_params(cfg, rng)
+    points = random_ball_points(rng, 20, 8, radius=0.9).reshape(4, 5, 8)
+    points[0, :2] *= 3.0  # outside the ball: the first projection clamps them
+    unk = np.zeros((4, 5, 1))
+    unk[1, 3] = 1.0
+    mask = np.ones((4, 5))
+    mask[2, 3:] = 0.0
+    mask[3, 4:] = 0.0
+    labels = np.array([0, 2, 1, 2])
+    tape, _, _, loss = train._forward_batch(params, points, unk, mask, labels, cfg,
+                                            rng=np.random.default_rng(13), training=True)
+    return tape, loss
+
+
+@pytest.mark.parametrize("geometry", hf.GEOMETRIES)
+def test_tape_equals_reference_bit_for_bit(monkeypatch, geometry):
+    with monkeypatch.context() as m:
+        m.setattr(dc.Tape, "record", _reference_record)
+        m.setattr(dc, "ball_project", _reference_ball_project)
+        ref_tape, ref_loss = _classifier_step(geometry)
+    ref_grads = _reference_backward(ref_tape, ref_loss)
+    tape, loss = _classifier_step(geometry)
+    grads = {t.nid: g for t, g in dc.backward(tape, loss).items()}
+
+    assert len(tape.nodes) == len(ref_tape.nodes)
+    for nid, (node, ref) in enumerate(zip(tape.nodes, ref_tape.nodes)):
+        assert (node.op, node.inputs, node.requires_grad) == (ref.op, ref.inputs,
+                                                              ref.requires_grad), nid
+        assert _same_bits(node.value, ref.value), (nid, node.op)
+    assert grads.keys() == ref_grads.keys() and grads
+    for nid, g in grads.items():
+        assert _same_bits(g, ref_grads[nid]), nid
+    projections = [n.attrs["inside"] for n in tape.nodes if n.op == "ball_project"]
+    if geometry == "poincare":  # both ball_project paths ran
+        assert any(inside.all() for inside in projections)
+        assert any(not inside.all() for inside in projections)
+    else:
+        assert not projections

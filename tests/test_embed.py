@@ -382,3 +382,26 @@ def test_embedding_file_invalid_utf8_names_line(tmp_path):
     path.write_bytes(b"1 2 euclidean\n\xff 0.1 0.2\n")
     with pytest.raises(ValueError, match=r"emb\.txt:2: not valid UTF-8"):
         embed.read_embeddings(path)
+
+
+@pytest.mark.parametrize("geometry", ["euclidean", "hyperboloid"])
+def test_embedding_file_corrupted_bytes(tmp_path, geometry):
+    rng = np.random.default_rng(6)
+    E = embed.init_embeddings(3, 2, geometry, rng)
+    path = tmp_path / "emb.txt"
+    embed.write_embeddings(path, ["a", "丁", "z"], E.A, geometry)
+    blob = path.read_bytes()
+    corrupted = tmp_path / "corrupted.txt"
+    refused = 0
+    for i in range(len(blob)):  # every byte, with fixed and seeded replacements
+        for byte in (0x00, 0xFF, 0x20, 0x0A, 0x2D, 0x2E, 0x39, 0x65, 0xE4,
+                     int(rng.integers(256))):
+            corrupted.write_bytes(blob[:i] + bytes([byte]) + blob[i + 1:])
+            try:
+                tokens, matrix, _ = embed.read_embeddings(corrupted)
+            except ValueError as exc:
+                assert str(corrupted) in str(exc), (i, byte, exc)
+                refused += 1
+            else:
+                assert matrix.shape[0] == len(tokens) and np.isfinite(matrix).all(), (i, byte)
+    assert refused > 0
