@@ -12,6 +12,13 @@ accumulates vector-Jacobian products; a gradient whose shape differs from its
 input's (the input was broadcast) is summed back to that shape.  To evaluate
 at new inputs, record a new tape.
 
+A forward-only tape, ``Tape(grad=False)``, is for callers that never
+differentiate, such as evaluation.  Every op runs the same forward and the
+same finite check with the same ``TapeError`` text, and a running count gives
+each value the node index a recording tape would, so each tensor keeps a
+distinct ``nid``; but no node is created and no value is kept.  ``backward``
+refuses such a tape.
+
 :func:`ball_project` records its input array itself when no row reaches the
 shell (``x * 1.0`` is bitwise ``x``) and rescales only when some row is
 clamped, so values and gradients are the same bits either way.
@@ -105,13 +112,23 @@ class TapeError(RuntimeError):
 
 
 class Tape:
-    """Append-only record of primitive operations."""
+    """Append-only record of primitive operations.
 
-    def __init__(self):
+    ``Tape(grad=False)`` is forward-only: it checks and numbers every value
+    as a recording tape would, but keeps no nodes, so it cannot be
+    differentiated.
+    """
+
+    def __init__(self, grad=True):
+        self.grad = grad
         self.nodes: list[Node] = []
+        self.skipped = 0  # values a forward-only tape numbered but did not keep
 
     def leaf(self, data, requires_grad=False):
         value = np.asarray(data, dtype=float)
+        if not self.grad:
+            self.skipped += 1
+            return Tensor(self, self.skipped - 1, value)
         self.nodes.append(Node("leaf", (), value, requires_grad=requires_grad))
         return Tensor(self, len(self.nodes) - 1, value)
 
@@ -122,7 +139,10 @@ class Tape:
         nodes = self.nodes
         # one C-level reduction; ndarray.all() goes through a Python wrapper
         if not _all(np.isfinite(value), axis=None):
-            raise TapeError(f"non-finite value at node {len(nodes)} (op {op})")
+            raise TapeError(f"non-finite value at node {len(nodes) + self.skipped} (op {op})")
+        if not self.grad:
+            self.skipped += 1
+            return Tensor(self, self.skipped - 1, value)
         ids = []
         requires_grad = False
         for t in inputs:
@@ -150,6 +170,8 @@ def backward(tape: Tape, output: Tensor) -> dict[Tensor, np.ndarray]:
 
     Returns a dict keyed by the leaf tensors.
     """
+    if not tape.grad:
+        raise TapeError("backward on a forward-only tape (Tape(grad=False))")
     nodes = tape.nodes
     out_node = nodes[output.nid]
     if np.size(out_node.value) != 1:

@@ -236,7 +236,8 @@ def train_skipgram(tokens, config: SkipgramConfig, log_fn=None):
     """Train skip-gram embeddings; deterministic for a fixed seed.
 
     Returns (EmbeddingMatrices, Vocabulary, per-epoch mean NLL history).
-    A non-finite logit raises ``ValueError`` naming the epoch and step.
+    A non-finite logit raises ``ValueError`` naming the epoch and step, and a
+    non-finite embedding row after an epoch raises one naming the epoch.
     """
     _check_config(config)
     tokens = list(tokens)
@@ -248,37 +249,44 @@ def train_skipgram(tokens, config: SkipgramConfig, log_fn=None):
     E = init_embeddings(len(vocab), config.dim, config.geometry, rng)
     history = []
     hyperboloid = config.geometry == "hyperboloid"
-    for epoch in range(config.epochs):
-        loss_sum = 0.0
-        count = 0
-        for step, pair in enumerate(generate_pairs(ids, config.mu, config.m, vocab, rng)):
-            try:
-                nll = -pair_log_likelihood(pair, E, config.theta)
-            except ValueError as exc:  # its only check; a finite logit gives a finite loss
-                raise ValueError(f"divergence (non-finite loss) at epoch {epoch} "
-                                 f"step {step}: {exc}") from None
-            loss_sum += nll
-            count += 1
-            # every gradient is taken before any row moves; A and B are
-            # separate matrices and the wids are distinct, so one step on the
-            # stacked rows equals one step per row
-            if hyperboloid:
-                ga, gbs = minkowski_gradients(pair, E, config.theta)
-            else:
-                ga, gbs = euclidean_gradients(pair, E)
-            wids = list(gbs)
-            rows = np.array([E.A[pair.center]] + [E.B[w] for w in wids])
-            grads = np.array([ga, *gbs.values()])
-            if hyperboloid:
-                new = rsgd_step_hyperboloid(rows, -grads, config.lr)
-            else:
-                new = rows + config.lr * grads
-            E.A[pair.center] = new[0]
-            E.B[wids] = new[1:]
-        mean = loss_sum / max(count, 1)
-        history.append(mean)
-        if log_fn is not None:
-            log_fn(f"epoch {epoch} loss {mean:.6f}")
+    # a diverging run overflows in exp/cosh/sinh before a check below fires;
+    # the checks name the epoch, so numpy's warnings would only add noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.epochs):
+            loss_sum = 0.0
+            count = 0
+            for step, pair in enumerate(generate_pairs(ids, config.mu, config.m, vocab, rng)):
+                try:
+                    nll = -pair_log_likelihood(pair, E, config.theta)
+                except ValueError as exc:  # its only check; a finite logit gives a finite loss
+                    raise ValueError(f"divergence (non-finite loss) at epoch {epoch} "
+                                     f"step {step}: {exc}") from None
+                loss_sum += nll
+                count += 1
+                # every gradient is taken before any row moves; A and B are
+                # separate matrices and the wids are distinct, so one step on the
+                # stacked rows equals one step per row
+                if hyperboloid:
+                    ga, gbs = minkowski_gradients(pair, E, config.theta)
+                else:
+                    ga, gbs = euclidean_gradients(pair, E)
+                wids = list(gbs)
+                rows = np.array([E.A[pair.center]] + [E.B[w] for w in wids])
+                grads = np.array([ga, *gbs.values()])
+                if hyperboloid:
+                    new = rsgd_step_hyperboloid(rows, -grads, config.lr)
+                else:
+                    new = rows + config.lr * grads
+                E.A[pair.center] = new[0]
+                E.B[wids] = new[1:]
+            # a row that overflows after its last logit check would otherwise
+            # reach the output file
+            if not (np.isfinite(E.A).all() and np.isfinite(E.B).all()):
+                raise ValueError(f"divergence (non-finite embedding) at epoch {epoch}")
+            mean = loss_sum / max(count, 1)
+            history.append(mean)
+            if log_fn is not None:
+                log_fn(f"epoch {epoch} loss {mean:.6f}")
     return E, vocab, history
 
 

@@ -26,6 +26,8 @@ from .hypformer import (
 )
 from .optim import RmsProp, rsgd_step_poincare
 
+EVAL_BATCH_SIZE = 32  # utterances per evaluation forward
+
 
 @dataclass
 class TrainSettings:
@@ -101,8 +103,10 @@ def _build_batch(records, indices, token_map, max_len):
 
 
 def _forward_batch(params_np, points_np, unk_np, mask, labels, config,
-                   rng=None, training=False):
-    tape = dc.Tape()
+                   rng=None, training=False, grad=True):
+    """Classifier scores and loss on a new tape; ``grad=False`` gives a
+    forward-only tape (same values, no nodes kept, no ``backward``)."""
+    tape = dc.Tape(grad=grad)
     tensors = {name: tape.leaf(value, requires_grad=True)
                for name, value in params_np.items()}
     pts = embed_sequences(tape, points_np, unk_np, tensors["unk"])
@@ -171,17 +175,22 @@ def train_classifier(dataset, token_map, config: TransformerConfig,
     return params, history
 
 
-def evaluate_classifier(dataset, indices, token_map, params, config,
-                        batch_size=32):
-    """Accuracy and mean cross-entropy over the given record indices."""
+def evaluate_classifier(dataset, indices, token_map, params, config):
+    """Accuracy and mean cross-entropy over the given record indices.
+
+    Runs forward-only tapes; an empty ``indices`` raises ``ValueError``.
+    """
+    indices = list(indices)
+    if not indices:
+        raise ValueError("evaluate_classifier needs at least one record index")
     records = dataset.records
     label_to_id = dataset.label_to_id
     total, correct, ce_sum = 0, 0, 0.0
-    for batch in _batches(list(indices), batch_size):
+    for batch in _batches(indices, EVAL_BATCH_SIZE):
         points_np, unk_np, mask = _build_batch(records, batch, token_map, config.max_seq_len)
         labels = np.array([label_to_id[records[i][1]] for i in batch])
         _, _, scores, loss = _forward_batch(
-            params, points_np, unk_np, mask, labels, config, training=False)
+            params, points_np, unk_np, mask, labels, config, grad=False)
         ce_sum += float(loss.value) * len(batch)
         correct += int(np.sum(np.argmax(scores.value, axis=-1) == labels))
         total += len(batch)

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -383,6 +384,55 @@ def test_cli_train_embeddings_divergence_names_epoch_and_step(tmp_path, capsys):
     assert ("gyronet train-embeddings: error: divergence (non-finite loss) at epoch 1 step 2: "
             "non-finite logit in pair_log_likelihood\n") in err
     assert "Traceback" not in err
+    assert not emb.exists()
+
+
+def test_cli_train_embeddings_divergence_prints_no_numpy_warnings(tmp_path, capsys):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("a" * 20 + "b" * 20 + "cccc", encoding="utf-8")
+    emb = tmp_path / "emb.txt"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = cli.main(["train-embeddings", "--corpus", str(corpus), "--dim", "10",
+                         "--window", "1", "--negatives", "5", "--lr", "0.3", "--epochs", "2",
+                         "--seed", "5", "--out", str(emb)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.endswith("gyronet train-embeddings: error: divergence (non-finite loss) at "
+                        "epoch 1 step 2: non-finite logit in pair_log_likelihood\n")
+    assert "Warning" not in err
+    assert not emb.exists()
+
+
+def test_cli_train_embeddings_refuses_row_that_overflows_on_the_last_step(
+        tmp_path, capsys, monkeypatch):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("abcabd" * 3, encoding="utf-8")
+    argv = ["train-embeddings", "--corpus", str(corpus), "--dim", "3", "--window", "1",
+            "--negatives", "1", "--epochs", "1", "--out", str(tmp_path / "emb.txt")]
+    step = embed.rsgd_step_hyperboloid
+    calls = []
+
+    def counting(*args):
+        calls.append(None)
+        return step(*args)
+
+    monkeypatch.setattr(embed, "rsgd_step_hyperboloid", counting)
+    assert cli.main(argv) == 0
+    last = len(calls)
+
+    def overflow_on_last_step(*args):
+        calls.append(None)
+        rows = step(*args)
+        if len(calls) == 2 * last:  # no logit check reads the rows again
+            rows[0] = np.inf
+        return rows
+
+    monkeypatch.setattr(embed, "rsgd_step_hyperboloid", overflow_on_last_step)
+    emb = tmp_path / "emb2.txt"
+    assert cli.main(argv[:-1] + [str(emb)]) == 1
+    assert capsys.readouterr().err.endswith(
+        "gyronet train-embeddings: error: divergence (non-finite embedding) at epoch 0\n")
     assert not emb.exists()
 
 

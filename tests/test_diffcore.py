@@ -4,7 +4,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gyronet import data
 from gyronet import diffcore as dc
 from gyronet import diffgeom as dg
 from gyronet import geometry as geo
@@ -60,20 +63,26 @@ def test_non_finite_value_reports_node():
             dc.log(x - 1.0)
 
 
-@pytest.mark.parametrize("build, plain, check, index, op", [
-    (lambda x: dc.log(x - 1.0), lambda x: np.log(x - 1.0), np.isnan, 3, "log"),
-    (lambda x: dc.exp(x * 1000.0), lambda x: np.exp(x * 1000.0), np.isposinf, 3, "exp"),
-    (lambda x: dc.log(x - x), lambda x: np.log(x - x), np.isneginf, 2, "log"),
-    (lambda x: x / (x - x), lambda x: x / (x - x), np.isposinf, 2, "div"),
-], ids=["nan", "+inf", "-inf", "div-by-zero"])
-def test_non_finite_value_names_exact_node_and_op(build, plain, check, index, op):
-    tape = dc.Tape()
+_NON_FINITE = {
+    "nan": (lambda x: dc.log(x - 1.0), lambda x: np.log(x - 1.0), np.isnan, 3, "log"),
+    "+inf": (lambda x: dc.exp(x * 1000.0), lambda x: np.exp(x * 1000.0), np.isposinf, 3, "exp"),
+    "-inf": (lambda x: dc.log(x - x), lambda x: np.log(x - x), np.isneginf, 2, "log"),
+    "div-by-zero": (lambda x: x / (x - x), lambda x: x / (x - x), np.isposinf, 2, "div"),
+}
+
+
+@pytest.mark.parametrize("grad, build, plain, check, index, op", [
+    pytest.param(grad, *case, id=name if grad else f"{name}-forward-only")
+    for grad in (True, False) for name, case in _NON_FINITE.items()])
+def test_non_finite_value_names_exact_node_and_op(grad, build, plain, check, index, op):
+    tape = dc.Tape(grad=grad)
     x = tape.leaf([2.0, 0.5], requires_grad=True)
     with np.errstate(all="ignore"):
         assert check(plain(x.value)).any()
         with pytest.raises(dc.TapeError, match=rf"^non-finite value at node {index} \(op {op}\)$"):
             build(x)
-    assert len(tape.nodes) == index  # the bad node is not recorded
+    # the bad node is not recorded; a forward-only tape records none
+    assert len(tape.nodes) == (index if grad else 0)
 
 
 def test_extreme_finite_values_record_cleanly():
@@ -144,6 +153,25 @@ def test_backward_through_slice_and_broadcast():
     out = dc.tsum(x[:2]) + dc.tsum(x[1:]) + dc.tsum(rows * x)
     grads = dc.backward(tape, out)
     np.testing.assert_array_equal(grads[x], [3.0, 4.0, 3.0])
+
+
+def test_backward_refuses_forward_only_tape():
+    tape = dc.Tape(grad=False)
+    x = tape.leaf([1.0, 2.0], requires_grad=True)
+    loss = dc.tsum(x * x)
+    with pytest.raises(dc.TapeError, match="forward-only"):
+        dc.backward(tape, loss)
+
+
+def test_forward_only_tensors_are_distinct():
+    tape = dc.Tape(grad=False)
+    x = tape.leaf([1.0, 2.0], requires_grad=True)
+    y = tape.constant([1.0, 2.0])
+    z = x + y
+    assert [t.nid for t in (x, y, z)] == [0, 1, 2]
+    assert x != y and y != z and x != z
+    assert len({x, y, z}) == 3
+    assert tape.nodes == []
 
 
 def test_unused_leaf_gets_zero_gradient():
@@ -493,3 +521,92 @@ def test_tape_equals_reference_bit_for_bit(monkeypatch, geometry):
         assert any(not inside.all() for inside in projections)
     else:
         assert not projections
+
+
+# ---------------------------------------------------------------------------
+# Forward-only tape: the same values as a recording tape, no nodes kept
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _classifier_batches(draw):
+    """A config and one batch whose rows lie inside the ball, on its last
+    1e-5 of radius, or exactly at the origin; some positions are masked."""
+    cfg = hf.TransformerConfig(
+        geometry=draw(st.sampled_from(hf.GEOMETRIES)),
+        model_dim=draw(st.integers(2, 5)), num_layers=draw(st.integers(1, 2)),
+        num_heads=draw(st.integers(1, 3)), head_dim=draw(st.integers(1, 3)),
+        ffn_dim=draw(st.integers(2, 6)), num_classes=draw(st.integers(2, 4)),
+        dropout=draw(st.sampled_from([0.0, 0.3])),
+        curvature=draw(st.sampled_from([0.25, 1.0, 3.0])),
+        use_residual=draw(st.booleans()))
+    b, length = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    direction = rng.normal(size=(b * length, cfg.model_dim))
+    direction /= np.linalg.norm(direction, axis=-1, keepdims=True)
+    kind = rng.integers(0, 3, size=(b * length, 1))
+    radius = np.where(kind == 0, 0.9 * rng.random((b * length, 1)),
+                      np.where(kind == 1, 1.0 - 1e-5 * rng.random((b * length, 1)), 0.0))
+    points = (direction * radius * cfg.curvature).reshape(b, length, cfg.model_dim)
+    unk = (rng.random((b, length, 1)) < 0.2).astype(float)
+    mask = np.ones((b, length))
+    for row, keep in enumerate(rng.integers(1, length + 1, size=b)):
+        mask[row, keep:] = 0.0
+        points[row, keep:] = 0.0
+        unk[row, keep:] = 0.0
+    params = hf.init_params(cfg, rng)
+    params["unk"] = random_ball_points(rng, 1, cfg.model_dim, radius=0.5)[0] * cfg.curvature
+    labels = rng.integers(0, cfg.num_classes, size=b)
+    return cfg, params, points, unk, mask, labels, draw(st.booleans())
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(_classifier_batches())
+def test_forward_only_batch_equals_recording_tape(batch):
+    cfg, params, points, unk, mask, labels, training = batch
+    runs = [train._forward_batch(params, points, unk, mask, labels, cfg,
+                                 rng=np.random.default_rng(5), training=training, grad=grad)
+            for grad in (True, False)]
+    (recording, _, scores, loss), (forward_only, _, fo_scores, fo_loss) = runs
+    assert _same_bits(fo_scores.value, scores.value) and _same_bits(fo_loss.value, loss.value)
+    assert forward_only.nodes == [] and forward_only.skipped == len(recording.nodes)
+
+
+def _tiny_evaluation(geometry):
+    """A synthetic dataset of more than one evaluation batch, a token map and
+    untrained parameters."""
+    dataset = data.generate_synthetic_intents(3, 14, 20, seed=1, composites=1)
+    chars = sorted({ch for utterance, _ in dataset.records for ch in utterance})
+    rng = np.random.default_rng(2)
+    token_map = train.TokenMap(chars, random_ball_points(rng, len(chars), 4, radius=0.8))
+    cfg = hf.TransformerConfig(geometry=geometry, model_dim=4, num_layers=1, num_heads=2,
+                               head_dim=2, ffn_dim=4, num_classes=3, max_seq_len=8)
+    return dataset, token_map, hf.init_params(cfg, rng), cfg
+
+
+@pytest.mark.parametrize("geometry", hf.GEOMETRIES)
+def test_evaluate_classifier_runs_forward_only_tapes(monkeypatch, geometry):
+    dataset, token_map, params, cfg = _tiny_evaluation(geometry)
+    indices = list(range(len(dataset.records)))
+    assert len(indices) > train.EVAL_BATCH_SIZE
+    forward = train._forward_batch
+    tapes = []
+
+    def spy(*args, **kwargs):
+        out = forward(*args, **kwargs)
+        tapes.append(out[0])
+        return out
+
+    def recording(*args, **kwargs):
+        return forward(*args, **{**kwargs, "grad": True})
+
+    monkeypatch.setattr(train, "_forward_batch", recording)
+    expected = train.evaluate_classifier(dataset, indices, token_map, params, cfg)
+    monkeypatch.setattr(train, "_forward_batch", spy)
+    assert train.evaluate_classifier(dataset, indices, token_map, params, cfg) == expected
+    assert len(tapes) == 2 and all(not t.grad and t.nodes == [] for t in tapes)
+
+
+def test_evaluate_classifier_refuses_no_indices():
+    dataset, token_map, params, cfg = _tiny_evaluation("poincare")
+    with pytest.raises(ValueError, match="at least one record index"):
+        train.evaluate_classifier(dataset, [], token_map, params, cfg)
