@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 
@@ -174,6 +175,26 @@ def _classifier_parser(prog):
     return parser
 
 
+def _check_classifier_args(args):
+    """Refuse settings that would train nothing or fail deep in the loop."""
+    # 0 derives --head-dim and --ffn-dim from the model dim
+    for flag, low in (("layers", 1), ("heads", 1), ("batch_size", 1), ("max_seq_len", 1),
+                      ("epochs", 0), ("head_dim", 0), ("ffn_dim", 0)):
+        value = getattr(args, flag)
+        if value < low:
+            raise CliError(f"--{flag.replace('_', '-')} must be >= {low}, got {value}")
+    for flag in ("lr", "manifold_lr"):
+        value = getattr(args, flag)
+        if not (math.isfinite(value) and value > 0):
+            raise CliError(f"--{flag.replace('_', '-')} must be finite and > 0, got {value}")
+    for flag in ("dropout", "holdout"):
+        value = getattr(args, flag)
+        if not 0.0 <= value < 1.0:
+            raise CliError(f"--{flag} must lie in [0, 1), got {value}")
+    if not math.isfinite(args.pe_scale):
+        raise CliError(f"--pe-scale must be finite, got {args.pe_scale}")
+
+
 def cmd_train_classifier(argv):
     parser = _classifier_parser("gyronet train-classifier")
     args = _parse_with_config(parser, argv)
@@ -181,6 +202,7 @@ def cmd_train_classifier(argv):
     for key, value in preset.items():
         if key != "dim":
             setattr(args, key, value)
+    _check_classifier_args(args)
     token_map = train.load_embedding_points(args.embeddings, args.geometry)
     if preset and token_map.dim != preset["dim"]:
         raise CliError(f"preset '{args.preset}' needs dim {preset['dim']}, "

@@ -78,8 +78,8 @@ def make_dataset(records, holdout_fraction=0.15, seed=0):
 def load_intent_dataset(path, holdout_fraction=0.15, seed=0):
     """TSV file, two columns: utterance TAB label; deterministic split.
 
-    Lines end as in text mode (``\\n``, ``\\r\\n`` or ``\\r``).  Invalid UTF-8
-    and malformed lines raise ``ValueError("<path>:<line>: ...")``.
+    Lines end as in text mode (``\\n``, ``\\r\\n`` or ``\\r``).  Invalid UTF-8,
+    malformed lines and empty utterances raise ``ValueError("<path>:<line>: ...")``.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -97,6 +97,8 @@ def load_intent_dataset(path, holdout_fraction=0.15, seed=0):
         parts = line.split("\t")
         if len(parts) != 2 or not parts[1]:
             raise ValueError(f"{path}:{lineno}: malformed line (expected 'utterance<TAB>label')")
+        if not parts[0]:
+            raise ValueError(f"{path}:{lineno}: empty utterance")
         records.append((parts[0], parts[1]))
     if not records:
         raise ValueError(f"{path}: no records")

@@ -26,7 +26,9 @@ from .hypformer import (
 )
 from .optim import RmsProp, rsgd_step_poincare
 
-EVAL_BATCH_SIZE = 32  # utterances per evaluation forward
+# an evaluation forward pads at most EVAL_BATCH_SIZE * max_seq_len positions,
+# as many as this many utterances of the longest encodable length
+EVAL_BATCH_SIZE = 32
 
 
 @dataclass
@@ -86,6 +88,20 @@ def load_embedding_points(path, classifier_geometry):
 def _batches(indices, batch_size):
     for i in range(0, len(indices), batch_size):
         yield indices[i:i + batch_size]
+
+
+def _length_chunks(records, indices, max_len):
+    """The indices sorted by (encoded length, index) and cut into chunks whose
+    padded size, the last row's length times the rows, stays within
+    ``EVAL_BATCH_SIZE * max_len`` positions."""
+    budget = EVAL_BATCH_SIZE * max_len
+    chunk = []
+    for length, i in sorted((min(len(records[i][0]), max_len), i) for i in indices):
+        if length * (len(chunk) + 1) > budget:
+            yield chunk
+            chunk = []
+        chunk.append(i)
+    yield chunk
 
 
 def _build_batch(records, indices, token_map, max_len):
@@ -178,7 +194,11 @@ def train_classifier(dataset, token_map, config: TransformerConfig,
 def evaluate_classifier(dataset, indices, token_map, params, config):
     """Accuracy and mean cross-entropy over the given record indices.
 
-    Runs forward-only tapes; an empty ``indices`` raises ``ValueError``.
+    The indices are sorted by encoded length and scored in chunks of at most
+    ``EVAL_BATCH_SIZE * max_seq_len`` padded positions, each padded only to
+    its own longest row, on forward-only tapes.  The chunks, and so the
+    metrics, depend only on the index set, not on its order.  An empty
+    ``indices`` raises ``ValueError``.
     """
     indices = list(indices)
     if not indices:
@@ -186,7 +206,7 @@ def evaluate_classifier(dataset, indices, token_map, params, config):
     records = dataset.records
     label_to_id = dataset.label_to_id
     total, correct, ce_sum = 0, 0, 0.0
-    for batch in _batches(indices, EVAL_BATCH_SIZE):
+    for batch in _length_chunks(records, indices, config.max_seq_len):
         points_np, unk_np, mask = _build_batch(records, batch, token_map, config.max_seq_len)
         labels = np.array([label_to_id[records[i][1]] for i in batch])
         _, _, scores, loss = _forward_batch(

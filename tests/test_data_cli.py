@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from gyronet import cli, data, embed
+from gyronet import bundle, cli, data, embed
 from gyronet.geometry import lorentz_inner
 
 
@@ -81,6 +81,13 @@ def test_load_intent_dataset_malformed_line(tmp_path):
     path = tmp_path / "d.tsv"
     path.write_text("fine\ta\nbroken-line\n", encoding="utf-8")
     with pytest.raises(ValueError, match=":2"):
+        data.load_intent_dataset(path)
+
+
+def test_load_intent_dataset_refuses_empty_utterance(tmp_path):
+    path = tmp_path / "d.tsv"
+    path.write_text("fine\ta\n\tb\nalso fine\tb\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:2: empty utterance$"):
         data.load_intent_dataset(path)
 
 
@@ -369,6 +376,47 @@ def test_cli_train_embeddings_refuses_settings_that_train_nothing(tmp_path, caps
     assert f"gyronet train-embeddings: error: {message}\n" in err
     assert "Traceback" not in err
     assert not emb.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--heads", "0"], "--heads must be >= 1, got 0"),
+    (["--layers", "0"], "--layers must be >= 1, got 0"),
+    (["--batch-size", "0"], "--batch-size must be >= 1, got 0"),
+    (["--max-seq-len", "0"], "--max-seq-len must be >= 1, got 0"),
+    (["--epochs", "-1"], "--epochs must be >= 0, got -1"),
+    (["--ffn-dim", "-2"], "--ffn-dim must be >= 0, got -2"),
+    (["--head-dim", "-1"], "--head-dim must be >= 0, got -1"),
+    (["--lr", "nan"], "--lr must be finite and > 0, got nan"),
+    (["--lr", "0"], "--lr must be finite and > 0, got 0.0"),
+    (["--manifold-lr", "inf"], "--manifold-lr must be finite and > 0, got inf"),
+    (["--dropout", "1"], "--dropout must lie in [0, 1), got 1.0"),
+    (["--holdout", "-0.1"], "--holdout must lie in [0, 1), got -0.1"),
+    (["--pe-scale", "nan"], "--pe-scale must be finite, got nan"),
+], ids=["heads", "layers", "batch-size", "max-seq-len", "epochs", "ffn-dim", "head-dim",
+        "lr-nan", "lr-zero", "manifold-lr-inf", "dropout", "holdout", "pe-scale"])
+def test_cli_train_classifier_refuses_bad_settings_before_loading(tmp_path, capsys, flags,
+                                                                  message):
+    # neither input exists: a check that ran after loading would report that instead
+    model = tmp_path / "m.bin"
+    code = cli.main(["train-classifier", "--embeddings", str(tmp_path / "missing-emb.txt"),
+                     "--data", str(tmp_path / "missing.tsv"), "--out", str(model)] + flags)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"gyronet train-classifier: error: {message}\n" in err
+    assert "Traceback" not in err
+    assert not model.exists()
+
+
+def test_cli_train_classifier_zero_head_and_ffn_dims_are_derived(tmp_path):
+    dataset, chars = _tiny_dataset(tmp_path)
+    emb = tmp_path / "emb.txt"
+    embed.write_embeddings(emb, chars, np.full((len(chars), 4), 0.1), "euclidean")
+    model = tmp_path / "m.bin"
+    assert cli.main(["train-classifier", "--geometry", "euclidean", "--embeddings", str(emb),
+                     "--data", str(dataset), "--epochs", "0", "--layers", "1", "--heads", "2",
+                     "--head-dim", "0", "--ffn-dim", "0", "--out", str(model)]) == 0
+    meta = bundle.load_bundle(model)[1]
+    assert (meta["head_dim"], meta["ffn_dim"]) == ("2", "8")
 
 
 def test_cli_train_embeddings_divergence_names_epoch_and_step(tmp_path, capsys):

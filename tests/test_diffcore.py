@@ -606,6 +606,76 @@ def test_evaluate_classifier_runs_forward_only_tapes(monkeypatch, geometry):
     assert len(tapes) == 2 and all(not t.grad and t.nodes == [] for t in tapes)
 
 
+@pytest.mark.parametrize("geometry", hf.GEOMETRIES)
+def test_evaluate_classifier_metrics_do_not_depend_on_index_order(geometry):
+    dataset, token_map, params, cfg = _tiny_evaluation(geometry)
+    indices = list(range(len(dataset.records)))
+    shuffled = np.random.default_rng(0).permutation(indices).tolist()
+    runs = [train.evaluate_classifier(dataset, order, token_map, params, cfg)
+            for order in (indices, indices[::-1], shuffled)]
+    assert runs[0] == runs[1] == runs[2]
+
+
+def _spy_evaluation(monkeypatch, dataset, indices, token_map, params, cfg):
+    """(row indices, mask) of every evaluation forward, in call order."""
+    build, forward = train._build_batch, train._forward_batch
+    rows, masks = [], []
+
+    def build_spy(records, batch, *args):
+        rows.append(list(batch))
+        return build(records, batch, *args)
+
+    def forward_spy(params_np, points_np, unk_np, mask, *args, **kwargs):
+        masks.append(mask)
+        return forward(params_np, points_np, unk_np, mask, *args, **kwargs)
+
+    monkeypatch.setattr(train, "_build_batch", build_spy)
+    monkeypatch.setattr(train, "_forward_batch", forward_spy)
+    train.evaluate_classifier(dataset, indices, token_map, params, cfg)
+    return list(zip(rows, masks, strict=True))
+
+
+@pytest.mark.parametrize("geometry", hf.GEOMETRIES)
+def test_evaluate_classifier_scores_rows_by_length_within_the_position_budget(
+        monkeypatch, geometry):
+    dataset, token_map, params, cfg = _tiny_evaluation(geometry)
+    indices = np.random.default_rng(3).permutation(len(dataset.records)).tolist()
+    forwards = _spy_evaluation(monkeypatch, dataset, indices, token_map, params, cfg)
+    scored = [i for batch, _ in forwards for i in batch]
+    assert sorted(scored) == sorted(indices)
+    lengths = [min(len(dataset.records[i][0]), cfg.max_seq_len) for i in scored]
+    assert lengths == sorted(lengths)
+    for batch, mask in forwards:
+        # each chunk is padded to its own longest row, no further
+        assert mask.sum(axis=1).tolist() == [min(len(dataset.records[i][0]), cfg.max_seq_len)
+                                             for i in batch]
+        assert mask.shape[1] == mask.sum(axis=1).max()
+        assert mask.size <= train.EVAL_BATCH_SIZE * cfg.max_seq_len
+    # the chunks close greedily: the next row would not have fitted
+    for (batch, mask), (following, _) in zip(forwards, forwards[1:]):
+        next_length = min(len(dataset.records[following[0]][0]), cfg.max_seq_len)
+        assert next_length * (len(batch) + 1) > train.EVAL_BATCH_SIZE * cfg.max_seq_len
+
+
+def test_evaluate_classifier_forward_count_follows_the_lengths(monkeypatch):
+    # max_seq_len 4 gives a budget of 32 * 4 = 128 positions.  Sorted by
+    # length: 100 one-character rows fill 100 positions, and a length-4 row
+    # would make 4 * 101.  The 35 rows of length 4 (five of them cut from 9)
+    # then fill 32 * 4 = 128 and leave 3: three forwards, where 32-row
+    # batches in data order would take five.
+    chars = "abcdefghi"
+    records = ([(chars[:9], "x")] * 5 + [(chars[:4], "y")] * 30
+               + [(chars[i % 9], "x" if i % 2 else "y") for i in range(100)])
+    dataset = data.make_dataset(records, holdout_fraction=0.0)
+    rng = np.random.default_rng(4)
+    token_map = train.TokenMap(list(chars), random_ball_points(rng, len(chars), 4, radius=0.8))
+    cfg = hf.TransformerConfig(geometry="poincare", model_dim=4, num_layers=1, num_heads=2,
+                               head_dim=2, ffn_dim=4, num_classes=2, max_seq_len=4)
+    forwards = _spy_evaluation(monkeypatch, dataset, range(len(records)), token_map,
+                               hf.init_params(cfg, rng), cfg)
+    assert [mask.shape for _, mask in forwards] == [(100, 1), (32, 4), (3, 4)]
+
+
 def test_evaluate_classifier_refuses_no_indices():
     dataset, token_map, params, cfg = _tiny_evaluation("poincare")
     with pytest.raises(ValueError, match="at least one record index"):
