@@ -114,6 +114,7 @@ def cmd_gen_data(argv):
     parser.add_argument("--noise-len", type=int, default=3)
     parser.add_argument("--out", required=True)
     args = _parse_with_config(parser, argv)
+    _refuse_below(args, (("per_class", 1), ("noise_len", 0)))
     dataset = data.generate_synthetic_intents(
         args.classes, args.per_class, args.vocab_size, args.seed,
         composites=args.composites, noise_len=args.noise_len)
@@ -175,14 +176,19 @@ def _classifier_parser(prog):
     return parser
 
 
-def _check_classifier_args(args):
-    """Refuse settings that would train nothing or fail deep in the loop."""
-    # 0 derives --head-dim and --ffn-dim from the model dim
-    for flag, low in (("layers", 1), ("heads", 1), ("batch_size", 1), ("max_seq_len", 1),
-                      ("epochs", 0), ("head_dim", 0), ("ffn_dim", 0)):
+def _refuse_below(args, bounds):
+    """Refuse the first (flag, lowest allowed value) pair that ``args`` breaks."""
+    for flag, low in bounds:
         value = getattr(args, flag)
         if value < low:
             raise CliError(f"--{flag.replace('_', '-')} must be >= {low}, got {value}")
+
+
+def _check_classifier_args(args):
+    """Refuse settings that would train nothing or fail deep in the loop."""
+    # 0 derives --head-dim and --ffn-dim from the model dim
+    _refuse_below(args, (("layers", 1), ("heads", 1), ("batch_size", 1), ("max_seq_len", 1),
+                         ("epochs", 0), ("head_dim", 0), ("ffn_dim", 0)))
     for flag in ("lr", "manifold_lr"):
         value = getattr(args, flag)
         if not (math.isfinite(value) and value > 0):

@@ -123,6 +123,10 @@ def generate_synthetic_intents(num_classes, per_class, vocab_size, seed,
     """
     if num_classes < 2:
         raise ValueError("need at least 2 classes")
+    if per_class < 1:
+        raise ValueError(f"per_class must be >= 1, got {per_class}")
+    if noise_len < 0:
+        raise ValueError(f"noise_len must be >= 0, got {noise_len}")
     if composites >= num_classes:
         raise ValueError("composites must leave at least two base classes")
     rng = np.random.default_rng(seed)

@@ -6,6 +6,8 @@ explicit Minkowski gradients are projected onto tangent spaces and steps are
 taken along the exponential map, so every embedding row stays on the manifold.
 Each pair makes one Riemannian step on the stacked rows: its center row of A
 and its distinct sampled rows of B go through one batched exponential map.
+Negatives come from the seeded Generator in capped chunks of the same stream,
+so the pairs equal those of one draw per negative.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ GEOMETRIES = ("euclidean", "hyperboloid")
 # Geometries an embedding file may carry: the trained ones, and ball
 # coordinates written by ``convert``.
 FILE_GEOMETRIES = GEOMETRIES + ("poincare",)
+# Most negatives that generate_pairs draws from the Generator in one call.
+NEGATIVE_CHUNK = 4096
 
 
 def tokenize(text):
@@ -80,26 +84,46 @@ def generate_pairs(ids, mu, m, vocab, rng):
     """Yield one TrainingPair per (position, in-window offset).
 
     Negatives are drawn i.i.d. from the unigram^alpha table and resampled
-    (up to 10 tries) when they collide with the positive context token.
+    (up to 10 tries) when they collide with the positive context token.  They
+    come from ``rng`` in chunks of at most NEGATIVE_CHUNK values, and a chunk
+    never holds more values than the pass is certain to consume, so the pairs
+    and the Generator's final state equal those of one draw per negative.
     """
     if mu < 1:
         raise ValueError("window radius mu must be >= 1")
     n = len(ids)
+    span = min(mu, max(n - 1, 0))
+    # m for each pair still to be yielded; offset d <= span gives 2 * (n - d) pairs
+    regular = m * span * (2 * n - span - 1)
+    drawn, at = [], 0  # drawn[at:] came from rng but is not handed out yet
+
+    def draw(certain):
+        # never more values than the rest of the pass is certain to consume
+        return vocab.sample_negatives(min(NEGATIVE_CHUNK, certain), rng)
+
     for k in range(n):
-        for j in range(-mu, mu + 1):
-            if j == 0:
-                continue
-            pos = k + j
-            if pos < 0 or pos >= n:
+        center = ids[k]
+        for pos in range(max(k - mu, 0), min(k + mu + 1, n)):
+            if pos == k:
                 continue
             context = ids[pos]
-            negs = vocab.sample_negatives(m, rng)
-            for i in range(m):
-                tries = 0
-                while negs[i] == context and tries < 10:
-                    negs[i] = vocab.sample_negatives(1, rng)[0]
-                    tries += 1
-            yield TrainingPair(ids[k], context, negs)
+            negs = drawn[at:at + m]
+            at += len(negs)
+            while len(negs) < m:
+                drawn = draw(regular - len(negs))
+                at = min(m - len(negs), len(drawn))
+                negs += drawn[:at]
+            regular -= m
+            if context in negs:
+                for i in range(m):
+                    tries = 0
+                    while negs[i] == context and tries < 10:
+                        if at == len(drawn):
+                            drawn, at = draw(regular + 1), 0  # this resample, then later pairs
+                        negs[i] = drawn[at]
+                        at += 1
+                        tries += 1
+            yield TrainingPair(center, context, negs)
 
 
 @dataclass
@@ -142,7 +166,7 @@ def _sigmoid(x):
 
 
 def _pair_logits(pair, E, theta):
-    rows = E.B[[pair.context] + list(pair.negatives)]
+    rows = E.B[[pair.context, *pair.negatives]]
     if E.geometry == "hyperboloid":
         return hyperboloid_logit(E.A[pair.center], rows, theta), rows
     return rows @ E.A[pair.center], rows
@@ -151,29 +175,30 @@ def _pair_logits(pair, E, theta):
 def pair_log_likelihood(pair, E, theta=1.0):
     """Sum of log sigma((-1)^(1-y) * logit) over the positive and negatives."""
     logits, _ = _pair_logits(pair, E, theta)
-    if not np.isfinite(logits).all():
+    if not np.logical_and.reduce(np.isfinite(logits)):
         raise ValueError("non-finite logit in pair_log_likelihood")
-    signs = np.full(len(logits), -1.0)
-    signs[0] = 1.0
-    # log sigma(s*z), computed stably
-    return float(np.sum(-np.logaddexp(0.0, -signs * logits)))
+    # log sigma(s*z) = -log(1 + exp(-s*z)), computed stably; s = +1 only for
+    # the positive.  Negation is exact, and 0.0 - sum keeps the +0.0 that a
+    # sum of negated zero terms gives.
+    logits[0] = -logits[0]
+    return float(0.0 - np.add.reduce(np.logaddexp(0.0, logits)))
 
 
 def _sgns_gradients(pair, E, theta):
     """Gradients of the pair log-likelihood w.r.t. the center row of A and the
     sampled rows of B; repeated sample tokens accumulate."""
     logits, rows = _pair_logits(pair, E, theta)
-    ys = np.zeros(len(logits))
-    ys[0] = 1.0
-    coeff = ys - _sigmoid(logits)  # (m+1,)
+    # y - sigma(z) with y = 1 for the positive only; 0.0 - s keeps the signed
+    # zeros of a subtraction where sigma underflows
+    coeff = 0.0 - _sigmoid(logits)  # (m+1,)
+    coeff[0] += 1.0
     grad_a = coeff @ rows
     grads_b: dict[int, np.ndarray] = {}
-    center_row = E.A[pair.center]
-    for wid, ci in zip([pair.context] + list(pair.negatives), coeff):
+    for wid, term in zip([pair.context, *pair.negatives], coeff[:, None] * E.A[pair.center]):
         if wid in grads_b:
-            grads_b[wid] = grads_b[wid] + ci * center_row
+            grads_b[wid] = grads_b[wid] + term
         else:
-            grads_b[wid] = ci * center_row
+            grads_b[wid] = term
     return grad_a, grads_b
 
 
@@ -199,7 +224,7 @@ def rsgd_step_hyperboloid(param, ambient_grad, eta):
     """exp_param(-eta * proj_param(grad)); the exponential map renormalizes
     the result onto the hyperboloid."""
     grad = np.asarray(ambient_grad, dtype=float)
-    if not np.isfinite(grad).all():
+    if not np.logical_and.reduce(np.isfinite(grad), axis=None):
         raise ValueError("non-finite gradient in rsgd_step_hyperboloid")
     step = -eta * tangent_project(param, grad)
     return exp_map_hyperboloid(param, step)

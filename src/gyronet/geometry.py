@@ -179,10 +179,10 @@ def lorentz_inner(u, v, keepdims=False):
 
 def hyperboloid_renormalize(x):
     """Recompute the time coordinate from the spatial ones so <x,x>_L = -1."""
-    x = np.asarray(x, dtype=float)
-    spatial = x[..., :-1]
-    time = np.sqrt(1.0 + np.add.reduce(spatial * spatial, axis=-1, keepdims=True))
-    return np.concatenate([spatial, time], axis=-1)
+    out = np.array(x, dtype=float)
+    spatial = out[..., :-1]
+    out[..., -1] = np.sqrt(1.0 + np.add.reduce(spatial * spatial, axis=-1))
+    return out
 
 
 def hyperboloid_origin(n):

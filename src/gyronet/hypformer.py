@@ -45,10 +45,17 @@ class TransformerConfig:
     def __post_init__(self):
         if self.geometry not in GEOMETRIES:
             raise ValueError(f"unknown geometry '{self.geometry}'")
-        if self.num_layers < 1:
-            raise ValueError("need at least one layer")
+        for name in ("model_dim", "num_layers", "num_heads", "head_dim", "ffn_dim",
+                     "num_classes", "max_seq_len"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
         if not (0.0 <= self.dropout < 1.0):
             raise ValueError("dropout must be in [0, 1)")
+        if not (math.isfinite(self.curvature) and self.curvature > 0):
+            raise ValueError(f"curvature must be finite and > 0, got {self.curvature}")
+        if not math.isfinite(self.pe_scale):
+            raise ValueError(f"pe_scale must be finite, got {self.pe_scale}")
 
     @property
     def proj_dim(self):

@@ -202,6 +202,19 @@ def test_generator_validation_errors():
         data.generate_synthetic_intents(8, 5, 10, seed=0, composites=0)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"per_class": 0}, "per_class must be >= 1, got 0"),
+    ({"noise_len": -1}, "noise_len must be >= 0, got -1"),
+])
+def test_generator_refuses_empty_or_negative_sizes(kwargs, message):
+    with pytest.raises(ValueError) as info:
+        data.generate_synthetic_intents(**{"num_classes": 4, "per_class": 5, "vocab_size": 30,
+                                           "seed": 0, **kwargs})
+    assert str(info.value) == message
+    assert len(data.generate_synthetic_intents(4, 1, 30, seed=0, composites=1,
+                                              noise_len=0).records) == 4
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
@@ -219,6 +232,20 @@ def test_cli_gen_data_deterministic(tmp_path):
     assert _sha(out1) == _sha(out2)
     ds = data.load_intent_dataset(out1)
     assert len(ds.records) == 20
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--per-class", "0", "--per-class must be >= 1, got 0"),
+    ("--noise-len", "-1", "--noise-len must be >= 0, got -1"),
+])
+def test_cli_gen_data_refuses_empty_or_negative_sizes(tmp_path, capsys, flag, value, message):
+    out = tmp_path / "d.tsv"
+    code = cli.main(["gen-data", "--classes", "4", "--vocab-size", "30", flag, value,
+                     "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"gyronet gen-data: error: {message}"]
+    assert not out.exists()
 
 
 def test_cli_train_embeddings_and_convert(tmp_path, caplog):
@@ -681,3 +708,44 @@ def test_cli_evaluate_refuses_empty_split(tmp_path, capsys):
                       "at --holdout 0.0"]
     assert "Traceback" not in captured.err
     assert captured.out == ""
+
+
+@pytest.fixture(scope="module")
+def tiny_poincare_model(tmp_path_factory):
+    """(dataset, hyperboloid embeddings, one-layer poincare model) paths."""
+    tmp_path = tmp_path_factory.mktemp("poincare")
+    dataset, chars = _tiny_dataset(tmp_path)
+    emb = tmp_path / "h.txt"
+    rows = embed.init_embeddings(len(chars), 4, "hyperboloid", np.random.default_rng(0)).A
+    embed.write_embeddings(emb, chars, rows, "hyperboloid")
+    model = tmp_path / "model.bin"
+    assert cli.main(["train-classifier", "--geometry", "poincare", "--embeddings", str(emb),
+                     "--data", str(dataset), "--epochs", "1", "--layers", "1",
+                     "--heads", "2", "--out", str(model)]) == 0
+    return dataset, emb, model
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("curvature", "-1", "curvature must be finite and > 0, got -1.0"),
+    ("curvature", "0", "curvature must be finite and > 0, got 0.0"),
+    ("curvature", "nan", "curvature must be finite and > 0, got nan"),
+    ("max_seq_len", "0", "max_seq_len must be >= 1, got 0"),
+    ("model_dim", "0", "model_dim must be >= 1, got 0"),
+    ("num_heads", "0", "num_heads must be >= 1, got 0"),
+    ("head_dim", "0", "head_dim must be >= 1, got 0"),
+    ("ffn_dim", "-1", "ffn_dim must be >= 1, got -1"),
+    ("num_classes", "0", "num_classes must be >= 1, got 0"),
+    ("pe_scale", "inf", "pe_scale must be finite, got inf"),
+])
+def test_cli_evaluate_refuses_bad_config_values(tiny_poincare_model, tmp_path, capsys, key,
+                                                value, message):
+    dataset, emb, model = tiny_poincare_model
+    geometry, meta, params = bundle.load_bundle(model)
+    bad = tmp_path / "bad.bin"
+    bundle.save_bundle(bad, geometry, {**meta, key: value}, params)
+    capsys.readouterr()
+    code = cli.main(["evaluate", "--model", str(bad), "--embeddings", str(emb),
+                     "--data", str(dataset)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"gyronet evaluate: error: {bad}: bad config block: {message}"]

@@ -78,6 +78,49 @@ def test_generate_pairs_deterministic():
            [(p.center, p.context, p.negatives) for p in run2]
 
 
+def _per_draw_pairs(ids, mu, m, vocab, rng):
+    """The sampler with one Generator call per pair and per resample: the
+    oracle for generate_pairs' chunked draws."""
+    n = len(ids)
+    for k in range(n):
+        for j in range(-mu, mu + 1):
+            if j == 0:
+                continue
+            pos = k + j
+            if pos < 0 or pos >= n:
+                continue
+            context = ids[pos]
+            negs = vocab.sample_negatives(m, rng)
+            for i in range(m):
+                tries = 0
+                while negs[i] == context and tries < 10:
+                    negs[i] = vocab.sample_negatives(1, rng)[0]
+                    tries += 1
+            yield ids[k], context, negs
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, None], ids=["chunk1", "chunk2", "chunk3",
+                                                        "default"])
+def test_generate_pairs_equals_per_draw_sampler(monkeypatch, chunk):
+    # chunks of 1-3 refill mid-pair and mid-resample; a 1-token vocabulary
+    # makes every negative collide until its 10 tries run out
+    if chunk is not None:
+        monkeypatch.setattr(embed, "NEGATIVE_CHUNK", chunk)
+    gen = np.random.default_rng(2024)
+    for _ in range(120):
+        alphabet = [chr(0x61 + i) for i in range(int(gen.integers(1, 6)))]
+        weights = gen.random(len(alphabet)) ** 3 + 0.01
+        corpus = gen.choice(alphabet, size=int(gen.integers(0, 41)), p=weights / weights.sum())
+        vocab = embed.build_vocab(alphabet + corpus.tolist())
+        ids = vocab.encode(corpus.tolist())
+        mu, m, seed = int(gen.integers(1, 4)), int(gen.integers(0, 6)), int(gen.integers(1000))
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = [(p.center, p.context, p.negatives)
+               for p in embed.generate_pairs(ids, mu, m, vocab, rng)]
+        assert got == list(_per_draw_pairs(ids, mu, m, vocab, ref_rng))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 # ---------------------------------------------------------------------------
 # Logits and log-likelihood
 # ---------------------------------------------------------------------------
@@ -123,6 +166,78 @@ def test_pair_log_likelihood_hyperboloid_matches_direct():
     direct += 2 * np.log(sigma(-(lorentz_inner(E.A[1], E.B[2]) + theta)))
     np.testing.assert_allclose(embed.pair_log_likelihood(pair, E, theta), direct,
                                atol=1e-12)
+
+
+def _spread_hyperboloid_rows():
+    """Rows of A and B at distance up to 16 on H^2: some logits fall below
+    -710, where exp overflows and sigma is exactly 0."""
+    def point(r, phi):
+        return np.array([np.sinh(r) * np.cos(phi), np.sinh(r) * np.sin(phi), np.cosh(r)])
+    A = np.array([point(8.0, 0.0), point(0.3, 1.0), point(1.0, 2.0)])
+    B = np.array([point(8.0, np.pi), point(0.2, 0.5), point(2.0, -1.0)])
+    return embed.EmbeddingMatrices(A, B, "hyperboloid", 2)
+
+
+def _logits_then(pair, E, theta):
+    rows = E.B[[pair.context] + list(pair.negatives)]
+    if E.geometry == "hyperboloid":
+        return lorentz_inner(E.A[pair.center], rows) + theta, rows
+    return rows @ E.A[pair.center], rows
+
+
+def _loss_then(pair, E, theta):
+    """The log-likelihood as an earlier version wrote it."""
+    logits, _ = _logits_then(pair, E, theta)
+    signs = np.full(len(logits), -1.0)
+    signs[0] = 1.0
+    return float(np.sum(-np.logaddexp(0.0, -signs * logits)))
+
+
+def _gradients_then(pair, E, theta):
+    """The gradients as an earlier version wrote them."""
+    logits, rows = _logits_then(pair, E, theta)
+    ys = np.zeros(len(logits))
+    ys[0] = 1.0
+    coeff = ys - 1.0 / (1.0 + np.exp(-logits))
+    grads_b = {}
+    center_row = E.A[pair.center]
+    for wid, ci in zip([pair.context] + list(pair.negatives), coeff):
+        if wid in grads_b:
+            grads_b[wid] = grads_b[wid] + ci * center_row
+        else:
+            grads_b[wid] = ci * center_row
+    return coeff @ rows, grads_b
+
+
+def _same_bytes(grads, expected):
+    (ga, gbs), (ea, ebs) = grads, expected
+    assert ga.tobytes() == ea.tobytes()
+    assert list(gbs) == list(ebs)
+    assert all(gbs[w].tobytes() == ebs[w].tobytes() for w in ebs)
+
+
+@pytest.mark.parametrize("pair", [
+    # a repeated negative, and the context drawn again as a negative
+    embed.TrainingPair(1, 2, [1, 1, 2]),
+    # logit -cosh(16) + theta for the positive
+    embed.TrainingPair(0, 0, [1, 0, 2, 0]),
+    # sigma(z) = 0 for both negatives; in flat space every loss term is 0
+    embed.TrainingPair(0, 1, [0, 0]),
+    embed.TrainingPair(2, 1, []),
+], ids=["repeats", "far-positive", "far-negatives", "m0"])
+def test_loss_and_gradients_keep_their_bytes(pair):
+    E = _spread_hyperboloid_rows()
+    assert _logits_then(embed.TrainingPair(0, 0, []), E, 1.0)[0][0] < -710
+    flat = embed.EmbeddingMatrices(E.A[:, :2] * 100.0, E.B[:, :2] * 100.0, "euclidean", 2)
+    with np.errstate(over="ignore"):
+        for theta in (1.0, -0.5):
+            loss = embed.pair_log_likelihood(pair, E, theta)
+            assert np.float64(loss).tobytes() == np.float64(_loss_then(pair, E, theta)).tobytes()
+            _same_bytes(embed.minkowski_gradients(pair, E, theta),
+                        _gradients_then(pair, E, theta))
+        loss = embed.pair_log_likelihood(pair, flat, 0.0)
+        assert np.float64(loss).tobytes() == np.float64(_loss_then(pair, flat, 0.0)).tobytes()
+        _same_bytes(embed.euclidean_gradients(pair, flat), _gradients_then(pair, flat, 0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -436,6 +436,26 @@ def test_config_round_trip():
         _config(dropout=1.0)
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("curvature", -1.0, "curvature must be finite and > 0, got -1.0"),
+    ("curvature", 0.0, "curvature must be finite and > 0, got 0.0"),
+    ("curvature", float("nan"), "curvature must be finite and > 0, got nan"),
+    ("pe_scale", float("inf"), "pe_scale must be finite, got inf"),
+    ("model_dim", 0, "model_dim must be >= 1, got 0"),
+    ("num_layers", 0, "num_layers must be >= 1, got 0"),
+    ("num_heads", 0, "num_heads must be >= 1, got 0"),
+    ("head_dim", -2, "head_dim must be >= 1, got -2"),
+    ("ffn_dim", 0, "ffn_dim must be >= 1, got 0"),
+    ("num_classes", 0, "num_classes must be >= 1, got 0"),
+    ("max_seq_len", 0, "max_seq_len must be >= 1, got 0"),
+])
+def test_config_refuses_values_that_break_the_model(key, value, message):
+    with pytest.raises(ValueError) as info:
+        _config(**{key: value})
+    assert str(info.value) == message
+    _config(geometry="euclidean", curvature=0.5, pe_scale=0.0)
+
+
 def test_config_to_dict_strings():
     cfg = hf.TransformerConfig(geometry="euclidean", model_dim=6, num_layers=3, num_heads=2,
                                head_dim=3, ffn_dim=12, num_classes=5, dropout=0.25,
