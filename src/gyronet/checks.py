@@ -27,7 +27,9 @@ class SuiteResult:
         return self.max_error < self.tol
 
 
-def _random_ball_points(rng, count, dim, radius=0.9):
+def random_ball_points(rng, count, dim, radius=0.9):
+    """``count`` points of the ``dim``-ball: uniform directions, norms uniform
+    in [0, radius)."""
     direction = rng.normal(size=(count, dim))
     direction /= np.linalg.norm(direction, axis=-1, keepdims=True)
     return direction * (radius * rng.random((count, 1)))
@@ -36,9 +38,9 @@ def _random_ball_points(rng, count, dim, radius=0.9):
 def gyro_axioms_suite(seed=0, trials=10_000, dim=3, tol=1e-8):
     """Left identity, left inverse, gyroassociativity, gyration isometry."""
     rng = np.random.default_rng(seed)
-    a = _random_ball_points(rng, trials, dim)
-    b = _random_ball_points(rng, trials, dim)
-    v = _random_ball_points(rng, trials, dim)
+    a = random_ball_points(rng, trials, dim)
+    b = random_ball_points(rng, trials, dim)
+    v = random_ball_points(rng, trials, dim)
     zero = np.zeros_like(a)
     worst = 0.0
     worst = max(worst, float(np.abs(geometry.mobius_add(zero, a) - a).max()))
@@ -55,8 +57,8 @@ def gyro_axioms_suite(seed=0, trials=10_000, dim=3, tol=1e-8):
 def exp_log_suite(seed=1, trials=1000, dim=3, tol=1e-8):
     """exp/log round trips on both models and bias-translation consistency."""
     rng = np.random.default_rng(seed)
-    x = _random_ball_points(rng, trials, dim, radius=0.8)
-    y = _random_ball_points(rng, trials, dim, radius=0.8)
+    x = random_ball_points(rng, trials, dim, radius=0.8)
+    y = random_ball_points(rng, trials, dim, radius=0.8)
     worst = 0.0
     v = geometry.log_map_poincare(x, y)
     worst = max(worst, float(np.abs(geometry.exp_map_poincare(x, v) - y).max()))
@@ -72,8 +74,8 @@ def exp_log_suite(seed=1, trials=1000, dim=3, tol=1e-8):
 def isometry_suite(seed=2, trials=1000, dim=3, tol=1e-6):
     """Ball <-> hyperboloid conversion preserves distances and round trips."""
     rng = np.random.default_rng(seed)
-    x = _random_ball_points(rng, trials, dim, radius=0.85)
-    y = _random_ball_points(rng, trials, dim, radius=0.85)
+    x = random_ball_points(rng, trials, dim, radius=0.85)
+    y = random_ball_points(rng, trials, dim, radius=0.85)
     hx = geometry.to_hyperboloid(x)
     hy = geometry.to_hyperboloid(y)
     worst = float(np.abs(
@@ -85,14 +87,14 @@ def isometry_suite(seed=2, trials=1000, dim=3, tol=1e-6):
 def transport_suite(seed=3, trials=1000, dim=3, tol=1e-8):
     """Parallel transport preserves the relevant norms and tangency."""
     rng = np.random.default_rng(seed)
-    x = _random_ball_points(rng, trials, dim, radius=0.8)
+    x = random_ball_points(rng, trials, dim, radius=0.8)
     v0 = rng.normal(size=(trials, dim))
     moved = geometry.transport_from_origin_poincare(x, v0)
     lam = geometry.conformal_factor(x, keepdims=True)
     worst = float(np.abs(lam * np.linalg.norm(moved, axis=-1, keepdims=True)
                          - 2.0 * np.linalg.norm(v0, axis=-1, keepdims=True)).max())
-    hx = geometry.to_hyperboloid(_random_ball_points(rng, trials, dim, radius=0.7))
-    hy = geometry.to_hyperboloid(_random_ball_points(rng, trials, dim, radius=0.7))
+    hx = geometry.to_hyperboloid(random_ball_points(rng, trials, dim, radius=0.7))
+    hy = geometry.to_hyperboloid(random_ball_points(rng, trials, dim, radius=0.7))
     w = geometry.tangent_project(hx, rng.normal(size=(trials, dim + 1)))
     out = geometry.hyperboloid_parallel_transport(hx, hy, w)
     worst = max(worst, float(np.abs(geometry.lorentz_inner(hy, out)).max()))
@@ -104,7 +106,7 @@ def transport_suite(seed=3, trials=1000, dim=3, tol=1e-8):
 def scalar_distributivity_suite(seed=4, trials=500, dim=3, tol=1e-7):
     """n (x) p equals the n-fold left-associated gyro-sum of p, n <= 5."""
     rng = np.random.default_rng(seed)
-    p = _random_ball_points(rng, trials, dim, radius=0.5)
+    p = random_ball_points(rng, trials, dim, radius=0.5)
     worst = 0.0
     acc = p.copy()
     for n in range(2, 6):

@@ -4,8 +4,10 @@ The hyperboloid variant scores a (center, context) pair with the Lorentzian
 inner product plus an additive shift theta and is trained with Riemannian SGD:
 explicit Minkowski gradients are projected onto tangent spaces and steps are
 taken along the exponential map, so every embedding row stays on the manifold.
-Each pair makes one Riemannian step on the stacked rows: its center row of A
-and its distinct sampled rows of B go through one batched exponential map.
+Training is minibatch SGD over blocks of consecutive pairs: every pair of a
+block is scored and differentiated at the rows as they were when the block
+began, each row sums its gradients in pair order, and the rows the block
+touched make one Riemannian step through one batched exponential map.
 Negatives come from the seeded Generator in capped chunks of the same stream,
 so the pairs equal those of one draw per negative.
 """
@@ -13,6 +15,7 @@ so the pairs equal those of one draw per negative.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -24,6 +27,11 @@ GEOMETRIES = ("euclidean", "hyperboloid")
 FILE_GEOMETRIES = GEOMETRIES + ("poincare",)
 # Most negatives that generate_pairs draws from the Generator in one call.
 NEGATIVE_CHUNK = 4096
+# Most sampled rows (each pair's context and negatives) in one training
+# block: a block holds BLOCK_ROWS // (m + 1) consecutive pairs, at least one.
+# A row that recurs in a block takes the sum of its gradients in one step,
+# and larger blocks diverged where per-pair steps did not.
+BLOCK_ROWS = 48
 
 
 def tokenize(text):
@@ -257,8 +265,49 @@ def _check_config(config):
         raise ValueError(f"skip-gram theta must be finite, got {config.theta}")
 
 
+def _block_gradients(block, E, theta):
+    """The rows a block of pairs touches and their summed gradients.
+
+    Returns (ids of the center rows of A, ids of the sampled rows of B, one
+    gradient per row, A's rows first).  Every pair's gradients are taken at
+    the current rows, with the values of the per-pair gradient functions, and
+    each row sums them in pair order.
+    """
+    centers = np.array([pair.center for pair in block])
+    samples = np.array([[pair.context, *pair.negatives] for pair in block])
+    a = E.A[centers]
+    rows = E.B[samples]
+    if E.geometry == "hyperboloid":
+        logits = hyperboloid_logit(a[:, None, :], rows, theta)
+    else:
+        logits = np.matmul(rows, a[:, :, None])[..., 0]
+    coeff = 0.0 - _sigmoid(logits)
+    coeff[:, 0] += 1.0
+    cols = a.shape[1]
+    a_ids, a_at = np.unique(centers, return_inverse=True)
+    b_ids, b_at = np.unique(samples, return_inverse=True)
+    # a pair's repeated samples are summed first, as in the per-pair
+    # gradient; slots are ordered by pair, then by row
+    slots, slot_at = np.unique(b_at.reshape(samples.shape)
+                               + len(b_ids) * np.arange(len(block))[:, None],
+                               return_inverse=True)
+    per_pair = np.zeros((len(slots), cols))
+    np.add.at(per_pair, slot_at.ravel(), (coeff[..., None] * a[:, None, :]).reshape(-1, cols))
+    grads = np.zeros((len(a_ids) + len(b_ids), cols))
+    np.add.at(grads, a_at, np.matmul(coeff[:, None, :], rows)[:, 0])
+    np.add.at(grads, len(a_ids) + slots % len(b_ids), per_pair)
+    return a_ids, b_ids, grads
+
+
 def train_skipgram(tokens, config: SkipgramConfig, log_fn=None):
-    """Train skip-gram embeddings; deterministic for a fixed seed.
+    """Train skip-gram embeddings by minibatch SGD; deterministic for a fixed seed.
+
+    The pairs of ``generate_pairs`` are taken in blocks of
+    ``max(1, BLOCK_ROWS // (m + 1))`` consecutive pairs (the last block of an
+    epoch may be shorter), so no more than one block of pairs is held at a
+    time.  Every pair of a block is scored and differentiated at the rows as
+    they were when the block began; each row's gradients are summed in pair
+    order and the block makes one Riemannian step on all the rows it touched.
 
     Returns (EmbeddingMatrices, Vocabulary, per-epoch mean NLL history).
     A non-finite logit raises ``ValueError`` naming the epoch and step, and a
@@ -274,41 +323,37 @@ def train_skipgram(tokens, config: SkipgramConfig, log_fn=None):
     E = init_embeddings(len(vocab), config.dim, config.geometry, rng)
     history = []
     hyperboloid = config.geometry == "hyperboloid"
+    block_pairs = max(1, BLOCK_ROWS // (config.m + 1))
     # a diverging run overflows in exp/cosh/sinh before a check below fires;
     # the checks name the epoch, so numpy's warnings would only add noise
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(config.epochs):
             loss_sum = 0.0
-            count = 0
-            for step, pair in enumerate(generate_pairs(ids, config.mu, config.m, vocab, rng)):
-                try:
-                    nll = -pair_log_likelihood(pair, E, config.theta)
-                except ValueError as exc:  # its only check; a finite logit gives a finite loss
-                    raise ValueError(f"divergence (non-finite loss) at epoch {epoch} "
-                                     f"step {step}: {exc}") from None
-                loss_sum += nll
-                count += 1
-                # every gradient is taken before any row moves; A and B are
-                # separate matrices and the wids are distinct, so one step on the
-                # stacked rows equals one step per row
-                if hyperboloid:
-                    ga, gbs = minkowski_gradients(pair, E, config.theta)
-                else:
-                    ga, gbs = euclidean_gradients(pair, E)
-                wids = list(gbs)
-                rows = np.array([E.A[pair.center]] + [E.B[w] for w in wids])
-                grads = np.array([ga, *gbs.values()])
+            step = 0
+            pairs = generate_pairs(ids, config.mu, config.m, vocab, rng)
+            while block := list(islice(pairs, block_pairs)):
+                for pair in block:
+                    try:
+                        loss_sum -= pair_log_likelihood(pair, E, config.theta)
+                    except ValueError as exc:  # its only check; a finite logit gives a finite loss
+                        raise ValueError(f"divergence (non-finite loss) at epoch {epoch} "
+                                         f"step {step}: {exc}") from None
+                    step += 1
+                a_ids, b_ids, grads = _block_gradients(block, E, config.theta)
+                # A and B are separate matrices and each stacked row is distinct,
+                # so one step on the stacked rows equals one step per row
+                rows = np.concatenate([E.A[a_ids], E.B[b_ids]])
                 if hyperboloid:
                     new = rsgd_step_hyperboloid(rows, -grads, config.lr)
                 else:
                     new = rows + config.lr * grads
-                E.A[pair.center] = new[0]
-                E.B[wids] = new[1:]
+                E.A[a_ids] = new[:len(a_ids)]
+                E.B[b_ids] = new[len(a_ids):]
             # a row that overflows after its last logit check would otherwise
             # reach the output file
             if not (np.isfinite(E.A).all() and np.isfinite(E.B).all()):
                 raise ValueError(f"divergence (non-finite embedding) at epoch {epoch}")
-            mean = loss_sum / max(count, 1)
+            mean = loss_sum / max(step, 1)
             history.append(mean)
             if log_fn is not None:
                 log_fn(f"epoch {epoch} loss {mean:.6f}")

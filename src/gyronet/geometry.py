@@ -21,7 +21,9 @@ _TINY = 1e-15
 
 
 def _norm(x, keepdims=True):
-    return np.linalg.norm(x, axis=-1, keepdims=keepdims)
+    """Euclidean norm over the last axis: the arithmetic of ``np.linalg.norm``
+    for real input and one axis, without its argument handling."""
+    return np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=keepdims))
 
 
 def project_to_ball(x, c=1.0):

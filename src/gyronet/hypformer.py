@@ -73,7 +73,15 @@ class TransformerConfig:
 
 # field type (as annotated) -> string form in a bundle and back
 _FORMAT = {"float": lambda v: f"{v:g}", "bool": lambda v: "1" if v else "0"}
-_PARSE = {"str": str, "int": int, "float": float, "bool": lambda s: s == "1"}
+
+
+def _parse_bool(s):
+    if s not in ("0", "1"):
+        raise ValueError(f"a bool must be 0 or 1, got {s!r}")
+    return s == "1"
+
+
+_PARSE = {"str": str, "int": int, "float": float, "bool": _parse_bool}
 
 
 def positional_encoding(pos, d):

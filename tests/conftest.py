@@ -6,8 +6,3 @@ import pytest
 def rng():
     return np.random.default_rng(0)
 
-
-def random_ball_points(rng, count, dim, radius=0.9):
-    direction = rng.normal(size=(count, dim))
-    direction /= np.linalg.norm(direction, axis=-1, keepdims=True)
-    return direction * (radius * rng.random((count, 1)))

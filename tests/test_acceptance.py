@@ -17,8 +17,7 @@ from gyronet import diffcore as dc
 from gyronet import geometry as geo
 from gyronet import hypformer as hf
 from gyronet import train
-
-from conftest import random_ball_points
+from gyronet.checks import random_ball_points
 
 
 def _verdict(num, name, detail):

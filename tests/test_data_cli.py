@@ -456,7 +456,7 @@ def test_cli_train_embeddings_divergence_names_epoch_and_step(tmp_path, capsys):
                          "--seed", "5", "--out", str(emb)])
     assert code == 1
     err = capsys.readouterr().err
-    assert ("gyronet train-embeddings: error: divergence (non-finite loss) at epoch 1 step 2: "
+    assert ("gyronet train-embeddings: error: divergence (non-finite loss) at epoch 0 step 32: "
             "non-finite logit in pair_log_likelihood\n") in err
     assert "Traceback" not in err
     assert not emb.exists()
@@ -474,7 +474,7 @@ def test_cli_train_embeddings_divergence_prints_no_numpy_warnings(tmp_path, caps
     assert code == 1
     err = capsys.readouterr().err
     assert err.endswith("gyronet train-embeddings: error: divergence (non-finite loss) at "
-                        "epoch 1 step 2: non-finite logit in pair_log_likelihood\n")
+                        "epoch 0 step 32: non-finite logit in pair_log_likelihood\n")
     assert "Warning" not in err
     assert not emb.exists()
 
@@ -736,6 +736,8 @@ def tiny_poincare_model(tmp_path_factory):
     ("ffn_dim", "-1", "ffn_dim must be >= 1, got -1"),
     ("num_classes", "0", "num_classes must be >= 1, got 0"),
     ("pe_scale", "inf", "pe_scale must be finite, got inf"),
+    ("use_residual", "true", "a bool must be 0 or 1, got 'true'"),
+    ("use_residual", "2", "a bool must be 0 or 1, got '2'"),
 ])
 def test_cli_evaluate_refuses_bad_config_values(tiny_poincare_model, tmp_path, capsys, key,
                                                 value, message):

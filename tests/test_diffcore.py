@@ -13,8 +13,7 @@ from gyronet import diffgeom as dg
 from gyronet import geometry as geo
 from gyronet import hypformer as hf
 from gyronet import train
-
-from conftest import random_ball_points
+from gyronet.checks import random_ball_points
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from gyronet import embed
+from gyronet.checks import random_ball_points
 from gyronet.geometry import hyperboloid_origin, lorentz_inner, to_hyperboloid
-
-from conftest import random_ball_points
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +430,8 @@ def _per_row_reference(tokens, cfg):
     (list("hello world, hello hyperboloid"), 2, 0),
     (list("the quick brown fox jumps over the lazy dog"), 3, 2),
 ], ids=["3-token-vocab-m5", "m0", "mu3"])
-def test_train_skipgram_equals_per_row_reference(geometry, tokens, mu, m):
+def test_train_skipgram_equals_per_row_reference(monkeypatch, geometry, tokens, mu, m):
+    monkeypatch.setattr(embed, "BLOCK_ROWS", 1)  # one pair per block is per-pair SGD
     cfg = embed.SkipgramConfig(geometry=geometry, dim=10, mu=mu, m=m, epochs=2, lr=0.1,
                                seed=5)
     E, _, history = embed.train_skipgram(tokens, cfg)
@@ -439,6 +439,86 @@ def test_train_skipgram_equals_per_row_reference(geometry, tokens, mu, m):
     assert np.array_equal(E.A, ref.A)
     assert np.array_equal(E.B, ref.B)
     assert history == ref_history
+
+
+def _per_block_reference(tokens, cfg, block_pairs):
+    """The minibatch trainer written with the per-pair functions: every pair of
+    a block is scored and differentiated at the block-start rows, each row's
+    gradients are summed in pair order, and each row makes one step."""
+    vocab = embed.build_vocab(tokens, min_count=cfg.min_count)
+    ids = vocab.encode(tokens)
+    rng = np.random.default_rng(cfg.seed)
+    E = embed.init_embeddings(len(vocab), cfg.dim, cfg.geometry, rng)
+    history = []
+    for _ in range(cfg.epochs):
+        losses = []
+        pairs = list(embed.generate_pairs(ids, cfg.mu, cfg.m, vocab, rng))
+        for start in range(0, len(pairs), block_pairs):
+            at_start = embed.EmbeddingMatrices(E.A.copy(), E.B.copy(), E.geometry, E.dim)
+            sums_a, sums_b = {}, {}
+            for pair in pairs[start:start + block_pairs]:
+                losses.append(-embed.pair_log_likelihood(pair, at_start, cfg.theta))
+                if cfg.geometry == "hyperboloid":
+                    ga, gbs = embed.minkowski_gradients(pair, at_start, cfg.theta)
+                else:
+                    ga, gbs = embed.euclidean_gradients(pair, at_start)
+                for sums, wid, g in [(sums_a, pair.center, ga),
+                                     *((sums_b, w, gb) for w, gb in gbs.items())]:
+                    sums[wid] = sums[wid] + g if wid in sums else g
+            for matrix, sums in ((E.A, sums_a), (E.B, sums_b)):
+                for wid, g in sums.items():
+                    if cfg.geometry == "hyperboloid":
+                        matrix[wid] = embed.rsgd_step_hyperboloid(matrix[wid], -g, cfg.lr)
+                    else:
+                        matrix[wid] = matrix[wid] + cfg.lr * g
+        history.append(sum(losses) / max(len(losses), 1))
+    return E, history
+
+
+@pytest.mark.parametrize("geometry", embed.GEOMETRIES)
+@pytest.mark.parametrize("block_rows", [None, 28], ids=["default-cap", "cap7"])
+def test_train_skipgram_equals_per_block_reference(monkeypatch, geometry, block_rows):
+    if block_rows is not None:
+        monkeypatch.setattr(embed, "BLOCK_ROWS", block_rows)
+    rng = np.random.default_rng(12)
+    tokens = [chr(0x61 + int(i)) for i in rng.integers(0, 9, size=120)]
+    cfg = embed.SkipgramConfig(geometry=geometry, dim=6, mu=2, m=3, epochs=2, lr=0.05,
+                               seed=3)
+    block_pairs = embed.BLOCK_ROWS // (cfg.m + 1)
+    assert (4 * 120 - 6) % block_pairs != 0  # the last block of each epoch is short
+    E, _, history = embed.train_skipgram(tokens, cfg)
+    ref, ref_history = _per_block_reference(tokens, cfg, block_pairs)
+    assert np.array_equal(E.A, ref.A)
+    assert np.array_equal(E.B, ref.B)
+    assert history == ref_history
+
+
+@pytest.mark.parametrize("geometry", embed.GEOMETRIES)
+def test_train_skipgram_holds_at_most_one_block_of_pairs(monkeypatch, geometry):
+    # the pairs in memory do not grow with the corpus
+    generate, score = embed.generate_pairs, embed.pair_log_likelihood
+    seen = {"yielded": 0, "scored": 0, "held": 0}
+
+    def counting_pairs(*args):
+        for pair in generate(*args):
+            seen["yielded"] += 1
+            seen["held"] = max(seen["held"], seen["yielded"] - seen["scored"])
+            yield pair
+
+    def counting_score(*args):
+        seen["scored"] += 1
+        return score(*args)
+
+    monkeypatch.setattr(embed, "generate_pairs", counting_pairs)
+    monkeypatch.setattr(embed, "pair_log_likelihood", counting_score)
+    rng = np.random.default_rng(13)
+    for size in (100, 1000):
+        seen.update(yielded=0, scored=0, held=0)
+        tokens = [chr(0x4E00 + int(i)) for i in rng.integers(0, 40, size=size)]
+        cfg = embed.SkipgramConfig(geometry=geometry, dim=4, mu=2, m=2, epochs=2)
+        embed.train_skipgram(tokens, cfg)
+        assert seen["scored"] == seen["yielded"] == 2 * (4 * size - 6)
+        assert seen["held"] == embed.BLOCK_ROWS // (cfg.m + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from gyronet import geometry as geo
+from gyronet.checks import random_ball_points
 from gyronet.embed import rsgd_step_hyperboloid
-
-from conftest import random_ball_points
 
 
 # ---------------------------------------------------------------------------
@@ -370,3 +369,17 @@ def test_project_to_ball_clamps():
     np.testing.assert_allclose(np.linalg.norm(out), 1.0 - geo.EPS_BOUNDARY)
     near = np.array([0.5, 0.0])
     np.testing.assert_array_equal(geo.project_to_ball(near), near)
+
+
+@pytest.mark.parametrize("keepdims", [True, False])
+def test_norm_is_bitwise_linalg_norm(keepdims):
+    rng = np.random.default_rng(16)
+    cases = [rng.normal(size=(50, 3)), rng.normal(size=(7, 4, 16)), np.zeros((5, 3)),
+             np.zeros((0, 4)), np.zeros((3, 0)), rng.normal(size=6),
+             rng.normal(size=(20, 8)) * 1e-200, rng.normal(size=(20, 8)) * 1e150,
+             np.concatenate([rng.normal(size=(4, 3)), np.zeros((2, 3))])]
+    for x in cases:
+        got = geo._norm(x, keepdims=keepdims)
+        want = np.linalg.norm(x, axis=-1, keepdims=keepdims)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()

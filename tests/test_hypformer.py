@@ -9,8 +9,7 @@ from gyronet import diffcore as dc
 from gyronet import diffgeom as dg
 from gyronet import geometry as geo
 from gyronet import hypformer as hf
-
-from conftest import random_ball_points
+from gyronet.checks import random_ball_points
 
 
 def _config(**kw):
