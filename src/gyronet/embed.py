@@ -7,7 +7,10 @@ taken along the exponential map, so every embedding row stays on the manifold.
 Training is minibatch SGD over blocks of consecutive pairs: every pair of a
 block is scored and differentiated at the rows as they were when the block
 began, each row sums its gradients in pair order, and the rows the block
-touched make one Riemannian step through one batched exponential map.
+touched make one Riemannian step through one batched exponential map.  The
+sums need no sort: a pair's repeated samples are found by comparing its
+sampled ids with each other, and rows are found through an id-to-row table
+that each training run allocates once.
 Negatives come from the seeded Generator in capped chunks of the same stream,
 so the pairs equal those of one draw per negative.
 """
@@ -32,15 +35,6 @@ NEGATIVE_CHUNK = 4096
 # A row that recurs in a block takes the sum of its gradients in one step,
 # and larger blocks diverged where per-pair steps did not.
 BLOCK_ROWS = 48
-
-
-def tokenize(text):
-    """Character tokenization: one token per Unicode scalar value."""
-    return list(text)
-
-
-def detokenize(tokens):
-    return "".join(tokens)
 
 
 class Vocabulary:
@@ -174,7 +168,7 @@ def _sigmoid(x):
 
 
 def _pair_logits(pair, E, theta):
-    rows = E.B[[pair.context, *pair.negatives]]
+    rows = E.B.take([pair.context, *pair.negatives], axis=0)
     if E.geometry == "hyperboloid":
         return hyperboloid_logit(E.A[pair.center], rows, theta), rows
     return rows @ E.A[pair.center], rows
@@ -265,38 +259,49 @@ def _check_config(config):
         raise ValueError(f"skip-gram theta must be finite, got {config.theta}")
 
 
-def _block_gradients(block, E, theta):
+def _block_gradients(block, E, theta, table):
     """The rows a block of pairs touches and their summed gradients.
 
     Returns (ids of the center rows of A, ids of the sampled rows of B, one
-    gradient per row, A's rows first).  Every pair's gradients are taken at
-    the current rows, with the values of the per-pair gradient functions, and
-    each row sums them in pair order.
+    gradient per row, A's rows first), each id once and in no set order.
+    Every pair's gradients are taken at the current rows, with the values of
+    the per-pair gradient functions, and each row sums them in pair order.
+
+    Nothing is sorted.  A pair's repeated samples are summed first, in slot
+    order, into the first of their slots, found by comparing the pair's
+    sampled ids with each other.  ``table`` is scratch space of
+    ``len(E.A) + len(E.B)`` integers that the caller allocates once; it maps
+    each id to its gradient row, so no work or allocation here grows with
+    the vocabulary.
     """
     centers = np.array([pair.center for pair in block])
     samples = np.array([[pair.context, *pair.negatives] for pair in block])
-    a = E.A[centers]
-    rows = E.B[samples]
+    a = E.A.take(centers, axis=0)
+    rows = E.B.take(samples, axis=0)
     if E.geometry == "hyperboloid":
         logits = hyperboloid_logit(a[:, None, :], rows, theta)
     else:
         logits = np.matmul(rows, a[:, :, None])[..., 0]
     coeff = 0.0 - _sigmoid(logits)
     coeff[:, 0] += 1.0
+    p, k = samples.shape
     cols = a.shape[1]
-    a_ids, a_at = np.unique(centers, return_inverse=True)
-    b_ids, b_at = np.unique(samples, return_inverse=True)
-    # a pair's repeated samples are summed first, as in the per-pair
-    # gradient; slots are ordered by pair, then by row
-    slots, slot_at = np.unique(b_at.reshape(samples.shape)
-                               + len(b_ids) * np.arange(len(block))[:, None],
-                               return_inverse=True)
-    per_pair = np.zeros((len(slots), cols))
-    np.add.at(per_pair, slot_at.ravel(), (coeff[..., None] * a[:, None, :]).reshape(-1, cols))
-    grads = np.zeros((len(a_ids) + len(b_ids), cols))
-    np.add.at(grads, a_at, np.matmul(coeff[:, None, :], rows)[:, 0])
-    np.add.at(grads, len(a_ids) + slots % len(b_ids), per_pair)
-    return a_ids, b_ids, grads
+    first = (samples[:, :, None] == samples[:, None, :]).argmax(axis=2)
+    per_slot = np.zeros((p * k, cols))
+    np.add.at(per_slot, (first + k * np.arange(p)[:, None]).ravel(),
+              (coeff[..., None] * a[:, None, :]).reshape(-1, cols))
+    # B's ids follow A's in one id space.  Of an id's repeated writes the
+    # table keeps one, whichever it is, and that position is the id's row.
+    # A slot left empty above adds +0.0, which changes no sum that starts at
+    # +0.0, and each row takes its terms in pair order.
+    ids = np.concatenate([centers, samples.ravel() + len(E.A)])
+    at = np.arange(len(ids))
+    table[ids] = at
+    row = table.take(ids)
+    grads = np.zeros((len(ids), cols))
+    np.add.at(grads, row, np.concatenate([np.matmul(coeff[:, None, :], rows)[:, 0], per_slot]))
+    kept = row == at
+    return centers[kept[:p]], samples.ravel()[kept[p:]], grads[kept]
 
 
 def train_skipgram(tokens, config: SkipgramConfig, log_fn=None):
@@ -308,6 +313,7 @@ def train_skipgram(tokens, config: SkipgramConfig, log_fn=None):
     time.  Every pair of a block is scored and differentiated at the rows as
     they were when the block began; each row's gradients are summed in pair
     order and the block makes one Riemannian step on all the rows it touched.
+    The id-to-row table of ``_block_gradients`` is allocated once per call.
 
     Returns (EmbeddingMatrices, Vocabulary, per-epoch mean NLL history).
     A non-finite logit raises ``ValueError`` naming the epoch and step, and a
@@ -324,6 +330,7 @@ def train_skipgram(tokens, config: SkipgramConfig, log_fn=None):
     history = []
     hyperboloid = config.geometry == "hyperboloid"
     block_pairs = max(1, BLOCK_ROWS // (config.m + 1))
+    table = np.empty(len(E.A) + len(E.B), dtype=np.intp)
     # a diverging run overflows in exp/cosh/sinh before a check below fires;
     # the checks name the epoch, so numpy's warnings would only add noise
     with np.errstate(over="ignore", invalid="ignore"):
@@ -339,10 +346,10 @@ def train_skipgram(tokens, config: SkipgramConfig, log_fn=None):
                         raise ValueError(f"divergence (non-finite loss) at epoch {epoch} "
                                          f"step {step}: {exc}") from None
                     step += 1
-                a_ids, b_ids, grads = _block_gradients(block, E, config.theta)
+                a_ids, b_ids, grads = _block_gradients(block, E, config.theta, table)
                 # A and B are separate matrices and each stacked row is distinct,
                 # so one step on the stacked rows equals one step per row
-                rows = np.concatenate([E.A[a_ids], E.B[b_ids]])
+                rows = np.concatenate([E.A.take(a_ids, axis=0), E.B.take(b_ids, axis=0)])
                 if hyperboloid:
                     new = rsgd_step_hyperboloid(rows, -grads, config.lr)
                 else:

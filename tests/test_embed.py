@@ -2,8 +2,13 @@
 hyperboloid loss with its explicit Minkowski gradients, Riemannian SGD, and
 the embedding text format."""
 
+import functools
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gyronet import embed
 from gyronet.checks import random_ball_points
@@ -11,14 +16,8 @@ from gyronet.geometry import hyperboloid_origin, lorentz_inner, to_hyperboloid
 
 
 # ---------------------------------------------------------------------------
-# Tokenization and vocabulary
+# Vocabulary
 # ---------------------------------------------------------------------------
-
-def test_tokenize_round_trip():
-    s = "游泳 abc\né"
-    assert embed.detokenize(embed.tokenize(s)) == s
-    assert embed.tokenize("游泳") == ["游", "泳"]
-
 
 def test_build_vocab_counts():
     vocab = embed.build_vocab(["a", "b", "a"], min_count=1)
@@ -519,6 +518,102 @@ def test_train_skipgram_holds_at_most_one_block_of_pairs(monkeypatch, geometry):
         embed.train_skipgram(tokens, cfg)
         assert seen["scored"] == seen["yielded"] == 2 * (4 * size - 6)
         assert seen["held"] == embed.BLOCK_ROWS // (cfg.m + 1)
+
+
+def _unique_block_gradients(block, E, theta):
+    """The block gradients summed through np.unique sorts: the oracle for the
+    sort-free sums.  Rows come sorted by id."""
+    centers = np.array([pair.center for pair in block])
+    samples = np.array([[pair.context, *pair.negatives] for pair in block])
+    a = E.A[centers]
+    rows = E.B[samples]
+    if E.geometry == "hyperboloid":
+        logits = embed.hyperboloid_logit(a[:, None, :], rows, theta)
+    else:
+        logits = np.matmul(rows, a[:, :, None])[..., 0]
+    coeff = 0.0 - embed._sigmoid(logits)
+    coeff[:, 0] += 1.0
+    cols = a.shape[1]
+    a_ids, a_at = np.unique(centers, return_inverse=True)
+    b_ids, b_at = np.unique(samples, return_inverse=True)
+    # a pair's repeated samples are summed first, as in the per-pair
+    # gradient; slots are ordered by pair, then by row
+    slots, slot_at = np.unique(b_at.reshape(samples.shape)
+                               + len(b_ids) * np.arange(len(block))[:, None],
+                               return_inverse=True)
+    per_pair = np.zeros((len(slots), cols))
+    np.add.at(per_pair, slot_at.ravel(), (coeff[..., None] * a[:, None, :]).reshape(-1, cols))
+    grads = np.zeros((len(a_ids) + len(b_ids), cols))
+    np.add.at(grads, a_at, np.matmul(coeff[:, None, :], rows)[:, 0])
+    np.add.at(grads, len(a_ids) + slots % len(b_ids), per_pair)
+    return a_ids, b_ids, grads
+
+
+_ORACLE_VOCAB = 5000
+
+
+@functools.cache
+def _oracle_setup():
+    """Spread rows of both geometries over a 5000-token vocabulary, and one
+    id-to-row table that every example reuses, stale entries and all."""
+    rng = np.random.default_rng(15)
+    matrices = {
+        "hyperboloid": embed.EmbeddingMatrices(
+            *(to_hyperboloid(random_ball_points(rng, _ORACLE_VOCAB, 4)) for _ in "AB"),
+            "hyperboloid", 4),
+        "euclidean": embed.EmbeddingMatrices(
+            *(rng.normal(size=(_ORACLE_VOCAB, 4)) for _ in "AB"), "euclidean", 4),
+    }
+    return matrices, np.empty(2 * _ORACLE_VOCAB, dtype=np.intp)
+
+
+@st.composite
+def _blocks(draw):
+    # a small pool of ids makes repeats inside a pair and across pairs common
+    pool = draw(st.lists(st.integers(0, _ORACLE_VOCAB - 1), min_size=1, max_size=8))
+    ids = st.sampled_from(pool)
+    m = draw(st.integers(0, 5))
+    pairs = st.builds(embed.TrainingPair, ids, ids, st.lists(ids, min_size=m, max_size=m))
+    return draw(st.lists(pairs, min_size=1, max_size=20))
+
+
+def _gradients_by_row(a_ids, b_ids, grads):
+    keys = [("A", int(i)) for i in a_ids] + [("B", int(i)) for i in b_ids]
+    by_row = dict(zip(keys, (g.tobytes() for g in grads)))
+    assert len(by_row) == len(keys) == len(grads)  # each row once
+    return by_row
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.sampled_from(embed.GEOMETRIES), _blocks(), st.sampled_from([1.0, -0.5]))
+@example("hyperboloid", [embed.TrainingPair(4999, 4999, [])], 1.0)
+@example("euclidean", [embed.TrainingPair(7, 3, [3, 3, 7]), embed.TrainingPair(3, 3, [7, 3, 3])],
+         1.0)
+def test_block_gradients_equal_unique_oracle(geometry, block, theta):
+    matrices, table = _oracle_setup()
+    E = matrices[geometry]
+    assert (_gradients_by_row(*embed._block_gradients(block, E, theta, table))
+            == _gradients_by_row(*_unique_block_gradients(block, E, theta)))
+
+
+@pytest.mark.parametrize("geometry", embed.GEOMETRIES)
+def test_block_gradients_allocate_nothing_vocabulary_sized(geometry):
+    vocab = 100_000
+    rng = np.random.default_rng(16)
+    E = embed.init_embeddings(vocab, 4, geometry, rng)
+    table = np.empty(2 * vocab, dtype=np.intp)  # 1.6 MB, allocated once by the trainer
+    samples = rng.integers(0, vocab, size=(16, 3))
+    samples[0, 0] = vocab - 1
+    block = [embed.TrainingPair(int(c), int(s[0]), s[1:].tolist())
+             for c, s in zip(rng.integers(0, vocab, size=16), samples)]
+    embed._block_gradients(block, E, 1.0, table)
+    tracemalloc.start()
+    try:
+        embed._block_gradients(block, E, 1.0, table)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 # ---------------------------------------------------------------------------
