@@ -50,39 +50,63 @@ FLAG_VALUES = {"1": True, "0": False, "true": True, "false": False}
 def _load_config_file(path, parser):
     values = {}
     valid = {action.dest: action for action in parser._actions if action.dest != "help"}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise CliError(f"{path}:{lineno}: expected key=value")
-            key, _, raw = line.partition("=")
-            key = key.strip().replace("-", "_")
-            if key not in valid:
-                raise CliError(f"{path}:{lineno}: unknown config key '{key}'")
-            if key == "config":
-                raise CliError(f"{path}:{lineno}: a config file cannot name another "
-                               f"config file")
-            action, raw = valid[key], raw.strip()
-            if action.nargs == 0:  # a flag such as --residual
-                if raw not in FLAG_VALUES:
-                    raise CliError(f"{path}:{lineno}: bad value for '{key}': '{raw}' "
-                                   f"is not one of {', '.join(FLAG_VALUES)}")
-                values[key] = FLAG_VALUES[raw]
-                continue
-            try:
-                value = (action.type or str)(raw)
-            except ValueError as exc:
-                raise CliError(f"{path}:{lineno}: bad value for '{key}': {exc}") from exc
-            if action.choices is not None and value not in action.choices:
+    for lineno, line in data.read_utf8_lines(path):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise CliError(f"{path}:{lineno}: expected key=value")
+        key, _, raw = line.partition("=")
+        key = key.strip().replace("-", "_")
+        if key not in valid:
+            raise CliError(f"{path}:{lineno}: unknown config key '{key}'")
+        if key == "config":
+            raise CliError(f"{path}:{lineno}: a config file cannot name another "
+                           f"config file")
+        action, raw = valid[key], raw.strip()
+        if action.nargs == 0:  # a flag such as --residual
+            if raw not in FLAG_VALUES:
                 raise CliError(f"{path}:{lineno}: bad value for '{key}': '{raw}' "
-                               f"is not one of {', '.join(map(str, action.choices))}")
-            values[key] = value
+                               f"is not one of {', '.join(FLAG_VALUES)}")
+            values[key] = FLAG_VALUES[raw]
+            continue
+        try:
+            value = (action.type or str)(raw)
+        except ValueError as exc:
+            raise CliError(f"{path}:{lineno}: bad value for '{key}': {exc}") from exc
+        if action.choices is not None and value not in action.choices:
+            raise CliError(f"{path}:{lineno}: bad value for '{key}': '{raw}' "
+                           f"is not one of {', '.join(map(str, action.choices))}")
+        values[key] = value
     return values
 
 
+# The rules a bounded flag may keep, each a test and what "--<flag> must" do;
+# an int k in BOUNDS stands for the rule ">= k".
+POSITIVE = (lambda value: math.isfinite(value) and value > 0, "be finite and > 0")
+FRACTION = (lambda value: 0.0 <= value < 1.0, "lie in [0, 1)")
+FINITE = (math.isfinite, "be finite")
+
+# Each command's bounded flags, in the order they are checked.  SkipgramConfig
+# bounds the other settings of train-embeddings; a 0 --head-dim or --ffn-dim
+# derives that size from the model dim.
+BOUNDS = {
+    "gen-data": {"seed": 0, "per_class": 1, "composites": 0, "noise_len": 0},
+    "train-embeddings": {"seed": 0},
+    "train-classifier": {"seed": 0, "layers": 1, "heads": 1, "batch_size": 1,
+                         "max_seq_len": 1, "epochs": 0, "head_dim": 0, "ffn_dim": 0,
+                         "lr": POSITIVE, "manifold_lr": POSITIVE, "dropout": FRACTION,
+                         "holdout": FRACTION, "pe_scale": FINITE},
+    "evaluate": {"seed": 0, "holdout": FRACTION},
+    "convert": {},
+    "geometry-check": {"seed": 0},
+}
+
+
 def _parse_with_config(parser, argv):
+    """The settings of ``parser``'s command: the config file's values, then
+    the command line's, then those of a ``--preset``.  The first flag whose
+    value breaks its bound in ``BOUNDS`` is refused, before any input is read."""
     pre = argparse.ArgumentParser(add_help=False)
     pre.add_argument("--config")
     known, _ = pre.parse_known_args(argv)
@@ -91,13 +115,33 @@ def _parse_with_config(parser, argv):
         for key, value in _load_config_file(known.config, parser).items():
             setattr(ns, key, value)
     args = parser.parse_args(argv, namespace=ns)
+    for key, value in PRESETS.get(getattr(args, "preset", None), {}).items():
+        if key != "dim":  # the embeddings fix the model dim
+            setattr(args, key, value)
     log.info("resolved config: %s", {k: v for k, v in sorted(vars(args).items())})
+    for flag, rule in BOUNDS[parser.prog.split()[-1]].items():
+        holds, must = (lambda v: v >= rule, f"be >= {rule}") if isinstance(rule, int) else rule
+        value = getattr(args, flag)
+        if not holds(value):
+            raise CliError(f"--{flag.replace('_', '-')} must {must}, got {value}")
     return args
 
 
 def _add_common(parser):
     parser.add_argument("--config", help="key=value settings file")
     parser.add_argument("--seed", type=int, default=0)
+
+
+def _write_report(path, metrics, epochs, geometry, dims, seed):
+    """Print the metrics report of a classifier and write it to ``path``, if any."""
+    payload = json.dumps({"accuracy": metrics["accuracy"],
+                          "cross_entropy": metrics["cross_entropy"], "epochs": epochs,
+                          "geometry": geometry, "dims": dims, "seed": seed},
+                         sort_keys=True, indent=2)
+    if path:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(payload + "\n")
+    print(payload)
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +158,6 @@ def cmd_gen_data(argv):
     parser.add_argument("--noise-len", type=int, default=3)
     parser.add_argument("--out", required=True)
     args = _parse_with_config(parser, argv)
-    _refuse_below(args, (("per_class", 1), ("noise_len", 0)))
     dataset = data.generate_synthetic_intents(
         args.classes, args.per_class, args.vocab_size, args.seed,
         composites=args.composites, noise_len=args.noise_len)
@@ -139,11 +182,11 @@ def cmd_train_embeddings(argv):
     parser.add_argument("--keep-whitespace", action="store_true")
     parser.add_argument("--out", required=True)
     args = _parse_with_config(parser, argv)
-    tokens = list(data.ingest_corpus(args.corpus, keep_whitespace=args.keep_whitespace))
     config = embed.SkipgramConfig(
         geometry=args.geometry, dim=args.dim, mu=args.window, m=args.negatives,
         theta=args.theta, lr=args.lr, epochs=args.epochs, seed=args.seed,
         min_count=args.min_count)
+    tokens = list(data.ingest_corpus(args.corpus, keep_whitespace=args.keep_whitespace))
     E, vocab, history = embed.train_skipgram(tokens, config, log_fn=log.info)
     embed.write_embeddings(args.out, vocab.id_to_token, E.A, args.geometry)
     log.info("wrote %d %s embeddings (dim %d) to %s",
@@ -176,39 +219,10 @@ def _classifier_parser(prog):
     return parser
 
 
-def _refuse_below(args, bounds):
-    """Refuse the first (flag, lowest allowed value) pair that ``args`` breaks."""
-    for flag, low in bounds:
-        value = getattr(args, flag)
-        if value < low:
-            raise CliError(f"--{flag.replace('_', '-')} must be >= {low}, got {value}")
-
-
-def _check_classifier_args(args):
-    """Refuse settings that would train nothing or fail deep in the loop."""
-    # 0 derives --head-dim and --ffn-dim from the model dim
-    _refuse_below(args, (("layers", 1), ("heads", 1), ("batch_size", 1), ("max_seq_len", 1),
-                         ("epochs", 0), ("head_dim", 0), ("ffn_dim", 0)))
-    for flag in ("lr", "manifold_lr"):
-        value = getattr(args, flag)
-        if not (math.isfinite(value) and value > 0):
-            raise CliError(f"--{flag.replace('_', '-')} must be finite and > 0, got {value}")
-    for flag in ("dropout", "holdout"):
-        value = getattr(args, flag)
-        if not 0.0 <= value < 1.0:
-            raise CliError(f"--{flag} must lie in [0, 1), got {value}")
-    if not math.isfinite(args.pe_scale):
-        raise CliError(f"--pe-scale must be finite, got {args.pe_scale}")
-
-
 def cmd_train_classifier(argv):
     parser = _classifier_parser("gyronet train-classifier")
     args = _parse_with_config(parser, argv)
     preset = PRESETS.get(args.preset, {})
-    for key, value in preset.items():
-        if key != "dim":
-            setattr(args, key, value)
-    _check_classifier_args(args)
     token_map = train.load_embedding_points(args.embeddings, args.geometry)
     if preset and token_map.dim != preset["dim"]:
         raise CliError(f"preset '{args.preset}' needs dim {preset['dim']}, "
@@ -232,24 +246,13 @@ def cmd_train_classifier(argv):
     metrics = train.evaluate_classifier(
         dataset, dataset.heldout_indices or dataset.train_indices,
         token_map, params, config)
-    report = {
-        "accuracy": metrics["accuracy"],
-        "cross_entropy": metrics["cross_entropy"],
-        "epochs": args.epochs,
-        "geometry": args.geometry,
-        "dims": model_dim,
-        "seed": args.seed,
-    }
     meta = config.to_dict()
     meta["labels"] = "\t".join(dataset.id_to_label)
     meta["embeddings_dim"] = str(model_dim)
     meta["epochs"] = str(args.epochs)
     bundle.save_bundle(args.out, args.geometry, meta, params)
-    payload = json.dumps(report, sort_keys=True, indent=2)
-    metrics_path = args.metrics_out or args.out + ".metrics.json"
-    with open(metrics_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(payload + "\n")
-    print(payload)
+    _write_report(args.metrics_out or args.out + ".metrics.json", metrics, args.epochs,
+                  args.geometry, model_dim, args.seed)
 
 
 def _model_config(path, geometry, meta, params):
@@ -311,24 +314,12 @@ def cmd_evaluate(argv):
         raise CliError(f"the {args.split} split of {args.data} is empty "
                        f"at --holdout {args.holdout}")
     metrics = train.evaluate_classifier(dataset, indices, token_map, params, config)
-    report = {
-        "accuracy": metrics["accuracy"],
-        "cross_entropy": metrics["cross_entropy"],
-        "epochs": epochs,
-        "geometry": geometry,
-        "dims": config.model_dim,
-        "seed": args.seed,
-    }
-    payload = json.dumps(report, sort_keys=True, indent=2)
-    if args.metrics_out:
-        with open(args.metrics_out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(payload + "\n")
-    print(payload)
+    _write_report(args.metrics_out, metrics, epochs, geometry, config.model_dim, args.seed)
 
 
 def cmd_convert(argv):
     parser = argparse.ArgumentParser(prog="gyronet convert")
-    _add_common(parser)
+    parser.add_argument("--config", help="key=value settings file")
     parser.add_argument("--in", dest="path_in", required=True)
     parser.add_argument("--out", required=True)
     args = _parse_with_config(parser, argv)

@@ -45,7 +45,7 @@ class IntentDataset:
         return inv
 
 
-def _stratified_split(records, label_to_id, holdout_fraction, seed):
+def _stratified_split(records, holdout_fraction, seed):
     rng = np.random.default_rng(seed)
     by_label: dict[str, list[int]] = {}
     for i, (_, label) in enumerate(records):
@@ -71,16 +71,15 @@ def make_dataset(records, holdout_fraction=0.15, seed=0):
         if not label:
             raise ValueError("empty intent label")
     label_to_id = {label: i for i, label in enumerate(labels)}
-    train, heldout = _stratified_split(records, label_to_id, holdout_fraction, seed)
+    train, heldout = _stratified_split(records, holdout_fraction, seed)
     return IntentDataset(records, label_to_id, train, heldout)
 
 
-def load_intent_dataset(path, holdout_fraction=0.15, seed=0):
-    """TSV file, two columns: utterance TAB label; deterministic split.
-
-    Lines end as in text mode (``\\n``, ``\\r\\n`` or ``\\r``).  Invalid UTF-8,
-    malformed lines and empty utterances raise ``ValueError("<path>:<line>: ...")``.
-    """
+def read_utf8_lines(path):
+    """Yield (line number from 1, line) of a UTF-8 file, each line without its
+    end, which is ``\\n``, ``\\r\\n`` or ``\\r`` as in text mode.  A file that is
+    not valid UTF-8 raises ``ValueError("<path>:<line>: not valid UTF-8")``
+    before any line is yielded."""
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
@@ -89,9 +88,18 @@ def load_intent_dataset(path, holdout_fraction=0.15, seed=0):
         head = raw[:exc.start]  # UTF-8 never uses CR or LF bytes inside a character
         lineno = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
         raise ValueError(f"{path}:{lineno}: not valid UTF-8") from None
-    records = []
     for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
-        line = line.rstrip("\n")
+        yield lineno, line.rstrip("\n")
+
+
+def load_intent_dataset(path, holdout_fraction=0.15, seed=0):
+    """TSV file, two columns: utterance TAB label; deterministic split.
+
+    Lines are read by :func:`read_utf8_lines`.  Invalid UTF-8, malformed
+    lines and empty utterances raise ``ValueError("<path>:<line>: ...")``.
+    """
+    records = []
+    for lineno, line in read_utf8_lines(path):
         if not line:
             continue
         parts = line.split("\t")
@@ -127,6 +135,8 @@ def generate_synthetic_intents(num_classes, per_class, vocab_size, seed,
         raise ValueError(f"per_class must be >= 1, got {per_class}")
     if noise_len < 0:
         raise ValueError(f"noise_len must be >= 0, got {noise_len}")
+    if composites < 0:
+        raise ValueError(f"composites must be >= 0, got {composites}")
     if composites >= num_classes:
         raise ValueError("composites must leave at least two base classes")
     rng = np.random.default_rng(seed)

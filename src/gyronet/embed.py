@@ -51,9 +51,6 @@ class Vocabulary:
     def __len__(self):
         return len(self.id_to_token)
 
-    def __contains__(self, token):
-        return token in self.token_to_id
-
     def encode(self, tokens):
         """Map tokens to ids, silently dropping out-of-vocabulary tokens."""
         t2i = self.token_to_id
@@ -244,19 +241,18 @@ class SkipgramConfig:
     seed: int = 0
     min_count: int = 1
 
-
-def _check_config(config):
-    """Refuse settings that would train nothing or fail deep in the loop."""
-    if config.geometry not in GEOMETRIES:
-        raise ValueError(f"unknown geometry '{config.geometry}'")
-    for name, low in (("dim", 1), ("mu", 1), ("m", 0), ("epochs", 0)):
-        value = getattr(config, name)
-        if value < low:
-            raise ValueError(f"skip-gram {name} must be >= {low}, got {value}")
-    if not (np.isfinite(config.lr) and config.lr > 0):
-        raise ValueError(f"skip-gram lr must be finite and > 0, got {config.lr}")
-    if not np.isfinite(config.theta):
-        raise ValueError(f"skip-gram theta must be finite, got {config.theta}")
+    def __post_init__(self):
+        """Refuse settings that would train nothing or fail deep in the loop."""
+        if self.geometry not in GEOMETRIES:
+            raise ValueError(f"unknown geometry '{self.geometry}'")
+        for name, low in (("dim", 1), ("mu", 1), ("m", 0), ("epochs", 0)):
+            value = getattr(self, name)
+            if value < low:
+                raise ValueError(f"skip-gram {name} must be >= {low}, got {value}")
+        if not (np.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"skip-gram lr must be finite and > 0, got {self.lr}")
+        if not np.isfinite(self.theta):
+            raise ValueError(f"skip-gram theta must be finite, got {self.theta}")
 
 
 def _block_gradients(block, E, theta, table):
@@ -319,7 +315,6 @@ def train_skipgram(tokens, config: SkipgramConfig, log_fn=None):
     A non-finite logit raises ``ValueError`` naming the epoch and step, and a
     non-finite embedding row after an epoch raises one naming the epoch.
     """
-    _check_config(config)
     tokens = list(tokens)
     vocab = build_vocab(tokens, min_count=config.min_count)
     ids = vocab.encode(tokens)

@@ -347,6 +347,17 @@ def test_cli_config_file_refuses_nested_config(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_config_file_refuses_invalid_utf8(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"# settings\r\nseed=2\r\nclasses=\xff3\r\n")
+    out = tmp_path / "d.tsv"
+    assert cli.main(["gen-data", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"gyronet gen-data: error: {cfg}:3: not valid UTF-8\n" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_cli_config_file_flag_values(tmp_path):
     parser = cli._classifier_parser("gyronet train-classifier")
     required = ["--embeddings", "e.txt", "--data", "d.tsv", "--out", "m.bin"]
@@ -432,6 +443,45 @@ def test_cli_train_classifier_refuses_bad_settings_before_loading(tmp_path, caps
     assert f"gyronet train-classifier: error: {message}\n" in err
     assert "Traceback" not in err
     assert not model.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["gen-data", "--seed", "-1"], "--seed must be >= 0, got -1"),
+    (["gen-data", "--composites", "-1"], "--composites must be >= 0, got -1"),
+    (["train-embeddings", "--seed", "-1"], "--seed must be >= 0, got -1"),
+    (["train-embeddings", "--window", "0"], "skip-gram mu must be >= 1, got 0"),
+    (["train-classifier", "--seed", "-1"], "--seed must be >= 0, got -1"),
+    (["evaluate", "--seed", "-1"], "--seed must be >= 0, got -1"),
+    (["evaluate", "--holdout", "1.5"], "--holdout must lie in [0, 1), got 1.5"),
+    (["geometry-check", "--seed", "-1"], "--seed must be >= 0, got -1"),
+], ids=["gen-data-seed", "gen-data-composites", "train-embeddings-seed",
+        "train-embeddings-window", "train-classifier-seed", "evaluate-seed",
+        "evaluate-holdout", "geometry-check-seed"])
+def test_cli_refuses_out_of_bounds_flags_before_reading_inputs(tmp_path, capsys, argv,
+                                                                message):
+    # no input exists: a check that ran after loading would report that instead
+    out = tmp_path / "out"
+    inputs = {"gen-data": ["--classes", "4", "--vocab-size", "30", "--out", str(out)],
+              "train-embeddings": ["--corpus", str(tmp_path / "missing.txt"),
+                                   "--out", str(out)],
+              "train-classifier": ["--embeddings", str(tmp_path / "missing-emb.txt"),
+                                   "--data", str(tmp_path / "missing.tsv"), "--out", str(out)],
+              "evaluate": ["--model", str(tmp_path / "missing.bin"),
+                           "--embeddings", str(tmp_path / "missing-emb.txt"),
+                           "--data", str(tmp_path / "missing.tsv"),
+                           "--metrics-out", str(out)],
+              "geometry-check": []}[argv[0]]
+    assert cli.main(argv + inputs) == 1
+    captured = capsys.readouterr()
+    assert f"gyronet {argv[0]}: error: {message}\n" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_generator_refuses_negative_composites():
+    with pytest.raises(ValueError, match=r"^composites must be >= 0, got -1$"):
+        data.generate_synthetic_intents(4, 5, 30, seed=0, composites=-1)
 
 
 def test_cli_train_classifier_zero_head_and_ffn_dims_are_derived(tmp_path):
