@@ -91,7 +91,7 @@ FINITE = (math.isfinite, "be finite")
 # bounds the other settings of train-embeddings; a 0 --head-dim or --ffn-dim
 # derives that size from the model dim.
 BOUNDS = {
-    "gen-data": {"seed": 0, "per_class": 1, "composites": 0, "noise_len": 0},
+    "gen-data": {"seed": 0, "classes": 2, "per_class": 1, "composites": 0, "noise_len": 0},
     "train-embeddings": {"seed": 0},
     "train-classifier": {"seed": 0, "layers": 1, "heads": 1, "batch_size": 1,
                          "max_seq_len": 1, "epochs": 0, "head_dim": 0, "ffn_dim": 0,

@@ -14,8 +14,9 @@ def ingest_corpus(path, keep_whitespace=False):
     """The characters of a UTF-8 file, one Unicode scalar each.
 
     A leading BOM is stripped; whitespace characters are dropped unless
-    ``keep_whitespace``.  Invalid UTF-8 raises with the byte offset; an empty
-    result (after filtering) raises as well.
+    ``keep_whitespace``, and line ends (``\\n``, ``\\r``) always are.  Invalid
+    UTF-8 raises with the byte offset; an empty result (after filtering)
+    raises as well.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -24,7 +25,8 @@ def ingest_corpus(path, keep_whitespace=False):
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: invalid UTF-8 at byte offset {exc.start}") from exc
     text = text.removeprefix("\ufeff")
-    chars = [ch for ch in text if keep_whitespace or not ch.isspace()]
+    chars = [ch for ch in text
+             if not ch.isspace() or (keep_whitespace and ch not in "\n\r")]
     if not chars:
         raise ValueError(f"{path}: empty corpus")
     return chars
@@ -119,6 +121,10 @@ def save_intent_dataset(path, records):
             fh.write(f"{utterance}\t{label}\n")
 
 
+# the synthetic characters run from U+4E00 up to the surrogates at U+D800
+MAX_VOCAB_SIZE = 0xD800 - 0x4E00
+
+
 def generate_synthetic_intents(num_classes, per_class, vocab_size, seed,
                                composites=2, noise_len=3,
                                holdout_fraction=0.15):
@@ -137,6 +143,8 @@ def generate_synthetic_intents(num_classes, per_class, vocab_size, seed,
         raise ValueError(f"noise_len must be >= 0, got {noise_len}")
     if composites < 0:
         raise ValueError(f"composites must be >= 0, got {composites}")
+    if vocab_size > MAX_VOCAB_SIZE:
+        raise ValueError(f"vocab_size must be <= {MAX_VOCAB_SIZE}, got {vocab_size}")
     if composites >= num_classes:
         raise ValueError("composites must leave at least two base classes")
     rng = np.random.default_rng(seed)

@@ -368,7 +368,11 @@ def train_skipgram(tokens, config: SkipgramConfig, log_fn=None):
 
 def write_embeddings(path, tokens, matrix, geometry):
     """Text format: header "<vocab_size> <dim> <geometry>", then one row per
-    token with 9-significant-digit coordinates."""
+    token with 9-significant-digit coordinates.  A token that holds a
+    newline, which would split its row, raises ``ValueError``."""
+    for i, token in enumerate(tokens):
+        if "\n" in token:
+            raise ValueError(f"{path}: the token of row {i}, {token!r}, holds a newline")
     matrix = np.asarray(matrix, dtype=float)
     dim = matrix.shape[1] - 1 if geometry == "hyperboloid" else matrix.shape[1]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:

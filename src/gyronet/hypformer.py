@@ -9,9 +9,9 @@ regression.
 
 The euclidean variant is the same network in flat space, the limit in which
 Mobius addition becomes ``+``, Mobius matvec becomes matmul and log_0/exp_0
-become the identity.  The blocks that share one formula take the ball radius
-``c`` and read ``c=None`` as flat space.  Only attention, the FFN and the
-classification head keep one form per geometry.
+become the identity.  Every block takes the ball radius ``c`` and reads
+``c=None`` as flat space; only the classification head keeps one form per
+geometry.
 """
 
 from __future__ import annotations
@@ -71,8 +71,9 @@ class TransformerConfig:
         return cls(**{f.name: _PARSE[f.type](d[f.name]) for f in fields(cls)})
 
 
-# field type (as annotated) -> string form in a bundle and back
-_FORMAT = {"float": lambda v: f"{v:g}", "bool": lambda v: "1" if v else "0"}
+# field type (as annotated) -> string form in a bundle and back; a float is
+# written in its shortest exact form, so the bundle scores the trained model
+_FORMAT = {"float": lambda v: repr(float(v)), "bool": lambda v: "1" if v else "0"}
 
 
 def _parse_bool(s):
@@ -117,8 +118,10 @@ def param_shapes(config: TransformerConfig):
     return shapes
 
 
-# biases and ball points; every other parameter is a random matrix
-_ZERO_INIT = ("ffn_b1", "ffn_b2", "unk", "mlr_p", "out_b")
+# parameters that are points on the ball in the poincare model
+_BALL_POINTS = ("ffn_b1", "ffn_b2", "unk", "mlr_p")
+# ball points and biases start at zero; every other parameter is a random matrix
+_ZERO_INIT = _BALL_POINTS + ("out_b",)
 
 
 def init_params(config: TransformerConfig, rng, gain=1.0):
@@ -142,11 +145,7 @@ def manifold_param_names(config: TransformerConfig):
     """Parameters that live on the ball and take Riemannian SGD updates."""
     if config.geometry != "poincare":
         return set()
-    names = {"mlr_p", "unk"}
-    for i in range(config.num_layers):
-        names.add(f"layer{i}.ffn_b1")
-        names.add(f"layer{i}.ffn_b2")
-    return names
+    return {name for name in param_shapes(config) if name.rpartition(".")[2] in _BALL_POINTS}
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +168,10 @@ def _exp0(v, c):
     return v if c is None else dg.expmap0(v, c)
 
 
+def _project(x, c):
+    return x if c is None else dg.project(x, c)
+
+
 def attach_positions(x, pe, c):
     """Add positional information: x (+) exp_0(PE), which is x + PE in flat
     space.  ``pe`` is a constant tensor."""
@@ -188,9 +191,9 @@ def scaled_dot_attention(q, k, v, mask_bias):
 
 
 def hyperbolic_attention(q, k, v, mask_bias, c=1.0):
-    """Tangent-space attention between ball points: log -> attend -> exp."""
-    out = scaled_dot_attention(dg.logmap0(q, c), dg.logmap0(k, c), dg.logmap0(v, c), mask_bias)
-    return dg.expmap0(out, c)
+    """Tangent-space attention between ball points: log -> attend -> exp,
+    which is :func:`scaled_dot_attention` in flat space."""
+    return _exp0(scaled_dot_attention(_log0(q, c), _log0(k, c), _log0(v, c), mask_bias), c)
 
 
 def split_heads(y, num_heads, head_dim, c=None):
@@ -199,13 +202,7 @@ def split_heads(y, num_heads, head_dim, c=None):
     For ball points each block is re-clamped into its own ball (a coordinate
     slice can only shrink the norm, so this is a no-op except at the shell).
     """
-    heads = []
-    for i in range(num_heads):
-        h = y[..., i * head_dim:(i + 1) * head_dim]
-        if c is not None:
-            h = dg.project(h, c)
-        heads.append(h)
-    return heads
+    return [_project(y[..., i * head_dim:(i + 1) * head_dim], c) for i in range(num_heads)]
 
 
 def merge_heads(heads, merge_w, c):
@@ -224,12 +221,13 @@ def merge_heads(heads, merge_w, c):
 
 def hyperbolic_ffn(x, w1, b1, w2, b2, c=1.0):
     """Two-layer feed-forward on the ball with a lifted ReLU in between."""
-    h = dg.mobius_add(dg.mobius_matvec(x, w1, c), b1, c)
-    h = dg.lift_relu(h, c)
-    return dg.mobius_add(dg.mobius_matvec(h, w2, c), b2, c)
+    h = _add(_matvec(x, w1, c), b1, c)
+    h = _exp0(dc.relu(_log0(h, c)), c)
+    return _add(_matvec(h, w2, c), b2, c)
 
 
 def euclidean_ffn(x, w1, b1, w2, b2):
+    """Flat-space reference of :func:`hyperbolic_ffn`."""
     return dc.matmul(dc.relu(dc.matmul(x, w1) + b1), w2) + b2
 
 
@@ -257,44 +255,42 @@ def classifier_forward(tape, params, points, mask, config: TransformerConfig,
     """Run the full classifier.
 
     ``params``: dict of parameter tensors on ``tape``; ``points``: tensor of
-    sequence points (B, L, n); ``mask``: numpy array (B, L) with 1 for real
-    tokens.  Returns the class-score tensor (B, K); apply
+    sequence points (B, L, n), first clamped into the ball on the ball;
+    ``mask``: numpy array (B, L) with 1 for real tokens; ``rng`` draws
+    dropout masks when ``training``.  Returns the class-score tensor (B, K); apply
     :func:`dc.softmax` for probabilities.
     """
     mask = np.asarray(mask, dtype=float)
     if not np.all(mask.sum(axis=-1) >= 1):
         raise ValueError("every sequence needs at least one unmasked position")
-    poincare = config.geometry == "poincare"
-    c = config.curvature if poincare else None
+    c = config.curvature if config.geometry == "poincare" else None
+    # a point made by adding coordinates (UNK substitution) may leave the ball
+    points = _project(points, c)
     length = points.shape[-2]
     pe = tape.constant(config.pe_scale * positional_encoding_matrix(length, config.model_dim))
     mask_bias = tape.constant((-1e9) * (1.0 - mask)[..., None, :])  # (B, 1, L)
     mask_keep = tape.constant(mask[..., None])  # (B, L, 1)
 
     x = attach_positions(points, pe, c)
-    if rng is None:
-        rng = np.random.default_rng(0)
     for i in range(config.num_layers):
         p = f"layer{i}."
         # backward sums gradients in recording order, so this order (all three
         # projections before any split) is part of what fixes the trained bits
         q, k, v = [_matvec(x, params[p + t], c) for t in ("wq", "wk", "wv")]
         heads = [split_heads(t, config.num_heads, config.head_dim, c) for t in (q, k, v)]
-        outs = [hyperbolic_attention(qi, ki, vi, mask_bias, c) if poincare
-                else scaled_dot_attention(qi, ki, vi, mask_bias)
-                for qi, ki, vi in zip(*heads)]
+        outs = [hyperbolic_attention(qi, ki, vi, mask_bias, c) for qi, ki, vi in zip(*heads)]
         merged = merge_heads(outs, [params[p + "merge"][j] for j in range(config.num_heads)], c)
         if config.use_residual:
             merged = _add(x, merged, c)
         merged = tangent_dropout(merged, config.dropout, rng, training, c)
         ffn = [merged] + [params[p + t] for t in ("ffn_w1", "ffn_b1", "ffn_w2", "ffn_b2")]
-        ff = hyperbolic_ffn(*ffn, c) if poincare else euclidean_ffn(*ffn)
+        ff = hyperbolic_ffn(*ffn, c)
         if config.use_residual:
             ff = _add(merged, ff, c)
         x = tangent_dropout(ff, config.dropout, rng, training, c)
 
     pooled = pooled_representation(x, mask_keep, c)
-    if poincare:
+    if c is not None:
         return dg.mlr_scores(pooled, params["mlr_a"], params["mlr_p"], c)
     return dc.matmul(pooled, params["out_w"]) + params["out_b"]
 

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import diffcore as dc
-from . import diffgeom as dg
 from .embed import read_embeddings
 from .geometry import project_to_ball, to_poincare
 from .hypformer import (
@@ -126,9 +125,6 @@ def _forward_batch(params_np, points_np, unk_np, mask, labels, config,
     tensors = {name: tape.leaf(value, requires_grad=True)
                for name, value in params_np.items()}
     pts = embed_sequences(tape, points_np, unk_np, tensors["unk"])
-    if config.geometry == "poincare":
-        # UNK substitution is additive on coordinates; clamp keeps it a ball point
-        pts = dg.project(pts, config.curvature)
     scores = classifier_forward(tape, tensors, pts, mask, config,
                                 rng=rng, training=training)
     loss = cross_entropy(scores, labels) if labels is not None else None

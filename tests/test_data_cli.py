@@ -24,9 +24,10 @@ def test_ingest_corpus_characters(tmp_path):
 
 def test_ingest_corpus_whitespace_and_keep(tmp_path):
     path = tmp_path / "c.txt"
-    path.write_text("a b\nc", encoding="utf-8")
-    assert list(data.ingest_corpus(path)) == ["a", "b", "c"]
-    assert list(data.ingest_corpus(path, keep_whitespace=True)) == list("a b\nc")
+    path.write_bytes(b"a b\nc\td\r\ne\r")
+    assert list(data.ingest_corpus(path)) == ["a", "b", "c", "d", "e"]
+    # line ends go even when whitespace is kept: a "\n" token has no embedding row
+    assert list(data.ingest_corpus(path, keep_whitespace=True)) == list("a bc\tde")
 
 
 def test_ingest_corpus_empty_file(tmp_path):
@@ -205,11 +206,13 @@ def test_generator_validation_errors():
 @pytest.mark.parametrize("kwargs, message", [
     ({"per_class": 0}, "per_class must be >= 1, got 0"),
     ({"noise_len": -1}, "noise_len must be >= 0, got -1"),
+    # U+4E00 + 35328 is the first surrogate, which UTF-8 cannot encode
+    ({"vocab_size": 35329}, "vocab_size must be <= 35328, got 35329"),
 ])
 def test_generator_refuses_empty_or_negative_sizes(kwargs, message):
     with pytest.raises(ValueError) as info:
         data.generate_synthetic_intents(**{"num_classes": 4, "per_class": 5, "vocab_size": 30,
-                                           "seed": 0, **kwargs})
+                                           "seed": 0, "composites": 1, **kwargs})
     assert str(info.value) == message
     assert len(data.generate_synthetic_intents(4, 1, 30, seed=0, composites=1,
                                               noise_len=0).records) == 4
@@ -237,11 +240,13 @@ def test_cli_gen_data_deterministic(tmp_path):
 @pytest.mark.parametrize("flag, value, message", [
     ("--per-class", "0", "--per-class must be >= 1, got 0"),
     ("--noise-len", "-1", "--noise-len must be >= 0, got -1"),
+    ("--classes", "1", "--classes must be >= 2, got 1"),
+    ("--vocab-size", "40000", "vocab_size must be <= 35328, got 40000"),
 ])
 def test_cli_gen_data_refuses_empty_or_negative_sizes(tmp_path, capsys, flag, value, message):
     out = tmp_path / "d.tsv"
-    code = cli.main(["gen-data", "--classes", "4", "--vocab-size", "30", flag, value,
-                     "--out", str(out)])
+    code = cli.main(["gen-data", "--classes", "4", "--composites", "1", "--vocab-size", "30",
+                     flag, value, "--out", str(out)])
     assert code == 1
     err = capsys.readouterr().err
     assert err.splitlines() == [f"gyronet gen-data: error: {message}"]
@@ -484,6 +489,22 @@ def test_generator_refuses_negative_composites():
         data.generate_synthetic_intents(4, 5, 30, seed=0, composites=-1)
 
 
+def test_cli_train_embeddings_keep_whitespace_round_trips(tmp_path):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_bytes(b"ab cd\r\nef gh\r\n" * 20)
+    emb = tmp_path / "e.txt"
+    assert cli.main(["train-embeddings", "--corpus", str(corpus), "--keep-whitespace",
+                     "--dim", "3", "--epochs", "1", "--window", "1", "--negatives", "2",
+                     "--out", str(emb)]) == 0
+    tokens, matrix, _ = embed.read_embeddings(emb)
+    assert sorted(tokens) == sorted(" abcdefgh")
+    assert matrix.shape == (9, 4)
+    with pytest.raises(ValueError, match="row 1"):
+        embed.write_embeddings(tmp_path / "bad.txt", ["a", "\n"], np.zeros((2, 2)),
+                               "euclidean")
+    assert not (tmp_path / "bad.txt").exists()
+
+
 def test_cli_train_classifier_zero_head_and_ffn_dims_are_derived(tmp_path):
     dataset, chars = _tiny_dataset(tmp_path)
     emb = tmp_path / "emb.txt"
@@ -575,9 +596,10 @@ def test_cli_classifier_train_evaluate_round_trip(tmp_path):
                      "--epochs", "1", "--window", "1", "--negatives", "2",
                      "--out", str(emb)]) == 0
     model = tmp_path / "model.bin"
+    # a pe_scale that 6 significant digits would round to 1 must reach evaluate
     argv = ["train-classifier", "--embeddings", str(emb), "--data", str(dataset),
             "--epochs", "2", "--layers", "1", "--heads", "2", "--seed", "0",
-            "--out", str(model)]
+            "--pe-scale", "1.0000001", "--out", str(model)]
     assert cli.main(argv) == 0
     metrics = json.loads((tmp_path / "model.bin.metrics.json").read_text())
     assert set(metrics) == {"accuracy", "cross_entropy", "epochs", "geometry",
@@ -593,8 +615,7 @@ def test_cli_classifier_train_evaluate_round_trip(tmp_path):
     assert cli.main(["evaluate", "--model", str(model), "--embeddings", str(emb),
                      "--data", str(dataset), "--metrics-out", str(out_metrics)]) == 0
     report = json.loads(out_metrics.read_text())
-    assert set(report) == set(metrics)
-    assert report["accuracy"] == pytest.approx(metrics["accuracy"])
+    assert report == metrics
 
 
 def test_cli_evaluate_label_mismatch(tmp_path, capsys):

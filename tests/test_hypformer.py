@@ -388,6 +388,24 @@ def test_blocks_flat_limit_is_euclidean(rng):
     pe = hf.positional_encoding_matrix(3, 4)
     np.testing.assert_array_equal(hf.attach_positions(x, tape.constant(pe), None).value,
                                   x_np + pe)
+    # attention and the FFN record the very ops of their flat references
+    mask_bias = (-1e9) * (1.0 - keep.transpose(0, 2, 1))
+    qkv = [rng.normal(size=(2, 3, 2)) for _ in range(3)] + [mask_bias]
+    ffn = [x_np, rng.normal(size=(4, 5)), rng.normal(size=5), rng.normal(size=(5, 4)),
+           rng.normal(size=4)]
+    for block, reference, arrays in (
+            (lambda *a: hf.hyperbolic_attention(*a, None), hf.scaled_dot_attention, qkv),
+            (lambda *a: hf.hyperbolic_ffn(*a, None), hf.euclidean_ffn, ffn)):
+        got, want = _recorded(block, arrays), _recorded(reference, arrays)
+        np.testing.assert_array_equal(got[0], want[0])
+        assert got[1] == want[1]
+
+
+def _recorded(block, arrays):
+    """Output value and (op, inputs) sequence of ``block`` on a new tape."""
+    tape = dc.Tape()
+    out = block(*[tape.constant(a) for a in arrays])
+    return out.value, [(node.op, node.inputs) for node in tape.nodes]
 
 
 def test_euclidean_forward_calls_no_diffgeom(rng, monkeypatch):
@@ -406,6 +424,22 @@ def test_euclidean_forward_calls_no_diffgeom(rng, monkeypatch):
         scores = hf.classifier_forward(tape, params, pts, np.ones((2, 5)), cfg,
                                        rng=rng, training=True)
         dc.backward(tape, hf.cross_entropy(scores, np.array([0, 2])))
+
+
+def test_classifier_forward_clamps_points_into_the_ball(rng):
+    cfg = _config(num_layers=2)
+    params_np = hf.init_params(cfg, rng)
+    outside = rng.normal(size=(2, 3, cfg.model_dim))
+    outside *= 3.0 / np.linalg.norm(outside, axis=-1, keepdims=True)
+
+    def scores(points):
+        tape = dc.Tape()
+        params = {k: tape.constant(v) for k, v in params_np.items()}
+        return hf.classifier_forward(tape, params, tape.constant(points),
+                                     np.ones((2, 3)), cfg).value
+
+    np.testing.assert_allclose(scores(outside), scores(geo.project_to_ball(outside)),
+                               rtol=1e-12, atol=1e-12)
 
 
 def test_intermediate_points_stay_in_ball(rng):
