@@ -95,6 +95,7 @@ BOUNDS = {
     "train-embeddings": {"seed": 0},
     "train-classifier": {"seed": 0, "layers": 1, "heads": 1, "batch_size": 1,
                          "max_seq_len": 1, "epochs": 0, "head_dim": 0, "ffn_dim": 0,
+                         "restart_epoch": -1,
                          "lr": POSITIVE, "manifold_lr": POSITIVE, "dropout": FRACTION,
                          "holdout": FRACTION, "pe_scale": FINITE},
     "evaluate": {"seed": 0, "holdout": FRACTION},
@@ -248,7 +249,6 @@ def cmd_train_classifier(argv):
         token_map, params, config)
     meta = config.to_dict()
     meta["labels"] = "\t".join(dataset.id_to_label)
-    meta["embeddings_dim"] = str(model_dim)
     meta["epochs"] = str(args.epochs)
     bundle.save_bundle(args.out, args.geometry, meta, params)
     _write_report(args.metrics_out or args.out + ".metrics.json", metrics, args.epochs,
@@ -306,7 +306,8 @@ def cmd_evaluate(argv):
                        f"but {args.embeddings} has dim {token_map.dim}")
     dataset = data.load_intent_dataset(args.data, args.holdout, args.seed)
     if sorted(dataset.label_to_id) != sorted(labels):
-        raise CliError("dataset labels do not match the trained model")
+        raise CliError(f"the labels of {args.data} do not match those of "
+                       f"the model {args.model}")
     indices = {"heldout": dataset.heldout_indices,
                "train": dataset.train_indices,
                "all": list(range(len(dataset.records)))}[args.split]

@@ -4,29 +4,22 @@ composite classes induce a small label hierarchy."""
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
 
 
 def ingest_corpus(path, keep_whitespace=False):
-    """The characters of a UTF-8 file, one Unicode scalar each.
+    """The characters of a UTF-8 file, one Unicode scalar each, read by
+    :func:`read_utf8_lines`.
 
-    A leading BOM is stripped; whitespace characters are dropped unless
-    ``keep_whitespace``, and line ends (``\\n``, ``\\r``) always are.  Invalid
-    UTF-8 raises with the byte offset; an empty result (after filtering)
-    raises as well.
+    Line ends always go; other whitespace characters go unless
+    ``keep_whitespace``.  Invalid UTF-8 raises ``"<path>:<line>: not valid
+    UTF-8"`` and an empty result (after filtering) ``"<path>: empty corpus"``.
     """
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: invalid UTF-8 at byte offset {exc.start}") from exc
-    text = text.removeprefix("\ufeff")
-    chars = [ch for ch in text
-             if not ch.isspace() or (keep_whitespace and ch not in "\n\r")]
+    text = "".join(line for _, line in read_utf8_lines(path))
+    # str.split() cuts at exactly the characters that str.isspace() accepts
+    chars = list(text if keep_whitespace else "".join(text.split()))
     if not chars:
         raise ValueError(f"{path}: empty corpus")
     return chars
@@ -78,10 +71,11 @@ def make_dataset(records, holdout_fraction=0.15, seed=0):
 
 
 def read_utf8_lines(path):
-    """Yield (line number from 1, line) of a UTF-8 file, each line without its
-    end, which is ``\\n``, ``\\r\\n`` or ``\\r`` as in text mode.  A file that is
-    not valid UTF-8 raises ``ValueError("<path>:<line>: not valid UTF-8")``
-    before any line is yielded."""
+    """Iterate (line number from 1, line) over a UTF-8 file, the one decoder of
+    every text input.  A leading BOM is dropped, and each line comes without
+    its end, which is ``\\n``, ``\\r\\n`` or ``\\r`` as in text mode.  A file
+    that is not valid UTF-8 raises ``ValueError("<path>:<line>: not valid
+    UTF-8")`` before any line is read."""
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
@@ -90,8 +84,15 @@ def read_utf8_lines(path):
         head = raw[:exc.start]  # UTF-8 never uses CR or LF bytes inside a character
         lineno = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
         raise ValueError(f"{path}:{lineno}: not valid UTF-8") from None
-    for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
-        yield lineno, line.rstrip("\n")
+    # the lines of io.StringIO(text, newline=None), split in less time; the
+    # search for "\r\n" costs more than the test for "\r" that skips it
+    text = text.removeprefix("\ufeff")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()  # the empty piece after a final line end
+    return enumerate(lines, start=1)
 
 
 def load_intent_dataset(path, holdout_fraction=0.15, seed=0):

@@ -22,6 +22,7 @@ from itertools import islice
 
 import numpy as np
 
+from .data import read_utf8_lines
 from .geometry import exp_map_hyperboloid, lorentz_inner, tangent_project
 
 GEOMETRIES = ("euclidean", "hyperboloid")
@@ -368,11 +369,11 @@ def train_skipgram(tokens, config: SkipgramConfig, log_fn=None):
 
 def write_embeddings(path, tokens, matrix, geometry):
     """Text format: header "<vocab_size> <dim> <geometry>", then one row per
-    token with 9-significant-digit coordinates.  A token that holds a
-    newline, which would split its row, raises ``ValueError``."""
+    token with 9-significant-digit coordinates.  A token that holds a line
+    end (``\\n`` or ``\\r``), which would split its row, raises ``ValueError``."""
     for i, token in enumerate(tokens):
-        if "\n" in token:
-            raise ValueError(f"{path}: the token of row {i}, {token!r}, holds a newline")
+        if "\n" in token or "\r" in token:
+            raise ValueError(f"{path}: the token of row {i}, {token!r}, holds a line end")
     matrix = np.asarray(matrix, dtype=float)
     dim = matrix.shape[1] - 1 if geometry == "hyperboloid" else matrix.shape[1]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -382,45 +383,39 @@ def write_embeddings(path, tokens, matrix, geometry):
             fh.write(f"{token} {coords}\n")
 
 
-def _decoded_line(fh, path, lineno):
-    try:
-        return fh.readline().decode("utf-8").rstrip("\n")
-    except UnicodeDecodeError:
-        raise ValueError(f"{path}:{lineno}: not valid UTF-8") from None
-
-
 def read_embeddings(path):
     """Inverse of :func:`write_embeddings`; returns (tokens, matrix, geometry).
 
-    A malformed header, a short or unparsable row and a non-finite
-    coordinate raise ``ValueError("<path>:<line>: ...")``.
+    Lines are read by :func:`gyronet.data.read_utf8_lines`, so a leading BOM
+    is dropped and ``\\n``, ``\\r\\n`` and ``\\r`` all end a line.  Invalid
+    UTF-8 anywhere in the file, a malformed header, a short or unparsable row
+    and a non-finite coordinate raise ``ValueError("<path>:<line>: ...")``.
     """
-    with open(path, "rb") as fh:
-        header = _decoded_line(fh, path, 1).split()
+    lines = read_utf8_lines(path)
+    header = next(lines, (1, ""))[1].split()
+    try:
+        size, dim, geometry = int(header[0]), int(header[1]), header[2]
+        ok = len(header) == 3 and size >= 0 and dim >= 1 and geometry in FILE_GEOMETRIES
+    except (IndexError, ValueError):
+        ok = False
+    if not ok:
+        raise ValueError(f"{path}:1: malformed embedding header, expected "
+                         f"'<size> <dim> <{'|'.join(FILE_GEOMETRIES)}>'")
+    cols = dim + 1 if geometry == "hyperboloid" else dim
+    tokens, rows = [], []
+    for i in range(size):
+        lineno, line = next(lines, (i + 2, ""))
+        if not line:
+            raise ValueError(f"{path}:{lineno}: truncated at row {i}")
+        fields = line.split(" ")
+        if len(fields) <= cols:
+            raise ValueError(f"{path}:{lineno}: expected a token and {cols} coordinates, "
+                             f"got {len(fields)} fields")
+        tokens.append(" ".join(fields[:-cols]))
         try:
-            size, dim, geometry = int(header[0]), int(header[1]), header[2]
-            ok = len(header) == 3 and size >= 0 and dim >= 1 and geometry in FILE_GEOMETRIES
-        except (IndexError, ValueError):
-            ok = False
-        if not ok:
-            raise ValueError(f"{path}:1: malformed embedding header, expected "
-                             f"'<size> <dim> <{'|'.join(FILE_GEOMETRIES)}>'")
-        cols = dim + 1 if geometry == "hyperboloid" else dim
-        tokens, rows = [], []
-        for i in range(size):
-            lineno = i + 2
-            line = _decoded_line(fh, path, lineno)
-            if not line:
-                raise ValueError(f"{path}:{lineno}: truncated at row {i}")
-            fields = line.split(" ")
-            if len(fields) <= cols:
-                raise ValueError(f"{path}:{lineno}: expected a token and {cols} coordinates, "
-                                 f"got {len(fields)} fields")
-            tokens.append(" ".join(fields[:-cols]))
-            try:
-                rows.append([float(v) for v in fields[-cols:]])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
+            rows.append(list(map(float, fields[-cols:])))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
     matrix = np.array(rows, dtype=float).reshape(size, cols)
     bad = ~np.isfinite(matrix).all(axis=1)
     if bad.any():

@@ -71,13 +71,13 @@ def load_embedding_points(path, classifier_geometry):
             matrix = project_to_ball(matrix)
         else:
             raise ValueError(
-                "euclidean embeddings cannot feed the hyperbolic classifier; "
+                f"{path}: euclidean embeddings cannot feed the hyperbolic classifier; "
                 "train hyperboloid embeddings or use --geometry euclidean"
             )
     elif classifier_geometry == "euclidean":
         if geometry != "euclidean":
             raise ValueError(
-                f"{geometry} embeddings cannot feed the euclidean classifier"
+                f"{path}: {geometry} embeddings cannot feed the euclidean classifier"
             )
     else:
         raise ValueError(f"unknown classifier geometry '{classifier_geometry}'")

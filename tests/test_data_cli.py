@@ -1,5 +1,6 @@
 """Tests for corpus/dataset plumbing and the batch CLI."""
 
+import codecs
 import hashlib
 import json
 import re
@@ -45,15 +46,19 @@ def test_ingest_corpus_bom_stripped(tmp_path):
     assert list(data.ingest_corpus(bom)) == list(data.ingest_corpus(plain))
 
 
-def test_ingest_corpus_invalid_utf8_offset(tmp_path):
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+def test_ingest_corpus_invalid_utf8_names_line(tmp_path, newline):
     path = tmp_path / "bad.txt"
-    path.write_bytes(b"ok\xff\xfe")
-    with pytest.raises(ValueError, match="byte offset 2$"):
-        list(data.ingest_corpus(path))
+    refusal = rf"^{re.escape(str(path))}:2: not valid UTF-8$"
+    path.write_bytes(b"ab" + newline + b"ok\xff\xfe" + newline)
+    with pytest.raises(ValueError, match=refusal):
+        data.ingest_corpus(path)
     # a bad sequence that starts one byte before 64 KiB and ends after it
-    path.write_bytes(b"a" * 65535 + b"\xe6\xb8\xff")
-    with pytest.raises(ValueError, match="byte offset 65535$"):
-        list(data.ingest_corpus(path))
+    head = b"a" + newline
+    head += b"b" * (65535 - len(head))
+    path.write_bytes(head + b"\xe6\xb8\xff")
+    with pytest.raises(ValueError, match=refusal):
+        data.ingest_corpus(path)
 
 
 # ---------------------------------------------------------------------------
@@ -99,6 +104,10 @@ def test_load_intent_dataset_invalid_utf8_names_line(tmp_path, newline):
     path.write_bytes(newline.join(lines).encode("utf-8") + newline.encode())
     records = [tuple(line.split("\t")) for line in lines]
     assert data.load_intent_dataset(path, holdout_fraction=0.0).records == records
+    # a byte order mark is not part of the first utterance
+    bom = tmp_path / "bom.tsv"
+    bom.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+    assert data.load_intent_dataset(bom, holdout_fraction=0.0).records == records
     # replace the second byte of the last line's first character
     blob = bytearray(path.read_bytes())
     blob[blob.rindex("丈".encode()) + 1] = 0x41
@@ -327,6 +336,11 @@ def test_cli_config_file(tmp_path):
     assert cli.main(["gen-data", "--config", str(cfg), "--classes", "4",
                      "--out", str(out2)]) == 0
     assert len(data.load_intent_dataset(out2).label_to_id) == 4
+    # a byte order mark is not part of the first key
+    cfg.write_bytes(codecs.BOM_UTF8 + cfg.read_bytes())
+    out3 = tmp_path / "d3.tsv"
+    assert cli.main(["gen-data", "--config", str(cfg), "--out", str(out3)]) == 0
+    assert out3.read_bytes() == out.read_bytes()
 
 
 def test_cli_config_file_unknown_key(tmp_path, capsys):
@@ -456,12 +470,13 @@ def test_cli_train_classifier_refuses_bad_settings_before_loading(tmp_path, caps
     (["train-embeddings", "--seed", "-1"], "--seed must be >= 0, got -1"),
     (["train-embeddings", "--window", "0"], "skip-gram mu must be >= 1, got 0"),
     (["train-classifier", "--seed", "-1"], "--seed must be >= 0, got -1"),
+    (["train-classifier", "--restart-epoch", "-5"], "--restart-epoch must be >= -1, got -5"),
     (["evaluate", "--seed", "-1"], "--seed must be >= 0, got -1"),
     (["evaluate", "--holdout", "1.5"], "--holdout must lie in [0, 1), got 1.5"),
     (["geometry-check", "--seed", "-1"], "--seed must be >= 0, got -1"),
 ], ids=["gen-data-seed", "gen-data-composites", "train-embeddings-seed",
-        "train-embeddings-window", "train-classifier-seed", "evaluate-seed",
-        "evaluate-holdout", "geometry-check-seed"])
+        "train-embeddings-window", "train-classifier-seed", "train-classifier-restart-epoch",
+        "evaluate-seed", "evaluate-holdout", "geometry-check-seed"])
 def test_cli_refuses_out_of_bounds_flags_before_reading_inputs(tmp_path, capsys, argv,
                                                                 message):
     # no input exists: a check that ran after loading would report that instead
@@ -499,10 +514,11 @@ def test_cli_train_embeddings_keep_whitespace_round_trips(tmp_path):
     tokens, matrix, _ = embed.read_embeddings(emb)
     assert sorted(tokens) == sorted(" abcdefgh")
     assert matrix.shape == (9, 4)
-    with pytest.raises(ValueError, match="row 1"):
-        embed.write_embeddings(tmp_path / "bad.txt", ["a", "\n"], np.zeros((2, 2)),
-                               "euclidean")
-    assert not (tmp_path / "bad.txt").exists()
+    for token in ("\n", "a\rb"):  # each line end would split the row
+        with pytest.raises(ValueError, match="row 1"):
+            embed.write_embeddings(tmp_path / "bad.txt", ["a", token], np.zeros((2, 2)),
+                                   "euclidean")
+        assert not (tmp_path / "bad.txt").exists()
 
 
 def test_cli_train_classifier_zero_head_and_ffn_dims_are_derived(tmp_path):
@@ -644,6 +660,28 @@ def test_cli_evaluate_label_mismatch(tmp_path, capsys):
     assert "labels" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("classifier, stored, message", [
+    ("poincare", "euclidean", "euclidean embeddings cannot feed the hyperbolic classifier; "
+     "train hyperboloid embeddings or use --geometry euclidean"),
+    ("euclidean", "hyperboloid", "hyperboloid embeddings cannot feed the euclidean classifier"),
+], ids=["euclidean-into-poincare", "hyperboloid-into-euclidean"])
+def test_cli_train_classifier_refuses_embeddings_of_another_geometry(tmp_path, capsys,
+                                                                     classifier, stored,
+                                                                     message):
+    dataset, chars = _tiny_dataset(tmp_path)
+    emb = tmp_path / "emb.txt"
+    rows = embed.init_embeddings(len(chars), 4, stored, np.random.default_rng(0)).A
+    embed.write_embeddings(emb, chars, rows, stored)
+    model = tmp_path / "m.bin"
+    code = cli.main(["train-classifier", "--geometry", classifier, "--embeddings", str(emb),
+                     "--data", str(dataset), "--out", str(model)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"gyronet train-classifier: error: {emb}: {message}\n" in err
+    assert "Traceback" not in err
+    assert not model.exists()
+
+
 def test_cli_preset_dim_must_match_embeddings(tmp_path, capsys):
     dataset = tmp_path / "d.tsv"
     assert cli.main(["gen-data", "--classes", "3", "--per-class", "6",
@@ -764,6 +802,21 @@ def test_cli_evaluate_refuses_embeddings_of_another_dim(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert f"gyronet evaluate: error: {model} has model dim 4, but {wide} has dim 6\n" in err
+    assert "Traceback" not in err
+
+
+def test_cli_evaluate_label_mismatch_names_both_files(tmp_path, capsys):
+    _, emb, model = _tiny_euclidean_model(tmp_path)
+    other = tmp_path / "other.tsv"
+    assert cli.main(["gen-data", "--classes", "4", "--per-class", "6",
+                     "--vocab-size", "30", "--composites", "1", "--seed", "5",
+                     "--out", str(other)]) == 0
+    code = cli.main(["evaluate", "--model", str(model), "--embeddings", str(emb),
+                     "--data", str(other)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"gyronet evaluate: error: the labels of {other} do not match those of the " \
+           f"model {model}\n" in err
     assert "Traceback" not in err
 
 

@@ -2,6 +2,7 @@
 hyperboloid loss with its explicit Minkowski gradients, Riemannian SGD, and
 the embedding text format."""
 
+import codecs
 import functools
 import tracemalloc
 
@@ -642,6 +643,14 @@ def test_embedding_file_euclidean_round_trip(tmp_path):
     tokens, back, geometry = embed.read_embeddings(path)
     assert (tokens, geometry) == (["x", "y"], "euclidean")
     np.testing.assert_array_equal(back, matrix)  # exact at 9 significant digits
+    # a byte order mark, CRLF and CR line ends read like the file as written
+    blob = path.read_bytes()
+    for variant in (codecs.BOM_UTF8 + blob, blob.replace(b"\n", b"\r\n"),
+                    blob.replace(b"\n", b"\r")):
+        path.write_bytes(variant)
+        tokens, again, geometry = embed.read_embeddings(path)
+        assert (tokens, geometry) == (["x", "y"], "euclidean")
+        np.testing.assert_array_equal(again, matrix)
 
 
 def test_embedding_file_truncated(tmp_path):
@@ -671,6 +680,10 @@ def test_embedding_file_invalid_utf8_names_line(tmp_path):
     path = tmp_path / "emb.txt"
     path.write_bytes(b"1 2 euclidean\n\xff 0.1 0.2\n")
     with pytest.raises(ValueError, match=r"emb\.txt:2: not valid UTF-8"):
+        embed.read_embeddings(path)
+    # after the declared rows as well
+    path.write_bytes(b"1 2 euclidean\nx 0.1 0.2\n\xff\n")
+    with pytest.raises(ValueError, match=r"emb\.txt:3: not valid UTF-8"):
         embed.read_embeddings(path)
 
 

@@ -25,3 +25,14 @@ def test_no_unused_imports(path):
             used.update(ast.literal_eval(node.value))  # re-exported names
     unused = [f"{path.name}:{line}: '{name}'" for name, line in imported.items() if name not in used]
     assert not unused, "imported but never used: " + ", ".join(unused)
+
+
+def test_only_the_line_reader_and_the_bundle_decode_bytes():
+    # every text input goes through data.read_utf8_lines; bundle.py decodes
+    # the header lines of its binary format itself
+    calls = [f"{path.name}:{node.lineno}" for path in SOURCES
+             if path.name not in ("data.py", "bundle.py")
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "decode"]
+    assert not calls, "bytes decoded outside data.read_utf8_lines: " + ", ".join(calls)
