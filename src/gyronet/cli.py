@@ -187,8 +187,8 @@ def cmd_train_embeddings(argv):
         geometry=args.geometry, dim=args.dim, mu=args.window, m=args.negatives,
         theta=args.theta, lr=args.lr, epochs=args.epochs, seed=args.seed,
         min_count=args.min_count)
-    tokens = list(data.ingest_corpus(args.corpus, keep_whitespace=args.keep_whitespace))
-    E, vocab, history = embed.train_skipgram(tokens, config, log_fn=log.info)
+    corpus = data.ingest_corpus(args.corpus, keep_whitespace=args.keep_whitespace)
+    E, vocab, history = embed.train_skipgram(corpus, config, log_fn=log.info)
     embed.write_embeddings(args.out, vocab.id_to_token, E.A, args.geometry)
     log.info("wrote %d %s embeddings (dim %d) to %s",
              len(vocab), args.geometry, args.dim, args.out)
@@ -223,6 +223,9 @@ def _classifier_parser(prog):
 def cmd_train_classifier(argv):
     parser = _classifier_parser("gyronet train-classifier")
     args = _parse_with_config(parser, argv)
+    if args.restart_epoch >= args.epochs:
+        raise CliError(f"--restart-epoch must be < --epochs ({args.epochs}) or the restart "
+                       f"never comes, got {args.restart_epoch}")
     preset = PRESETS.get(args.preset, {})
     token_map = train.load_embedding_points(args.embeddings, args.geometry)
     if preset and token_map.dim != preset["dim"]:

@@ -10,7 +10,7 @@ import numpy as np
 
 
 def ingest_corpus(path, keep_whitespace=False):
-    """The characters of a UTF-8 file, one Unicode scalar each, read by
+    """The characters of a UTF-8 file as one ``str``, read by
     :func:`read_utf8_lines`.
 
     Line ends always go; other whitespace characters go unless
@@ -18,11 +18,12 @@ def ingest_corpus(path, keep_whitespace=False):
     UTF-8"`` and an empty result (after filtering) ``"<path>: empty corpus"``.
     """
     text = "".join(line for _, line in read_utf8_lines(path))
-    # str.split() cuts at exactly the characters that str.isspace() accepts
-    chars = list(text if keep_whitespace else "".join(text.split()))
-    if not chars:
+    if not keep_whitespace:
+        # str.split() cuts at exactly the characters that str.isspace() accepts
+        text = "".join(text.split())
+    if not text:
         raise ValueError(f"{path}: empty corpus")
-    return chars
+    return text
 
 
 @dataclass

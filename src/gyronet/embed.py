@@ -36,41 +36,76 @@ NEGATIVE_CHUNK = 4096
 # A row that recurs in a block takes the sum of its gradients in one step,
 # and larger blocks diverged where per-pair steps did not.
 BLOCK_ROWS = 48
+# Most code points or ids of a corpus widened at a time: bincount and take
+# cast code points to intp, and generate_pairs turns ids into Python ints.
+CORPUS_SLICE = 1 << 14
+
+
+def code_points(tokens):
+    """A corpus as one uint32 array of code points.  ``tokens`` is a str, an
+    iterable of one-character strings, or a uint32 code-point array, which
+    comes back as it is; any other token, such as "ab", raises ValueError."""
+    if isinstance(tokens, np.ndarray) and tokens.dtype == np.uint32:
+        return tokens
+    if isinstance(tokens, str):
+        return np.frombuffer(tokens.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+    return np.fromiter(map(_code_point, tokens), dtype=np.uint32)
+
+
+def _code_point(token):
+    if isinstance(token, str) and len(token) == 1:
+        return ord(token)
+    raise ValueError(f"a corpus token is one character, got {token!r}")
 
 
 class Vocabulary:
-    """Token table with a unigram^alpha negative-sampling distribution."""
+    """One-character tokens in code-point order, with a unigram^alpha
+    negative-sampling distribution."""
 
-    def __init__(self, token_to_id, id_to_token, counts, alpha=0.75):
-        self.token_to_id = token_to_id
-        self.id_to_token = id_to_token
+    def __init__(self, id_to_token, counts, alpha=0.75):
+        self.id_to_token = list(id_to_token)
+        self.token_to_id = {t: i for i, t in enumerate(self.id_to_token)}
         self.counts = np.asarray(counts, dtype=float)
         weights = self.counts ** alpha
         self.sampling_probs = weights / weights.sum()
         self._cum = np.cumsum(self.sampling_probs)
+        # code point -> id, or -1 outside the vocabulary, as in the last entry,
+        # to which encode clips every code point past the table
+        points = code_points(self.id_to_token)
+        self._ids = np.full(int(points.max(initial=0)) + 2, -1, dtype=np.int32)
+        self._ids[points] = np.arange(len(points))
 
     def __len__(self):
         return len(self.id_to_token)
 
     def encode(self, tokens):
-        """Map tokens to ids, silently dropping out-of-vocabulary tokens."""
-        t2i = self.token_to_id
-        return [t2i[t] for t in tokens if t in t2i]
+        """The ids of a corpus's characters as one int32 array; characters
+        outside the vocabulary are dropped."""
+        points = code_points(tokens)
+        ids, n = np.empty(len(points), dtype=np.int32), 0
+        for lo in range(0, len(points), CORPUS_SLICE):
+            part = self._ids.take(points[lo:lo + CORPUS_SLICE], mode="clip")
+            part = part[part >= 0]
+            ids[n:n + len(part)] = part
+            n += len(part)
+        return ids[:n]
 
     def sample_negatives(self, m, rng):
         return np.searchsorted(self._cum, rng.random(m)).tolist()
 
 
 def build_vocab(tokens, min_count=1, alpha=0.75):
-    counts: dict[str, int] = {}
-    for t in tokens:
-        counts[t] = counts.get(t, 0) + 1
-    kept = sorted((t for t, n in counts.items() if n >= min_count))
-    if not kept:
+    """The characters that a corpus holds at least ``min_count`` times, in
+    code-point order, which is ``sorted`` order for one-character strings."""
+    points = code_points(tokens)
+    counts = np.zeros(int(points.max(initial=0)) + 1, dtype=np.intp)
+    for lo in range(0, len(points), CORPUS_SLICE):
+        part = np.bincount(points[lo:lo + CORPUS_SLICE])
+        counts[:len(part)] += part
+    kept = np.flatnonzero(counts >= max(min_count, 1))
+    if not len(kept):
         raise ValueError("empty vocabulary after min_count filtering")
-    id_to_token = list(kept)
-    token_to_id = {t: i for i, t in enumerate(id_to_token)}
-    return Vocabulary(token_to_id, id_to_token, [counts[t] for t in id_to_token], alpha)
+    return Vocabulary(map(chr, kept.tolist()), counts[kept], alpha)
 
 
 @dataclass
@@ -91,6 +126,7 @@ def generate_pairs(ids, mu, m, vocab, rng):
     """
     if mu < 1:
         raise ValueError("window radius mu must be >= 1")
+    ids = np.asarray(ids)
     n = len(ids)
     span = min(mu, max(n - 1, 0))
     # m for each pair still to be yielded; offset d <= span gives 2 * (n - d) pairs
@@ -101,29 +137,34 @@ def generate_pairs(ids, mu, m, vocab, rng):
         # never more values than the rest of the pass is certain to consume
         return vocab.sample_negatives(min(NEGATIVE_CHUNK, certain), rng)
 
-    for k in range(n):
-        center = ids[k]
-        for pos in range(max(k - mu, 0), min(k + mu + 1, n)):
-            if pos == k:
-                continue
-            context = ids[pos]
-            negs = drawn[at:at + m]
-            at += len(negs)
-            while len(negs) < m:
-                drawn = draw(regular - len(negs))
-                at = min(m - len(negs), len(drawn))
-                negs += drawn[:at]
-            regular -= m
-            if context in negs:
-                for i in range(m):
-                    tries = 0
-                    while negs[i] == context and tries < 10:
-                        if at == len(drawn):
-                            drawn, at = draw(regular + 1), 0  # this resample, then later pairs
-                        negs[i] = drawn[at]
-                        at += 1
-                        tries += 1
-            yield TrainingPair(center, context, negs)
+    for lo in range(0, n, CORPUS_SLICE):
+        # the ids of positions lo - mu .. lo + CORPUS_SLICE + mu - 1, clipped
+        # to the corpus, so a window clipped here is clipped in the corpus
+        base = max(lo - mu, 0)
+        window = ids[base:lo + CORPUS_SLICE + mu].tolist()
+        for k in range(lo - base, min(lo + CORPUS_SLICE, n) - base):
+            center = window[k]
+            for pos in range(max(k - mu, 0), min(k + mu + 1, len(window))):
+                if pos == k:
+                    continue
+                context = window[pos]
+                negs = drawn[at:at + m]
+                at += len(negs)
+                while len(negs) < m:
+                    drawn = draw(regular - len(negs))
+                    at = min(m - len(negs), len(drawn))
+                    negs += drawn[:at]
+                regular -= m
+                if context in negs:
+                    for i in range(m):
+                        tries = 0
+                        while negs[i] == context and tries < 10:
+                            if at == len(drawn):
+                                drawn, at = draw(regular + 1), 0  # this resample, then later pairs
+                            negs[i] = drawn[at]
+                            at += 1
+                            tries += 1
+                yield TrainingPair(center, context, negs)
 
 
 @dataclass
@@ -304,6 +345,9 @@ def _block_gradients(block, E, theta, table):
 def train_skipgram(tokens, config: SkipgramConfig, log_fn=None):
     """Train skip-gram embeddings by minibatch SGD; deterministic for a fixed seed.
 
+    ``tokens`` is a corpus in a form that :func:`code_points` takes; it is read
+    once, into one array of code points and then one of ids.
+
     The pairs of ``generate_pairs`` are taken in blocks of
     ``max(1, BLOCK_ROWS // (m + 1))`` consecutive pairs (the last block of an
     epoch may be shorter), so no more than one block of pairs is held at a
@@ -316,11 +360,10 @@ def train_skipgram(tokens, config: SkipgramConfig, log_fn=None):
     A non-finite logit raises ``ValueError`` naming the epoch and step, and a
     non-finite embedding row after an epoch raises one naming the epoch.
     """
-    tokens = list(tokens)
-    vocab = build_vocab(tokens, min_count=config.min_count)
-    ids = vocab.encode(tokens)
-    if not ids:
-        raise ValueError("corpus empty after vocabulary filtering")
+    points = code_points(tokens)
+    vocab = build_vocab(points, min_count=config.min_count)
+    ids = vocab.encode(points)  # never empty: each kept character occurs
+    del points  # training reads the ids alone
     rng = np.random.default_rng(config.seed)
     E = init_embeddings(len(vocab), config.dim, config.geometry, rng)
     history = []
@@ -388,8 +431,9 @@ def read_embeddings(path):
 
     Lines are read by :func:`gyronet.data.read_utf8_lines`, so a leading BOM
     is dropped and ``\\n``, ``\\r\\n`` and ``\\r`` all end a line.  Invalid
-    UTF-8 anywhere in the file, a malformed header, a short or unparsable row
-    and a non-finite coordinate raise ``ValueError("<path>:<line>: ...")``.
+    UTF-8 anywhere in the file, a malformed header, a short or unparsable row,
+    a non-finite coordinate and a non-empty line past the declared rows raise
+    ``ValueError("<path>:<line>: ...")``.
     """
     lines = read_utf8_lines(path)
     header = next(lines, (1, ""))[1].split()
@@ -416,6 +460,9 @@ def read_embeddings(path):
             rows.append(list(map(float, fields[-cols:])))
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
+    for lineno, line in lines:
+        if line:
+            raise ValueError(f"{path}:{lineno}: more rows than the {size} the header declares")
     matrix = np.array(rows, dtype=float).reshape(size, cols)
     bad = ~np.isfinite(matrix).all(axis=1)
     if bad.any():

@@ -152,16 +152,6 @@ def bias_translate(x, b, c=1.0):
     return exp_map_poincare(x, vx, c)
 
 
-def lift_map(f, x, c=1.0):
-    """Lift a euclidean map f to the ball: exp_0(f(log_0(x)))."""
-    x = np.asarray(x, dtype=float)
-    origin = np.zeros_like(x)
-    v = log_map_poincare(origin, x, c)
-    fv = np.asarray(f(v), dtype=float)
-    origin_out = np.zeros_like(fv)
-    return exp_map_poincare(origin_out, fv, c)
-
-
 # ---------------------------------------------------------------------------
 # Hyperboloid model
 # ---------------------------------------------------------------------------

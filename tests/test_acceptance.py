@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+from gradcheck import check_gradient
 from gyronet import checks, cli, data, embed
 from gyronet import diffcore as dc
 from gyronet import geometry as geo
@@ -103,14 +104,14 @@ def test_04_minkowski_gradient_oracle():
             E2.A[pair.center] = row
             return embed.pair_log_likelihood(pair, E2, theta)
 
-        report = dc.check_gradient(ll_a, E.A[pair.center], _flip_last(grad_a))
+        report = check_gradient(ll_a, E.A[pair.center], _flip_last(grad_a))
         worst = max(worst, report.max_rel_err)
         for wid, gb in grads_b.items():
             def ll_b(row, wid=wid):
                 E2 = embed.EmbeddingMatrices(E.A, E.B.copy(), "hyperboloid", dim)
                 E2.B[wid] = row
                 return embed.pair_log_likelihood(pair, E2, theta)
-            report = dc.check_gradient(ll_b, E.B[wid], _flip_last(gb))
+            report = check_gradient(ll_b, E.B[wid], _flip_last(gb))
             worst = max(worst, report.max_rel_err)
         # Riemannian SGD preserves the carrier invariant
         new = embed.rsgd_step_hyperboloid(E.A[pair.center], -grad_a, 0.05)
@@ -157,7 +158,7 @@ def _full_model_gradcheck(seed):
         def fn(arr, name=name):  # finite differences read only the loss value
             return float(record({**params_np, name: arr}, grad=False)[2].value)
 
-        report = dc.check_gradient(fn, params_np[name].copy(), grads[tensors[name]])
+        report = check_gradient(fn, params_np[name].copy(), grads[tensors[name]])
         worst = max(worst, report.max_rel_err)
     return worst
 

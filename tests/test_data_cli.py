@@ -20,7 +20,7 @@ from gyronet.geometry import lorentz_inner
 def test_ingest_corpus_characters(tmp_path):
     path = tmp_path / "c.txt"
     path.write_text("游泳", encoding="utf-8")
-    assert list(data.ingest_corpus(path)) == ["游", "泳"]
+    assert data.ingest_corpus(path) == "游泳"
 
 
 def test_ingest_corpus_whitespace_and_keep(tmp_path):
@@ -449,8 +449,13 @@ def test_cli_train_embeddings_refuses_settings_that_train_nothing(tmp_path, caps
     (["--dropout", "1"], "--dropout must lie in [0, 1), got 1.0"),
     (["--holdout", "-0.1"], "--holdout must lie in [0, 1), got -0.1"),
     (["--pe-scale", "nan"], "--pe-scale must be finite, got nan"),
+    (["--epochs", "2", "--restart-epoch", "5"],
+     "--restart-epoch must be < --epochs (2) or the restart never comes, got 5"),
+    (["--epochs", "3", "--restart-epoch", "3"],
+     "--restart-epoch must be < --epochs (3) or the restart never comes, got 3"),
 ], ids=["heads", "layers", "batch-size", "max-seq-len", "epochs", "ffn-dim", "head-dim",
-        "lr-nan", "lr-zero", "manifold-lr-inf", "dropout", "holdout", "pe-scale"])
+        "lr-nan", "lr-zero", "manifold-lr-inf", "dropout", "holdout", "pe-scale",
+        "restart-epoch-past-epochs", "restart-epoch-at-epochs"])
 def test_cli_train_classifier_refuses_bad_settings_before_loading(tmp_path, capsys, flags,
                                                                   message):
     # neither input exists: a check that ran after loading would report that instead

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gradcheck import check_gradient
 from gyronet import data
 from gyronet import diffcore as dc
 from gyronet import diffgeom as dg
@@ -187,20 +188,20 @@ def test_unused_leaf_gets_zero_gradient():
 
 def test_check_gradient_squared_norm():
     point = np.array([0.3, -0.7, 0.2])
-    report = dc.check_gradient(lambda p: np.sum(p * p), point, 2.0 * point, tol=1e-6)
+    report = check_gradient(lambda p: np.sum(p * p), point, 2.0 * point, tol=1e-6)
     assert report.passed
 
 
 def test_check_gradient_constant():
     point = np.array([0.1, 0.2])
-    report = dc.check_gradient(lambda p: 3.0, point, np.zeros(2))
+    report = check_gradient(lambda p: 3.0, point, np.zeros(2))
     assert report.passed
     np.testing.assert_array_equal(report.numeric, np.zeros(2))
 
 
 def test_check_gradient_detects_error():
     point = np.array([0.3, 0.4])
-    report = dc.check_gradient(lambda p: np.sum(p * p), point, 3.0 * point, tol=1e-4)
+    report = check_gradient(lambda p: np.sum(p * p), point, 3.0 * point, tol=1e-4)
     assert not report.passed
 
 
@@ -215,7 +216,7 @@ def _gradcheck_scalar_fn(build, point, tol=1e-4):
         t2 = dc.Tape()
         return float(build(t2, t2.leaf(p)).value)
 
-    return dc.check_gradient(fn, point, analytic, tol=tol)
+    return check_gradient(fn, point, analytic, tol=tol)
 
 
 def _op_cases(rng):

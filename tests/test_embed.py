@@ -4,6 +4,7 @@ the embedding text format."""
 
 import codecs
 import functools
+import re
 import tracemalloc
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gradcheck import check_gradient
 from gyronet import embed
 from gyronet.checks import random_ball_points
 from gyronet.geometry import hyperboloid_origin, lorentz_inner, to_hyperboloid
@@ -32,6 +34,71 @@ def test_build_vocab_min_count():
     assert vocab.id_to_token == ["a"]
     with pytest.raises(ValueError):
         embed.build_vocab(["a"], min_count=5)
+
+
+def _dict_vocab(tokens, other, min_count):
+    """The dict-based build_vocab and encode of earlier versions, the oracle of
+    the code-point path: (tokens in sorted order, their counts, the ids of
+    ``other``), or None for an empty vocabulary."""
+    counts = {}
+    for t in tokens:
+        counts[t] = counts.get(t, 0) + 1
+    kept = sorted(t for t, n in counts.items() if n >= min_count)
+    t2i = {t: i for i, t in enumerate(kept)}
+    return (kept, [counts[t] for t in kept], [t2i[t] for t in other if t in t2i]) if kept else None
+
+
+# ASCII, Latin-1, whitespace (a space, a tab, a line end, an ideographic
+# space), CJK, the last BMP character and characters beyond the BMP
+CORPUS_CHARS = st.sampled_from(list("ab é\t\n\u3000一丁龥\uffff") + ["\U00020000", "\U0010ffff"])
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.text(CORPUS_CHARS, max_size=60), st.text(CORPUS_CHARS, max_size=30),
+       st.integers(1, 4), st.sampled_from([1, 3, None]))
+@example("aab\U00020000", "ab", 3, None)  # every character below min_count
+def test_build_vocab_and_encode_equal_the_dict_oracle(corpus, other, min_count, piece):
+    ref = _dict_vocab(corpus, other, min_count)
+    with pytest.MonkeyPatch.context() as mp:
+        if piece is not None:  # slices of 1 or 3 code points cut the corpus anywhere
+            mp.setattr(embed, "CORPUS_SLICE", piece)
+        for tokens in (corpus, list(corpus), iter(corpus)):
+            if ref is None:
+                with pytest.raises(ValueError, match="empty vocabulary"):
+                    embed.build_vocab(tokens, min_count=min_count)
+                continue
+            vocab = embed.build_vocab(tokens, min_count=min_count)
+            ids = vocab.encode(other)
+            assert (vocab.id_to_token, vocab.counts.tolist(), ids.tolist()) == ref
+            assert ids.dtype == np.int32
+
+
+@pytest.mark.parametrize("tokens", [["a", "bc"], ["a", ""], ["a", 7], [b"a"]],
+                         ids=["long", "empty", "int", "bytes"])
+def test_corpus_tokens_are_single_characters(tokens):
+    bad = tokens[-1]
+    for call in (embed.build_vocab, embed.build_vocab("a").encode, embed.code_points):
+        with pytest.raises(ValueError, match=f"one character, got {re.escape(repr(bad))}"):
+            call(iter(tokens))
+
+
+def test_corpus_to_ids_peaks_under_12_bytes_per_character():
+    # 10**6 Zipf-weighted CJK characters, as one str like ingest_corpus returns;
+    # epochs=0 runs just the corpus-to-ids step of training
+    n = 10**6
+    rng = np.random.default_rng(16)
+    weights = 1.0 / np.arange(1, 3001)
+    points = 0x4E00 + rng.choice(3000, size=n, p=weights / weights.sum())
+    text = points.astype("<u4").tobytes().decode("utf-32-le")
+    config = embed.SkipgramConfig(dim=1, epochs=0)
+    tracemalloc.start()
+    try:
+        _, vocab, _ = embed.train_skipgram(text, config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(vocab) == len(np.unique(points))
+    assert peak <= 12 * n, f"{peak / n:.1f} B/char"
 
 
 def test_sampling_distribution_alpha_one():
@@ -96,6 +163,22 @@ def _per_draw_pairs(ids, mu, m, vocab, rng):
                     negs[i] = vocab.sample_negatives(1, rng)[0]
                     tries += 1
             yield ids[k], context, negs
+
+
+@pytest.mark.parametrize("piece", [1, 2, 5])
+def test_generate_pairs_is_the_same_for_every_slice_length(monkeypatch, piece):
+    # windows that cross a slice boundary, and slices shorter than a window
+    tokens = list("abcabcbbcaxyzzyx" * 3)
+    vocab = embed.build_vocab(tokens)
+    ids = vocab.encode(tokens)
+    want = [(p.center, p.context, p.negatives)
+            for p in embed.generate_pairs(ids, 3, 2, vocab, np.random.default_rng(5))]
+    monkeypatch.setattr(embed, "CORPUS_SLICE", piece)
+    for corpus in (ids, ids.tolist()):
+        got = [(p.center, p.context, p.negatives)
+               for p in embed.generate_pairs(corpus, 3, 2, vocab, np.random.default_rng(5))]
+        assert got == want
+        assert all(type(p[0]) is int and type(p[1]) is int for p in got)
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 3, None], ids=["chunk1", "chunk2", "chunk3",
@@ -263,10 +346,9 @@ def test_minkowski_gradients_match_finite_differences():
         E2.A[0] = row
         return embed.pair_log_likelihood(pair, E2, 1.0)
 
-    import gyronet.diffcore as dc
     # the Minkowski gradient is the euclidean (coordinate) gradient with the
     # time-coordinate sign flipped
-    report = dc.check_gradient(ll_of_a, E.A[0], _flip_last(grad_a))
+    report = check_gradient(ll_of_a, E.A[0], _flip_last(grad_a))
     assert report.passed, report
 
     for wid, gb in grads_b.items():
@@ -274,7 +356,7 @@ def test_minkowski_gradients_match_finite_differences():
             E2 = embed.EmbeddingMatrices(E.A, E.B.copy(), "hyperboloid", 3)
             E2.B[wid] = row
             return embed.pair_log_likelihood(pair, E2, 1.0)
-        report = dc.check_gradient(ll_of_b, E.B[wid], _flip_last(gb))
+        report = check_gradient(ll_of_b, E.B[wid], _flip_last(gb))
         assert report.passed, report
 
 
@@ -382,6 +464,19 @@ def test_train_skipgram_deterministic():
     assert np.array_equal(E1.A, E2.A)
     assert np.array_equal(E1.B, E2.B)
     assert h1 == h2
+
+
+@pytest.mark.parametrize("geometry", embed.GEOMETRIES)
+def test_train_skipgram_reads_a_str_a_list_and_a_generator_alike(geometry):
+    text = "游泳池\U00020000游泳 池游" * 4
+    cfg = embed.SkipgramConfig(geometry=geometry, dim=3, mu=2, m=2, epochs=2, seed=3)
+    runs = [embed.train_skipgram(tokens, cfg)
+            for tokens in (text, list(text), (ch for ch in text))]
+    for E, vocab, history in runs[1:]:
+        assert vocab.id_to_token == runs[0][1].id_to_token
+        assert history == runs[0][2]
+        assert E.A.tobytes() == runs[0][0].A.tobytes()
+        assert E.B.tobytes() == runs[0][0].B.tobytes()
 
 
 def test_train_skipgram_empty_vocab():
@@ -653,6 +748,12 @@ def test_embedding_file_euclidean_round_trip(tmp_path):
         np.testing.assert_array_equal(again, matrix)
 
 
+def test_embedding_file_blank_lines_after_the_rows_are_read(tmp_path):
+    path = tmp_path / "emb.txt"
+    path.write_text("1 2 euclidean\nx 0.1 0.2\n\n\n", encoding="utf-8")
+    assert embed.read_embeddings(path)[0] == ["x"]
+
+
 def test_embedding_file_truncated(tmp_path):
     path = tmp_path / "emb.txt"
     path.write_text("2 2 euclidean\nx 0.1 0.2\n", encoding="utf-8")
@@ -668,6 +769,8 @@ def test_embedding_file_truncated(tmp_path):
     ("1 two euclidean\nx 0.1 0.2\n", 1, "malformed embedding header"),
     ("1 2 sphere\nx 0.1 0.2\n", 1, "malformed embedding header"),
     ("99999999999 2 euclidean\nx 0.1 0.2\n", 3, "truncated at row 1"),  # no allocation first
+    ("1 2 euclidean\nx 0.1 0.2\ny 0.3 0.4\n", 3, "more rows than the 1 the header declares"),
+    ("0 2 euclidean\n\n\nx 0.1 0.2\n", 4, "more rows than the 0 the header declares"),
 ])
 def test_embedding_file_malformed_names_line(tmp_path, text, line, reason):
     path = tmp_path / "emb.txt"

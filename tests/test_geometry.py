@@ -199,14 +199,6 @@ def test_bias_translate_matches_mobius_add():
     np.testing.assert_allclose(geo.bias_translate(a, b), geo.mobius_add(a, b), atol=1e-8)
 
 
-def test_lift_map():
-    x = np.array([0.4, 0.2])
-    np.testing.assert_allclose(geo.lift_map(lambda v: v, x), x, atol=1e-12)
-    np.testing.assert_allclose(geo.lift_map(lambda v: 0.0 * v, x), 0.0, atol=1e-15)
-    np.testing.assert_allclose(geo.lift_map(lambda v: 1.7 * v, x),
-                               geo.mobius_scalar_mul(1.7, x), atol=1e-9)
-
-
 # ---------------------------------------------------------------------------
 # Hyperboloid model
 # ---------------------------------------------------------------------------

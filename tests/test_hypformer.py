@@ -192,7 +192,8 @@ def test_hyperbolic_ffn_matches_composition(rng):
     out = hf.hyperbolic_ffn(tape.constant(x_np), tape.constant(w1), tape.constant(b1),
                             tape.constant(w2), tape.constant(b2)).value
     h = geo.mobius_add(geo.mobius_matvec(w1.T, x_np), b1)
-    h = geo.lift_map(lambda v: np.maximum(v, 0.0), h)
+    origin = np.zeros_like(h)  # exp_0(ReLU(log_0(h)))
+    h = geo.exp_map_poincare(origin, np.maximum(geo.log_map_poincare(origin, h), 0.0))
     manual = geo.mobius_add(geo.mobius_matvec(w2.T, h), b2)
     np.testing.assert_allclose(out, manual, atol=1e-10)
 

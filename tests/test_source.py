@@ -36,3 +36,17 @@ def test_only_the_line_reader_and_the_bundle_decode_bytes():
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
              and node.func.attr == "decode"]
     assert not calls, "bytes decoded outside data.read_utf8_lines: " + ", ".join(calls)
+
+
+def test_only_embed_code_points_turns_characters_into_code_points():
+    # the corpus has one form on its way to ids: the array of code_points
+    calls = [f"{path.name}:{node.lineno}" for path in SOURCES
+             for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(fn, ast.FunctionDef)
+             and (path.name, fn.name) not in (("embed.py", "code_points"),
+                                              ("embed.py", "_code_point"))
+             for node in ast.walk(fn)
+             if (isinstance(node, ast.Name) and node.id == "ord")
+             or (isinstance(node, ast.Constant) and "utf-32" in str(node.value).lower())]
+    assert not calls, "characters turned into code points outside embed.code_points: " + \
+        ", ".join(calls)
