@@ -159,9 +159,13 @@ def cmd_gen_data(argv):
     parser.add_argument("--noise-len", type=int, default=3)
     parser.add_argument("--out", required=True)
     args = _parse_with_config(parser, argv)
-    dataset = data.generate_synthetic_intents(
-        args.classes, args.per_class, args.vocab_size, args.seed,
-        composites=args.composites, noise_len=args.noise_len)
+    try:
+        dataset = data.generate_synthetic_intents(
+            args.classes, args.per_class, args.vocab_size, args.seed,
+            composites=args.composites, noise_len=args.noise_len)
+    except ValueError as exc:
+        # the generator's vocabulary bounds name its parameter, not the flag
+        raise CliError(str(exc).replace("vocab_size", "--vocab-size")) from None
     data.save_intent_dataset(args.out, dataset.records)
     log.info("wrote %d utterances over %d intents to %s",
              len(dataset.records), len(dataset.label_to_id), args.out)

@@ -29,6 +29,13 @@ GEOMETRIES = ("euclidean", "poincare")
 
 @dataclass
 class TransformerConfig:
+    """Classifier shape and geometry, stored as a bundle's config block.
+
+    ``curvature`` is the ball radius c, not a curvature: points of the
+    Poincare ball satisfy ||x|| < c and its sectional curvature is -1/c^2.
+    The key keeps its name, so that bundles keep their bytes.
+    """
+
     geometry: str = "poincare"
     model_dim: int = 16
     num_layers: int = 2

@@ -131,12 +131,37 @@ def _forward_batch(params_np, points_np, unk_np, mask, labels, config,
     return tape, tensors, scores, loss
 
 
+def _train_step(params, opt, manifold, dataset, batch, token_map, config, settings, rng):
+    """One training step on the record indices ``batch``: forward, backward,
+    then each parameter's update in ``sorted(params)`` order, in place in
+    ``params``.  Returns the batch's mean loss as a float and its count of
+    correct predictions.  The step's tape, leaf tensors, scores and gradients
+    are freed when it returns, before the next step records its tape."""
+    records = dataset.records
+    points_np, unk_np, mask = _build_batch(records, batch, token_map, config.max_seq_len)
+    labels = np.array([dataset.label_to_id[records[i][1]] for i in batch])
+    tape, tensors, scores, loss = _forward_batch(
+        params, points_np, unk_np, mask, labels, config, rng=rng, training=True)
+    grads = dc.backward(tape, loss)
+    for name in sorted(params):
+        g = grads[tensors[name]]
+        if name in manifold:
+            params[name] = rsgd_step_poincare(
+                params[name], g, settings.manifold_lr, config.curvature)
+        else:
+            params[name] = opt.step(name, params[name], g)
+    return float(loss.value), int(np.sum(np.argmax(scores.value, axis=-1) == labels))
+
+
 def train_classifier(dataset, token_map, config: TransformerConfig,
                      settings: TrainSettings, log_fn=None):
     """Train on the dataset's training split; returns (params, history).
 
     ``history`` is a list of per-epoch dicts with the mean train loss and
-    train accuracy.  Deterministic for fixed seeds.
+    train accuracy.  Deterministic for fixed seeds.  Each step runs in
+    ``_train_step``, so training holds one step's tape at a time: about
+    180 MB at the ``hyp-c2v-100`` presets (dim 100) with batches of 16
+    utterances of 64 characters.
     """
     rng = np.random.default_rng(settings.seed)
     params = init_params(config, rng)
@@ -145,8 +170,6 @@ def train_classifier(dataset, token_map, config: TransformerConfig,
     restart_epoch = settings.restart_epoch
     if restart_epoch is None:
         restart_epoch = settings.epochs // 2
-    records = dataset.records
-    label_to_id = dataset.label_to_id
     train_idx = np.array(dataset.train_indices)
     history = []
     for epoch in range(settings.epochs):
@@ -160,21 +183,10 @@ def train_classifier(dataset, token_map, config: TransformerConfig,
         loss_sum = 0.0
         correct = 0
         for batch in _batches(order.tolist(), settings.batch_size):
-            points_np, unk_np, mask = _build_batch(records, batch, token_map, config.max_seq_len)
-            labels = np.array([label_to_id[records[i][1]] for i in batch])
-            tape, tensors, scores, loss = _forward_batch(
-                params, points_np, unk_np, mask, labels, config,
-                rng=rng, training=True)
-            grads = dc.backward(tape, loss)
-            for name in sorted(params):
-                g = grads[tensors[name]]
-                if name in manifold:
-                    params[name] = rsgd_step_poincare(
-                        params[name], g, settings.manifold_lr, config.curvature)
-                else:
-                    params[name] = opt.step(name, params[name], g)
-            loss_sum += float(loss.value) * len(batch)
-            correct += int(np.sum(np.argmax(scores.value, axis=-1) == labels))
+            loss, hits = _train_step(params, opt, manifold, dataset, batch, token_map,
+                                     config, settings, rng)
+            loss_sum += loss * len(batch)
+            correct += hits
         entry = {
             "epoch": epoch,
             "train_loss": loss_sum / len(order),

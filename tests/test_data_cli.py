@@ -250,7 +250,8 @@ def test_cli_gen_data_deterministic(tmp_path):
     ("--per-class", "0", "--per-class must be >= 1, got 0"),
     ("--noise-len", "-1", "--noise-len must be >= 0, got -1"),
     ("--classes", "1", "--classes must be >= 2, got 1"),
-    ("--vocab-size", "40000", "vocab_size must be <= 35328, got 40000"),
+    ("--vocab-size", "40000", "--vocab-size must be <= 35328, got 40000"),
+    ("--vocab-size", "5", "--vocab-size 5 too small for 3 disjoint signatures"),
 ])
 def test_cli_gen_data_refuses_empty_or_negative_sizes(tmp_path, capsys, flag, value, message):
     out = tmp_path / "d.tsv"

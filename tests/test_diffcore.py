@@ -1,5 +1,6 @@
 """Tests for the tape autodiff core and the differentiable ball operations."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -680,3 +681,47 @@ def test_evaluate_classifier_refuses_no_indices():
     dataset, token_map, params, cfg = _tiny_evaluation("poincare")
     with pytest.raises(ValueError, match="at least one record index"):
         train.evaluate_classifier(dataset, [], token_map, params, cfg)
+
+
+# ---------------------------------------------------------------------------
+# Training holds one tape at a time
+# ---------------------------------------------------------------------------
+
+def _traced_peak(fn):
+    """The most bytes that ``fn()`` held at once, above those live before it."""
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("geometry", hf.GEOMETRIES)
+def test_train_classifier_frees_each_step_tape_before_the_next(geometry):
+    # every utterance has 12 characters, so every step records a tape of one size
+    rng = np.random.default_rng(7)
+    chars = "abcdefghijklmnop"
+    records = [("".join(rng.choice(list(chars), 12)), f"c{i % 3}") for i in range(24)]
+    dataset = data.make_dataset(records, holdout_fraction=0.0)
+    token_map = train.TokenMap(list(chars), random_ball_points(rng, len(chars), 8, radius=0.8))
+    cfg = hf.TransformerConfig(geometry=geometry, model_dim=8, num_layers=2, num_heads=2,
+                               head_dim=4, ffn_dim=16, num_classes=3, max_seq_len=12,
+                               dropout=0.1)
+    steps = train.TrainSettings(epochs=1, batch_size=8)
+    assert len(dataset.train_indices) // steps.batch_size >= 3
+    batch = dataset.train_indices[:steps.batch_size]
+    params = hf.init_params(cfg, np.random.default_rng(0))
+    points, unk, mask = train._build_batch(dataset.records, batch, token_map, cfg.max_seq_len)
+    labels = np.array([dataset.label_to_id[dataset.records[i][1]] for i in batch])
+
+    def one_step():
+        tape, _, _, loss = train._forward_batch(params, points, unk, mask, labels, cfg,
+                                                rng=np.random.default_rng(1), training=True)
+        dc.backward(tape, loss)
+
+    step_peak = _traced_peak(one_step)
+    epoch_peak = _traced_peak(lambda: train.train_classifier(dataset, token_map, cfg, steps))
+    assert epoch_peak <= 1.5 * step_peak, (epoch_peak / step_peak, step_peak)
