@@ -15,6 +15,7 @@ import json
 import logging
 import math
 import os
+import re
 import sys
 
 from . import bundle, checks, data, diffcore, embed, train
@@ -164,8 +165,10 @@ def cmd_gen_data(argv):
             args.classes, args.per_class, args.vocab_size, args.seed,
             composites=args.composites, noise_len=args.noise_len)
     except ValueError as exc:
-        # the generator's vocabulary bounds name its parameter, not the flag
-        raise CliError(str(exc).replace("vocab_size", "--vocab-size")) from None
+        # the generator's bounds name its parameters, not the flags
+        flags = {"vocab_size": "--vocab-size", "num_classes": "--classes",
+                 "composites": "--composites"}
+        raise CliError(re.sub(r"\w+", lambda m: flags.get(m[0], m[0]), str(exc))) from None
     data.save_intent_dataset(args.out, dataset.records)
     log.info("wrote %d utterances over %d intents to %s",
              len(dataset.records), len(dataset.label_to_id), args.out)

@@ -147,14 +147,15 @@ def generate_synthetic_intents(num_classes, per_class, vocab_size, seed,
         raise ValueError(f"composites must be >= 0, got {composites}")
     if vocab_size > MAX_VOCAB_SIZE:
         raise ValueError(f"vocab_size must be <= {MAX_VOCAB_SIZE}, got {vocab_size}")
-    if composites >= num_classes:
-        raise ValueError("composites must leave at least two base classes")
-    rng = np.random.default_rng(seed)
     num_base = num_classes - composites
     if composites > 0 and num_base < 2:
-        raise ValueError("composite classes need at least two base classes")
+        raise ValueError(f"composites {composites} with num_classes {num_classes} leaves "
+                         f"fewer than two base classes to mix")
     if composites > num_base * (num_base - 1) // 2:
-        raise ValueError("not enough base-class pairs for the requested composites")
+        raise ValueError(f"composites {composites} with num_classes {num_classes} leaves "
+                         f"{num_base} base classes, too few to pair into {composites} "
+                         f"composite classes")
+    rng = np.random.default_rng(seed)
     pool = [chr(0x4E00 + i) for i in range(vocab_size)]
     sig_sizes = rng.integers(2, 5, size=num_base)
     total_sig = int(sig_sizes.sum())

@@ -3,14 +3,20 @@
 A :class:`Tape` records primitive operations as they are executed eagerly.
 Each record keeps the op name, input node ids and the computed value, so the
 node list is topologically ordered by construction.  Every recorded value is
-checked to be finite, at record time, by one C-level reduction
-(``np.logical_and.reduce`` over ``np.isfinite``); a non-finite one raises
-:class:`TapeError` naming the node index and op.  A node's ``requires_grad``
-flag is set when it is recorded: true when any of its inputs requires grad.
-``backward`` walks the records in reverse, skips nodes without the flag, and
-accumulates vector-Jacobian products; a gradient whose shape differs from its
-input's (the input was broadcast) is summed back to that shape.  To evaluate
-at new inputs, record a new tape.
+checked to be finite, at record time, by one dot product:
+``math.isfinite(np.vdot(v, v))``, as a sum of squares is finite only when
+every entry is.  Only when it is not (a NaN, an infinity, or finite entries
+of 1.4e154 or more, whose squares overflow), or when ``v`` is a view that is
+not C-contiguous, which ``np.vdot`` would copy, does the exact
+``np.isfinite`` reduction run and decide; a non-finite value raises
+:class:`TapeError` naming the node index and op.  A node's
+``requires_grad`` flag is set when it is recorded: true when any of its
+inputs requires grad, and the tape lists its grad-enabled leaves as it
+makes them.  ``backward`` walks the records in reverse, skips nodes without
+the flag, and accumulates vector-Jacobian products; a gradient whose shape
+differs from its input's (the input was broadcast) is summed back to that
+shape.  It returns the listed leaves' gradients, zeros for a leaf that no
+gradient reached.  To evaluate at new inputs, record a new tape.
 
 A forward-only tape, ``Tape(grad=False)``, is for callers that never
 differentiate, such as evaluation.  Every op runs the same forward and the
@@ -21,12 +27,19 @@ refuses such a tape.
 
 :func:`ball_project` records its input array itself when no row reaches the
 shell (``x * 1.0`` is bitwise ``x``) and rescales only when some row is
-clamped, so values and gradients are the same bits either way.
+clamped, so values and gradients are the same bits either way.  Two VJP
+rules pass the output gradient through as it is where their mask is all
+true, which is bitwise the product with that mask: ``ball_project`` when no
+row was clamped, and ``clip_min`` when no entry is at or below its floor.
+Gradient arrays may therefore be shared between nodes, as those of ``add``
+always were; no rule writes into one.
 
 First-order gradients only.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -68,7 +81,7 @@ class Tensor:
     def _coerce(self, other):
         if isinstance(other, Tensor):
             return other
-        return self.tape.constant(other)
+        return self.tape.leaf(other)
 
     def __add__(self, other):
         return add(self, self._coerce(other))
@@ -122,6 +135,7 @@ class Tape:
     def __init__(self, grad=True):
         self.grad = grad
         self.nodes: list[Node] = []
+        self.params: list[int] = []  # node ids of the grad-enabled leaves, in order
         self.skipped = 0  # values a forward-only tape numbered but did not keep
 
     def leaf(self, data, requires_grad=False):
@@ -129,16 +143,23 @@ class Tape:
         if not self.grad:
             self.skipped += 1
             return Tensor(self, self.skipped - 1, value)
-        self.nodes.append(Node("leaf", (), value, requires_grad=requires_grad))
-        return Tensor(self, len(self.nodes) - 1, value)
+        nodes = self.nodes
+        if requires_grad:
+            self.params.append(len(nodes))
+        nodes.append(Node("leaf", (), value, requires_grad=requires_grad))
+        return Tensor(self, len(nodes) - 1, value)
 
     def constant(self, data):
         return self.leaf(data, requires_grad=False)
 
     def record(self, op, inputs, value, **attrs):
         nodes = self.nodes
-        # one C-level reduction; ndarray.all() goes through a Python wrapper
-        if not _all(np.isfinite(value), axis=None):
+        # a sum of squares is finite only when every entry is; the exact test
+        # decides when it is not (squares of entries >= 1.4e154 overflow
+        # although the entries are finite), and for a value that is not
+        # C-contiguous, which np.vdot would first copy
+        if not (value.flags.c_contiguous and math.isfinite(np.vdot(value, value))) \
+                and not _all(np.isfinite(value), axis=None):
             raise TapeError(f"non-finite value at node {len(nodes) + self.skipped} (op {op})")
         if not self.grad:
             self.skipped += 1
@@ -177,27 +198,38 @@ def backward(tape: Tape, output: Tensor) -> dict[Tensor, np.ndarray]:
     if np.size(out_node.value) != 1:
         raise TapeError(f"backward output must be scalar, got shape {np.shape(out_node.value)}")
     grads: dict[int, np.ndarray] = {output.nid: np.ones_like(np.asarray(out_node.value, dtype=float))}
+    pop, get = grads.pop, grads.get
     for nid in range(output.nid, -1, -1):
         node = nodes[nid]
-        if not node.requires_grad or node.op == "leaf":
+        if not node.requires_grad or not node.inputs:  # a leaf keeps its gradient
             continue
-        g = grads.pop(nid, None)
+        g = pop(nid, None)
         if g is None:
             continue
-        vals = [nodes[j].value for j in node.inputs]
-        for j, val, vjp in zip(node.inputs, vals, _BACKWARD[node.op]):
+        inputs = node.inputs
+        if len(inputs) == 1:  # its one input requires grad, as the node does
+            j = inputs[0]
+            val = nodes[j].value
+            pg = _BACKWARD[node.op][0](g, node.value, (val,), node.attrs)
+            if pg.shape != val.shape:
+                pg = _unbroadcast(pg, val.shape)
+            prev = get(j)
+            grads[j] = pg if prev is None else prev + pg
+            continue
+        vals = [nodes[j].value for j in inputs]
+        for j, val, vjp in zip(inputs, vals, _BACKWARD[node.op]):
             if not nodes[j].requires_grad:
                 continue
             pg = vjp(g, node.value, vals, node.attrs)
             if pg.shape != val.shape:
                 pg = _unbroadcast(pg, val.shape)
-            prev = grads.get(j)
+            prev = get(j)
             grads[j] = pg if prev is None else prev + pg
     result = {}
-    for nid, node in enumerate(nodes):
-        if node.op == "leaf" and node.requires_grad:
-            zero = np.zeros_like(np.asarray(node.value, dtype=float))
-            result[Tensor(tape, nid, node.value)] = grads.get(nid, zero)
+    for nid in tape.params:
+        value = nodes[nid].value
+        g = get(nid)
+        result[Tensor(tape, nid, value)] = np.zeros_like(value) if g is None else g
     return result
 
 
@@ -261,8 +293,8 @@ def matmul(a, b):
     return tape.record("matmul", (a, b), a.value @ b.value)
 
 
-_BACKWARD["matmul"] = (lambda g, out, v, at: g @ np.swapaxes(v[1], -1, -2),
-                       lambda g, out, v, at: np.swapaxes(v[0], -1, -2) @ g)
+_BACKWARD["matmul"] = (lambda g, out, v, at: g @ v[1].swapaxes(-1, -2),
+                       lambda g, out, v, at: v[0].swapaxes(-1, -2) @ g)
 
 
 def tsum(a, axis=None, keepdims=False):
@@ -271,11 +303,12 @@ def tsum(a, axis=None, keepdims=False):
 
 
 def _expand_reduced(g, x_shape, axis, keepdims):
-    if axis is None:
-        return np.broadcast_to(g, x_shape)
-    if not keepdims:
+    """The gradient of a reduction copied back over the reduced axes."""
+    if not (keepdims or axis is None):
         g = np.expand_dims(g, axis)
-    return np.broadcast_to(g, x_shape)
+    out = np.empty(x_shape)
+    out[...] = g
+    return out
 
 
 _BACKWARD["sum"] = (
@@ -390,7 +423,12 @@ def clip_min(a, floor):
     return a.tape.record("clip_min", (a,), np.maximum(a.value, floor), floor=floor)
 
 
-_BACKWARD["clip_min"] = (lambda g, out, v, at: g * (v[0] > at["floor"]),)
+def _clip_min_bwd(g, out, v, at):
+    above = v[0] > at["floor"]
+    return g if _all(above, axis=None) else g * above
+
+
+_BACKWARD["clip_min"] = (_clip_min_bwd,)
 
 
 def ball_project(a, max_norm, axis=-1):
@@ -409,4 +447,5 @@ def ball_project(a, max_norm, axis=-1):
                          inside=inside)
 
 
-_BACKWARD["ball_project"] = (lambda g, out, v, at: g * at["inside"],)
+# the forward records its input array itself exactly when no row is clamped
+_BACKWARD["ball_project"] = (lambda g, out, v, at: g if out is v[0] else g * at["inside"],)

@@ -36,8 +36,9 @@ NEGATIVE_CHUNK = 4096
 # A row that recurs in a block takes the sum of its gradients in one step,
 # and larger blocks diverged where per-pair steps did not.
 BLOCK_ROWS = 48
-# Most code points or ids of a corpus widened at a time: bincount and take
-# cast code points to intp, and generate_pairs turns ids into Python ints.
+# Most code points or ids of a corpus worked on at a time: build_vocab sorts
+# and encode searches one slice of code points, and generate_pairs turns one
+# slice of ids into Python ints.
 CORPUS_SLICE = 1 << 14
 
 
@@ -69,11 +70,12 @@ class Vocabulary:
         weights = self.counts ** alpha
         self.sampling_probs = weights / weights.sum()
         self._cum = np.cumsum(self.sampling_probs)
-        # code point -> id, or -1 outside the vocabulary, as in the last entry,
-        # to which encode clips every code point past the table
+        # the vocabulary's code points sorted, and the id of each: tables the
+        # size of the vocabulary, whatever its largest code point
         points = code_points(self.id_to_token)
-        self._ids = np.full(int(points.max(initial=0)) + 2, -1, dtype=np.int32)
-        self._ids[points] = np.arange(len(points))
+        order = np.argsort(points)
+        self._points = points[order]
+        self._ids = order.astype(np.int32)
 
     def __len__(self):
         return len(self.id_to_token)
@@ -83,8 +85,12 @@ class Vocabulary:
         outside the vocabulary are dropped."""
         points = code_points(tokens)
         ids, n = np.empty(len(points), dtype=np.int32), 0
+        last = len(self._points) - 1
         for lo in range(0, len(points), CORPUS_SLICE):
-            part = self._ids.take(points[lo:lo + CORPUS_SLICE], mode="clip")
+            # searched once per distinct code point, which is faster than per position
+            distinct, back = np.unique(points[lo:lo + CORPUS_SLICE], return_inverse=True)
+            at = np.minimum(self._points.searchsorted(distinct), last)
+            part = np.where(self._points[at] == distinct, self._ids[at], -1)[back]
             part = part[part >= 0]
             ids[n:n + len(part)] = part
             n += len(part)
@@ -98,14 +104,17 @@ def build_vocab(tokens, min_count=1, alpha=0.75):
     """The characters that a corpus holds at least ``min_count`` times, in
     code-point order, which is ``sorted`` order for one-character strings."""
     points = code_points(tokens)
-    counts = np.zeros(int(points.max(initial=0)) + 1, dtype=np.intp)
+    # the distinct code points so far, sorted, and their counts (exact in
+    # float64 up to 2**53)
+    seen, counts = np.empty(0, dtype=np.uint32), np.empty(0)
     for lo in range(0, len(points), CORPUS_SLICE):
-        part = np.bincount(points[lo:lo + CORPUS_SLICE])
-        counts[:len(part)] += part
-    kept = np.flatnonzero(counts >= max(min_count, 1))
-    if not len(kept):
+        part, part_counts = np.unique(points[lo:lo + CORPUS_SLICE], return_counts=True)
+        seen, at = np.unique(np.concatenate([seen, part]), return_inverse=True)
+        counts = np.bincount(at, np.concatenate([counts, part_counts]))
+    kept = counts >= max(min_count, 1)
+    if not kept.any():
         raise ValueError("empty vocabulary after min_count filtering")
-    return Vocabulary(map(chr, kept.tolist()), counts[kept], alpha)
+    return Vocabulary(map(chr, seen[kept].tolist()), counts[kept], alpha)
 
 
 @dataclass

@@ -263,6 +263,22 @@ def test_cli_gen_data_refuses_empty_or_negative_sizes(tmp_path, capsys, flag, va
     assert not out.exists()
 
 
+@pytest.mark.parametrize("classes, composites, message", [
+    ("3", "3", "--composites 3 with --classes 3 leaves fewer than two base classes to mix"),
+    ("3", "2", "--composites 2 with --classes 3 leaves fewer than two base classes to mix"),
+    ("4", "2", "--composites 2 with --classes 4 leaves 2 base classes, too few to pair into "
+               "2 composite classes"),
+], ids=["no-base-class", "one-base-class", "too-few-pairs"])
+def test_cli_gen_data_refuses_composites_the_classes_cannot_make(tmp_path, capsys, classes,
+                                                                 composites, message):
+    out = tmp_path / "d.tsv"
+    code = cli.main(["gen-data", "--classes", classes, "--composites", composites,
+                     "--vocab-size", "30", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [f"gyronet gen-data: error: {message}"]
+    assert not out.exists()
+
+
 def test_cli_train_embeddings_and_convert(tmp_path, caplog):
     corpus = tmp_path / "corpus.txt"
     rng = np.random.default_rng(0)

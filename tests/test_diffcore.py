@@ -449,8 +449,42 @@ def _reference_unbroadcast(grad, shape):
     return grad.reshape(shape)
 
 
+def _reference_expand_reduced(g, x_shape, axis, keepdims):
+    if axis is None:
+        return np.broadcast_to(g, x_shape)
+    if not keepdims:
+        g = np.expand_dims(g, axis)
+    return np.broadcast_to(g, x_shape)
+
+
+def _reference_max_bwd(g, out, v, at):
+    x = v[0]
+    axis, keepdims = at["axis"], at["keepdims"]
+    out_k = out if (keepdims or axis is None) else np.expand_dims(out, axis)
+    if axis is None:
+        out_k = np.broadcast_to(out_k, np.shape(x)) if np.ndim(out_k) else out_k
+    mask = (x == out_k).astype(float)
+    count = np.sum(mask, axis=axis, keepdims=True) if axis is not None else np.sum(mask)
+    return _reference_expand_reduced(g, np.shape(x), axis, keepdims) * mask / count
+
+
+# The VJP rules as first written of every op whose rule has since been
+# rewritten, so that the reference walk checks a new rule against the old
+# one and not against itself.
+_REFERENCE_RULES = {
+    "matmul": (lambda g, out, v, at: g @ np.swapaxes(v[1], -1, -2),
+               lambda g, out, v, at: np.swapaxes(v[0], -1, -2) @ g),
+    "sum": (lambda g, out, v, at: _reference_expand_reduced(g, np.shape(v[0]), at["axis"],
+                                                            at["keepdims"]),),
+    "max": (_reference_max_bwd,),
+    "clip_min": (lambda g, out, v, at: g * (v[0] > at["floor"]),),
+    "ball_project": (lambda g, out, v, at: g * at["inside"],),
+}
+
+
 def _reference_backward(tape, output):
     """Leaf gradients keyed by node id."""
+    rules = {**dc._BACKWARD, **_REFERENCE_RULES}
     nodes = tape.nodes
     grads = {output.nid: np.ones_like(np.asarray(nodes[output.nid].value, dtype=float))}
     for nid in range(output.nid, -1, -1):
@@ -459,7 +493,7 @@ def _reference_backward(tape, output):
             continue
         g = grads.pop(nid)
         vals = [nodes[j].value for j in node.inputs]
-        for j, vjp in zip(node.inputs, dc._BACKWARD[node.op]):
+        for j, vjp in zip(node.inputs, rules[node.op]):
             src = nodes[j]
             if not src.requires_grad:
                 continue
@@ -522,6 +556,95 @@ def test_tape_equals_reference_bit_for_bit(monkeypatch, geometry):
         assert any(not inside.all() for inside in projections)
     else:
         assert not projections
+
+
+@pytest.mark.parametrize("x", [
+    np.array([[3.0, 4.0, 0.0], [0.0, -5.0, 0.0]]),
+    np.zeros((2, 3)),
+    np.array([[0.1, -0.2, 0.3], [0.0, 0.4, -0.0]]),
+    np.array([[0.5, 1.0, 2.0], [1.5, 0.25, 0.75]]),
+    np.array([[3.0, 4.0, 0.0], [6.0, 8.0, 1.0], [0.1, 0.2, 0.3]]),
+    np.zeros((0, 3)),
+], ids=["rows-at-max-norm", "zero-rows", "inside-some-at-floor", "inside-above-floor",
+        "at-past-and-inside", "no-rows"])
+def test_vjp_rules_equal_the_reference_at_the_boundaries(x):
+    # max_norm 5 puts the rows of norm 5 exactly on the shell, where they are
+    # clamped; the clip_min floor 0 is met by the zeros and -0.0
+    max_norm, floor = 5.0, 0.0
+    tape = dc.Tape()
+    tx = tape.leaf(x, requires_grad=True)
+    projected = dc.ball_project(tx, max_norm)
+    clipped = dc.clip_min(tx, floor)
+    rows = dc.tsum(dc.matmul(projected, dc.swap_last(clipped)), axis=-1)
+    cols = dc.tsum(projected * clipped, axis=0, keepdims=True)
+    # ty's gradient is -0.0 throughout, which pins the sign of a zero
+    ty = tape.leaf(x, requires_grad=True)
+    loss = (dc.tsum(rows * rows) + dc.tsum(cols * tape.constant([1.0, -2.0, 3.0]))
+            + dc.tsum(dc.tmax(clipped, axis=-1)) + dc.tsum(projected)
+            + dc.tsum(dc.tsum(ty, axis=0) * tape.constant(-0.0)))
+    grads = {t.nid: g for t, g in dc.backward(tape, loss).items()}
+    ref = _reference_backward(tape, loss)
+    assert grads.keys() == ref.keys() == {tx.nid, ty.nid}
+    for nid, g in grads.items():
+        assert _same_bits(g, ref[nid]), nid
+    # each rule passes the gradient through itself exactly when its mask is all true
+    g = np.ones_like(x)
+    for t, passes in ((projected, (np.linalg.norm(x, axis=-1) < max_norm).all()),
+                      (clipped, (x > floor).all())):
+        node = tape.nodes[t.nid]
+        (rule,) = dc._BACKWARD[node.op]
+        assert (rule(g, node.value, [x], node.attrs) is g) == passes, node.op
+
+
+_HUGE_OR_NON_FINITE = [np.nan, np.inf, -np.inf, 1.4e154, -1.5e154, 1e200, np.finfo(float).max]
+
+
+@st.composite
+def _recorded_values(draw):
+    """A numpy scalar, or an array of shape (), (0, 3), (k,) or (b, l, n),
+    possibly a non-contiguous view, with NaN, +-inf or entries whose squares
+    overflow at drawn positions."""
+    shape = draw(st.sampled_from([None, (), (0, 3)])
+                 | st.tuples(st.integers(1, 6))
+                 | st.tuples(st.integers(1, 3), st.integers(1, 4), st.integers(1, 5)))
+    size = 1 if shape is None else int(np.prod(shape))
+    flat = np.array(draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                  min_size=size, max_size=size)), dtype=float)
+    for at, special in draw(st.lists(st.tuples(st.integers(0, max(size - 1, 0)),
+                                               st.sampled_from(_HUGE_OR_NON_FINITE)),
+                                     max_size=3 if size else 0)):
+        flat[at] = special
+    if shape is None:
+        return np.float64(flat[0])
+    value = flat.reshape(shape)
+    layout = draw(st.sampled_from(["contiguous", "strided", "transposed"]))
+    if layout == "strided" and value.ndim:
+        wide = np.zeros(shape[:-1] + (2 * shape[-1],))
+        wide[..., ::2] = value
+        value = wide[..., ::2]
+    elif layout == "transposed" and value.ndim > 1:
+        value = np.ascontiguousarray(value.T).T
+    return value
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_recorded_values(), st.booleans(), st.integers(0, 3))
+def test_record_refuses_exactly_the_non_finite_values(value, grad, before):
+    finite = bool(np.isfinite(value).all())
+    tape = dc.Tape(grad=grad)
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        x = tape.leaf(1.0, requires_grad=True)
+        for _ in range(before):
+            x = dc.neg(x)
+        if finite:
+            recorded = tape.record("probe", (x,), value)
+            assert recorded.nid == before + 1 and recorded.value is value
+        else:
+            with pytest.raises(dc.TapeError) as info:
+                tape.record("probe", (x,), value)
+            assert str(info.value) == f"non-finite value at node {before + 1} (op probe)"
+    assert len(tape.nodes) == (before + 1 + finite if grad else 0)
 
 
 # ---------------------------------------------------------------------------

@@ -101,6 +101,21 @@ def test_corpus_to_ids_peaks_under_12_bytes_per_character():
     assert peak <= 12 * n, f"{peak / n:.1f} B/char"
 
 
+def test_vocabulary_tables_do_not_grow_with_the_largest_code_point():
+    # two characters, one the last code point: a table indexed by code point
+    # would hold 1.1 million entries
+    embed.build_vocab("ab").encode("abc")  # numpy's lazy set-up is not the tables' cost
+    tracemalloc.start()
+    try:
+        vocab = embed.build_vocab("a\U0010ffff")
+        ids = vocab.encode("\U0010ffffab\U0010fffe")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert vocab.id_to_token == ["a", "\U0010ffff"] and ids.tolist() == [1, 0]
+    assert peak < 1 << 20, f"{peak / 2**20:.1f} MB"
+
+
 def test_sampling_distribution_alpha_one():
     vocab = embed.build_vocab(["a"] * 3 + ["b"], alpha=1.0)
     np.testing.assert_allclose(

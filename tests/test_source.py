@@ -38,6 +38,34 @@ def test_only_the_line_reader_and_the_bundle_decode_bytes():
     assert not calls, "bytes decoded outside data.read_utf8_lines: " + ", ".join(calls)
 
 
+def _calls_by_scope(tree, name):
+    """(enclosing class and function names, line) of every call to ``name``
+    or ``<module>.name``."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Call) and name in (getattr(child.func, "id", None),
+                                                        getattr(child.func, "attr", None)):
+                found.append((".".join(scope), child.lineno))
+            visit(child, scope)
+
+    visit(tree, ())
+    return found
+
+
+def test_tape_nodes_are_made_only_by_tape_leaf_and_record():
+    # the benchmark's tracer counts nodes by wrapping these two methods
+    calls = [(path.name, scope, line) for path in SOURCES
+             for scope, line in _calls_by_scope(ast.parse(path.read_text(encoding="utf-8")),
+                                                "Node")]
+    assert {(name, scope) for name, scope, _ in calls} == {("diffcore.py", "Tape.leaf"),
+                                                           ("diffcore.py", "Tape.record")}, calls
+
+
 def test_only_embed_code_points_turns_characters_into_code_points():
     # the corpus has one form on its way to ids: the array of code_points
     calls = [f"{path.name}:{node.lineno}" for path in SOURCES
