@@ -251,7 +251,7 @@ def cmd_train_classifier(argv):
     settings = train.TrainSettings(
         epochs=args.epochs, batch_size=args.batch_size, seed=args.seed,
         lr=args.lr, manifold_lr=args.manifold_lr,
-        restart_epoch=None if args.restart_epoch < 0 else args.restart_epoch)
+        restart_epoch=args.restart_epoch)
     params, history = train.train_classifier(dataset, token_map, config, settings,
                                              log_fn=log.info)
     metrics = train.evaluate_classifier(

@@ -185,9 +185,8 @@ def generate_synthetic_intents(num_classes, per_class, vocab_size, seed,
     records = []
     for label, signature in classes:
         for _ in range(per_class):
-            chars = list(signature)
-            chars.extend(rng.choice(len(noise_pool), size=noise_len))
-            chars = [noise_pool[c] if isinstance(c, (int, np.integer)) else c for c in chars]
+            noise = rng.choice(len(noise_pool), size=noise_len)
+            chars = signature + [noise_pool[i] for i in noise]
             perm = rng.permutation(len(chars))
             records.append(("".join(chars[i] for i in perm), label))
     return make_dataset(records, holdout_fraction, seed)

@@ -25,9 +25,10 @@ each value the node index a recording tape would, so each tensor keeps a
 distinct ``nid``; but no node is created and no value is kept.  ``backward``
 refuses such a tape.
 
-:func:`ball_project` records its input array itself when no row reaches the
-shell (``x * 1.0`` is bitwise ``x``) and rescales only when some row is
-clamped, so values and gradients are the same bits either way.  Two VJP
+:func:`norm`, :func:`softmax` and :func:`ball_project` act on the last
+axis; ``norm`` and ``ball_project`` run :mod:`gyronet.geometry`'s norm and
+radial clamp, which keeps its input array itself when no row reaches the
+shell and rescales only when some row is clamped.  Two VJP
 rules pass the output gradient through as it is where their mask is all
 true, which is bitwise the product with that mask: ``ball_project`` when no
 row was clamped, and ``clip_min`` when no entry is at or below its floor.
@@ -43,7 +44,8 @@ import math
 
 import numpy as np
 
-_TINY = 1e-15
+from .geometry import _TINY, _clamp, _norm
+
 _all = np.logical_and.reduce
 
 
@@ -351,43 +353,22 @@ asinh = _unary("asinh", np.arcsinh, lambda g, out, v, at: g / np.sqrt(1.0 + v[0]
 relu = _unary("relu", lambda x: np.maximum(x, 0.0), lambda g, out, v, at: g * (v[0] > 0.0))
 
 
-def softmax(a, axis=-1):
+def softmax(a):
+    """Softmax over the last axis."""
     x = a.value
-    shifted = x - np.max(x, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    val = e / np.sum(e, axis=axis, keepdims=True)
-    return a.tape.record("softmax", (a,), val, axis=axis)
+    e = np.exp(x - np.max(x, axis=-1, keepdims=True))
+    return a.tape.record("softmax", (a,), e / np.sum(e, axis=-1, keepdims=True))
 
 
-def _softmax_bwd(g, out, v, at):
-    axis = at["axis"]
-    dot_ = np.sum(g * out, axis=axis, keepdims=True)
-    return out * (g - dot_)
+_BACKWARD["softmax"] = (lambda g, out, v, at: out * (g - np.sum(g * out, axis=-1, keepdims=True)),)
 
 
-_BACKWARD["softmax"] = (_softmax_bwd,)
+def norm(a):
+    """Euclidean norm over the last axis, which is kept with length 1."""
+    return a.tape.record("norm", (a,), _norm(a.value))
 
 
-def _norm(x, axis, keepdims):
-    """Euclidean norm along ``axis``: the same arithmetic as ``np.linalg.norm``
-    takes for real input and one axis, without its argument handling."""
-    return np.sqrt(np.add.reduce(x * x, axis=axis, keepdims=keepdims))
-
-
-def norm(a, axis=-1, keepdims=True):
-    val = _norm(a.value, axis, keepdims)
-    return a.tape.record("norm", (a,), val, axis=axis, keepdims=keepdims)
-
-
-def _norm_bwd(g, out, v, at):
-    x = v[0]
-    axis, keepdims = at["axis"], at["keepdims"]
-    out_k = out if keepdims else np.expand_dims(out, axis)
-    g_k = g if keepdims else np.expand_dims(g, axis)
-    return g_k * x / np.maximum(out_k, _TINY)
-
-
-_BACKWARD["norm"] = (_norm_bwd,)
+_BACKWARD["norm"] = (lambda g, out, v, at: g * v[0] / np.maximum(out, _TINY),)
 
 
 def tslice(a, key):
@@ -431,20 +412,15 @@ def _clip_min_bwd(g, out, v, at):
 _BACKWARD["clip_min"] = (_clip_min_bwd,)
 
 
-def ball_project(a, max_norm, axis=-1):
-    """Radial clamp onto the shell of radius ``max_norm``.
+def ball_project(a, max_norm):
+    """Radial clamp of the last axis onto the shell of radius ``max_norm``.
 
     Gradient convention: identity for rows that were inside, zero for rows
     that got clamped (projected-gradient treatment of the boundary).  The
     forward keeps the ``inside`` mask for the VJP.
     """
-    x = a.value
-    n = _norm(x, axis, True)
-    inside = n < max_norm
-    if not _all(inside, axis=None):  # x * 1.0 is x, so unclamped rows need no rescale
-        x = x * np.where(inside, 1.0, max_norm / np.maximum(n, _TINY))
-    return a.tape.record("ball_project", (a,), x, max_norm=max_norm, axis=axis,
-                         inside=inside)
+    x, inside = _clamp(a.value, max_norm)
+    return a.tape.record("ball_project", (a,), x, max_norm=max_norm, inside=inside)
 
 
 # the forward records its input array itself exactly when no row is clamped

@@ -8,9 +8,7 @@ Points live along the last axis; leading axes broadcast.
 from __future__ import annotations
 
 from . import diffcore as dc
-from .geometry import EPS_BOUNDARY
-
-_TINY = 1e-15
+from .geometry import _TINY, EPS_BOUNDARY
 
 
 def project(x, c=1.0):
@@ -34,14 +32,14 @@ def conformal_factor(x, c=1.0):
 
 def logmap0(y, c=1.0):
     """log_0: ball -> tangent space at the origin."""
-    n = dc.norm(y, axis=-1, keepdims=True)
+    n = dc.norm(y)
     ns = dc.clip_min(n, _TINY)
     return c * dc.atanh(n / c) * (y / ns)
 
 
 def expmap0(v, c=1.0):
     """exp_0: tangent space at the origin -> ball."""
-    n = dc.norm(v, axis=-1, keepdims=True)
+    n = dc.norm(v)
     ns = dc.clip_min(n, _TINY)
     return project(c * dc.tanh(n / c) * (v / ns), c)
 
@@ -49,8 +47,8 @@ def expmap0(v, c=1.0):
 def mobius_matvec(x, weight, c=1.0):
     """Mobius matrix application; ``weight`` has shape (n_in, n_out)."""
     y = dc.matmul(x, weight)
-    nx = dc.norm(x, axis=-1, keepdims=True)
-    ny = dc.norm(y, axis=-1, keepdims=True)
+    nx = dc.norm(x)
+    ny = dc.norm(y)
     nxs = dc.clip_min(nx, _TINY)
     nys = dc.clip_min(ny, _TINY)
     out = c * dc.tanh((ny / nxs) * dc.atanh(nx / c)) * (y / nys)
@@ -71,7 +69,7 @@ def mlr_scores(x, a, p, c=1.0):
     # insert a class axis before the coordinate axis
     xe = dc.reshape(x, x.shape[:-1] + (1, x.shape[-1]))
     w = mobius_add(-p, xe, c)  # (..., K, n)
-    na = dc.clip_min(dc.norm(a, axis=-1, keepdims=True), _TINY)  # (K, 1)
+    na = dc.clip_min(dc.norm(a), _TINY)  # (K, 1)
     lam_p = conformal_factor(p, c)  # (K, 1)
     inner = dc.tsum(w * a, axis=-1, keepdims=True)  # (..., K, 1)
     w2 = dc.tsum(w * w, axis=-1, keepdims=True)

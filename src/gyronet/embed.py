@@ -23,7 +23,7 @@ from itertools import islice
 import numpy as np
 
 from .data import read_utf8_lines
-from .geometry import exp_map_hyperboloid, lorentz_inner, tangent_project
+from .geometry import exp_map_hyperboloid, hyperboloid_origin, lorentz_inner, tangent_project
 
 GEOMETRIES = ("euclidean", "hyperboloid")
 # Geometries an embedding file may carry: the trained ones, and ball
@@ -61,21 +61,23 @@ def _code_point(token):
 
 class Vocabulary:
     """One-character tokens in code-point order, with a unigram^alpha
-    negative-sampling distribution."""
+    negative-sampling distribution.  A token's id is its position in that
+    order; tokens out of it raise ValueError."""
 
     def __init__(self, id_to_token, counts, alpha=0.75):
         self.id_to_token = list(id_to_token)
+        # the vocabulary's code points, sorted since a token's id is its rank:
+        # a table the size of the vocabulary, whatever its largest code point
+        self._points = code_points(self.id_to_token)
+        late = np.flatnonzero(self._points[1:] <= self._points[:-1])
+        if len(late):
+            raise ValueError(f"token {self.id_to_token[late[0] + 1]!r} is out of order: tokens "
+                             f"must be in strictly ascending code-point order")
         self.token_to_id = {t: i for i, t in enumerate(self.id_to_token)}
         self.counts = np.asarray(counts, dtype=float)
         weights = self.counts ** alpha
         self.sampling_probs = weights / weights.sum()
         self._cum = np.cumsum(self.sampling_probs)
-        # the vocabulary's code points sorted, and the id of each: tables the
-        # size of the vocabulary, whatever its largest code point
-        points = code_points(self.id_to_token)
-        order = np.argsort(points)
-        self._points = points[order]
-        self._ids = order.astype(np.int32)
 
     def __len__(self):
         return len(self.id_to_token)
@@ -90,7 +92,7 @@ class Vocabulary:
             # searched once per distinct code point, which is faster than per position
             distinct, back = np.unique(points[lo:lo + CORPUS_SLICE], return_inverse=True)
             at = np.minimum(self._points.searchsorted(distinct), last)
-            part = np.where(self._points[at] == distinct, self._ids[at], -1)[back]
+            part = np.where(self._points[at] == distinct, at, -1)[back]
             part = part[part >= 0]
             ids[n:n + len(part)] = part
             n += len(part)
@@ -198,12 +200,10 @@ def init_embeddings(vocab_size, dim, geometry, rng):
 
 def _random_hyperboloid_rows(count, dim, rng, sigma=0.01):
     # gaussian tangent vectors at the apex, pushed through the exponential map
-    origin = np.zeros(dim + 1)
-    origin[-1] = 1.0
     tangents = np.concatenate(
         [rng.normal(0.0, sigma, (count, dim)), np.zeros((count, 1))], axis=-1
     )
-    return exp_map_hyperboloid(origin, tangents)
+    return exp_map_hyperboloid(hyperboloid_origin(dim), tangents)
 
 
 def hyperboloid_logit(a, b, theta):

@@ -17,7 +17,7 @@ import numpy as np
 # Any result whose norm reaches c*(1 - EPS_BOUNDARY) is radially rescaled back
 # onto that shell; prevents atanh overflow during training.
 EPS_BOUNDARY = 1e-5
-_TINY = 1e-15
+_TINY = 1e-15  # floor of a dividing norm; artanh's argument stays <= 1 - _TINY
 
 
 def _norm(x, keepdims=True):
@@ -26,13 +26,33 @@ def _norm(x, keepdims=True):
     return np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=keepdims))
 
 
-def project_to_ball(x, c=1.0):
-    """Clamp points radially so that ||x|| <= c*(1 - EPS_BOUNDARY)."""
-    x = np.asarray(x, dtype=float)
-    maxnorm = c * (1.0 - EPS_BOUNDARY)
+def _clamp(x, maxnorm):
+    """Rows of norm ``maxnorm`` or more rescaled onto that shell, and the mask
+    of the rows inside it.  When every row is inside, the rows are ``x``
+    itself: ``x * 1.0`` would be the same bits."""
     n = _norm(x)
-    factor = np.where(n >= maxnorm, maxnorm / np.maximum(n, _TINY), 1.0)
-    return x * factor
+    inside = n < maxnorm
+    if not np.logical_and.reduce(inside, axis=None):
+        x = x * np.where(inside, 1.0, maxnorm / np.maximum(n, _TINY))
+    return x, inside
+
+
+def _artanh(n, c):
+    """artanh(n / c), with the ratio held below 1 so that it stays finite."""
+    return np.arctanh(np.minimum(n / c, 1.0 - _TINY))
+
+
+def _tanh_along(c, t, v, nv, moved):
+    """c tanh(t) v / ||v|| where ``moved``, and the origin elsewhere; ``nv`` is ||v||."""
+    return np.where(moved, c * np.tanh(t) * v / np.maximum(nv, _TINY), np.zeros_like(v))
+
+
+def project_to_ball(x, c=1.0):
+    """Clamp points radially so that ||x|| <= c*(1 - EPS_BOUNDARY).
+
+    Returns its input itself when no row reaches that shell.
+    """
+    return _clamp(np.asarray(x, dtype=float), c * (1.0 - EPS_BOUNDARY))[0]
 
 
 def _check_same_dim(x, y):
@@ -75,9 +95,7 @@ def mobius_scalar_mul(r, x, c=1.0):
     """
     x = np.asarray(x, dtype=float)
     n = _norm(x)
-    safe = np.maximum(n, _TINY)
-    scaled = c * np.tanh(np.asarray(r, dtype=float) * np.arctanh(np.minimum(n / c, 1.0 - 1e-15)))
-    out = np.where(n > 0, scaled * x / safe, np.zeros_like(x))
+    out = _tanh_along(c, np.asarray(r, dtype=float) * _artanh(n, c), x, n, n > 0)
     return project_to_ball(out, c)
 
 
@@ -93,11 +111,8 @@ def exp_map_poincare(x, v, c=1.0):
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
     nv = _norm(v)
-    safe = np.maximum(nv, _TINY)
     lam = conformal_factor(x, c, keepdims=True)
-    second = np.tanh(lam * nv / (2.0 * c)) * c * v / safe
-    second = np.where(nv > 0, second, np.zeros_like(v))
-    return mobius_add(x, second, c)
+    return mobius_add(x, _tanh_along(c, lam * nv / (2.0 * c), v, nv, nv > 0), c)
 
 
 def log_map_poincare(x, y, c=1.0):
@@ -106,17 +121,15 @@ def log_map_poincare(x, y, c=1.0):
     y = np.asarray(y, dtype=float)
     w = mobius_add(mobius_neg(x), y, c)
     nw = _norm(w)
-    safe = np.maximum(nw, _TINY)
     lam = conformal_factor(x, c, keepdims=True)
-    out = (2.0 * c / lam) * np.arctanh(np.minimum(nw / c, 1.0 - 1e-15)) * w / safe
+    out = (2.0 * c / lam) * _artanh(nw, c) * w / np.maximum(nw, _TINY)
     return np.where(nw > 0, out, np.zeros_like(w))
 
 
 def poincare_distance(x, y, c=1.0):
     """Geodesic distance 2c * atanh(||(-x) (+) y|| / c)."""
     w = mobius_add(mobius_neg(x), y, c)
-    n = _norm(w, keepdims=False)
-    return 2.0 * c * np.arctanh(np.minimum(n / c, 1.0 - 1e-15))
+    return 2.0 * c * _artanh(_norm(w, keepdims=False), c)
 
 
 def transport_from_origin_poincare(x, v, c=1.0):
@@ -137,11 +150,8 @@ def mobius_matvec(M, x, c=1.0):
     y = x @ M.T
     nx = _norm(x)
     ny = _norm(y)
-    safe_x = np.maximum(nx, _TINY)
-    safe_y = np.maximum(ny, _TINY)
-    out = c * np.tanh(ny / safe_x * np.arctanh(np.minimum(nx / c, 1.0 - 1e-15))) * y / safe_y
-    out = np.where((nx > 0) & (ny > 0), out, np.zeros_like(y))
-    return project_to_ball(out, c)
+    t = ny / np.maximum(nx, _TINY) * _artanh(nx, c)
+    return project_to_ball(_tanh_along(c, t, y, ny, (nx > 0) & (ny > 0)), c)
 
 
 def bias_translate(x, b, c=1.0):
@@ -167,6 +177,11 @@ def lorentz_inner(u, v, keepdims=False):
     return np.add.reduce(prod[..., :-1], axis=-1, keepdims=keepdims) - (
         prod[..., -1:] if keepdims else prod[..., -1]
     )
+
+
+def _lorentz_norm(v):
+    """sqrt(<v, v>_L) with keepdims, 0 where rounding makes <v, v>_L negative."""
+    return np.sqrt(np.maximum(lorentz_inner(v, v, keepdims=True), 0.0))
 
 
 def hyperboloid_renormalize(x):
@@ -201,10 +216,8 @@ def exp_map_hyperboloid(x, v):
     """Geodesic flow cosh(|v|_L) x + sinh(|v|_L) v/|v|_L for tangent v at x."""
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
-    sq = lorentz_inner(v, v, keepdims=True)
-    nv = np.sqrt(np.maximum(sq, 0.0))
-    safe = np.maximum(nv, _TINY)
-    out = np.cosh(nv) * x + np.sinh(nv) * v / safe
+    nv = _lorentz_norm(v)
+    out = np.cosh(nv) * x + np.sinh(nv) * v / np.maximum(nv, _TINY)
     out = np.where(nv > 0, out, x)
     return hyperboloid_renormalize(out)
 
@@ -215,9 +228,8 @@ def log_map_hyperboloid(x, y):
     y = np.asarray(y, dtype=float)
     d = hyperboloid_distance(x, y)
     u = y + lorentz_inner(x, y, keepdims=True) * x
-    nu = np.sqrt(np.maximum(lorentz_inner(u, u, keepdims=True), 0.0))
-    safe = np.maximum(nu, _TINY)
-    out = d[..., None] * u / safe
+    nu = _lorentz_norm(u)
+    out = d[..., None] * u / np.maximum(nu, _TINY)
     return np.where(nu > _TINY, out, np.zeros_like(out))
 
 
@@ -231,9 +243,7 @@ def hyperboloid_parallel_transport(x, y, w):
     y = np.asarray(y, dtype=float)
     w = np.asarray(w, dtype=float)
     v = log_map_hyperboloid(x, y)
-    nv = np.sqrt(np.maximum(lorentz_inner(v, v, keepdims=True), 0.0))
-    if np.all(nv <= _TINY):
-        return w.copy()
+    nv = _lorentz_norm(v)
     vhat = v / np.maximum(nv, _TINY)
     wv = lorentz_inner(w, vhat, keepdims=True)
     transported = wv * (np.sinh(nv) * x + np.cosh(nv) * vhat) + (w - wv * vhat)

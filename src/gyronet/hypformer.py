@@ -92,19 +92,15 @@ def _parse_bool(s):
 _PARSE = {"str": str, "int": int, "float": float, "bool": _parse_bool}
 
 
-def positional_encoding(pos, d):
-    """Sinusoidal encoding of one position: sin on even slots, cos on odd."""
-    pe = np.zeros(d)
-    for i in range(0, d, 2):
-        angle = pos / (10000.0 ** (i / d))
-        pe[i] = np.sin(angle)
-        if i + 1 < d:
-            pe[i + 1] = np.cos(angle)
-    return pe
-
-
 def positional_encoding_matrix(length, d):
-    return np.stack([positional_encoding(p, d) for p in range(length)])
+    """Sinusoidal encodings of positions 0 .. length-1, one row each: slots
+    2k and 2k+1 hold the sin and cos of pos / 10000^(2k/d)."""
+    # Python's float power: np.power rounds some denominators differently
+    angles = np.arange(length)[:, None] / np.array([10000.0 ** (i / d) for i in range(0, d, 2)])
+    pe = np.empty((length, d))
+    pe[:, 0::2] = np.sin(angles)
+    pe[:, 1::2] = np.cos(angles[:, :d // 2])
+    return pe
 
 
 def param_shapes(config: TransformerConfig):
@@ -193,7 +189,7 @@ def scaled_dot_attention(q, k, v, mask_bias):
     logits = dc.matmul(q, dc.swap_last(k)) * (1.0 / math.sqrt(d_k))
     if mask_bias is not None:
         logits = logits + mask_bias
-    weights = dc.softmax(logits, axis=-1)
+    weights = dc.softmax(logits)
     return dc.matmul(weights, v)
 
 

@@ -37,7 +37,7 @@ class TrainSettings:
     seed: int = 0
     lr: float = 0.001  # RMSProp rate for euclidean parameters
     manifold_lr: float = 0.05  # Riemannian SGD rate for ball parameters
-    restart_epoch: int | None = None  # default: epoch midpoint
+    restart_epoch: int = -1  # negative: the epoch midpoint
 
 
 class TokenMap:
@@ -168,7 +168,7 @@ def train_classifier(dataset, token_map, config: TransformerConfig,
     manifold = manifold_param_names(config)
     opt = RmsProp(lr=settings.lr)
     restart_epoch = settings.restart_epoch
-    if restart_epoch is None:
+    if restart_epoch < 0:
         restart_epoch = settings.epochs // 2
     train_idx = np.array(dataset.train_indices)
     history = []

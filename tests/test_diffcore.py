@@ -332,8 +332,6 @@ def test_norm_and_ball_project_match_linalg_norm():
     tape = dc.Tape()
     tx = tape.leaf(x, requires_grad=True)
     np.testing.assert_array_equal(dc.norm(tx).value, n)
-    np.testing.assert_array_equal(dc.norm(tx, axis=0, keepdims=False).value,
-                                  np.linalg.norm(x, axis=0))
     out = dc.ball_project(tx, max_norm)
     factor = np.where(n >= max_norm, max_norm / np.maximum(n, dc._TINY), 1.0)
     np.testing.assert_array_equal(out.value, x * factor)
@@ -430,7 +428,7 @@ def _reference_record(self, op, inputs, value, **attrs):
 
 def _reference_ball_project(a, max_norm, axis=-1):
     x = a.value
-    n = dc._norm(x, axis, True)
+    n = np.sqrt(np.add.reduce(x * x, axis=axis, keepdims=True))
     inside = n < max_norm
     factor = np.where(inside, 1.0, max_norm / np.maximum(n, dc._TINY))
     return a.tape.record("ball_project", (a,), x * factor, max_norm=max_norm, axis=axis,

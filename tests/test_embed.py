@@ -36,6 +36,13 @@ def test_build_vocab_min_count():
         embed.build_vocab(["a"], min_count=5)
 
 
+@pytest.mark.parametrize("tokens, late", [("ba", "'a'"), ("abb", "'b'"), ("a\U0010ffffb", "'b'")])
+def test_vocabulary_refuses_tokens_out_of_code_point_order(tokens, late):
+    with pytest.raises(ValueError, match=f"^token {late} is out of order"):
+        embed.Vocabulary(tokens, np.ones(len(tokens)))
+    assert embed.Vocabulary("a\U0010ffff", [1.0, 2.0]).encode("\U0010ffffa").tolist() == [1, 0]
+
+
 def _dict_vocab(tokens, other, min_count):
     """The dict-based build_vocab and encode of earlier versions, the oracle of
     the code-point path: (tokens in sorted order, their counts, the ids of

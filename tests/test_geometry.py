@@ -3,6 +3,8 @@ algebraic identities, and model-conversion consistency."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gyronet import geometry as geo
 from gyronet.checks import random_ball_points
@@ -360,7 +362,7 @@ def test_project_to_ball_clamps():
     out = geo.project_to_ball(far)
     np.testing.assert_allclose(np.linalg.norm(out), 1.0 - geo.EPS_BOUNDARY)
     near = np.array([0.5, 0.0])
-    np.testing.assert_array_equal(geo.project_to_ball(near), near)
+    assert geo.project_to_ball(near) is near  # no row reaches the shell: no copy
 
 
 @pytest.mark.parametrize("keepdims", [True, False])
@@ -375,3 +377,174 @@ def test_norm_is_bitwise_linalg_norm(keepdims):
         want = np.linalg.norm(x, axis=-1, keepdims=keepdims)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# The kernels that share geometry's private guards, against their formulas as
+# each kernel wrote them out in full before, bit for bit
+# ---------------------------------------------------------------------------
+
+def _old_project_to_ball(x, c=1.0):
+    x = np.asarray(x, dtype=float)
+    maxnorm = c * (1.0 - geo.EPS_BOUNDARY)
+    n = geo._norm(x)
+    factor = np.where(n >= maxnorm, maxnorm / np.maximum(n, 1e-15), 1.0)
+    return x * factor
+
+
+def _old_mobius_add(x, y, c=1.0):
+    c2 = c * c
+    x2 = np.sum(x * x, axis=-1, keepdims=True)
+    y2 = np.sum(y * y, axis=-1, keepdims=True)
+    xy = np.sum(x * y, axis=-1, keepdims=True)
+    num = (1.0 + 2.0 * xy / c2 + y2 / c2) * x + (1.0 - x2 / c2) * y
+    den = 1.0 + 2.0 * xy / c2 + x2 * y2 / (c2 * c2)
+    return _old_project_to_ball(num / den, c)
+
+
+def _old_mobius_scalar_mul(r, x, c=1.0):
+    n = geo._norm(x)
+    safe = np.maximum(n, 1e-15)
+    scaled = c * np.tanh(np.asarray(r, dtype=float) * np.arctanh(np.minimum(n / c, 1.0 - 1e-15)))
+    out = np.where(n > 0, scaled * x / safe, np.zeros_like(x))
+    return _old_project_to_ball(out, c)
+
+
+def _old_exp_map_poincare(x, v, c=1.0):
+    nv = geo._norm(v)
+    safe = np.maximum(nv, 1e-15)
+    lam = geo.conformal_factor(x, c, keepdims=True)
+    second = np.tanh(lam * nv / (2.0 * c)) * c * v / safe
+    second = np.where(nv > 0, second, np.zeros_like(v))
+    return _old_mobius_add(x, second, c)
+
+
+def _old_log_map_poincare(x, y, c=1.0):
+    w = _old_mobius_add(-x, y, c)
+    nw = geo._norm(w)
+    safe = np.maximum(nw, 1e-15)
+    lam = geo.conformal_factor(x, c, keepdims=True)
+    out = (2.0 * c / lam) * np.arctanh(np.minimum(nw / c, 1.0 - 1e-15)) * w / safe
+    return np.where(nw > 0, out, np.zeros_like(w))
+
+
+def _old_poincare_distance(x, y, c=1.0):
+    w = _old_mobius_add(-x, y, c)
+    n = geo._norm(w, keepdims=False)
+    return 2.0 * c * np.arctanh(np.minimum(n / c, 1.0 - 1e-15))
+
+
+def _old_mobius_matvec(M, x, c=1.0):
+    y = x @ M.T
+    nx = geo._norm(x)
+    ny = geo._norm(y)
+    safe_x = np.maximum(nx, 1e-15)
+    safe_y = np.maximum(ny, 1e-15)
+    out = c * np.tanh(ny / safe_x * np.arctanh(np.minimum(nx / c, 1.0 - 1e-15))) * y / safe_y
+    out = np.where((nx > 0) & (ny > 0), out, np.zeros_like(y))
+    return _old_project_to_ball(out, c)
+
+
+def _old_exp_map_hyperboloid(x, v):
+    sq = geo.lorentz_inner(v, v, keepdims=True)
+    nv = np.sqrt(np.maximum(sq, 0.0))
+    safe = np.maximum(nv, 1e-15)
+    out = np.cosh(nv) * x + np.sinh(nv) * v / safe
+    out = np.where(nv > 0, out, x)
+    return geo.hyperboloid_renormalize(out)
+
+
+def _old_log_map_hyperboloid(x, y):
+    d = geo.hyperboloid_distance(x, y)
+    u = y + geo.lorentz_inner(x, y, keepdims=True) * x
+    nu = np.sqrt(np.maximum(geo.lorentz_inner(u, u, keepdims=True), 0.0))
+    safe = np.maximum(nu, 1e-15)
+    out = d[..., None] * u / safe
+    return np.where(nu > 1e-15, out, np.zeros_like(out))
+
+
+def _old_hyperboloid_parallel_transport(x, y, w):
+    v = _old_log_map_hyperboloid(x, y)
+    nv = np.sqrt(np.maximum(geo.lorentz_inner(v, v, keepdims=True), 0.0))
+    if np.all(nv <= 1e-15):
+        return w.copy()
+    vhat = v / np.maximum(nv, 1e-15)
+    wv = geo.lorentz_inner(w, vhat, keepdims=True)
+    transported = wv * (np.sinh(nv) * x + np.cosh(nv) * vhat) + (w - wv * vhat)
+    return np.where(nv > 1e-15, transported, w)
+
+
+_DIM = 3
+_SHELL = 1.0 - geo.EPS_BOUNDARY
+_COORD = st.floats(-1.0, 1.0, allow_subnormal=False)
+_ROW_KINDS = {
+    "origin": st.sampled_from([[0.0, 0.0, 0.0], [-0.0, 0.0, -0.0]]),
+    "inside": st.lists(st.floats(-0.5, 0.5, allow_subnormal=False),
+                       min_size=_DIM, max_size=_DIM),
+    # a signed axis vector of norm exactly c * _SHELL, and rows past the shell
+    "shell": st.tuples(st.integers(0, _DIM - 1), st.sampled_from([1.0, -1.0])).map(
+        lambda a: [a[1] * _SHELL if i == a[0] else 0.0 for i in range(_DIM)]),
+    "past": st.lists(st.floats(-3.0, 3.0), min_size=_DIM, max_size=_DIM).filter(
+        lambda r: sum(t * t for t in r) >= 1.0),
+    # subnormal coordinates, and coordinates whose squares underflow
+    "subnormal": st.lists(st.sampled_from([0.0, 5e-324, -5e-324, 2.2e-310, -1e-160, 3e-170]),
+                          min_size=_DIM, max_size=_DIM),
+}
+
+
+def _rows(*kinds):
+    row = st.one_of(*(_ROW_KINDS[k] for k in kinds))
+    return st.lists(row, min_size=1, max_size=6).map(np.array)
+
+
+def _pair(a, b):
+    n = min(len(a), len(b))
+    return a[:n], b[:n]
+
+
+def _same_bits(got, want):
+    return np.shape(got) == np.shape(want) and np.asarray(got).tobytes() == \
+        np.asarray(want).tobytes()
+
+
+_ALL_KINDS = tuple(_ROW_KINDS)
+_IN_BALL = ("origin", "inside", "subnormal")  # base points where the maps are defined
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_rows(*_ALL_KINDS), _rows(*_IN_BALL), _rows(*_ALL_KINDS),
+       st.floats(-3.0, 3.0), st.sampled_from([1.0, 0.5, 2.0]))
+def test_poincare_kernels_equal_their_full_formulas_bit_for_bit(anywhere, base, other, r, c):
+    anywhere, base, other = anywhere * c, base * c, other * c  # the same kinds on radius c
+    x, v = _pair(base, anywhere)
+    with np.errstate(all="ignore"):
+        assert _same_bits(geo.project_to_ball(anywhere, c), _old_project_to_ball(anywhere, c))
+        assert _same_bits(geo.mobius_scalar_mul(r, anywhere, c),
+                          _old_mobius_scalar_mul(r, anywhere, c))
+        assert _same_bits(geo.exp_map_poincare(x, v, c), _old_exp_map_poincare(x, v, c))
+        assert _same_bits(geo.log_map_poincare(x, v, c), _old_log_map_poincare(x, v, c))
+        assert _same_bits(geo.poincare_distance(x, v, c), _old_poincare_distance(x, v, c))
+        # a huge matrix maps rows whose norm underflows to 0 to rows of norm > 0
+        for M in (other, other.T @ other, 1e200 * other, np.zeros((_DIM, _DIM))):
+            assert _same_bits(geo.mobius_matvec(M, anywhere, c),
+                              _old_mobius_matvec(M, anywhere, c))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_rows(*_IN_BALL), _rows(*_IN_BALL), _rows(*_ALL_KINDS), st.booleans())
+def test_hyperboloid_kernels_equal_their_full_formulas_bit_for_bit(xs, ys, ws, same):
+    with np.errstate(all="ignore"):
+        x = geo.to_hyperboloid(xs)
+        y = x.copy() if same else geo.to_hyperboloid(_pair(xs, ys)[1])
+        x = x[:len(y)]
+        n = min(len(x), len(ws))
+        x, y, raw = x[:n], y[:n], np.concatenate([ws[:n], ws[:n, :1]], axis=-1)
+        v = geo.tangent_project(x, raw)
+        for tangent in (v, np.zeros_like(v), np.where(np.arange(n)[:, None] % 2, v, 0.0)):
+            assert _same_bits(geo.exp_map_hyperboloid(x, tangent),
+                              _old_exp_map_hyperboloid(x, tangent))
+        assert _same_bits(geo.log_map_hyperboloid(x, y), _old_log_map_hyperboloid(x, y))
+        # same=True transports along zero vectors only: the all-zero case
+        for w in (v, raw):
+            assert _same_bits(geo.hyperboloid_parallel_transport(x, y, w),
+                              _old_hyperboloid_parallel_transport(x, y, w))

@@ -24,14 +24,33 @@ def _config(**kw):
 # ---------------------------------------------------------------------------
 
 def test_positional_encoding_position_zero():
-    np.testing.assert_array_equal(hf.positional_encoding(0, 6), [0, 1, 0, 1, 0, 1])
+    np.testing.assert_array_equal(hf.positional_encoding_matrix(1, 6), [[0, 1, 0, 1, 0, 1]])
 
 
 def test_positional_encoding_values():
-    pe = hf.positional_encoding(1, 4)
+    pe = hf.positional_encoding_matrix(2, 4)[1]
     np.testing.assert_allclose(pe[0], np.sin(1.0), atol=1e-12)
     np.testing.assert_allclose(pe[2], np.sin(1.0 / 100.0), atol=1e-12)
     np.testing.assert_allclose(pe[2], 0.0100, atol=1e-4)
+
+
+def _positional_encoding_loop(pos, d):
+    """The per-position loop of earlier versions: the oracle of the matrix."""
+    pe = np.zeros(d)
+    for i in range(0, d, 2):
+        angle = pos / (10000.0 ** (i / d))
+        pe[i] = np.sin(angle)
+        if i + 1 < d:
+            pe[i + 1] = np.cos(angle)
+    return pe
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 7, 16, 33, 100])
+def test_positional_encoding_matrix_equals_the_loop_bit_for_bit(d):
+    for length in range(1, 65):
+        want = np.stack([_positional_encoding_loop(p, d) for p in range(length)])
+        got = hf.positional_encoding_matrix(length, d)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), (length, d)
 
 
 def test_attach_positions():

@@ -119,7 +119,7 @@ def _train_logging_restarts(monkeypatch, epochs, restart_epoch):
 
 def test_restart_schedule_no_op_away_from_restart(monkeypatch):
     # an explicit restart epoch, then the default: the epoch midpoint
-    for epochs, restart_epoch, expected in ((4, 1, 1), (5, None, 2)):
+    for epochs, restart_epoch, expected in ((4, 1, 1), (5, -1, 2)):
         log, resets = _train_logging_restarts(monkeypatch, epochs, restart_epoch)
         assert len(resets) == 1
         line = f"epoch {expected} restart lr 0.001"
@@ -131,7 +131,7 @@ def test_restart_schedule_no_op_away_from_restart(monkeypatch):
 
 
 def test_restart_schedule_resets_state(monkeypatch):
-    for epochs, restart_epoch in ((4, 1), (5, None)):
+    for epochs, restart_epoch in ((4, 1), (5, -1)):
         _, resets = _train_logging_restarts(monkeypatch, epochs, restart_epoch)
         # the one reset empties accumulators that earlier steps had filled
         assert resets == [True]

@@ -78,3 +78,11 @@ def test_only_embed_code_points_turns_characters_into_code_points():
              or (isinstance(node, ast.Constant) and "utf-32" in str(node.value).lower())]
     assert not calls, "characters turned into code points outside embed.code_points: " + \
         ", ".join(calls)
+
+
+def test_geometry_is_the_only_home_of_the_gyrovector_guards():
+    # the division floor, the artanh margin and the ball's shell are spelled once
+    found = [f"{path.name}: {needle!r}" for path in SOURCES if path.name != "geometry.py"
+             for needle in ("1e-15", "_TINY =", "EPS_BOUNDARY =")
+             if needle in path.read_text(encoding="utf-8")]
+    assert not found, "a geometry guard defined outside geometry.py: " + ", ".join(found)
