@@ -194,8 +194,11 @@ def cmd_train_embeddings(argv):
         geometry=args.geometry, dim=args.dim, mu=args.window, m=args.negatives,
         theta=args.theta, lr=args.lr, epochs=args.epochs, seed=args.seed,
         min_count=args.min_count)
-    corpus = data.ingest_corpus(args.corpus, keep_whitespace=args.keep_whitespace)
-    E, vocab, history = embed.train_skipgram(corpus, config, log_fn=log.info)
+    # the corpus is passed on, not held, so training frees it once it has
+    # the code points
+    E, vocab, history = embed.train_skipgram(
+        data.ingest_corpus(args.corpus, keep_whitespace=args.keep_whitespace), config,
+        log_fn=log.info)
     embed.write_embeddings(args.out, vocab.id_to_token, E.A, args.geometry)
     log.info("wrote %d %s embeddings (dim %d) to %s",
              len(vocab), args.geometry, args.dim, args.out)

@@ -17,6 +17,8 @@ so the pairs equal those of one draw per negative.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from itertools import islice
 
@@ -77,7 +79,10 @@ class Vocabulary:
         self.counts = np.asarray(counts, dtype=float)
         weights = self.counts ** alpha
         self.sampling_probs = weights / weights.sum()
+        # the sum falls short of 1.0 by up to a few dozen ulps in about half
+        # of all vocabularies; a draw past it would search past the last id
         self._cum = np.cumsum(self.sampling_probs)
+        self._cum[-1:] = 1.0
 
     def __len__(self):
         return len(self.id_to_token)
@@ -215,6 +220,13 @@ def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
+def _all_finite(x):
+    """Whether every entry of ``x`` is finite.  A sum of squares is finite
+    only when every entry is; the exact test decides when it is not, since
+    the squares of finite entries of 1.4e154 or more overflow."""
+    return math.isfinite(np.vdot(x, x)) or np.logical_and.reduce(np.isfinite(x), axis=None)
+
+
 def _pair_logits(pair, E, theta):
     rows = E.B.take([pair.context, *pair.negatives], axis=0)
     if E.geometry == "hyperboloid":
@@ -225,13 +237,13 @@ def _pair_logits(pair, E, theta):
 def pair_log_likelihood(pair, E, theta=1.0):
     """Sum of log sigma((-1)^(1-y) * logit) over the positive and negatives."""
     logits, _ = _pair_logits(pair, E, theta)
-    if not np.logical_and.reduce(np.isfinite(logits)):
+    if not _all_finite(logits):
         raise ValueError("non-finite logit in pair_log_likelihood")
     # log sigma(s*z) = -log(1 + exp(-s*z)), computed stably; s = +1 only for
     # the positive.  Negation is exact, and 0.0 - sum keeps the +0.0 that a
     # sum of negated zero terms gives.
     logits[0] = -logits[0]
-    return float(0.0 - np.add.reduce(np.logaddexp(0.0, logits)))
+    return 0.0 - float(np.add.reduce(np.logaddexp(0.0, logits, out=logits)))
 
 
 def _sgns_gradients(pair, E, theta):
@@ -274,7 +286,7 @@ def rsgd_step_hyperboloid(param, ambient_grad, eta):
     """exp_param(-eta * proj_param(grad)); the exponential map renormalizes
     the result onto the hyperboloid."""
     grad = np.asarray(ambient_grad, dtype=float)
-    if not np.logical_and.reduce(np.isfinite(grad), axis=None):
+    if not _all_finite(grad):
         raise ValueError("non-finite gradient in rsgd_step_hyperboloid")
     step = -eta * tangent_project(param, grad)
     return exp_map_hyperboloid(param, step)
@@ -321,34 +333,67 @@ def _block_gradients(block, E, theta, table):
     each id to its gradient row, so no work or allocation here grows with
     the vocabulary.
     """
-    centers = np.array([pair.center for pair in block])
-    samples = np.array([[pair.context, *pair.negatives] for pair in block])
+    p = len(block)
+    ids = [pair.center for pair in block]
+    for pair in block:
+        ids.append(pair.context)
+        ids += pair.negatives
+    ids = np.array(ids, dtype=np.intp)
+    k = len(ids) // p - 1
+    centers, samples = ids[:p], ids[p:].reshape(p, k)
     a = E.A.take(centers, axis=0)
     rows = E.B.take(samples, axis=0)
     if E.geometry == "hyperboloid":
         logits = hyperboloid_logit(a[:, None, :], rows, theta)
     else:
         logits = np.matmul(rows, a[:, :, None])[..., 0]
-    coeff = 0.0 - _sigmoid(logits)
-    coeff[:, 0] += 1.0
-    p, k = samples.shape
     cols = a.shape[1]
+    labels, slot_bins, shift, at, columns = _block_index(p, k, cols, len(E.A))
+    # y - sigma(z), y = 1 for the positive only: 1.0 - s is (0.0 - s) + 1.0
+    coeff = labels - _sigmoid(logits)
     first = (samples[:, :, None] == samples[:, None, :]).argmax(axis=2)
-    per_slot = np.zeros((p * k, cols))
-    np.add.at(per_slot, (first + k * np.arange(p)[:, None]).ravel(),
-              (coeff[..., None] * a[:, None, :]).reshape(-1, cols))
+    per_slot = _sum_rows(first[..., None] * cols + slot_bins, coeff[..., None] * a[:, None, :],
+                         p * k)
     # B's ids follow A's in one id space.  Of an id's repeated writes the
     # table keeps one, whichever it is, and that position is the id's row.
     # A slot left empty above adds +0.0, which changes no sum that starts at
     # +0.0, and each row takes its terms in pair order.
-    ids = np.concatenate([centers, samples.ravel() + len(E.A)])
-    at = np.arange(len(ids))
-    table[ids] = at
-    row = table.take(ids)
-    grads = np.zeros((len(ids), cols))
-    np.add.at(grads, row, np.concatenate([np.matmul(coeff[:, None, :], rows)[:, 0], per_slot]))
+    keys = ids + shift
+    table[keys] = at
+    row = table.take(keys)
+    grads = _sum_rows(row[:, None] * cols + columns,
+                      np.concatenate([np.matmul(coeff[:, None, :], rows)[:, 0], per_slot]),
+                      len(ids))
     kept = row == at
-    return centers[kept[:p]], samples.ravel()[kept[p:]], grads[kept]
+    return centers[kept[:p]], ids[p:][kept[p:]], grads[kept]
+
+
+@functools.lru_cache(maxsize=4)
+def _block_index(p, k, cols, shift):
+    """The constant arrays of a block of ``p`` pairs of ``k`` samples each,
+    on rows of ``cols`` coordinates, for an A of ``shift`` rows: the labels
+    of a pair's samples, the (slot, column) bins of each pair's first slot,
+    the id-space shift of each of the block's ``p + p * k`` rows, their
+    positions, and the column numbers.  Every block of a run but its last
+    has one shape, so they are made once; they are read-only, as every
+    block shares them."""
+    labels = np.zeros(k)
+    labels[0] = 1.0
+    columns = np.arange(cols)
+    arrays = (labels, (k * cols) * np.arange(p)[:, None, None] + columns,
+              np.repeat([0, shift], [p, p * k]), np.arange(p + p * k), columns)
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
+def _sum_rows(bins, values, count):
+    """``count`` rows, each the sum of the rows of ``values`` whose (row,
+    column) bins, ``row * cols + column``, fall in it.  The sums and bits of
+    ``np.add.at`` on zeros, in one ``np.bincount``, which adds each bin's
+    terms to +0.0 in input order."""
+    cols = values.shape[-1]
+    return np.bincount(bins.ravel(), values.ravel(), count * cols).reshape(count, cols)
 
 
 def train_skipgram(tokens, config: SkipgramConfig, log_fn=None):
@@ -370,6 +415,7 @@ def train_skipgram(tokens, config: SkipgramConfig, log_fn=None):
     non-finite embedding row after an epoch raises one naming the epoch.
     """
     points = code_points(tokens)
+    del tokens  # a caller that passes its corpus on frees it here
     vocab = build_vocab(points, min_count=config.min_count)
     ids = vocab.encode(points)  # never empty: each kept character occurs
     del points  # training reads the ids alone

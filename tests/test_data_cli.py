@@ -8,6 +8,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gyronet import bundle, cli, data, embed
 from gyronet.geometry import lorentz_inner
@@ -59,6 +61,54 @@ def test_ingest_corpus_invalid_utf8_names_line(tmp_path, newline):
     path.write_bytes(head + b"\xe6\xb8\xff")
     with pytest.raises(ValueError, match=refusal):
         data.ingest_corpus(path)
+
+
+def _whole_file_lines(path):
+    """The reader that decoded the whole file at once: the oracle for the
+    decoding in chunks."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = raw[:exc.start]
+        lineno = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        raise ValueError(f"{path}:{lineno}: not valid UTF-8") from None
+    text = text.removeprefix("\ufeff")
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if not lines[-1]:
+        lines.pop()
+    return enumerate(lines, start=1)
+
+
+def _lines_or_refusal(read, path):
+    try:
+        return list(read(path))
+    except ValueError as exc:
+        return str(exc)
+
+
+# characters of one to four bytes, every line end, the BOM, and invalid
+# bytes: a stray continuation byte, 0xff, a cut 3-byte character, a
+# surrogate and a code point past U+10FFFF
+_FILE_PIECES = [b"a", b" ", "\u00e9".encode(), "\u6e38".encode(), "\U0001f600".encode(), b"\n",
+                b"\r", b"\r\n", codecs.BOM_UTF8, b"\x80", b"\xff", "\u6e38".encode()[:2],
+                b"\xed\xa0\x80", b"\xf4\x90\x80\x80"]
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(st.lists(st.sampled_from(_FILE_PIECES), max_size=24), st.integers(1, 7))
+@example([codecs.BOM_UTF8, b"a\r", b"\n", b"b"], 1)  # the BOM and a "\r\n" cut by chunks
+@example([b"a\r", b"\n\xff"], 2)  # a refusal just after a cut "\r\n"
+@example([b"a\n", "\u6e38".encode()[:2], b"\n"], 3)  # a cut character that never ends
+def test_read_utf8_lines_in_chunks_equals_the_whole_file_reader(tmp_path_factory, pieces,
+                                                               chunk):
+    path = tmp_path_factory.getbasetemp() / "chunked-lines.txt"
+    path.write_bytes(b"".join(pieces))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(data, "READ_CHUNK", chunk)
+        chunked = _lines_or_refusal(data.read_utf8_lines, path)
+    assert chunked == _lines_or_refusal(_whole_file_lines, path)
 
 
 # ---------------------------------------------------------------------------

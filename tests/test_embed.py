@@ -6,6 +6,7 @@ import codecs
 import functools
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gradcheck import check_gradient
-from gyronet import embed
+from gyronet import data, embed
 from gyronet.checks import random_ball_points
 from gyronet.geometry import hyperboloid_origin, lorentz_inner, to_hyperboloid
 
@@ -108,6 +109,28 @@ def test_corpus_to_ids_peaks_under_12_bytes_per_character():
     assert peak <= 12 * n, f"{peak / n:.1f} B/char"
 
 
+def test_file_to_ids_peaks_under_9_5_bytes_per_character(tmp_path):
+    # the same kind of corpus in 80-character lines, read and handed to
+    # training as train-embeddings does, so training frees the str
+    n = 10**6
+    rng = np.random.default_rng(16)
+    weights = 1.0 / np.arange(1, 3001)
+    points = 0x4E00 + rng.choice(3000, size=n, p=weights / weights.sum())
+    text = points.astype("<u4").tobytes().decode("utf-32-le")
+    path = tmp_path / "corpus.txt"
+    path.write_text("".join(text[i:i + 80] + "\n" for i in range(0, n, 80)), encoding="utf-8")
+    del text
+    config = embed.SkipgramConfig(dim=1, epochs=0)
+    tracemalloc.start()
+    try:
+        _, vocab, _ = embed.train_skipgram(data.ingest_corpus(path), config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(vocab) == len(np.unique(points))
+    assert peak <= 9.5 * n, f"{peak / n:.2f} B/char"
+
+
 def test_vocabulary_tables_do_not_grow_with_the_largest_code_point():
     # two characters, one the last code point: a table indexed by code point
     # would hold 1.1 million entries
@@ -129,6 +152,28 @@ def test_sampling_distribution_alpha_one():
         vocab.sampling_probs[[vocab.token_to_id["a"], vocab.token_to_id["b"]]],
         [0.75, 0.25])
     assert abs(vocab.sampling_probs.sum() - 1.0) < 1e-12
+
+
+class _LastDraw:
+    """A Generator stand-in whose every draw is the largest float below 1."""
+
+    def random(self, size):
+        return np.full(size, np.nextafter(1.0, 0.0))
+
+
+def test_negative_sampling_stays_inside_the_vocabulary():
+    vocab = embed.Vocabulary([chr(0x61 + i) for i in range(10)], np.arange(1.0, 11.0))
+    summed = np.cumsum(vocab.sampling_probs)
+    assert summed[-1] < np.nextafter(1.0, 0.0)  # 0.9999999999999998: short of the draw
+    assert vocab.sample_negatives(2, _LastDraw()) == [9, 9]
+    E = embed.init_embeddings(len(vocab), 3, "hyperboloid", np.random.default_rng(0))
+    for pair in embed.generate_pairs(np.arange(10), 1, 2, vocab, _LastDraw()):
+        assert pair.negatives == [9, 9]
+        assert np.isfinite(embed.pair_log_likelihood(pair, E))
+    # a draw below the sum takes the id it took before
+    draws = np.random.default_rng(3).random(1000)
+    assert (vocab.sample_negatives(1000, np.random.default_rng(3))
+            == np.searchsorted(summed, draws).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -412,6 +457,83 @@ def test_minkowski_gradients_require_hyperboloid():
         embed.minkowski_gradients(embed.TrainingPair(0, 1, []), E)
 
 
+# NaN, +-inf, and finite values whose squares overflow
+_HUGE_OR_NON_FINITE = [np.nan, np.inf, -np.inf, 1.4e154, -1.5e154, 1e200]
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.sampled_from(embed.GEOMETRIES), st.integers(0, 4), st.data())
+def test_pair_log_likelihood_refuses_exactly_the_non_finite_logits(geometry, m, draw):
+    logits = np.array(draw.draw(st.lists(st.floats(-40.0, 40.0), min_size=m + 1,
+                                         max_size=m + 1)))
+    for at, special in draw.draw(st.lists(st.tuples(st.integers(0, m),
+                                                    st.sampled_from(_HUGE_OR_NON_FINITE)),
+                                          max_size=3)):
+        logits[at] = special
+    # A's row is the apex, or the first unit vector, so each logit is one
+    # coordinate of its B row (theta 0)
+    if geometry == "hyperboloid":
+        E = embed.EmbeddingMatrices(hyperboloid_origin(2)[None], np.zeros((m + 1, 3)),
+                                    geometry, 2)
+        E.B[:, -1] = -logits
+    else:
+        E = embed.EmbeddingMatrices(np.eye(1, 3), np.zeros((m + 1, 3)), geometry, 3)
+        E.B[:, 0] = logits
+    pair = embed.TrainingPair(0, 0, list(range(1, m + 1)))
+    finite = bool(np.isfinite(logits).all())
+    # exp(-|z|) underflows in the loss of a huge finite logit, after the check
+    with warnings.catch_warnings(), np.errstate(all="raise", under="ignore"):
+        warnings.simplefilter("error")
+        if finite:
+            expected = -np.logaddexp(0.0, -logits[0]) - np.logaddexp(0.0, logits[1:]).sum()
+            assert embed.pair_log_likelihood(pair, E, 0.0) == pytest.approx(expected, rel=1e-12)
+        else:
+            with pytest.raises(ValueError) as info:
+                embed.pair_log_likelihood(pair, E, 0.0)
+            assert str(info.value) == "non-finite logit in pair_log_likelihood"
+
+
+@st.composite
+def _gradients(draw):
+    """Gradients of shape (3,) or (k, 3), possibly a non-contiguous view,
+    with NaN, +-inf or entries whose squares overflow at drawn positions."""
+    shape = draw(st.sampled_from([(3,), (1, 3), (4, 3)]))
+    size = int(np.prod(shape))
+    flat = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=size, max_size=size)))
+    for at, special in draw(st.lists(st.tuples(st.integers(0, size - 1),
+                                               st.sampled_from(_HUGE_OR_NON_FINITE
+                                                               + [np.finfo(float).max])),
+                                     max_size=3)):
+        flat[at] = special
+    grad = flat.reshape(shape)
+    layout = draw(st.sampled_from(["contiguous", "strided", "transposed"]))
+    if layout == "strided":
+        wide = np.zeros(shape[:-1] + (6,))
+        wide[..., ::2] = grad
+        grad = wide[..., ::2]
+    elif layout == "transposed" and grad.ndim > 1:
+        grad = np.ascontiguousarray(grad.T).T
+    return grad
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(_gradients())
+def test_rsgd_step_refuses_exactly_the_non_finite_gradients(grad):
+    finite = bool(np.isfinite(grad).all())
+    param = np.tile(hyperboloid_origin(2), grad.shape[:-1] + (1,))
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        assert bool(embed._all_finite(grad)) == finite
+        if not finite:
+            with pytest.raises(ValueError) as info:
+                embed.rsgd_step_hyperboloid(param, grad, 0.05)
+            assert str(info.value) == "non-finite gradient in rsgd_step_hyperboloid"
+    if finite:
+        # a huge finite step overflows in the exponential map, after the check
+        with np.errstate(all="ignore"):
+            embed.rsgd_step_hyperboloid(param, grad, 0.05)
+
+
 # ---------------------------------------------------------------------------
 # Riemannian SGD on the hyperboloid
 # ---------------------------------------------------------------------------
@@ -682,6 +804,10 @@ def _oracle_setup():
         "euclidean": embed.EmbeddingMatrices(
             *(rng.normal(size=(_ORACLE_VOCAB, 4)) for _ in "AB"), "euclidean", 4),
     }
+    # A's row 0 is the origin, the apex on the hyperboloid: its zero
+    # coordinates make -0.0 terms, which sums that start at +0.0 turn to +0.0
+    matrices["hyperboloid"].A[0] = hyperboloid_origin(4)
+    matrices["euclidean"].A[0] = 0.0
     return matrices, np.empty(2 * _ORACLE_VOCAB, dtype=np.intp)
 
 
@@ -707,6 +833,11 @@ def _gradients_by_row(a_ids, b_ids, grads):
 @example("hyperboloid", [embed.TrainingPair(4999, 4999, [])], 1.0)
 @example("euclidean", [embed.TrainingPair(7, 3, [3, 3, 7]), embed.TrainingPair(3, 3, [7, 3, 3])],
          1.0)
+@example("hyperboloid", [embed.TrainingPair(0, 3, [5, 5]), embed.TrainingPair(0, 5, [0, 3])],
+         1.0)  # -0.0 terms from A's row 0, alone and repeated in their slots
+@example("euclidean", [embed.TrainingPair(0, 2, [9, 9]), embed.TrainingPair(0, 2, [4, 9])], -0.5)
+@example("hyperboloid", [embed.TrainingPair(7, 7, [7, 7])] * 3, 1.0)  # every slot one id
+@example("euclidean", [embed.TrainingPair(0, 0, [0, 0, 0])] * 2, 1.0)
 def test_block_gradients_equal_unique_oracle(geometry, block, theta):
     matrices, table = _oracle_setup()
     E = matrices[geometry]
