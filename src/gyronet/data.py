@@ -21,10 +21,12 @@ def ingest_corpus(path, keep_whitespace=False):
     ``keep_whitespace``.  Invalid UTF-8 raises ``"<path>:<line>: not valid
     UTF-8"`` and an empty result (after filtering) ``"<path>: empty corpus"``.
     """
-    text = "".join(line for _, line in read_utf8_lines(path))
+    lines = (line for _, line in read_utf8_lines(path))
     if not keep_whitespace:
-        # str.split() cuts at exactly the characters that str.isspace() accepts
-        text = "".join(text.split())
+        # str.split() cuts at exactly the characters that str.isspace()
+        # accepts; line by line, the words of one line are held at a time
+        lines = ("".join(line.split()) for line in lines)
+    text = "".join(lines)
     if not text:
         raise ValueError(f"{path}: empty corpus")
     return text

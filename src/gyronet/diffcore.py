@@ -28,7 +28,13 @@ refuses such a tape.
 :func:`norm`, :func:`softmax` and :func:`ball_project` act on the last
 axis; ``norm`` and ``ball_project`` run :mod:`gyronet.geometry`'s norm and
 radial clamp, which keeps its input array itself when no row reaches the
-shell and rescales only when some row is clamped.  Two VJP
+shell and rescales only when some row is clamped.  The clamp measures the
+row norms of its input, so when it clamps no row, its output ``Tensor``,
+whose value is that same input array, carries those norms as ``norms``; a
+``norm`` of that tensor records them as its value instead of measuring
+again.  They are the same function's result on the same array, so the bits,
+the node and its finite check are those of a fresh ``norm``.  Every other
+tensor has ``norms`` None.  Two VJP
 rules pass the output gradient through as it is where their mask is all
 true, which is bitwise the product with that mask: ``ball_project`` when no
 row was clamped, and ``clip_min`` when no entry is at or below its floor.
@@ -63,12 +69,13 @@ class Node:
 class Tensor:
     """Handle to a node on a tape, with that node's (immutable) value."""
 
-    __slots__ = ("tape", "nid", "value")
+    __slots__ = ("tape", "nid", "value", "norms")
 
     def __init__(self, tape, nid, value):
         self.tape = tape
         self.nid = nid
         self.value = value
+        self.norms = None  # _norm(value), when ball_project measured it
 
     @property
     def shape(self):
@@ -365,7 +372,8 @@ _BACKWARD["softmax"] = (lambda g, out, v, at: out * (g - np.sum(g * out, axis=-1
 
 def norm(a):
     """Euclidean norm over the last axis, which is kept with length 1."""
-    return a.tape.record("norm", (a,), _norm(a.value))
+    n = a.norms
+    return a.tape.record("norm", (a,), _norm(a.value) if n is None else n)
 
 
 _BACKWARD["norm"] = (lambda g, out, v, at: g * v[0] / np.maximum(out, _TINY),)
@@ -417,10 +425,14 @@ def ball_project(a, max_norm):
 
     Gradient convention: identity for rows that were inside, zero for rows
     that got clamped (projected-gradient treatment of the boundary).  The
-    forward keeps the ``inside`` mask for the VJP.
+    forward keeps the ``inside`` mask for the VJP.  When no row is clamped,
+    the output is the input array itself and carries its row norms.
     """
-    x, inside = _clamp(a.value, max_norm)
-    return a.tape.record("ball_project", (a,), x, max_norm=max_norm, inside=inside)
+    x, inside, n = _clamp(a.value, max_norm)
+    out = a.tape.record("ball_project", (a,), x, max_norm=max_norm, inside=inside)
+    if x is a.value:
+        out.norms = n
+    return out
 
 
 # the forward records its input array itself exactly when no row is clamped

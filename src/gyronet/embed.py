@@ -284,12 +284,22 @@ def euclidean_gradients(pair, E):
 
 def rsgd_step_hyperboloid(param, ambient_grad, eta):
     """exp_param(-eta * proj_param(grad)); the exponential map renormalizes
-    the result onto the hyperboloid."""
+    the result onto the hyperboloid.  A non-finite gradient, or a finite one
+    whose step overflows to a non-finite result, raises ``ValueError``, also
+    where numpy is set to raise on overflow."""
     grad = np.asarray(ambient_grad, dtype=float)
     if not _all_finite(grad):
         raise ValueError("non-finite gradient in rsgd_step_hyperboloid")
-    step = -eta * tangent_project(param, grad)
-    return exp_map_hyperboloid(param, step)
+    try:
+        out = exp_map_hyperboloid(param, -eta * tangent_project(param, grad))
+    except FloatingPointError:
+        # the check below refuses an overflow; an np.errstate on every call
+        # would cost about 2% of skip-gram training
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = exp_map_hyperboloid(param, -eta * tangent_project(param, grad))
+    if not _all_finite(out):
+        raise ValueError("non-finite step in rsgd_step_hyperboloid")
+    return out
 
 
 @dataclass
@@ -411,8 +421,9 @@ def train_skipgram(tokens, config: SkipgramConfig, log_fn=None):
     The id-to-row table of ``_block_gradients`` is allocated once per call.
 
     Returns (EmbeddingMatrices, Vocabulary, per-epoch mean NLL history).
-    A non-finite logit raises ``ValueError`` naming the epoch and step, and a
-    non-finite embedding row after an epoch raises one naming the epoch.
+    A non-finite logit, or a hyperboloid step to a non-finite row, raises
+    ``ValueError`` naming the epoch and step (the count of pairs scored), and
+    a non-finite embedding row after an epoch raises one naming the epoch.
     """
     points = code_points(tokens)
     del tokens  # a caller that passes its corpus on frees it here
@@ -445,7 +456,11 @@ def train_skipgram(tokens, config: SkipgramConfig, log_fn=None):
                 # so one step on the stacked rows equals one step per row
                 rows = np.concatenate([E.A.take(a_ids, axis=0), E.B.take(b_ids, axis=0)])
                 if hyperboloid:
-                    new = rsgd_step_hyperboloid(rows, -grads, config.lr)
+                    try:
+                        new = rsgd_step_hyperboloid(rows, -grads, config.lr)
+                    except ValueError as exc:  # a step that overflows
+                        raise ValueError(f"divergence (non-finite step) at epoch {epoch} "
+                                         f"step {step}: {exc}") from None
                 else:
                     new = rows + config.lr * grads
                 E.A[a_ids] = new[:len(a_ids)]

@@ -27,14 +27,15 @@ def _norm(x, keepdims=True):
 
 
 def _clamp(x, maxnorm):
-    """Rows of norm ``maxnorm`` or more rescaled onto that shell, and the mask
-    of the rows inside it.  When every row is inside, the rows are ``x``
-    itself: ``x * 1.0`` would be the same bits."""
+    """Rows of norm ``maxnorm`` or more rescaled onto that shell, the mask of
+    the rows inside it, and the norms ``_norm(x)`` of the input rows.  When
+    every row is inside, the rows are ``x`` itself: ``x * 1.0`` would be the
+    same bits."""
     n = _norm(x)
     inside = n < maxnorm
     if not np.logical_and.reduce(inside, axis=None):
         x = x * np.where(inside, 1.0, maxnorm / np.maximum(n, _TINY))
-    return x, inside
+    return x, inside, n
 
 
 def _artanh(n, c):

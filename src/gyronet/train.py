@@ -41,24 +41,33 @@ class TrainSettings:
 
 
 class TokenMap:
-    """Token -> embedding-point lookup with a trainable UNK fallback."""
+    """Token -> embedding-point lookup with a trainable UNK fallback.
+
+    ``encode`` turns a batch of utterances into the classifier's padded
+    inputs with one gather: each slot's row id, or -1 at UNK and pad slots,
+    indexes ``points`` with one row of +0.0 appended, which the -1 slots
+    take.
+    """
 
     def __init__(self, tokens, points):
         self.token_to_row = {t: i for i, t in enumerate(tokens)}
         self.points = np.asarray(points, dtype=float)
         self.dim = self.points.shape[1]
+        self._rows = np.concatenate([self.points, np.zeros((1, self.dim))])
 
-    def encode(self, utterance, max_len):
-        chars = list(utterance)[:max_len]
-        rows = np.zeros((len(chars), self.dim))
-        unk = np.zeros(len(chars))
-        for i, ch in enumerate(chars):
-            row = self.token_to_row.get(ch)
-            if row is None:
-                unk[i] = 1.0
-            else:
-                rows[i] = self.points[row]
-        return rows, unk
+    def encode(self, utterances, max_len):
+        """``(points, unk, mask)`` of shapes (B, L, n), (B, L, 1) and (B, L)
+        for B utterances cut to ``max_len`` code points and padded to the
+        longest, L, at least 1.  UNK and pad slots hold +0.0 points; ``unk``
+        flags the UNK slots and ``mask`` the slots of characters."""
+        cut = [u[:max_len] for u in utterances]
+        lengths = np.array([len(u) for u in cut], dtype=np.intp)
+        mask = np.arange(max(lengths.max(initial=0), 1)) < lengths[:, None]
+        ids = np.full(mask.shape, -1, dtype=np.intp)
+        get = self.token_to_row.get
+        ids[mask] = np.fromiter((get(ch, -1) for u in cut for ch in u), np.intp, mask.sum())
+        unk = (ids < 0) & mask
+        return self._rows[ids], unk[..., None].astype(float), mask.astype(float)
 
 
 def load_embedding_points(path, classifier_geometry):
@@ -104,17 +113,9 @@ def _length_chunks(records, indices, max_len):
 
 
 def _build_batch(records, indices, token_map, max_len):
-    encoded = [token_map.encode(records[i][0], max_len) for i in indices]
-    length = max(max(len(rows) for rows, _ in encoded), 1)
-    n = token_map.dim
-    points = np.zeros((len(indices), length, n))
-    unk = np.zeros((len(indices), length, 1))
-    mask = np.zeros((len(indices), length))
-    for j, (rows, flags) in enumerate(encoded):
-        points[j, :len(rows)] = rows
-        unk[j, :len(rows), 0] = flags
-        mask[j, :len(rows)] = 1.0
-    return points, unk, mask
+    """The padded ``(points, unk, mask)`` of the records ``indices``, made by
+    one ``TokenMap.encode`` call: one gather of embedding rows per batch."""
+    return token_map.encode([records[i][0] for i in indices], max_len)
 
 
 def _forward_batch(params_np, points_np, unk_np, mask, labels, config,

@@ -63,6 +63,33 @@ def test_ingest_corpus_invalid_utf8_names_line(tmp_path, newline):
         data.ingest_corpus(path)
 
 
+# every character that str.isspace() accepts, and others: ASCII, CJK, one
+# beyond the BMP, a BOM (dropped at the start of a file, kept elsewhere) and
+# "\r\n", one line end
+_SPACES = [chr(i) for i in range(0x110000) if chr(i).isspace()]
+_CORPUS_PIECES = _SPACES + ["a", "\u6e38", "\U0001f600", "\ufeff", "\r\n"]
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.lists(st.sampled_from(_CORPUS_PIECES), max_size=30), st.integers(1, 7))
+@example(["\ufeff", " ", "a", "\r\n", "\u3000", "\ufeff"], 1)
+@example(_SPACES + ["a"], 3)  # every whitespace character at once
+def test_ingest_corpus_equals_split_and_join_of_the_whole_text(tmp_path_factory, pieces, chunk):
+    text = "".join(pieces)
+    path = tmp_path_factory.getbasetemp() / "spaced-corpus.txt"
+    path.write_bytes(text.encode("utf-8"))
+    text = text.removeprefix("\ufeff")
+    no_line_ends = text.replace("\r\n", "\n").replace("\r", "\n").replace("\n", "")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(data, "READ_CHUNK", chunk)
+        for keep, expected in ((False, "".join(text.split())), (True, no_line_ends)):
+            if expected:
+                assert data.ingest_corpus(path, keep_whitespace=keep) == expected
+            else:
+                with pytest.raises(ValueError, match="empty corpus"):
+                    data.ingest_corpus(path, keep_whitespace=keep)
+
+
 def _whole_file_lines(path):
     """The reader that decoded the whole file at once: the oracle for the
     decoding in chunks."""
@@ -615,8 +642,8 @@ def test_cli_train_embeddings_divergence_names_epoch_and_step(tmp_path, capsys):
                          "--seed", "5", "--out", str(emb)])
     assert code == 1
     err = capsys.readouterr().err
-    assert ("gyronet train-embeddings: error: divergence (non-finite loss) at epoch 0 step 32: "
-            "non-finite logit in pair_log_likelihood\n") in err
+    assert ("gyronet train-embeddings: error: divergence (non-finite step) at epoch 0 step 32: "
+            "non-finite step in rsgd_step_hyperboloid\n") in err
     assert "Traceback" not in err
     assert not emb.exists()
 
@@ -632,8 +659,8 @@ def test_cli_train_embeddings_divergence_prints_no_numpy_warnings(tmp_path, caps
                          "--seed", "5", "--out", str(emb)])
     assert code == 1
     err = capsys.readouterr().err
-    assert err.endswith("gyronet train-embeddings: error: divergence (non-finite loss) at "
-                        "epoch 0 step 32: non-finite logit in pair_log_likelihood\n")
+    assert err.endswith("gyronet train-embeddings: error: divergence (non-finite step) at "
+                        "epoch 0 step 32: non-finite step in rsgd_step_hyperboloid\n")
     assert "Warning" not in err
     assert not emb.exists()
 

@@ -361,6 +361,60 @@ def test_ball_project_bits_and_vjp(x):
     np.testing.assert_array_equal(grad, probe * (n < max_norm))  # identity inside, zero clamped
 
 
+@st.composite
+def _ball_rows(draw):
+    """A ball radius c and rows inside the ball, exactly on and just either
+    side of the ``c * (1 - 1e-5)`` shell, at zero (either sign) and of
+    subnormal entries, in a batch of one or two leading axes."""
+    c = draw(st.sampled_from([0.5, 1.0, 2.0]))
+    shell = c * (1.0 - geo.EPS_BOUNDARY)
+    n = draw(st.integers(1, 4))
+    coordinate = st.floats(-c, c, allow_nan=False)
+
+    def row(kind):
+        if kind == "random":
+            return draw(st.lists(coordinate, min_size=n, max_size=n))
+        if kind == "zero":
+            return [draw(st.sampled_from([0.0, -0.0])) for _ in range(n)]
+        if kind == "subnormal":
+            return draw(st.lists(st.sampled_from([5e-324, -5e-324, 1e-310, 0.0]),
+                                 min_size=n, max_size=n))
+        radius = {"on": shell, "past": np.nextafter(shell, np.inf),
+                  "below": np.nextafter(shell, 0.0)}[kind]
+        out = [0.0] * n
+        out[draw(st.integers(0, n - 1))] = radius * draw(st.sampled_from([1.0, -1.0]))
+        return out
+
+    kinds = st.sampled_from(["random", "zero", "subnormal", "on", "past", "below"])
+    rows = [row(draw(kinds)) for _ in range(draw(st.integers(1, 6)))]
+    x = np.array(rows, dtype=float)
+    if draw(st.booleans()) and len(rows) % 2 == 0:
+        x = x.reshape(2, len(rows) // 2, n)
+    return c, x
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_ball_rows())
+def test_norm_of_a_projection_reuses_its_bits(case):
+    c, x = case
+    clamped = not np.all(geo._norm(x) < c * (1.0 - geo.EPS_BOUNDARY))
+    runs = []
+    for grad in (True, False):
+        tape = dc.Tape(grad=grad)
+        projected = dg.project(tape.leaf(x), c)
+        n = dc.norm(projected)
+        assert n.value.tobytes() == geo._norm(projected.value).tobytes()
+        assert n.value.shape == x.shape[:-1] + (1,)
+        if clamped:
+            assert projected.norms is None and projected.value is not x
+        else:  # the projection's own input array, with the norms it measured
+            assert projected.value is x and n.value is projected.norms
+        runs.append((projected.value.tobytes(), n.value.tobytes()))
+        if grad:
+            assert [node.op for node in tape.nodes] == ["leaf", "ball_project", "norm"]
+    assert runs[0] == runs[1]
+
+
 def test_constant_subgraph_gets_no_vjp_call(monkeypatch):
     calls = {"exp": 0, "tanh": 0}
     for op in calls:
@@ -693,6 +747,65 @@ def test_forward_only_batch_equals_recording_tape(batch):
     assert forward_only.nodes == [] and forward_only.skipped == len(recording.nodes)
 
 
+def _per_character_batch(token_map, utterances, max_len):
+    """The encoder of earlier versions, one Python step and one numpy row per
+    character, and its batch assembly: the oracle of the one-gather batch."""
+    encoded = []
+    for utterance in utterances:
+        chars = list(utterance)[:max_len]
+        rows = np.zeros((len(chars), token_map.dim))
+        flags = np.zeros(len(chars))
+        for i, ch in enumerate(chars):
+            row = token_map.token_to_row.get(ch)
+            if row is None:
+                flags[i] = 1.0
+            else:
+                rows[i] = token_map.points[row]
+        encoded.append((rows, flags))
+    length = max(max(len(rows) for rows, _ in encoded), 1)
+    points = np.zeros((len(utterances), length, token_map.dim))
+    unk = np.zeros((len(utterances), length, 1))
+    mask = np.zeros((len(utterances), length))
+    for j, (rows, flags) in enumerate(encoded):
+        points[j, :len(rows)] = rows
+        unk[j, :len(rows), 0] = flags
+        mask[j, :len(rows)] = 1.0
+    return points, unk, mask
+
+
+# known characters (ASCII, CJK, beyond the BMP) and characters with no row
+_KNOWN = ["a", "b", "\u6e38", "\U0001f600", "\U0010ffff"]
+_UNKNOWN = ["z", "\u6cf3", "\U0001f601"]
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.integers(1, 4), st.integers(1, 6),
+       st.lists(st.text(st.sampled_from(_KNOWN + _UNKNOWN), max_size=9), min_size=1, max_size=5),
+       st.data())
+def test_batch_encoder_equals_the_per_character_oracle(dim, max_len, utterances, draw):
+    coordinate = st.sampled_from([0.0, -0.0, 0.25, -0.5, 5e-324]) | st.floats(-0.9, 0.9)
+    rows = draw.draw(st.lists(st.lists(coordinate, min_size=dim, max_size=dim),
+                              min_size=len(_KNOWN), max_size=len(_KNOWN)))
+    token_map = train.TokenMap(_KNOWN, np.array(rows))
+    expected = _per_character_batch(token_map, utterances, max_len)
+    records = [(u, "x") for u in utterances]
+    for got in (token_map.encode(utterances, max_len),
+                train._build_batch(records, range(len(records)), token_map, max_len)):
+        for a, b in zip(got, expected, strict=True):
+            assert _same_bits(a, b)
+
+
+def test_batch_with_an_empty_utterance_is_refused():
+    token_map = train.TokenMap(["a", "b"], np.full((2, 4), 0.1))
+    cfg = hf.TransformerConfig(model_dim=4, num_layers=1, num_heads=2, head_dim=2,
+                               ffn_dim=4, num_classes=2)
+    points, unk, mask = train._build_batch([("ab", "x"), ("", "y")], [0, 1], token_map, 8)
+    assert mask.tolist() == [[1.0, 1.0], [0.0, 0.0]]
+    with pytest.raises(ValueError, match="at least one unmasked position"):
+        train._forward_batch(hf.init_params(cfg, np.random.default_rng(0)), points, unk,
+                             mask, None, cfg)
+
+
 def _tiny_evaluation(geometry):
     """A synthetic dataset of more than one evaluation batch, a token map and
     untrained parameters."""
@@ -796,6 +909,33 @@ def test_evaluate_classifier_forward_count_follows_the_lengths(monkeypatch):
     forwards = _spy_evaluation(monkeypatch, dataset, range(len(records)), token_map,
                                hf.init_params(cfg, rng), cfg)
     assert [mask.shape for _, mask in forwards] == [(100, 1), (32, 4), (3, 4)]
+
+
+def test_evaluate_classifier_reuses_the_norms_of_unclamped_projections(monkeypatch):
+    # the benchmark's classify-poincare sizes: 8 intents of 63 utterances,
+    # 16-dimensional embeddings and the default classifier, two forwards
+    dataset = data.generate_synthetic_intents(8, 63, 48, seed=1, composites=2, noise_len=3)
+    chars = sorted({ch for utterance, _ in dataset.records for ch in utterance})
+    rng = np.random.default_rng(5)
+    token_map = train.TokenMap(chars, random_ball_points(rng, len(chars), 16, radius=0.8))
+    cfg = hf.TransformerConfig(model_dim=16)
+    params = hf.init_params(cfg, rng)
+    counts = {"_norm": 0, "norm": 0, "ball_project": 0, "forward": 0}
+
+    def counted(fn, key):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module, name, key in ((geo, "_norm", "_norm"), (dc, "_norm", "_norm"),
+                              (dc, "norm", "norm"), (dc, "ball_project", "ball_project"),
+                              (train, "_forward_batch", "forward")):
+        monkeypatch.setattr(module, name, counted(getattr(module, name), key))
+    train.evaluate_classifier(dataset, range(len(dataset.records)), token_map, params, cfg)
+    # the graph is unchanged: 76 norm and 67 ball_project ops per forward;
+    # 45 of the norms read an unclamped projection's norms instead of a pass
+    assert counts == {"_norm": 196, "norm": 152, "ball_project": 134, "forward": 2}
 
 
 def test_evaluate_classifier_refuses_no_indices():

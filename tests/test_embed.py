@@ -131,6 +131,36 @@ def test_file_to_ids_peaks_under_9_5_bytes_per_character(tmp_path):
     assert peak <= 9.5 * n, f"{peak / n:.2f} B/char"
 
 
+def test_spaced_file_to_ids_peaks_under_9_5_bytes_per_character(tmp_path):
+    # the same characters with a space after every 4, in lines of 80 of them:
+    # dropping whitespace must not make one str per word of the whole file
+    n = 10**6
+    rng = np.random.default_rng(16)
+    weights = 1.0 / np.arange(1, 3001)
+    points = 0x4E00 + rng.choice(3000, size=n, p=weights / weights.sum())
+    text = points.astype("<u4").tobytes().decode("utf-32-le")
+    spaced = " ".join(text[i:i + 4] for i in range(0, n, 4))
+    path = tmp_path / "corpus.txt"
+    path.write_text("".join(spaced[i:i + 100] + "\n" for i in range(0, len(spaced), 100)),
+                    encoding="utf-8")
+    del spaced
+    config = embed.SkipgramConfig(dim=1, epochs=0)
+    tracemalloc.start()
+    try:
+        corpus = data.ingest_corpus(path)
+        _, ingest_peak = tracemalloc.get_traced_memory()
+        assert corpus == text
+        del corpus
+        tracemalloc.reset_peak()
+        _, vocab, _ = embed.train_skipgram(data.ingest_corpus(path), config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(vocab) == len(np.unique(points))
+    assert ingest_peak <= 9.5 * n, f"ingest_corpus: {ingest_peak / n:.2f} B/char"
+    assert peak <= 9.5 * n, f"file to ids: {peak / n:.2f} B/char"
+
+
 def test_vocabulary_tables_do_not_grow_with_the_largest_code_point():
     # two characters, one the last code point: a table indexed by code point
     # would hold 1.1 million entries
@@ -529,9 +559,16 @@ def test_rsgd_step_refuses_exactly_the_non_finite_gradients(grad):
                 embed.rsgd_step_hyperboloid(param, grad, 0.05)
             assert str(info.value) == "non-finite gradient in rsgd_step_hyperboloid"
     if finite:
-        # a huge finite step overflows in the exponential map, after the check
-        with np.errstate(all="ignore"):
-            embed.rsgd_step_hyperboloid(param, grad, 0.05)
+        # a huge finite step overflows in the exponential map, after the
+        # gradient check; the step check refuses it, without a numpy signal
+        with warnings.catch_warnings(), np.errstate(all="raise", under="ignore"):
+            warnings.simplefilter("error")
+            try:
+                out = embed.rsgd_step_hyperboloid(param, grad, 0.05)
+            except ValueError as exc:
+                assert str(exc) == "non-finite step in rsgd_step_hyperboloid"
+            else:
+                assert np.isfinite(out).all()
 
 
 # ---------------------------------------------------------------------------
@@ -553,6 +590,44 @@ def test_rsgd_step_stays_on_hyperboloid():
         assert abs(lorentz_inner(new, new) + 1.0) < 1e-9
     with pytest.raises(ValueError):
         embed.rsgd_step_hyperboloid(p[0], np.array([np.nan, 0, 0, 0]), 0.05)
+
+
+@pytest.mark.parametrize("grad", [[1e200, 0.0, 0.0], [0.0, 1e5, 0.0]],
+                         ids=["squares-overflow", "cosh-overflows"])
+def test_rsgd_step_refuses_a_step_that_overflows(grad):
+    # a finite gradient passes the gradient check; its step does not
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as info:
+            embed.rsgd_step_hyperboloid(hyperboloid_origin(2), np.array(grad), 0.05)
+    assert str(info.value) == "non-finite step in rsgd_step_hyperboloid"
+
+
+def test_rsgd_step_leaves_an_underflow_to_numpy():
+    # only an overflow is the step check's to refuse; numpy set to raise on
+    # underflow still raises its own error
+    grad = np.array([1e-300, 0.0, 0.0])
+    with np.errstate(all="raise"), pytest.raises(FloatingPointError, match="underflow"):
+        embed.rsgd_step_hyperboloid(hyperboloid_origin(2), grad, 0.05)
+    with np.errstate(all="raise", under="ignore"):
+        assert np.isfinite(embed.rsgd_step_hyperboloid(hyperboloid_origin(2), grad, 0.05)).all()
+
+
+def test_train_skipgram_names_the_pair_that_reads_a_non_finite_row(monkeypatch):
+    # a step that leaves every row non-finite: the next pair's logit check
+    # stops the run, naming that pair
+    step = embed.rsgd_step_hyperboloid
+
+    def poisoned(*args):
+        return step(*args) * np.inf
+
+    monkeypatch.setattr(embed, "rsgd_step_hyperboloid", poisoned)
+    cfg = embed.SkipgramConfig(dim=2, mu=1, m=2, epochs=1)
+    block_pairs = embed.BLOCK_ROWS // (cfg.m + 1)
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError) as info:
+        embed.train_skipgram("ab" * 40, cfg)
+    assert str(info.value) == (f"divergence (non-finite loss) at epoch 0 step {block_pairs}: "
+                               "non-finite logit in pair_log_likelihood")
 
 
 def test_rsgd_step_descends_pair_loss():
