@@ -90,7 +90,7 @@ def transport_suite(seed=3, trials=1000, dim=3, tol=1e-8):
     x = random_ball_points(rng, trials, dim, radius=0.8)
     v0 = rng.normal(size=(trials, dim))
     moved = geometry.transport_from_origin_poincare(x, v0)
-    lam = geometry.conformal_factor(x, keepdims=True)
+    lam = geometry.conformal_factor(x)
     worst = float(np.abs(lam * np.linalg.norm(moved, axis=-1, keepdims=True)
                          - 2.0 * np.linalg.norm(v0, axis=-1, keepdims=True)).max())
     hx = geometry.to_hyperboloid(random_ball_points(rng, trials, dim, radius=0.7))

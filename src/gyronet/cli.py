@@ -18,6 +18,8 @@ import os
 import re
 import sys
 
+import numpy as np
+
 from . import bundle, checks, data, diffcore, embed, train
 from .geometry import to_hyperboloid, to_poincare
 from .hypformer import TransformerConfig, param_shapes
@@ -338,15 +340,20 @@ def cmd_convert(argv):
     parser.add_argument("--out", required=True)
     args = _parse_with_config(parser, argv)
     tokens, matrix, geometry = embed.read_embeddings(args.path_in)
-    if geometry == "hyperboloid":
-        matrix = to_poincare(matrix)
-        out_geometry = "poincare"
-    elif geometry == "poincare":
-        matrix = to_hyperboloid(matrix)
-        out_geometry = "hyperboloid"
-    else:
+    if geometry == "euclidean":
         raise CliError("euclidean embedding files cannot be converted")
-    embed.write_embeddings(args.out, tokens, matrix, out_geometry)
+    to_ball = geometry == "hyperboloid"
+    out_geometry = "poincare" if to_ball else "hyperboloid"
+    with np.errstate(all="ignore"):
+        out = to_poincare(matrix) if to_ball else to_hyperboloid(matrix)
+        # the ball rows as the files hold them: write_embeddings keeps 9 digits
+        ball = np.char.mod("%.9g", out).astype(float) if to_ball else matrix
+        outside = np.add.reduce(ball * ball, axis=-1) >= 1.0
+    bad = np.flatnonzero(outside | ~np.isfinite(out).all(axis=-1))
+    if bad.size:
+        reason = "a ball row of norm >= 1" if outside[bad[0]] else f"non-finite {out_geometry} row"
+        raise CliError(f"{args.path_in}:{bad[0] + 2}: {reason}, not a point")
+    embed.write_embeddings(args.out, tokens, out, out_geometry)
     log.info("converted %s (%s) -> %s (%s)", args.path_in, geometry, args.out, out_geometry)
 
 

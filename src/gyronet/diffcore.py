@@ -3,14 +3,9 @@
 A :class:`Tape` records primitive operations as they are executed eagerly.
 Each record keeps the op name, input node ids and the computed value, so the
 node list is topologically ordered by construction.  Every recorded value is
-checked to be finite, at record time, by one dot product:
-``math.isfinite(np.vdot(v, v))``, as a sum of squares is finite only when
-every entry is.  Only when it is not (a NaN, an infinity, or finite entries
-of 1.4e154 or more, whose squares overflow), or when ``v`` is a view that is
-not C-contiguous, which ``np.vdot`` would copy, does the exact
-``np.isfinite`` reduction run and decide; a non-finite value raises
-:class:`TapeError` naming the node index and op.  A node's
-``requires_grad`` flag is set when it is recorded: true when any of its
+checked to be finite at record time by :func:`gyronet.geometry._all_finite`;
+a non-finite value raises :class:`TapeError` naming the node index and op.
+A node's ``requires_grad`` flag is set when it is recorded: true when any of its
 inputs requires grad, and the tape lists its grad-enabled leaves as it
 makes them.  ``backward`` walks the records in reverse, skips nodes without
 the flag, and accumulates vector-Jacobian products; a gradient whose shape
@@ -46,11 +41,9 @@ First-order gradients only.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .geometry import _TINY, _clamp, _norm
+from .geometry import _TINY, _all_finite, _clamp, _norm
 
 _all = np.logical_and.reduce
 
@@ -163,12 +156,7 @@ class Tape:
 
     def record(self, op, inputs, value, **attrs):
         nodes = self.nodes
-        # a sum of squares is finite only when every entry is; the exact test
-        # decides when it is not (squares of entries >= 1.4e154 overflow
-        # although the entries are finite), and for a value that is not
-        # C-contiguous, which np.vdot would first copy
-        if not (value.flags.c_contiguous and math.isfinite(np.vdot(value, value))) \
-                and not _all(np.isfinite(value), axis=None):
+        if not _all_finite(value):
             raise TapeError(f"non-finite value at node {len(nodes) + self.skipped} (op {op})")
         if not self.grad:
             self.skipped += 1

@@ -1,14 +1,32 @@
 """Differentiable Poincare-ball operations composed from diffcore primitives.
 
-These mirror the pure numpy kernels in :mod:`gyronet.geometry` but operate on
-:class:`~gyronet.diffcore.Tensor` values so that gradients flow through them.
-Points live along the last axis; leading axes broadcast.
+These operate on :class:`~gyronet.diffcore.Tensor` values so that gradients
+flow through them.  Points live along the last axis; leading axes broadcast.
+Mobius addition and the conformal factor are :mod:`gyronet.geometry`'s own
+bodies, bound to the tape's last-axis sum and to :func:`project`, so each is
+written once and gives the kernels' bits.  The other maps still have a tape
+form of their own, which differs from ``geometry`` as follows:
+
+- ``expmap0`` and ``logmap0``: ``geometry`` has no map at the origin; its
+  ``exp_map_poincare`` and ``log_map_poincare`` at the origin add an
+  ``np.where`` zero-row guard and a Mobius addition, and the log map holds the
+  artanh argument below ``1 - _TINY``, for which the tape has no op;
+- ``geometry`` computes ``(c tanh(t) v) / ||v||`` where the tape computes
+  ``(c tanh(t)) (v / ||v||)``, which are different bits;
+- ``mobius_matvec`` takes its weight as (n_in, n_out), ``geometry`` takes
+  ``M`` as (m, n) and computes ``x @ M.T``, with the artanh bound and the
+  ``(nx > 0) & (ny > 0)`` mask;
+- ``mlr_scores`` has no ``geometry`` kernel.
 """
 
 from __future__ import annotations
 
 from . import diffcore as dc
-from .geometry import _TINY, EPS_BOUNDARY
+from .geometry import _TINY, EPS_BOUNDARY, _conformal_factor, _mobius_add
+
+
+def _sum_last(a):
+    return dc.tsum(a, axis=-1, keepdims=True)
 
 
 def project(x, c=1.0):
@@ -16,18 +34,7 @@ def project(x, c=1.0):
 
 
 def mobius_add(x, y, c=1.0):
-    c2 = c * c
-    x2 = dc.tsum(x * x, axis=-1, keepdims=True)
-    y2 = dc.tsum(y * y, axis=-1, keepdims=True)
-    xy = dc.tsum(x * y, axis=-1, keepdims=True)
-    num = (1.0 + 2.0 * xy / c2 + y2 / c2) * x + (1.0 - x2 / c2) * y
-    den = 1.0 + 2.0 * xy / c2 + x2 * y2 / (c2 * c2)
-    return project(num / den, c)
-
-
-def conformal_factor(x, c=1.0):
-    x2 = dc.tsum(x * x, axis=-1, keepdims=True)
-    return 2.0 / (1.0 - x2 / (c * c))
+    return _mobius_add(x, y, c, _sum_last, project)
 
 
 def logmap0(y, c=1.0):
@@ -70,7 +77,7 @@ def mlr_scores(x, a, p, c=1.0):
     xe = dc.reshape(x, x.shape[:-1] + (1, x.shape[-1]))
     w = mobius_add(-p, xe, c)  # (..., K, n)
     na = dc.clip_min(dc.norm(a), _TINY)  # (K, 1)
-    lam_p = conformal_factor(p, c)  # (K, 1)
+    lam_p = _conformal_factor(p, c, _sum_last)  # (K, 1)
     inner = dc.tsum(w * a, axis=-1, keepdims=True)  # (..., K, 1)
     w2 = dc.tsum(w * w, axis=-1, keepdims=True)
     arg = (2.0 * inner) / (c * (1.0 - w2 / (c * c)) * na)

@@ -18,14 +18,14 @@ so the pairs equal those of one draw per negative.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
 
 from .data import read_utf8_lines
-from .geometry import exp_map_hyperboloid, hyperboloid_origin, lorentz_inner, tangent_project
+from .geometry import (_all_finite, exp_map_hyperboloid, hyperboloid_origin, lorentz_inner,
+                       tangent_project)
 
 GEOMETRIES = ("euclidean", "hyperboloid")
 # Geometries an embedding file may carry: the trained ones, and ball
@@ -218,13 +218,6 @@ def hyperboloid_logit(a, b, theta):
 
 def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
-
-
-def _all_finite(x):
-    """Whether every entry of ``x`` is finite.  A sum of squares is finite
-    only when every entry is; the exact test decides when it is not, since
-    the squares of finite entries of 1.4e154 or more overflow."""
-    return math.isfinite(np.vdot(x, x)) or np.logical_and.reduce(np.isfinite(x), axis=None)
 
 
 def _pair_logits(pair, E, theta):
@@ -467,7 +460,7 @@ def train_skipgram(tokens, config: SkipgramConfig, log_fn=None):
                 E.B[b_ids] = new[len(a_ids):]
             # a row that overflows after its last logit check would otherwise
             # reach the output file
-            if not (np.isfinite(E.A).all() and np.isfinite(E.B).all()):
+            if not (_all_finite(E.A) and _all_finite(E.B)):
                 raise ValueError(f"divergence (non-finite embedding) at epoch {epoch}")
             mean = loss_sum / max(step, 1)
             history.append(mean)

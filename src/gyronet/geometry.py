@@ -12,12 +12,29 @@ an explicit parameter throughout.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 # Any result whose norm reaches c*(1 - EPS_BOUNDARY) is radially rescaled back
 # onto that shell; prevents atanh overflow during training.
 EPS_BOUNDARY = 1e-5
 _TINY = 1e-15  # floor of a dividing norm; artanh's argument stays <= 1 - _TINY
+
+
+def _all_finite(x):
+    """Whether every entry of the array ``x`` is finite; the one finite check
+    of the tape, the skip-gram trainer and the optimizers.  A sum of squares is
+    finite only when every entry is, so one ``np.vdot`` decides most arrays.
+    The exact ``np.isfinite`` reduction decides when it is not (a NaN, an
+    infinity, or finite entries of 1.4e154 or more, whose squares overflow),
+    and for an ``x`` that is not C-contiguous, which ``np.vdot`` would copy."""
+    return (x.flags.c_contiguous and math.isfinite(np.vdot(x, x))) \
+        or np.logical_and.reduce(np.isfinite(x), axis=None)
+
+
+def _sum_last(a):
+    return np.add.reduce(a, axis=-1, keepdims=True)
 
 
 def _norm(x, keepdims=True):
@@ -63,18 +80,23 @@ def _check_same_dim(x, y):
         )
 
 
+def _mobius_add(x, y, c, sum_last, project):
+    """x (+)_c y for arrays or tape tensors, given their kept-axis sum and ball projection."""
+    c2 = c * c
+    x2 = sum_last(x * x)
+    y2 = sum_last(y * y)
+    xy = sum_last(x * y)
+    num = (1.0 + 2.0 * xy / c2 + y2 / c2) * x + (1.0 - x2 / c2) * y
+    den = 1.0 + 2.0 * xy / c2 + x2 * y2 / (c2 * c2)
+    return project(num / den, c)
+
+
 def mobius_add(x, y, c=1.0):
     """Mobius addition x (+)_c y on the ball of radius c."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     _check_same_dim(x, y)
-    c2 = c * c
-    x2 = np.sum(x * x, axis=-1, keepdims=True)
-    y2 = np.sum(y * y, axis=-1, keepdims=True)
-    xy = np.sum(x * y, axis=-1, keepdims=True)
-    num = (1.0 + 2.0 * xy / c2 + y2 / c2) * x + (1.0 - x2 / c2) * y
-    den = 1.0 + 2.0 * xy / c2 + x2 * y2 / (c2 * c2)
-    return project_to_ball(num / den, c)
+    return _mobius_add(x, y, c, _sum_last, project_to_ball)
 
 
 def mobius_neg(x):
@@ -100,11 +122,13 @@ def mobius_scalar_mul(r, x, c=1.0):
     return project_to_ball(out, c)
 
 
-def conformal_factor(x, c=1.0, keepdims=False):
-    """lambda_x^c = 2 / (1 - ||x||^2 / c^2); equals 2 at the origin."""
-    x = np.asarray(x, dtype=float)
-    x2 = np.sum(x * x, axis=-1, keepdims=keepdims)
-    return 2.0 / (1.0 - x2 / (c * c))
+def _conformal_factor(x, c, sum_last):
+    return 2.0 / (1.0 - sum_last(x * x) / (c * c))
+
+
+def conformal_factor(x, c=1.0):
+    """lambda_x^c = 2 / (1 - ||x||^2 / c^2) over the kept last axis; 2 at the origin."""
+    return _conformal_factor(np.asarray(x, dtype=float), c, _sum_last)
 
 
 def exp_map_poincare(x, v, c=1.0):
@@ -112,7 +136,7 @@ def exp_map_poincare(x, v, c=1.0):
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
     nv = _norm(v)
-    lam = conformal_factor(x, c, keepdims=True)
+    lam = conformal_factor(x, c)
     return mobius_add(x, _tanh_along(c, lam * nv / (2.0 * c), v, nv, nv > 0), c)
 
 
@@ -122,7 +146,7 @@ def log_map_poincare(x, y, c=1.0):
     y = np.asarray(y, dtype=float)
     w = mobius_add(mobius_neg(x), y, c)
     nw = _norm(w)
-    lam = conformal_factor(x, c, keepdims=True)
+    lam = conformal_factor(x, c)
     out = (2.0 * c / lam) * _artanh(nw, c) * w / np.maximum(nw, _TINY)
     return np.where(nw > 0, out, np.zeros_like(w))
 
@@ -135,7 +159,7 @@ def poincare_distance(x, y, c=1.0):
 
 def transport_from_origin_poincare(x, v, c=1.0):
     """Parallel transport of a tangent vector at the origin to the point x."""
-    lam = conformal_factor(np.asarray(x, dtype=float), c, keepdims=True)
+    lam = conformal_factor(x, c)
     return 2.0 / lam * np.asarray(v, dtype=float)
 
 

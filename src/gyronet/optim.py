@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import conformal_factor, exp_map_poincare, project_to_ball
+from .geometry import _all_finite, conformal_factor, exp_map_poincare, project_to_ball
 
 
 RHO = 0.9  # RMSProp decay of the second-moment accumulator
@@ -21,7 +21,7 @@ class RmsProp:
 
     def step(self, name, param, grad):
         grad = np.asarray(grad, dtype=float)
-        if not np.all(np.isfinite(grad)):
+        if not _all_finite(grad):
             raise ValueError(f"non-finite gradient for parameter '{name}'")
         acc = self.acc.get(name)
         if acc is None:
@@ -43,9 +43,9 @@ def rsgd_step_poincare(param, euclidean_grad, lr, c=1.0):
     inside the ball.
     """
     grad = np.asarray(euclidean_grad, dtype=float)
-    if not np.all(np.isfinite(grad)):
+    if not _all_finite(grad):
         raise ValueError("non-finite gradient in rsgd_step_poincare")
-    lam = conformal_factor(param, c, keepdims=True)
+    lam = conformal_factor(param, c)
     riem = grad / (lam * lam)
     return project_to_ball(exp_map_poincare(param, -lr * riem, c), c)
 

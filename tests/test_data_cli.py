@@ -405,6 +405,28 @@ def test_cli_convert_rejects_euclidean(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, line, reason", [
+    ("1 2 poincare\na 0.6 0.8\n", 2, "a ball row of norm >= 1"),
+    # a far row whose ball row is exactly the unit vector
+    ("2 2 hyperboloid\na 0 0 1\nb 1e17 0 1e17\n", 3, "a ball row of norm >= 1"),
+    # its ball row 1 - 1e-10 is written with 9 digits, as 1
+    ("1 2 hyperboloid\na 0 1e10 1e10\n", 2, "a ball row of norm >= 1"),
+    ("1 1 hyperboloid\na 0 -1\n", 2, "non-finite poincare row"),
+], ids=["poincare-on-the-sphere", "hyperboloid-far", "hyperboloid-written-as-1",
+        "hyperboloid-non-finite"])
+def test_cli_convert_refuses_rows_that_are_not_points(tmp_path, capsys, text, line, reason):
+    path = tmp_path / "in.txt"
+    path.write_text(text, encoding="utf-8")
+    out = tmp_path / "out.txt"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = cli.main(["convert", "--in", str(path), "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.endswith(
+        f"gyronet convert: error: {path}:{line}: {reason}, not a point\n")
+    assert not out.exists()
+
+
 def test_cli_geometry_check(capsys):
     assert cli.main(["geometry-check"]) == 0
     out = capsys.readouterr().out

@@ -362,13 +362,15 @@ def test_ball_project_bits_and_vjp(x):
 
 
 @st.composite
-def _ball_rows(draw):
+def _ball_rows(draw, c=None, shape=None):
     """A ball radius c and rows inside the ball, exactly on and just either
     side of the ``c * (1 - 1e-5)`` shell, at zero (either sign) and of
-    subnormal entries, in a batch of one or two leading axes."""
-    c = draw(st.sampled_from([0.5, 1.0, 2.0]))
+    subnormal entries, in a batch of one or two leading axes; ``c`` and the
+    batch's ``shape`` are drawn unless given."""
+    if c is None:
+        c = draw(st.sampled_from([0.5, 1.0, 2.0]))
     shell = c * (1.0 - geo.EPS_BOUNDARY)
-    n = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 4)) if shape is None else shape[-1]
     coordinate = st.floats(-c, c, allow_nan=False)
 
     def row(kind):
@@ -386,10 +388,12 @@ def _ball_rows(draw):
         return out
 
     kinds = st.sampled_from(["random", "zero", "subnormal", "on", "past", "below"])
-    rows = [row(draw(kinds)) for _ in range(draw(st.integers(1, 6)))]
-    x = np.array(rows, dtype=float)
-    if draw(st.booleans()) and len(rows) % 2 == 0:
-        x = x.reshape(2, len(rows) // 2, n)
+    count = draw(st.integers(1, 6)) if shape is None else int(np.prod(shape[:-1]))
+    x = np.array([row(draw(kinds)) for _ in range(count)], dtype=float)
+    if shape is not None:
+        return c, x.reshape(shape)
+    if draw(st.booleans()) and count % 2 == 0:
+        x = x.reshape(2, count // 2, n)
     return c, x
 
 
@@ -413,6 +417,157 @@ def test_norm_of_a_projection_reuses_its_bits(case):
         if grad:
             assert [node.op for node in tape.nodes] == ["leaf", "ball_project", "norm"]
     assert runs[0] == runs[1]
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.data())
+def test_merged_formulas_give_the_same_bits_through_both_bindings(data):
+    c, x = data.draw(_ball_rows())
+    _, y = data.draw(_ball_rows(c, x.shape))
+    # random rows outside the ball go onto the shell; rows past it stay
+    x, y = (np.where(geo._norm(r) < c, r, geo.project_to_ball(r, c)) for r in (x, y))
+    tape = dc.Tape()
+    tx, ty = tape.constant(x), tape.constant(y)
+    assert dg.mobius_add(tx, ty, c).value.tobytes() == geo.mobius_add(x, y, c).tobytes()
+    assert geo._conformal_factor(tx, c, dg._sum_last).value.tobytes() == \
+        geo.conformal_factor(x, c).tobytes()
+
+
+def _node_lines(tape):
+    """Each node as its op, input ids, non-array attrs and, for a 0-d leaf, value."""
+    lines = []
+    for node in tape.nodes:
+        words = [node.op, ",".join(map(str, node.inputs))]
+        words += [f"{k}={v!r}" for k, v in sorted(node.attrs.items())
+                  if not isinstance(v, np.ndarray)]
+        if node.op == "leaf" and np.ndim(node.value) == 0:
+            words.append(repr(float(node.value)))
+        lines.append(" ".join(filter(None, words)))
+    return lines
+
+
+# what dg.mobius_add and dg.mlr_scores recorded on a fresh tape at c = 2 when
+# each had its own body, before they bound geometry's
+_MOBIUS_ADD_NODES = """
+leaf
+leaf
+mul 0,0
+sum 2 axis=-1 keepdims=True
+mul 1,1
+sum 4 axis=-1 keepdims=True
+mul 0,1
+sum 6 axis=-1 keepdims=True
+leaf 2.0
+mul 8,7
+leaf 4.0
+div 9,10
+leaf 1.0
+add 12,11
+leaf 4.0
+div 5,14
+add 13,15
+mul 16,0
+leaf 4.0
+div 3,18
+leaf 1.0
+sub 20,19
+mul 21,1
+add 17,22
+leaf 2.0
+mul 24,7
+leaf 4.0
+div 25,26
+leaf 1.0
+add 28,27
+mul 3,5
+leaf 16.0
+div 30,31
+add 29,32
+div 23,33
+ball_project 34 max_norm=1.99998
+"""
+_MLR_SCORES_NODES = """
+leaf
+leaf
+leaf
+reshape 0 shape=(2, 1, 3)
+neg 2
+mul 4,4
+sum 5 axis=-1 keepdims=True
+mul 3,3
+sum 7 axis=-1 keepdims=True
+mul 4,3
+sum 9 axis=-1 keepdims=True
+leaf 2.0
+mul 11,10
+leaf 4.0
+div 12,13
+leaf 1.0
+add 15,14
+leaf 4.0
+div 8,17
+add 16,18
+mul 19,4
+leaf 4.0
+div 6,21
+leaf 1.0
+sub 23,22
+mul 24,3
+add 20,25
+leaf 2.0
+mul 27,10
+leaf 4.0
+div 28,29
+leaf 1.0
+add 31,30
+mul 6,8
+leaf 16.0
+div 33,34
+add 32,35
+div 26,36
+ball_project 37 max_norm=1.99998
+norm 1
+clip_min 39 floor=1e-15
+mul 2,2
+sum 41 axis=-1 keepdims=True
+leaf 4.0
+div 42,43
+leaf 1.0
+sub 45,44
+leaf 2.0
+div 47,46
+mul 38,1
+sum 49 axis=-1 keepdims=True
+mul 38,38
+sum 51 axis=-1 keepdims=True
+leaf 2.0
+mul 53,50
+leaf 4.0
+div 52,55
+leaf 1.0
+sub 57,56
+leaf 2.0
+mul 59,58
+mul 60,40
+div 54,61
+leaf 2.0
+mul 63,48
+mul 64,40
+asinh 62
+mul 65,66
+reshape 67 shape=(2, 2)
+"""
+
+
+def test_merged_formulas_record_the_same_nodes():
+    x = [[0.1, 0.2, -0.3], [0.0, 0.5, 0.1]]
+    tape = dc.Tape()
+    dg.mobius_add(tape.constant(x), tape.constant([[0.3, -0.1, 0.2], [0.4, 0.0, -0.2]]), 2.0)
+    assert _node_lines(tape) == _MOBIUS_ADD_NODES.strip("\n").split("\n")
+    tape = dc.Tape()
+    dg.mlr_scores(tape.constant(x), tape.constant([[1.0, 0.0, 0.5], [0.2, -1.0, 0.3]]),
+                  tape.constant([[0.1, 0.1, 0.0], [-0.2, 0.0, 0.1]]), 2.0)
+    assert _node_lines(tape) == _MLR_SCORES_NODES.strip("\n").split("\n")
 
 
 def test_constant_subgraph_gets_no_vjp_call(monkeypatch):

@@ -167,7 +167,7 @@ def test_transport_preserves_metric_norm():
     x = random_ball_points(rng, 100, 3)
     v = rng.normal(size=(100, 3))
     moved = geo.transport_from_origin_poincare(x, v)
-    lam = geo.conformal_factor(x)
+    lam = geo.conformal_factor(x)[..., 0]
     np.testing.assert_allclose(lam * np.linalg.norm(moved, axis=-1),
                                2.0 * np.linalg.norm(v, axis=-1), atol=1e-12)
 
@@ -413,7 +413,7 @@ def _old_mobius_scalar_mul(r, x, c=1.0):
 def _old_exp_map_poincare(x, v, c=1.0):
     nv = geo._norm(v)
     safe = np.maximum(nv, 1e-15)
-    lam = geo.conformal_factor(x, c, keepdims=True)
+    lam = geo.conformal_factor(x, c)
     second = np.tanh(lam * nv / (2.0 * c)) * c * v / safe
     second = np.where(nv > 0, second, np.zeros_like(v))
     return _old_mobius_add(x, second, c)
@@ -423,7 +423,7 @@ def _old_log_map_poincare(x, y, c=1.0):
     w = _old_mobius_add(-x, y, c)
     nw = geo._norm(w)
     safe = np.maximum(nw, 1e-15)
-    lam = geo.conformal_factor(x, c, keepdims=True)
+    lam = geo.conformal_factor(x, c)
     out = (2.0 * c / lam) * np.arctanh(np.minimum(nw / c, 1.0 - 1e-15)) * w / safe
     return np.where(nw > 0, out, np.zeros_like(w))
 

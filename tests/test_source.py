@@ -86,3 +86,12 @@ def test_geometry_is_the_only_home_of_the_gyrovector_guards():
              for needle in ("1e-15", "_TINY =", "EPS_BOUNDARY =")
              if needle in path.read_text(encoding="utf-8")]
     assert not found, "a geometry guard defined outside geometry.py: " + ", ".join(found)
+
+
+def test_each_poincare_formula_is_spelled_once():
+    # Mobius addition and the conformal factor have one body each, which the
+    # tape binds; np.vdot belongs to geometry's one finite check
+    texts = {path.name: path.read_text(encoding="utf-8") for path in SOURCES}
+    for needle in ("x2 * y2 / (c2 * c2)", "2.0 / (1.0 - ", "np.vdot("):
+        found = [name for name, text in texts.items() for _ in range(text.count(needle))]
+        assert found == ["geometry.py"], f"{needle!r} spelled in {found}"
