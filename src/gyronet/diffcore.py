@@ -5,6 +5,8 @@ Each record keeps the op name, input node ids and the computed value, so the
 node list is topologically ordered by construction.  Every recorded value is
 checked to be finite at record time by :func:`gyronet.geometry._all_finite`;
 a non-finite value raises :class:`TapeError` naming the node index and op.
+The one value the check skips is that of a ``ball_project`` that clamps no
+row: its rows all have norms below the shell, so every entry is finite.
 A node's ``requires_grad`` flag is set when it is recorded: true when any of its
 inputs requires grad, and the tape lists its grad-enabled leaves as it
 makes them.  ``backward`` walks the records in reverse, skips nodes without
@@ -36,6 +38,13 @@ row was clamped, and ``clip_min`` when no entry is at or below its floor.
 Gradient arrays may therefore be shared between nodes, as those of ``add``
 always were; no rule writes into one.
 
+Every sum over the last axis, in ``tsum``, ``softmax`` and its VJP and in
+summing a broadcast gradient back over a last axis of length 1, is
+:mod:`gyronet.geometry`'s one last-axis kernel ``_sum_last``, and ``norm`` and
+the clamp use its ``_norm``; both are ``np.einsum``, whose bits for a row do
+not depend on the batch it is in.  Sums over other axes are ``np.add.reduce``,
+as is the ``max`` VJP's count of tied entries, which is exact in any order.
+
 First-order gradients only.
 """
 
@@ -43,7 +52,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import _TINY, _all_finite, _clamp, _norm
+from .geometry import _TINY, _all_finite, _clamp, _norm, _sum_last
 
 _all = np.logical_and.reduce
 
@@ -154,9 +163,11 @@ class Tape:
     def constant(self, data):
         return self.leaf(data, requires_grad=False)
 
-    def record(self, op, inputs, value, **attrs):
+    def record(self, op, inputs, value, *, _finite=False, **attrs):
+        """Append a node computed from ``inputs``; ``_finite`` marks a value
+        its op has already shown to be finite, which skips the check."""
         nodes = self.nodes
-        if not _all_finite(value):
+        if not (_finite or _all_finite(value)):
             raise TapeError(f"non-finite value at node {len(nodes) + self.skipped} (op {op})")
         if not self.grad:
             self.skipped += 1
@@ -177,9 +188,13 @@ def _unbroadcast(grad, shape):
     grad = np.asarray(grad, dtype=float)
     while grad.ndim > len(shape):
         grad = np.add.reduce(grad, axis=0)
+    last = len(shape) - 1
     for axis, extent in enumerate(shape):
         if extent == 1 and grad.shape[axis] != 1:
-            grad = np.add.reduce(grad, axis=axis, keepdims=True)
+            if axis == last:
+                grad = _sum_last(grad)
+            else:
+                grad = np.add.reduce(grad, axis=axis, keepdims=True)
     return grad.reshape(shape)
 
 
@@ -295,8 +310,11 @@ _BACKWARD["matmul"] = (lambda g, out, v, at: g @ v[1].swapaxes(-1, -2),
 
 
 def tsum(a, axis=None, keepdims=False):
-    return a.tape.record("sum", (a,), np.add.reduce(a.value, axis=axis, keepdims=keepdims),
-                         axis=axis, keepdims=keepdims)
+    if axis == -1:
+        value = _sum_last(a.value) if keepdims else _sum_last(a.value)[..., 0]
+    else:
+        value = np.add.reduce(a.value, axis=axis, keepdims=keepdims)
+    return a.tape.record("sum", (a,), value, axis=axis, keepdims=keepdims)
 
 
 def _expand_reduced(g, x_shape, axis, keepdims):
@@ -352,10 +370,10 @@ def softmax(a):
     """Softmax over the last axis."""
     x = a.value
     e = np.exp(x - np.max(x, axis=-1, keepdims=True))
-    return a.tape.record("softmax", (a,), e / np.sum(e, axis=-1, keepdims=True))
+    return a.tape.record("softmax", (a,), e / _sum_last(e))
 
 
-_BACKWARD["softmax"] = (lambda g, out, v, at: out * (g - np.sum(g * out, axis=-1, keepdims=True)),)
+_BACKWARD["softmax"] = (lambda g, out, v, at: out * (g - _sum_last(g * out)),)
 
 
 def norm(a):
@@ -417,8 +435,12 @@ def ball_project(a, max_norm):
     the output is the input array itself and carries its row norms.
     """
     x, inside, n = _clamp(a.value, max_norm)
-    out = a.tape.record("ball_project", (a,), x, max_norm=max_norm, inside=inside)
-    if x is a.value:
+    # rows that are all inside have finite norms below the shell, so every
+    # entry of the unclamped value is finite
+    unclamped = x is a.value
+    out = a.tape.record("ball_project", (a,), x, _finite=unclamped, max_norm=max_norm,
+                        inside=inside)
+    if unclamped:
         out.norms = n
     return out
 

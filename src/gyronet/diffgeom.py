@@ -78,8 +78,8 @@ def mlr_scores(x, a, p, c=1.0):
     w = mobius_add(-p, xe, c)  # (..., K, n)
     na = dc.clip_min(dc.norm(a), _TINY)  # (K, 1)
     lam_p = _conformal_factor(p, c, _sum_last)  # (K, 1)
-    inner = dc.tsum(w * a, axis=-1, keepdims=True)  # (..., K, 1)
-    w2 = dc.tsum(w * w, axis=-1, keepdims=True)
+    inner = _sum_last(w * a)  # (..., K, 1)
+    w2 = _sum_last(w * w)
     arg = (2.0 * inner) / (c * (1.0 - w2 / (c * c)) * na)
     scores = c * lam_p * na * dc.asinh(arg)  # (..., K, 1)
     return dc.reshape(scores, scores.shape[:-1])

@@ -497,6 +497,15 @@ def read_embeddings(path):
     UTF-8 anywhere in the file, a malformed header, a short or unparsable row,
     a non-finite coordinate and a non-empty line past the declared rows raise
     ``ValueError("<path>:<line>: ...")``.
+
+    So does a ``hyperboloid`` row x = (s, t), with time coordinate t, off the
+    hyperboloid: one where |<x, x>_L + 1| > 1e-7 t^2.  The file holds each
+    coordinate to 9 significant digits, so within a relative 5e-9 of the point
+    that was written, which moves <x, x>_L by at most 1e-8 (|s|^2 + t^2) =
+    1e-8 (2 t^2 - 1) < 2e-8 t^2; the bound allows five times that, and grows
+    with t^2 so that rows far from the origin still load.  A row of the lower
+    sheet, t < 0, passes this check, and so does one with |t| >= 1.3e154, where
+    t^2 overflows to inf.
     """
     lines = read_utf8_lines(path)
     header = next(lines, (1, ""))[1].split()
@@ -530,4 +539,13 @@ def read_embeddings(path):
     bad = ~np.isfinite(matrix).all(axis=1)
     if bad.any():
         raise ValueError(f"{path}:{int(np.argmax(bad)) + 2}: non-finite coordinate")
+    if geometry == "hyperboloid":
+        t = matrix[:, -1]
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowing t^2 passes
+            inner = lorentz_inner(matrix, matrix)
+            off = np.abs(inner + 1.0) > 1e-7 * (t * t)
+        if off.any():
+            i = int(np.argmax(off))
+            raise ValueError(f"{path}:{i + 2}: row is not on the hyperboloid: "
+                             f"<x, x>_L = {inner[i]:.9g}, not -1")
     return tokens, matrix, geometry

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import _all_finite, conformal_factor, exp_map_poincare, project_to_ball
+from .geometry import _all_finite, _norm, conformal_factor, exp_map_poincare, project_to_ball
 
 
 RHO = 0.9  # RMSProp decay of the second-moment accumulator
@@ -40,12 +40,16 @@ def rsgd_step_poincare(param, euclidean_grad, lr, c=1.0):
 
     The euclidean gradient is rescaled by the inverse metric factor 1/lambda^2
     and the step is taken along the exponential map; the result stays strictly
-    inside the ball.
+    inside the ball.  A non-finite gradient raises ``ValueError``, and so does
+    a finite one whose step has a norm that overflows, which the map would
+    turn into no step at all.
     """
     grad = np.asarray(euclidean_grad, dtype=float)
     if not _all_finite(grad):
         raise ValueError("non-finite gradient in rsgd_step_poincare")
     lam = conformal_factor(param, c)
-    riem = grad / (lam * lam)
-    return project_to_ball(exp_map_poincare(param, -lr * riem, c), c)
+    step = -lr * (grad / (lam * lam))
+    if not _all_finite(_norm(step)):
+        raise ValueError("non-finite step in rsgd_step_poincare")
+    return project_to_ball(exp_map_poincare(param, step, c), c)
 

@@ -323,11 +323,11 @@ def test_ball_project_gradient_convention():
     np.testing.assert_array_equal(grads[x][1], [0.0, 0.0])  # clamped: zero
 
 
-def test_norm_and_ball_project_match_linalg_norm():
+def test_norm_and_ball_project_match_the_einsum_norm():
     rng = np.random.default_rng(3)
     max_norm = 5.0
     x = np.vstack([rng.normal(size=(6, 3)) * 3.0, np.zeros(3), [3.0, 4.0, 0.0], [0.0, -5.0, 0.0]])
-    n = np.linalg.norm(x, axis=-1, keepdims=True)
+    n = np.sqrt(np.einsum("...i,...i->...", x, x))[..., None]
     assert np.count_nonzero(n == max_norm) == 2 and np.any(n > max_norm) and np.any(n < max_norm)
     tape = dc.Tape()
     tx = tape.leaf(x, requires_grad=True)
@@ -635,13 +635,12 @@ def _reference_record(self, op, inputs, value, **attrs):
     return dc.Tensor(self, len(nodes) - 1, value)
 
 
-def _reference_ball_project(a, max_norm, axis=-1):
+def _reference_ball_project(a, max_norm):
     x = a.value
-    n = np.sqrt(np.add.reduce(x * x, axis=axis, keepdims=True))
+    n = np.sqrt(np.einsum("...i,...i->...", x, x))[..., None]
     inside = n < max_norm
     factor = np.where(inside, 1.0, max_norm / np.maximum(n, dc._TINY))
-    return a.tape.record("ball_project", (a,), x * factor, max_norm=max_norm, axis=axis,
-                         inside=inside)
+    return a.tape.record("ball_project", (a,), x * factor, max_norm=max_norm, inside=inside)
 
 
 def _reference_unbroadcast(grad, shape):
@@ -652,7 +651,10 @@ def _reference_unbroadcast(grad, shape):
         grad = grad.sum(axis=0)
     for axis, extent in enumerate(shape):
         if extent == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
+            if axis == len(shape) - 1:
+                grad = np.einsum("...i->...", grad)[..., None]
+            else:
+                grad = grad.sum(axis=axis, keepdims=True)
     return grad.reshape(shape)
 
 
@@ -852,6 +854,38 @@ def test_record_refuses_exactly_the_non_finite_values(value, grad, before):
                 tape.record("probe", (x,), value)
             assert str(info.value) == f"non-finite value at node {before + 1} (op probe)"
     assert len(tape.nodes) == (before + 1 + finite if grad else 0)
+
+
+@pytest.mark.parametrize("grad", [True, False], ids=["recording", "forward-only"])
+@pytest.mark.parametrize("bad, node, op", [(np.nan, 1, "ball_project"),
+                                           (np.inf, 1, "ball_project"),
+                                           (-np.inf, 1, "ball_project"),
+                                           # the row of norm inf is clamped to zeros
+                                           (1e200, 3, "mul")])
+def test_a_projection_of_rows_that_are_not_finite_fails_at_the_same_node(grad, bad, node, op):
+    # a row that is not finite, or whose square overflows, has no norm below
+    # the shell, so the projection clamps it into a new array, which is checked
+    x = np.array([[0.1, 0.2], [bad, 0.3], [0.0, -0.0]])
+    tape = dc.Tape(grad=grad)
+    tx = tape.leaf(x, requires_grad=True)
+    with np.errstate(all="ignore"), pytest.raises(dc.TapeError) as info:
+        out = dc.ball_project(tx, 1.0 - geo.EPS_BOUNDARY)
+        assert out.value is not tx.value and out.norms is None
+        dc.norm(out)
+        tx * tx
+    assert str(info.value) == f"non-finite value at node {node} (op {op})"
+
+
+@pytest.mark.parametrize("grad", [True, False], ids=["recording", "forward-only"])
+def test_an_unclamped_projection_is_not_checked_again(monkeypatch, grad):
+    checked = []
+    monkeypatch.setattr(dc, "_all_finite", lambda v: checked.append(v) or geo._all_finite(v))
+    tape = dc.Tape(grad=grad)
+    tx = tape.leaf(np.array([[0.1, 0.2], [0.0, -0.0]]), requires_grad=True)
+    out = dc.ball_project(tx, 1.0 - geo.EPS_BOUNDARY)
+    assert out.value is tx.value and not checked
+    clamped = dc.ball_project(tx, 0.1)
+    assert clamped.value is not tx.value and len(checked) == 1 and checked[0] is clamped.value
 
 
 # ---------------------------------------------------------------------------

@@ -1007,6 +1007,24 @@ def test_embedding_file_malformed_names_line(tmp_path, text, line, reason):
         embed.read_embeddings(path)
 
 
+def test_embedding_file_refuses_hyperboloid_rows_off_the_hyperboloid(tmp_path):
+    path = tmp_path / "emb.txt"
+    # the origin, then a row with <x, x>_L = 0.25 + 0.04 - 0.09 = 0.2
+    path.write_text("2 2 hyperboloid\no 0 0 1\na 0.5 0.2 0.3\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"emb\.txt:3: row is not on the hyperboloid: "
+                                         r"<x, x>_L = 0\.2, not -1"):
+        embed.read_embeddings(path)
+    # rows on either sheet load, and so do points far from the origin, which
+    # 9 significant digits hold only to a relative 5e-9
+    far = np.array([[3e6, -4e6, 0.0], [1e-3, 2e-3, 0.0], [0.0, 0.0, 0.0]])
+    far[:, -1] = np.sqrt(1.0 + np.sum(far[:, :-1] ** 2, axis=-1))
+    far[2, -1] = -1.0
+    embed.write_embeddings(path, ["u", "v", "w"], far, "hyperboloid")
+    tokens, matrix, geometry = embed.read_embeddings(path)
+    assert (tokens, geometry) == (["u", "v", "w"], "hyperboloid")
+    np.testing.assert_allclose(matrix, far, rtol=5e-9)
+
+
 def test_embedding_file_invalid_utf8_names_line(tmp_path):
     path = tmp_path / "emb.txt"
     path.write_bytes(b"1 2 euclidean\n\xff 0.1 0.2\n")

@@ -1,6 +1,12 @@
 """Unit tests for the pure geometry kernels: frozen hand-computed values,
 algebraic identities, and model-conversion consistency."""
 
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -366,7 +372,7 @@ def test_project_to_ball_clamps():
 
 
 @pytest.mark.parametrize("keepdims", [True, False])
-def test_norm_is_bitwise_linalg_norm(keepdims):
+def test_norm_is_bitwise_the_einsum_formula(keepdims):
     rng = np.random.default_rng(16)
     cases = [rng.normal(size=(50, 3)), rng.normal(size=(7, 4, 16)), np.zeros((5, 3)),
              np.zeros((0, 4)), np.zeros((3, 0)), rng.normal(size=6),
@@ -374,9 +380,15 @@ def test_norm_is_bitwise_linalg_norm(keepdims):
              np.concatenate([rng.normal(size=(4, 3)), np.zeros((2, 3))])]
     for x in cases:
         got = geo._norm(x, keepdims=keepdims)
-        want = np.linalg.norm(x, axis=-1, keepdims=keepdims)
+        want = np.sqrt(np.einsum("...i,...i->...", x, x))
+        if keepdims:
+            want = want[..., None]
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+        # the norm np.linalg.norm computes, up to the order of the additions
+        with np.errstate(over="ignore"):
+            linalg = np.linalg.norm(x, axis=-1, keepdims=keepdims)
+        np.testing.assert_allclose(got, linalg, rtol=1e-15, atol=0)
 
 
 # ---------------------------------------------------------------------------
@@ -394,9 +406,9 @@ def _old_project_to_ball(x, c=1.0):
 
 def _old_mobius_add(x, y, c=1.0):
     c2 = c * c
-    x2 = np.sum(x * x, axis=-1, keepdims=True)
-    y2 = np.sum(y * y, axis=-1, keepdims=True)
-    xy = np.sum(x * y, axis=-1, keepdims=True)
+    x2 = np.einsum("...i->...", x * x)[..., None]
+    y2 = np.einsum("...i->...", y * y)[..., None]
+    xy = np.einsum("...i->...", x * y)[..., None]
     num = (1.0 + 2.0 * xy / c2 + y2 / c2) * x + (1.0 - x2 / c2) * y
     den = 1.0 + 2.0 * xy / c2 + x2 * y2 / (c2 * c2)
     return _old_project_to_ball(num / den, c)
@@ -541,3 +553,125 @@ def test_hyperboloid_kernels_equal_their_full_formulas_bit_for_bit(xs, ys, ws, s
         for w in (v, raw):
             assert _same_bits(geo.hyperboloid_parallel_transport(x, y, w),
                               _old_hyperboloid_parallel_transport(x, y, w))
+
+
+# ---------------------------------------------------------------------------
+# The last-axis kernels: a row's bits do not depend on where it is summed
+# ---------------------------------------------------------------------------
+
+_KERNELS = {"sum": lambda a: geo._sum_last(a)[..., 0],
+            "norm": lambda a: geo._norm(a, keepdims=False)}
+_U = 2.0 ** -53  # unit roundoff of float64
+
+
+def _spread_rows(seed, m, n):
+    """m rows of n coordinates whose magnitudes span 12 decades, so that the
+    order of the additions shows in the last bits."""
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(m, n)) * 10.0 ** rng.uniform(-6.0, 6.0, size=(m, n))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(1, 40), st.data())
+def test_a_rows_kernel_bits_do_not_depend_on_where_it_is_summed(seed, m, n, data):
+    batch = _spread_rows(seed, m, n)
+    i = data.draw(st.integers(0, m - 1))
+    offset = data.draw(st.integers(0, 7))  # in 8-byte steps, across a 64-byte line
+    buffer = np.empty(offset + n)
+    shifted = buffer[offset:]
+    shifted[...] = batch[i]
+    wider = np.zeros((m, n + data.draw(st.integers(1, 5))))
+    wider[:, :n] = batch
+    big = np.tile(batch, (777 // m + 1, 1))
+    for name, kernel in _KERNELS.items():
+        alone = kernel(batch[i])
+        assert np.shape(alone) == ()
+        want = alone.tobytes()
+        for got in (kernel(batch)[i], kernel(batch[i:i + 1])[0], kernel(shifted),
+                    kernel(wider[:, :n])[i], kernel(big)[i], kernel(big.reshape(-1, m, n))[1, i]):
+            assert got.tobytes() == want, name
+
+
+_FEATURES_OFF = "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"  # numpy's AVX2 and AVX-512 targets
+_PRINT_KERNEL_BYTES = """
+import sys
+import numpy as np
+from numpy._core._multiarray_umath import __cpu_features__
+from gyronet import geometry as geo
+print(" ".join(f for f in sys.argv[1].split() if __cpu_features__.get(f, True)))
+for n in (1, 2, 3, 4, 7, 8, 9, 16, 17, 32, 33, 100):
+    rng = np.random.default_rng(n)  # ldexp scales exactly, where np.power is dispatched
+    rows = np.ldexp(rng.normal(size=(40, n)), rng.integers(-60, 60, size=(40, n)))
+    print(geo._sum_last(rows).tobytes().hex(), geo._norm(rows).tobytes().hex())
+"""
+
+
+def _kernel_bytes(features_off):
+    """A subprocess's features left on of ``features_off`` (unknown ones
+    count as on), and the kernels' bytes on fixed rows."""
+    env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
+    env["PYTHONPATH"] = str(Path(geo.__file__).resolve().parents[1])
+    if features_off:
+        env["NPY_DISABLE_CPU_FEATURES"] = features_off
+    return subprocess.run([sys.executable, "-c", _PRINT_KERNEL_BYTES, features_off], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_kernel_bits_do_not_depend_on_numpys_simd_dispatch():
+    plain, reduced = _kernel_bytes(""), _kernel_bytes(_FEATURES_OFF)
+    assert plain.returncode == 0, plain.stderr
+    if reduced.returncode != 0:
+        reason = (reduced.stderr.strip().splitlines() or [f"exit {reduced.returncode}"])[-1]
+        pytest.skip(f"numpy refused NPY_DISABLE_CPU_FEATURES={_FEATURES_OFF!r}: {reason}")
+    still_on, _, got = reduced.stdout.partition("\n")
+    if still_on:
+        pytest.skip(f"numpy did not turn off {still_on}")
+    assert got == plain.stdout.partition("\n")[2] and got.count("\n") == 12
+
+
+def _result_class(s):
+    return np.select([np.isnan(s), s == np.inf, s == -np.inf], ["nan", "+inf", "-inf"], "finite")
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.lists(st.lists(st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324,
+                                          2.2e-310, -1e-310, 1.5, -2.0]),
+                         min_size=5, max_size=5), min_size=1, max_size=6).map(np.array))
+def test_special_rows_give_the_result_class_of_add_reduce(rows):
+    with np.errstate(all="ignore"):
+        sums, norms = np.add.reduce(rows, axis=-1), np.sqrt(np.add.reduce(rows * rows, axis=-1))
+    with np.errstate(all="raise"):  # the kernels raise no floating-point warning
+        got_sums, got_norms = _KERNELS["sum"](rows), _KERNELS["norm"](rows)
+    assert (_result_class(got_sums) == _result_class(sums)).all()
+    assert (_result_class(got_norms) == _result_class(norms)).all()
+    # rows of zeros and subnormals only add exactly: the same values
+    tiny = (np.abs(rows) < 1e-300).all(axis=-1)
+    np.testing.assert_array_equal(got_sums[tiny], sums[tiny])
+    np.testing.assert_array_equal(got_norms[tiny], norms[tiny])
+
+
+def _gamma(k):
+    """Higham's gamma_k = k u / (1 - k u): the relative error bound of k roundings."""
+    return k * _U / (1.0 - k * _U)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 100))
+def test_kernel_error_stays_within_the_bound_add_reduce_meets(seed, n):
+    rows = _spread_rows(seed, 8, n)
+    squares = rows * rows
+    with np.errstate(all="raise"):
+        sums = {"einsum": _KERNELS["sum"](rows), "add.reduce": np.add.reduce(rows, axis=-1)}
+        norms = {"einsum": _KERNELS["norm"](rows),
+                 "add.reduce": np.sqrt(np.add.reduce(squares, axis=-1))}
+    for r in range(len(rows)):
+        exact = math.fsum(rows[r])
+        # recursive or blocked, n - 1 additions err by at most gamma_(n-1) sum |x|,
+        # and the float nearest the exact sum is half an ulp from it
+        bound = _gamma(n - 1) * math.fsum(np.abs(rows[r])) + math.ulp(exact) / 2
+        exact_norm = math.sqrt(math.fsum(squares[r]))
+        # n roundings of the squares and the sums, halved by the square root, and the root's own
+        norm_bound = (_gamma(n + 1) / 2 + 2 * _U) * exact_norm
+        for name in sums:
+            assert abs(sums[name][r] - exact) <= bound, (name, r)
+            assert abs(norms[name][r] - exact_norm) <= norm_bound, (name, r)

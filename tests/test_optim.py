@@ -1,5 +1,7 @@
 """Tests for RMSProp, Poincare Riemannian SGD, and the classifier's warm restart."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,18 @@ def test_rmsprop_rejects_non_finite():
     opt = RmsProp()
     with pytest.raises(ValueError):
         opt.step("p", np.zeros(1), np.array([np.nan]))
+
+
+@pytest.mark.parametrize("param", [np.zeros(3), np.array([0.3, 0.1, 0.0])],
+                         ids=["origin", "interior"])
+@pytest.mark.parametrize("grad", [[1e200, 0.0, 0.0], [1e160, 1e160, 0.0]])
+def test_rsgd_poincare_refuses_a_step_whose_norm_overflows(param, grad):
+    # the step is finite, its norm is not: the map would make it no step at all
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as info:
+            rsgd_step_poincare(param, np.array(grad), 0.05)
+    assert str(info.value) == "non-finite step in rsgd_step_poincare"
 
 
 def test_rsgd_poincare_zero_grad():

@@ -95,3 +95,27 @@ def test_each_poincare_formula_is_spelled_once():
     for needle in ("x2 * y2 / (c2 * c2)", "2.0 / (1.0 - ", "np.vdot("):
         found = [name for name, text in texts.items() for _ in range(text.count(needle))]
         assert found == ["geometry.py"], f"{needle!r} spelled in {found}"
+
+
+def _is_minus_one(node):
+    return isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub) \
+        and isinstance(node.operand, ast.Constant) and node.operand.value == 1
+
+
+def test_einsum_is_called_only_by_the_two_last_axis_kernels():
+    calls = [(path.name, scope) for path in SOURCES
+             for scope, _ in _calls_by_scope(ast.parse(path.read_text(encoding="utf-8")),
+                                             "einsum")]
+    assert sorted(calls) == [("geometry.py", "_norm"), ("geometry.py", "_sum_last")], calls
+
+
+@pytest.mark.parametrize("name", ["diffcore.py", "diffgeom.py", "hypformer.py"])
+def test_the_tape_sums_no_last_axis_but_by_the_kernel(name):
+    # np.add.reduce(a, -1) or np.sum(a, axis=-1) on the tape would bypass
+    # geometry._sum_last, whose bits for a row do not depend on its batch
+    tree = ast.parse((Path(gyronet.__file__).parent / name).read_text(encoding="utf-8"))
+    found = [f"{name}:{node.lineno}" for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and ast.unparse(node.func) in ("np.add.reduce", "np.sum")
+             and any(_is_minus_one(arg) for arg in node.args[1:2]
+                     + [kw.value for kw in node.keywords if kw.arg == "axis"])]
+    assert not found, "a last-axis sum outside geometry's kernel: " + ", ".join(found)
