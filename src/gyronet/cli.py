@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from . import bundle, checks, data, diffcore, embed, train
-from .geometry import to_hyperboloid, to_poincare
+from .geometry import EPS_BOUNDARY, to_hyperboloid, to_poincare
 from .hypformer import TransformerConfig, param_shapes
 
 log = logging.getLogger("gyronet")
@@ -348,13 +348,16 @@ def cmd_convert(argv):
         out = to_poincare(matrix) if to_ball else to_hyperboloid(matrix)
         # the ball rows as the files hold them: write_embeddings keeps 9 digits
         ball = np.char.mod("%.9g", out).astype(float) if to_ball else matrix
-        outside = np.add.reduce(ball * ball, axis=-1) >= 1.0
+        squares = np.add.reduce(ball * ball, axis=-1)
+        outside = squares >= 1.0
     bad = np.flatnonzero(outside | ~np.isfinite(out).all(axis=-1))
     if bad.size:
         reason = "a ball row of norm >= 1" if outside[bad[0]] else f"non-finite {out_geometry} row"
         raise CliError(f"{args.path_in}:{bad[0] + 2}: {reason}, not a point")
     embed.write_embeddings(args.out, tokens, out, out_geometry)
-    log.info("converted %s (%s) -> %s (%s)", args.path_in, geometry, args.out, out_geometry)
+    log.info("converted %s (%s) -> %s (%s), %d of %d ball rows at or past the 1 - %g shell",
+             args.path_in, geometry, args.out, out_geometry,
+             np.count_nonzero(squares >= (1.0 - EPS_BOUNDARY) ** 2), len(squares), EPS_BOUNDARY)
 
 
 def cmd_geometry_check(argv):

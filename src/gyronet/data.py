@@ -4,13 +4,9 @@ composite classes induce a small label hierarchy."""
 
 from __future__ import annotations
 
-import codecs
 from dataclasses import dataclass
 
 import numpy as np
-
-# Bytes of a file that read_utf8_lines decodes at a time.
-READ_CHUNK = 1 << 16
 
 
 def ingest_corpus(path, keep_whitespace=False):
@@ -80,48 +76,23 @@ def make_dataset(records, holdout_fraction=0.15, seed=0):
 def read_utf8_lines(path):
     """Iterate (line number from 1, line) over a UTF-8 file, the one decoder of
     every text input.  A leading BOM is dropped, and each line comes without
-    its end, which is ``\\n``, ``\\r\\n`` or ``\\r`` as in text mode.  A file
-    that is not valid UTF-8 raises ``ValueError("<path>:<line>: not valid
-    UTF-8")`` before any line is read.  The file is decoded READ_CHUNK bytes
-    at a time, so its bytes are never held whole beside its text."""
-    decoder = codecs.getincrementaldecoder("utf-8")()
-    lines, line = [], []  # the finished lines, and the pieces of the next
-    start, cr = True, False  # no text decoded yet; the text so far ends in "\r"
-    with open(path, "rb") as fh:
-        while True:
-            raw = fh.read(READ_CHUNK)
-            try:
-                text = decoder.decode(raw, final=not raw)
-            except UnicodeDecodeError as exc:
-                # UTF-8 never uses CR or LF bytes inside a character, and the
-                # decoder holds back only the bytes of an unfinished character
-                head = exc.object[:exc.start]
-                if cr and head.startswith(b"\n"):
-                    head = head[1:]
-                ends = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
-                raise ValueError(f"{path}:{len(lines) + ends + 1}: not valid UTF-8") from None
-            if not raw:
-                break
-            if not text:
-                continue
-            if start:
-                text, start = text.removeprefix("\ufeff"), False
-            if cr and text.startswith("\n"):
-                text = text[1:]  # the rest of a "\r\n" that the chunks split
-            cr = text.endswith("\r")
-            # the lines of io.StringIO(text, newline=None), split in less
-            # time; the search for "\r\n" costs more than the test for "\r"
-            if "\r" in text:
-                text = text.replace("\r\n", "\n").replace("\r", "\n")
-            pieces = text.split("\n")
-            line.append(pieces[0])
-            if len(pieces) > 1:
-                lines.append("".join(line))
-                lines += pieces[1:-1]
-                line = [pieces[-1]]
-    last = "".join(line)
-    if last:
-        lines.append(last)  # a last line without a line end
+    its end, which is ``\\n``, ``\\r\\n`` or ``\\r``: Python's text mode
+    decodes the file 8 KiB at a time.  A file that is not valid UTF-8 raises
+    ``ValueError("<path>:<line>: not valid UTF-8")`` before any line is read.
+    Its line is found by a second pass of the same reader, which keeps each
+    invalid byte as a lone surrogate and streams the lines to the first that
+    holds one, so the file's bytes are never held whole."""
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            lines = [line.removesuffix("\n") for line in fh]
+    except UnicodeDecodeError:
+        with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise ValueError(f"{path}:{lineno}: not valid UTF-8") from None
+        raise  # the file changed between the two passes
     return enumerate(lines, start=1)
 
 

@@ -8,13 +8,14 @@ MLR offsets, the UNK point) are updated with Riemannian SGD on the ball.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import diffcore as dc
 from .embed import read_embeddings
-from .geometry import project_to_ball, to_poincare
+from .geometry import EPS_BOUNDARY, project_to_ball, to_poincare
 from .hypformer import (
     TransformerConfig,
     classifier_forward,
@@ -28,6 +29,8 @@ from .optim import RmsProp, rsgd_step_poincare
 # an evaluation forward pads at most EVAL_BATCH_SIZE * max_seq_len positions,
 # as many as this many utterances of the longest encodable length
 EVAL_BATCH_SIZE = 32
+
+log = logging.getLogger("gyronet")
 
 
 @dataclass
@@ -71,18 +74,32 @@ class TokenMap:
 
 
 def load_embedding_points(path, classifier_geometry):
-    """Load an embedding file and adapt it to the classifier geometry."""
+    """Load an embedding file and adapt it to the classifier geometry.
+
+    Ball rows that reach the ``1 - EPS_BOUNDARY`` shell are moved onto it, and
+    a warning names how many moved and the largest distance from the origin
+    among them."""
     tokens, matrix, geometry = read_embeddings(path)
     if classifier_geometry == "poincare":
         if geometry == "hyperboloid":
-            matrix = project_to_ball(to_poincare(matrix))
+            ball = to_poincare(matrix)
         elif geometry == "poincare":
-            matrix = project_to_ball(matrix)
+            ball = matrix
         else:
             raise ValueError(
                 f"{path}: euclidean embeddings cannot feed the hyperbolic classifier; "
                 "train hyperboloid embeddings or use --geometry euclidean"
             )
+        points = project_to_ball(ball)
+        moved = (points != ball).any(axis=-1) if points is not ball else ()
+        if np.any(moved):
+            with np.errstate(all="ignore"):  # a lower-sheet row's arccosh is nan
+                far = (np.arccosh(matrix[moved, -1]) if geometry == "hyperboloid" else
+                       2.0 * np.arctanh(np.minimum(np.linalg.norm(ball[moved], axis=-1), 1.0)))
+            log.warning("%s: moved %d of %d rows onto the ball's 1 - %g shell; the farthest "
+                        "lay %.6g from the origin", path, np.count_nonzero(moved), len(ball),
+                        EPS_BOUNDARY, far.max())
+        matrix = points
     elif classifier_geometry == "euclidean":
         if geometry != "euclidean":
             raise ValueError(

@@ -3,7 +3,9 @@
 import codecs
 import hashlib
 import json
+import logging
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gyronet import bundle, cli, data, embed
+from gyronet import bundle, cli, data, embed, train
 from gyronet.geometry import lorentz_inner
 
 
@@ -55,12 +57,19 @@ def test_ingest_corpus_invalid_utf8_names_line(tmp_path, newline):
     path.write_bytes(b"ab" + newline + b"ok\xff\xfe" + newline)
     with pytest.raises(ValueError, match=refusal):
         data.ingest_corpus(path)
-    # a bad sequence that starts one byte before 64 KiB and ends after it
-    head = b"a" + newline
-    head += b"b" * (65535 - len(head))
-    path.write_bytes(head + b"\xe6\xb8\xff")
-    with pytest.raises(ValueError, match=refusal):
-        data.ingest_corpus(path)
+    # a bad sequence that starts one byte before 8 KiB or 64 KiB and ends after it
+    for size in (1 << 13, 1 << 16):
+        head = b"a" + newline
+        head += b"b" * (size - 1 - len(head))
+        path.write_bytes(head + b"\xe6\xb8\xff")
+        with pytest.raises(ValueError, match=refusal):
+            data.ingest_corpus(path)
+
+
+# the bytes that Python's text mode decodes at a time: behind a prefix of
+# _CHUNK_SIZE - k bytes, a file's k-th byte is the last one its first decode sees
+with open(__file__, encoding="utf-8") as _fh:
+    _CHUNK_SIZE = _fh._CHUNK_SIZE
 
 
 # every character that str.isspace() accepts, and others: ASCII, CJK, one
@@ -74,14 +83,14 @@ _CORPUS_PIECES = _SPACES + ["a", "\u6e38", "\U0001f600", "\ufeff", "\r\n"]
 @given(st.lists(st.sampled_from(_CORPUS_PIECES), max_size=30), st.integers(1, 7))
 @example(["\ufeff", " ", "a", "\r\n", "\u3000", "\ufeff"], 1)
 @example(_SPACES + ["a"], 3)  # every whitespace character at once
-def test_ingest_corpus_equals_split_and_join_of_the_whole_text(tmp_path_factory, pieces, chunk):
-    text = "".join(pieces)
+def test_ingest_corpus_equals_split_and_join_of_the_whole_text(tmp_path_factory, pieces, offset):
     path = tmp_path_factory.getbasetemp() / "spaced-corpus.txt"
-    path.write_bytes(text.encode("utf-8"))
-    text = text.removeprefix("\ufeff")
-    no_line_ends = text.replace("\r\n", "\n").replace("\r", "\n").replace("\n", "")
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(data, "READ_CHUNK", chunk)
+    # as drawn, and behind a prefix that puts the pieces on the decode boundary
+    for prefix in ("", "x" * (_CHUNK_SIZE - offset)):
+        text = prefix + "".join(pieces)
+        path.write_bytes(text.encode("utf-8"))
+        text = text.removeprefix("\ufeff")
+        no_line_ends = text.replace("\r\n", "\n").replace("\r", "\n").replace("\n", "")
         for keep, expected in ((False, "".join(text.split())), (True, no_line_ends)):
             if expected:
                 assert data.ingest_corpus(path, keep_whitespace=keep) == expected
@@ -125,17 +134,38 @@ _FILE_PIECES = [b"a", b" ", "\u00e9".encode(), "\u6e38".encode(), "\U0001f600".e
 
 @settings(max_examples=400, deadline=None, database=None)
 @given(st.lists(st.sampled_from(_FILE_PIECES), max_size=24), st.integers(1, 7))
-@example([codecs.BOM_UTF8, b"a\r", b"\n", b"b"], 1)  # the BOM and a "\r\n" cut by chunks
+@example([codecs.BOM_UTF8, b"a\r", b"\n", b"b"], 1)  # the BOM cut by the decode boundary
+@example([codecs.BOM_UTF8, b"a\r", b"\n", b"b"], 5)  # and a "\r\n" cut by it
 @example([b"a\r", b"\n\xff"], 2)  # a refusal just after a cut "\r\n"
 @example([b"a\n", "\u6e38".encode()[:2], b"\n"], 3)  # a cut character that never ends
 def test_read_utf8_lines_in_chunks_equals_the_whole_file_reader(tmp_path_factory, pieces,
-                                                               chunk):
+                                                               offset):
     path = tmp_path_factory.getbasetemp() / "chunked-lines.txt"
-    path.write_bytes(b"".join(pieces))
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(data, "READ_CHUNK", chunk)
-        chunked = _lines_or_refusal(data.read_utf8_lines, path)
-    assert chunked == _lines_or_refusal(_whole_file_lines, path)
+    # as drawn, and behind a prefix that puts the pieces on the decode boundary
+    for prefix in (b"", b"x" * (_CHUNK_SIZE - offset)):
+        path.write_bytes(prefix + b"".join(pieces))
+        assert _lines_or_refusal(data.read_utf8_lines, path) == \
+            _lines_or_refusal(_whole_file_lines, path)
+
+
+def test_a_refusal_streams_the_file_to_its_bad_line(tmp_path):
+    # 10**6 CJK characters in 80-character lines, an invalid byte on the last:
+    # finding its line must not hold the whole file's bytes
+    n = 10**6
+    points = 0x4E00 + np.random.default_rng(16).integers(0, 3000, size=n)
+    text = points.astype("<u4").tobytes().decode("utf-32-le")
+    path = tmp_path / "corpus.txt"
+    path.write_bytes("".join(text[i:i + 80] + "\n" for i in range(0, n, 80)).encode()[:-1]
+                     + b"\xff\n")
+    del text
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:12500: not valid UTF-8$"):
+            data.read_utf8_lines(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * n, f"{peak / n:.2f} B/char"
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +395,6 @@ def test_cli_train_embeddings_and_convert(tmp_path, caplog):
     argv = ["train-embeddings", "--corpus", str(corpus), "--dim", "3",
             "--epochs", "2", "--window", "1", "--negatives", "2",
             "--seed", "1", "--out", str(emb)]
-    import logging
     with caplog.at_level(logging.INFO, logger="gyronet"):
         assert cli.main(argv) == 0
     epoch_lines = [r.message for r in caplog.records if r.message.startswith("epoch")]
@@ -395,6 +424,36 @@ def test_cli_train_embeddings_and_convert(tmp_path, caplog):
     tokens_r, matrix_r, geometry_r = embed.read_embeddings(back)
     assert geometry_r == "hyperboloid" and tokens_r == tokens
     np.testing.assert_allclose(matrix_r, matrix, atol=1e-9)
+
+
+def test_rows_moved_onto_the_shell_are_reported(tmp_path, caplog):
+    # a hyperboloid row 20 from the origin and ball rows of norm 1 - 1e-6 and
+    # 1.5 reach the 1 - 1e-5 shell; rows at the origin and at 0.5 do not
+    files = {name: tmp_path / f"{name}.txt" for name in ("hyp", "ball", "past", "inside")}
+    far = [np.sinh(20.0), 0.0, np.cosh(20.0)]
+    embed.write_embeddings(files["hyp"], ["a", "b"], np.array([[0.0, 0.0, 1.0], far]),
+                           "hyperboloid")
+    for name, rows in (("ball", [[1 - 1e-6, 0.0], [0.0, 0.5]]), ("past", [[0.0, -1.5]]),
+                       ("inside", [[0.5, 0.0]])):
+        embed.write_embeddings(files[name], list("ab")[:len(rows)], np.array(rows), "poincare")
+    shell = "onto the ball's 1 - 1e-05 shell; the farthest lay"
+    near = 2 * np.arctanh(1 - 1e-6)  # 2 artanh of the norm
+    expected = {"hyp": f"moved 1 of 2 rows {shell} 20 from the origin",
+                "ball": f"moved 1 of 2 rows {shell} {near:.6g} from the origin",
+                "past": f"moved 1 of 1 rows {shell} inf from the origin"}
+    for name, path in files.items():
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="gyronet"):
+            points = train.load_embedding_points(path, "poincare").points
+        assert np.linalg.norm(points, axis=-1).max() <= 1 - 1e-5 + 1e-15
+        logged = [f"{path}: {expected[name]}"] if name in expected else []
+        assert [r.getMessage() for r in caplog.records] == logged
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="gyronet"):
+        assert cli.main(["convert", "--in", str(files["hyp"]),
+                         "--out", str(tmp_path / "out.txt")]) == 0
+    assert caplog.records[-1].getMessage().endswith(
+        ", 1 of 2 ball rows at or past the 1 - 1e-05 shell")
 
 
 def test_cli_convert_rejects_euclidean(tmp_path, capsys):

@@ -28,19 +28,26 @@ def test_no_unused_imports(path):
 
 
 def test_only_the_line_reader_and_the_bundle_decode_bytes():
-    # every text input goes through data.read_utf8_lines; bundle.py decodes
-    # the header lines of its binary format itself
-    calls = [f"{path.name}:{node.lineno}" for path in SOURCES
-             if path.name not in ("data.py", "bundle.py")
+    # every text input goes through data.read_utf8_lines, which decodes in
+    # text mode; bundle.py decodes the header lines of its binary format itself
+    calls = [f"{path.name}:{node.lineno}" for path in SOURCES if path.name != "bundle.py"
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
              and node.func.attr == "decode"]
-    assert not calls, "bytes decoded outside data.read_utf8_lines: " + ", ".join(calls)
+    assert not calls, "bytes decoded outside bundle.py: " + ", ".join(calls)
+
+
+def test_no_module_imports_codecs():
+    found = [f"{path.name}:{node.lineno}" for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if (isinstance(node, ast.Import) and any(a.name == "codecs" for a in node.names))
+             or (isinstance(node, ast.ImportFrom) and node.module == "codecs")]
+    assert not found, "codecs imported: " + ", ".join(found)
 
 
 def _calls_by_scope(tree, name):
-    """(enclosing class and function names, line) of every call to ``name``
-    or ``<module>.name``."""
+    """(enclosing class and function names, call node) of every call to
+    ``name`` or ``<module>.name``."""
     found = []
 
     def visit(node, scope):
@@ -50,7 +57,7 @@ def _calls_by_scope(tree, name):
                 continue
             if isinstance(child, ast.Call) and name in (getattr(child.func, "id", None),
                                                         getattr(child.func, "attr", None)):
-                found.append((".".join(scope), child.lineno))
+                found.append((".".join(scope), child))
             visit(child, scope)
 
     visit(tree, ())
@@ -59,11 +66,30 @@ def _calls_by_scope(tree, name):
 
 def test_tape_nodes_are_made_only_by_tape_leaf_and_record():
     # the benchmark's tracer counts nodes by wrapping these two methods
-    calls = [(path.name, scope, line) for path in SOURCES
-             for scope, line in _calls_by_scope(ast.parse(path.read_text(encoding="utf-8")),
+    calls = [(path.name, scope, call.lineno) for path in SOURCES
+             for scope, call in _calls_by_scope(ast.parse(path.read_text(encoding="utf-8")),
                                                 "Node")]
     assert {(name, scope) for name, scope, _ in calls} == {("diffcore.py", "Tape.leaf"),
                                                            ("diffcore.py", "Tape.record")}, calls
+
+
+def _open_mode(call):
+    """The mode of an ``open`` call, second to the builtin and first to a
+    path's method; "r" when it is absent or not a literal."""
+    args = call.args[1:2] if isinstance(call.func, ast.Name) else call.args[:1]
+    mode = [kw.value for kw in call.keywords if kw.arg == "mode"] + args
+    return mode[0].value if mode and isinstance(mode[0], ast.Constant) else "r"
+
+
+def test_only_the_line_reader_opens_a_file_to_read_text():
+    # an open() whose mode has no "w", "a", "x" or "b" decodes text: outside
+    # data.read_utf8_lines it would be a second decoder
+    calls = [f"{path.name}:{call.lineno}" for path in SOURCES
+             for scope, call in _calls_by_scope(ast.parse(path.read_text(encoding="utf-8")),
+                                                "open")
+             if not set("waxb") & set(_open_mode(call))
+             and (path.name, scope) != ("data.py", "read_utf8_lines")]
+    assert not calls, "a text file read outside data.read_utf8_lines: " + ", ".join(calls)
 
 
 def test_only_embed_code_points_turns_characters_into_code_points():
