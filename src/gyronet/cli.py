@@ -350,10 +350,11 @@ def cmd_convert(argv):
         ball = np.char.mod("%.9g", out).astype(float) if to_ball else matrix
         squares = np.add.reduce(ball * ball, axis=-1)
         outside = squares >= 1.0
-    bad = np.flatnonzero(outside | ~np.isfinite(out).all(axis=-1))
+    # a ball row inside the unit sphere converts to finite coordinates, and so
+    # does every hyperboloid row read_embeddings accepts: its time is positive
+    bad = np.flatnonzero(outside)
     if bad.size:
-        reason = "a ball row of norm >= 1" if outside[bad[0]] else f"non-finite {out_geometry} row"
-        raise CliError(f"{args.path_in}:{bad[0] + 2}: {reason}, not a point")
+        raise CliError(f"{args.path_in}:{bad[0] + 2}: a ball row of norm >= 1, not a point")
     embed.write_embeddings(args.out, tokens, out, out_geometry)
     log.info("converted %s (%s) -> %s (%s), %d of %d ball rows at or past the 1 - %g shell",
              args.path_in, geometry, args.out, out_geometry,

@@ -9,6 +9,12 @@ from dataclasses import dataclass
 import numpy as np
 
 
+# str.translate's table that deletes exactly the characters str.isspace() accepts
+_NO_WHITESPACE = dict.fromkeys(map(ord, "\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680"
+                                   "\u2000\u2001\u2002\u2003\u2004\u2005\u2006\u2007"
+                                   "\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000"))
+
+
 def ingest_corpus(path, keep_whitespace=False):
     """The characters of a UTF-8 file as one ``str``, read by
     :func:`read_utf8_lines`.
@@ -19,9 +25,8 @@ def ingest_corpus(path, keep_whitespace=False):
     """
     lines = (line for _, line in read_utf8_lines(path))
     if not keep_whitespace:
-        # str.split() cuts at exactly the characters that str.isspace()
-        # accepts; line by line, the words of one line are held at a time
-        lines = ("".join(line.split()) for line in lines)
+        # one copy of each line, however long, and no str per word
+        lines = (line.translate(_NO_WHITESPACE) for line in lines)
     text = "".join(lines)
     if not text:
         raise ValueError(f"{path}: empty corpus")

@@ -8,12 +8,13 @@ a non-finite value raises :class:`TapeError` naming the node index and op.
 The one value the check skips is that of a ``ball_project`` that clamps no
 row: its rows all have norms below the shell, so every entry is finite.
 A node's ``requires_grad`` flag is set when it is recorded: true when any of its
-inputs requires grad, and the tape lists its grad-enabled leaves as it
-makes them.  ``backward`` walks the records in reverse, skips nodes without
-the flag, and accumulates vector-Jacobian products; a gradient whose shape
-differs from its input's (the input was broadcast) is summed back to that
-shape.  It returns the listed leaves' gradients, zeros for a leaf that no
-gradient reached.  To evaluate at new inputs, record a new tape.
+inputs requires grad.  The tape lists its grad-enabled leaves as it makes
+them, and the ids of the recorded nodes that have the flag as it records
+them.  ``backward`` walks that second list in reverse and accumulates
+vector-Jacobian products; a gradient whose shape differs from its input's
+(the input was broadcast) is summed back to that shape.  It returns the
+listed leaves' gradients, zeros for a leaf that no gradient reached.  To
+evaluate at new inputs, record a new tape.
 
 A forward-only tape, ``Tape(grad=False)``, is for callers that never
 differentiate, such as evaluation.  Every op runs the same forward and the
@@ -40,10 +41,14 @@ always were; no rule writes into one.
 
 Every sum over the last axis, in ``tsum``, ``softmax`` and its VJP and in
 summing a broadcast gradient back over a last axis of length 1, is
-:mod:`gyronet.geometry`'s one last-axis kernel ``_sum_last``, and ``norm`` and
-the clamp use its ``_norm``; both are ``np.einsum``, whose bits for a row do
-not depend on the batch it is in.  Sums over other axes are ``np.add.reduce``,
-as is the ``max`` VJP's count of tied entries, which is exact in any order.
+:mod:`gyronet.geometry`'s one last-axis kernel ``_sum_last``.  Its second,
+``_inner``, sums a product over the last axis: ``norm`` and the clamp take
+``_norm``, its square root, and the ``mul`` and ``div`` VJPs of an operand
+whose last axis is 1 against a wider one sum the gradient times the other
+operand with it before anything is as wide as the rows.  Both kernels are
+``np.einsum``, whose bits for a row do not depend on the batch it is in.
+Sums over other axes are ``np.add.reduce``, as is the ``max`` VJP's count
+of tied entries, which is exact in any order.
 
 First-order gradients only.
 """
@@ -52,7 +57,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import _TINY, _all_finite, _clamp, _norm, _sum_last
+from .geometry import _TINY, _all_finite, _clamp, _inner, _norm, _sum_last
 
 _all = np.logical_and.reduce
 
@@ -147,6 +152,7 @@ class Tape:
         self.grad = grad
         self.nodes: list[Node] = []
         self.params: list[int] = []  # node ids of the grad-enabled leaves, in order
+        self.graded: list[int] = []  # node ids of the recorded nodes that require grad
         self.skipped = 0  # values a forward-only tape numbered but did not keep
 
     def leaf(self, data, requires_grad=False):
@@ -177,6 +183,8 @@ class Tape:
         for t in inputs:
             ids.append(t.nid)
             requires_grad = requires_grad or nodes[t.nid].requires_grad
+        if requires_grad:
+            self.graded.append(len(nodes))
         nodes.append(Node(op, tuple(ids), value, attrs, requires_grad))
         return Tensor(self, len(nodes) - 1, value)
 
@@ -211,13 +219,11 @@ def backward(tape: Tape, output: Tensor) -> dict[Tensor, np.ndarray]:
         raise TapeError(f"backward output must be scalar, got shape {np.shape(out_node.value)}")
     grads: dict[int, np.ndarray] = {output.nid: np.ones_like(np.asarray(out_node.value, dtype=float))}
     pop, get = grads.pop, grads.get
-    for nid in range(output.nid, -1, -1):
-        node = nodes[nid]
-        if not node.requires_grad or not node.inputs:  # a leaf keeps its gradient
-            continue
+    for nid in reversed(tape.graded):  # no leaf is listed, so each keeps its gradient
         g = pop(nid, None)
         if g is None:
             continue
+        node = nodes[nid]
         inputs = node.inputs
         if len(inputs) == 1:  # its one input requires grad, as the node does
             j = inputs[0]
@@ -281,7 +287,15 @@ def mul(a, b):
     return tape.record("mul", (a, b), a.value * b.value)
 
 
-_BACKWARD["mul"] = (lambda g, out, v, at: g * v[1], lambda g, out, v, at: g * v[0])
+def _narrow(x, g):
+    """Whether ``x`` has a last axis of length 1 that the gradient ``g`` widens."""
+    return x.shape[-1:] == (1,) and g.shape[-1] != 1
+
+
+# an operand of last axis 1 against a wider one takes the last-axis inner
+# product of the gradient and the other operand, not the full-width product
+_BACKWARD["mul"] = (lambda g, out, v, at: _inner(g, v[1]) if _narrow(v[0], g) else g * v[1],
+                    lambda g, out, v, at: _inner(g, v[0]) if _narrow(v[1], g) else g * v[0])
 
 
 def div(a, b):
@@ -290,7 +304,8 @@ def div(a, b):
 
 
 _BACKWARD["div"] = (lambda g, out, v, at: g / v[1],
-                    lambda g, out, v, at: -g * v[0] / (v[1] * v[1]))
+                    lambda g, out, v, at: (-_inner(g, v[0]) if _narrow(v[1], g) else -g * v[0])
+                    / (v[1] * v[1]))
 
 
 def neg(a):
@@ -382,7 +397,7 @@ def norm(a):
     return a.tape.record("norm", (a,), _norm(a.value) if n is None else n)
 
 
-_BACKWARD["norm"] = (lambda g, out, v, at: g * v[0] / np.maximum(out, _TINY),)
+_BACKWARD["norm"] = (lambda g, out, v, at: v[0] * (g / np.maximum(out, _TINY)),)
 
 
 def tslice(a, key):

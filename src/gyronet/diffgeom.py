@@ -12,7 +12,8 @@ form of their own, which differs from ``geometry`` as follows:
   ``np.where`` zero-row guard and a Mobius addition, and the log map holds the
   artanh argument below ``1 - _TINY``, for which the tape has no op;
 - ``geometry`` computes ``(c tanh(t) v) / ||v||`` where the tape computes
-  ``(c tanh(t)) (v / ||v||)``, which are different bits;
+  ``(c tanh(t) / ||v||) v``, which are different bits: the tape divides the
+  per-row coefficient by the norm first and widens it to the row once;
 - ``mobius_matvec`` takes its weight as (n_in, n_out), ``geometry`` takes
   ``M`` as (m, n) and computes ``x @ M.T``, with the artanh bound and the
   ``(nx > 0) & (ny > 0)`` mask;
@@ -41,14 +42,14 @@ def logmap0(y, c=1.0):
     """log_0: ball -> tangent space at the origin."""
     n = dc.norm(y)
     ns = dc.clip_min(n, _TINY)
-    return c * dc.atanh(n / c) * (y / ns)
+    return (c * dc.atanh(n / c) / ns) * y
 
 
 def expmap0(v, c=1.0):
     """exp_0: tangent space at the origin -> ball."""
     n = dc.norm(v)
     ns = dc.clip_min(n, _TINY)
-    return project(c * dc.tanh(n / c) * (v / ns), c)
+    return project((c * dc.tanh(n / c) / ns) * v, c)
 
 
 def mobius_matvec(x, weight, c=1.0):
@@ -58,8 +59,7 @@ def mobius_matvec(x, weight, c=1.0):
     ny = dc.norm(y)
     nxs = dc.clip_min(nx, _TINY)
     nys = dc.clip_min(ny, _TINY)
-    out = c * dc.tanh((ny / nxs) * dc.atanh(nx / c)) * (y / nys)
-    return project(out, c)
+    return project((c * dc.tanh((ny / nxs) * dc.atanh(nx / c)) / nys) * y, c)
 
 
 def lift_relu(x, c=1.0):

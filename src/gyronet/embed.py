@@ -503,9 +503,10 @@ def read_embeddings(path):
     coordinate to 9 significant digits, so within a relative 5e-9 of the point
     that was written, which moves <x, x>_L by at most 1e-8 (|s|^2 + t^2) =
     1e-8 (2 t^2 - 1) < 2e-8 t^2; the bound allows five times that, and grows
-    with t^2 so that rows far from the origin still load.  A row of the lower
-    sheet, t < 0, passes this check, and so does one with |t| >= 1.3e154, where
-    t^2 overflows to inf.
+    with t^2 so that rows far from the origin still load.  A row with
+    |t| >= 1.3e154, where t^2 overflows to inf, passes this check.  A row of
+    the lower sheet, t < 0, is refused as well: ``to_poincare`` would send it
+    to a non-finite point or to the far side of the ball.
     """
     lines = read_utf8_lines(path)
     header = next(lines, (1, ""))[1].split()
@@ -544,8 +545,12 @@ def read_embeddings(path):
         with np.errstate(over="ignore", invalid="ignore"):  # an overflowing t^2 passes
             inner = lorentz_inner(matrix, matrix)
             off = np.abs(inner + 1.0) > 1e-7 * (t * t)
-        if off.any():
-            i = int(np.argmax(off))
-            raise ValueError(f"{path}:{i + 2}: row is not on the hyperboloid: "
-                             f"<x, x>_L = {inner[i]:.9g}, not -1")
+        bad = off | (t < 0.0)
+        if bad.any():
+            i = int(np.argmax(bad))
+            if off[i]:
+                raise ValueError(f"{path}:{i + 2}: row is not on the hyperboloid: "
+                                 f"<x, x>_L = {inner[i]:.9g}, not -1")
+            raise ValueError(f"{path}:{i + 2}: row is on the lower sheet "
+                             f"(time coordinate {t[i]:.9g})")
     return tokens, matrix, geometry

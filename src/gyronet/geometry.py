@@ -47,13 +47,19 @@ def _sum_last(a):
     return np.einsum("...i->...", a)[..., None]
 
 
+def _inner(a, b):
+    """Dot product of ``a`` and ``b`` over the last axis, kept with length 1,
+    by ``np.einsum`` for the reason ``_sum_last`` gives; leading axes
+    broadcast.  No floating-point warning, as with ``_sum_last``."""
+    return np.einsum("...i,...i->...", a, b)[..., None]
+
+
 def _norm(x, keepdims=True):
-    """Euclidean norm over the last axis, by ``np.einsum`` for the reason
-    ``_sum_last`` gives.  No floating-point warning: a square that overflows
-    gives a norm of inf silently, so a caller that needs a finite result checks
-    it."""
-    n = np.sqrt(np.einsum("...i,...i->...", x, x))
-    return n[..., None] if keepdims else n
+    """Euclidean norm over the last axis, ``sqrt(_inner(x, x))``.  No
+    floating-point warning: a square that overflows gives a norm of inf
+    silently, so a caller that needs a finite result checks it."""
+    n = np.sqrt(_inner(x, x))
+    return n if keepdims else n[..., 0]
 
 
 def _clamp(x, maxnorm):

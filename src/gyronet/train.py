@@ -93,7 +93,7 @@ def load_embedding_points(path, classifier_geometry):
         points = project_to_ball(ball)
         moved = (points != ball).any(axis=-1) if points is not ball else ()
         if np.any(moved):
-            with np.errstate(all="ignore"):  # a lower-sheet row's arccosh is nan
+            with np.errstate(all="ignore"):  # a ball row of norm 1 or more lies at inf
                 far = (np.arccosh(matrix[moved, -1]) if geometry == "hyperboloid" else
                        2.0 * np.arctanh(np.minimum(np.linalg.norm(ball[moved], axis=-1), 1.0)))
             log.warning("%s: moved %d of %d rows onto the ball's 1 - %g shell; the farthest "
@@ -178,7 +178,7 @@ def train_classifier(dataset, token_map, config: TransformerConfig,
     ``history`` is a list of per-epoch dicts with the mean train loss and
     train accuracy.  Deterministic for fixed seeds.  Each step runs in
     ``_train_step``, so training holds one step's tape at a time: about
-    180 MB at the ``hyp-c2v-100`` presets (dim 100) with batches of 16
+    150 MB at the ``hyp-c2v-100`` presets (dim 100) with batches of 16
     utterances of 64 characters.
     """
     rng = np.random.default_rng(settings.seed)

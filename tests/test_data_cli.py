@@ -79,6 +79,11 @@ _SPACES = [chr(i) for i in range(0x110000) if chr(i).isspace()]
 _CORPUS_PIECES = _SPACES + ["a", "\u6e38", "\U0001f600", "\ufeff", "\r\n"]
 
 
+def test_ingest_corpus_deletes_exactly_the_characters_isspace_accepts():
+    assert sorted(data._NO_WHITESPACE) == [ord(c) for c in _SPACES]
+    assert set(data._NO_WHITESPACE.values()) == {None}
+
+
 @settings(max_examples=300, deadline=None, database=None)
 @given(st.lists(st.sampled_from(_CORPUS_PIECES), max_size=30), st.integers(1, 7))
 @example(["\ufeff", " ", "a", "\r\n", "\u3000", "\ufeff"], 1)
@@ -465,14 +470,15 @@ def test_cli_convert_rejects_euclidean(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("text, line, reason", [
-    ("1 2 poincare\na 0.6 0.8\n", 2, "a ball row of norm >= 1"),
+    ("1 2 poincare\na 0.6 0.8\n", 2, "a ball row of norm >= 1, not a point"),
     # a far row whose ball row is exactly the unit vector
-    ("2 2 hyperboloid\na 0 0 1\nb 1e17 0 1e17\n", 3, "a ball row of norm >= 1"),
+    ("2 2 hyperboloid\na 0 0 1\nb 1e17 0 1e17\n", 3, "a ball row of norm >= 1, not a point"),
     # its ball row 1 - 1e-10 is written with 9 digits, as 1
-    ("1 2 hyperboloid\na 0 1e10 1e10\n", 2, "a ball row of norm >= 1"),
-    ("1 1 hyperboloid\na 0 -1\n", 2, "non-finite poincare row"),
+    ("1 2 hyperboloid\na 0 1e10 1e10\n", 2, "a ball row of norm >= 1, not a point"),
+    # its ball row would be non-finite; the reader refuses it first
+    ("1 1 hyperboloid\na 0 -1\n", 2, "row is on the lower sheet (time coordinate -1)"),
 ], ids=["poincare-on-the-sphere", "hyperboloid-far", "hyperboloid-written-as-1",
-        "hyperboloid-non-finite"])
+        "hyperboloid-lower-sheet"])
 def test_cli_convert_refuses_rows_that_are_not_points(tmp_path, capsys, text, line, reason):
     path = tmp_path / "in.txt"
     path.write_text(text, encoding="utf-8")
@@ -482,7 +488,7 @@ def test_cli_convert_refuses_rows_that_are_not_points(tmp_path, capsys, text, li
         code = cli.main(["convert", "--in", str(path), "--out", str(out)])
     assert code == 1
     assert capsys.readouterr().err.endswith(
-        f"gyronet convert: error: {path}:{line}: {reason}, not a point\n")
+        f"gyronet convert: error: {path}:{line}: {reason}\n")
     assert not out.exists()
 
 

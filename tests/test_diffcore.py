@@ -206,7 +206,7 @@ def test_check_gradient_detects_error():
     assert not report.passed
 
 
-def _gradcheck_scalar_fn(build, point, tol=1e-4):
+def _gradcheck_scalar_fn(build, point, tol=1e-4, h=1e-5):
     """Gradient-check a scalar tensor function built from diffcore ops."""
     tape = dc.Tape()
     x = tape.leaf(point, requires_grad=True)
@@ -217,7 +217,7 @@ def _gradcheck_scalar_fn(build, point, tol=1e-4):
         t2 = dc.Tape()
         return float(build(t2, t2.leaf(p)).value)
 
-    return check_gradient(fn, point, analytic, tol=tol)
+    return check_gradient(fn, point, analytic, h=h, tol=tol)
 
 
 def _op_cases(rng):
@@ -678,8 +678,12 @@ def _reference_max_bwd(g, out, v, at):
 
 
 # The VJP rules as first written of every op whose rule has since been
-# rewritten, so that the reference walk checks a new rule against the old
-# one and not against itself.
+# rewritten with the same bits (matmul, sum, max, clip_min, ball_project), so
+# that the reference walk checks a new rule against the old one and not
+# against itself.  The mul, div and norm rules were rewritten to sum over the
+# last axis before they widen, which moves their last bits, so the reference
+# walk runs their new forms; _OLD_RULES keeps their old forms, and each new
+# rule is held to its old form within the rounding bound of an n-term sum.
 _REFERENCE_RULES = {
     "matmul": (lambda g, out, v, at: g @ np.swapaxes(v[1], -1, -2),
                lambda g, out, v, at: np.swapaxes(v[0], -1, -2) @ g),
@@ -803,6 +807,157 @@ def test_vjp_rules_equal_the_reference_at_the_boundaries(x):
         node = tape.nodes[t.nid]
         (rule,) = dc._BACKWARD[node.op]
         assert (rule(g, node.value, [x], node.attrs) is g) == passes, node.op
+
+
+# ---------------------------------------------------------------------------
+# The maps widen once: each per-row coefficient meets its rows in one product,
+# and the mul, div and norm VJPs sum over the last axis before they widen
+# ---------------------------------------------------------------------------
+
+# the mul, div and norm VJP rules before they summed over the last axis first
+_OLD_RULES = {
+    "mul": (lambda g, out, v, at: g * v[1], lambda g, out, v, at: g * v[0]),
+    "div": (lambda g, out, v, at: g / v[1], lambda g, out, v, at: -g * v[0] / (v[1] * v[1])),
+    "norm": (lambda g, out, v, at: g * v[0] / np.maximum(out, dc._TINY),),
+}
+
+
+def _gamma(k):
+    """k u / (1 - k u), with u the unit roundoff: the bound on the relative
+    error of k rounded operations, which holds for a k-term sum of products
+    in any order."""
+    u = np.finfo(float).eps / 2
+    return k * u / (1 - k * u)
+
+
+def _rows(rng, shape, norms):
+    """Rows of random direction with the given norms (broadcast over rows)."""
+    d = rng.normal(size=shape)
+    return d / np.linalg.norm(d, axis=-1, keepdims=True) * norms
+
+
+_EDGE_NORMS = [0.0, 1e-300, 1e-8, 0.5, 1 - geo.EPS_BOUNDARY - 1e-9, 1 - geo.EPS_BOUNDARY,
+               3.0, 1e10]
+
+
+@pytest.mark.parametrize("n", [2, 4, 25, 100])
+def test_rewritten_vjps_equal_their_old_forms_within_the_rounding_of_a_sum(n):
+    # each side is within gamma_{n+1} sum|terms| of the exact sum of the
+    # terms the old rule summed, so the two are within twice that; an operand
+    # of the same shape as the gradient keeps its bits
+    rng = np.random.default_rng(n)
+    norms = np.array(_EDGE_NORMS)[:, None, None]
+    wide = _rows(rng, (len(_EDGE_NORMS), 3, n), norms)
+    g = rng.normal(size=wide.shape)
+    bound = 2 * _gamma(n + 1)
+    for narrow in (rng.uniform(0.5, 2.0, size=wide.shape[:-1] + (1,)),
+                   rng.uniform(0.5, 2.0, size=(3, 1))):
+        for op, inputs, j, terms in (
+                ("mul", [narrow, wide], 0, g * wide),
+                ("mul", [wide, narrow], 1, g * wide),
+                ("div", [wide, narrow], 1, g * wide / (narrow * narrow))):
+            out = inputs[0] * inputs[1] if op == "mul" else inputs[0] / inputs[1]
+            new = dc._BACKWARD[op][j](g, out, inputs, {})
+            old = geo._sum_last(_OLD_RULES[op][j](g, out, inputs, {}))
+            assert new.shape == wide.shape[:-1] + (1,), (op, j)  # summed before widening
+            excess = np.abs(new - old) - bound * geo._sum_last(np.abs(terms))
+            assert (excess <= 0).all(), (op, j, excess.max())
+            k = 1 - j
+            assert _same_bits(dc._BACKWARD[op][k](g, out, inputs, {}),
+                              _OLD_RULES[op][k](g, out, inputs, {})), (op, k)
+    out = geo._norm(wide)
+    gn = rng.normal(size=out.shape)
+    new = dc._BACKWARD["norm"][0](gn, out, [wide], {})
+    old = _OLD_RULES["norm"][0](gn, out, [wide], {})
+    excess = np.abs(new - old) - 2 * _gamma(2) * np.abs(gn * wide / np.maximum(out, dc._TINY))
+    assert (excess <= 0).all(), excess.max()
+
+
+@pytest.mark.parametrize("name", ["logmap0", "expmap0", "mobius_matvec"])
+def test_each_map_widens_its_rows_once(name):
+    # after its norms, a map makes one node as wide as its rows, the product
+    # of the per-row coefficient and the rows, and then only its projection
+    rng = np.random.default_rng(4)
+    b, l, n = 2, 3, 5
+    tape = dc.Tape()
+    x = tape.leaf(_rows(rng, (b, l, n), 0.8), requires_grad=True)
+    weight = tape.leaf(rng.normal(size=(n, n)), requires_grad=True)
+    start = len(tape.nodes)
+    getattr(dg, name)(x, *([weight] if name == "mobius_matvec" else []))
+    ops = [(node.op, np.shape(node.value)) for node in tape.nodes[start:]]
+    after_norms = ops[max(i for i, (op, _) in enumerate(ops) if op == "norm") + 1:]
+    wide = [op for op, shape in after_norms if shape == (b, l, n)]
+    assert wide == (["mul"] if name == "logmap0" else ["mul", "ball_project"]), ops
+
+
+# Rows at the origin and at the ball's shell, each with its finite-difference
+# step.  Below the 1e-15 floor of a dividing norm a map is its clipped
+# forward, c artanh(||x|| / c) / 1e-15 times the row, whose derivative at the
+# origin is zero, not the map's identity, and its VJPs give that derivative; a
+# step of 1e-30 stays below the floor.  A row of norm 1e-300 has a computed
+# norm of 0.  At the shell a step of 1e-10 stays far inside the 1e-5 between
+# the shell and the unit sphere, where artanh has its pole.
+_EDGE_ROWS = {"zero": (0.0, 1e-30), "norm-1e-300": (1e-300, 1e-30),
+              "on-the-shell": (1 - geo.EPS_BOUNDARY, 1e-10),
+              "just-inside": (1 - geo.EPS_BOUNDARY - 1e-9, 1e-10)}
+
+
+@pytest.mark.parametrize("rows", sorted(_EDGE_ROWS))
+@pytest.mark.parametrize("case", ["mul", "mul-broadcast", "div", "norm", "logmap0", "expmap0",
+                                  "mobius_matvec"])
+def test_rewritten_vjps_match_finite_differences_at_the_origin_and_the_shell(case, rows):
+    rng = np.random.default_rng(7)
+    norm, h = _EDGE_ROWS[rows]
+    wide = _rows(rng, (2, 3, 4), norm)
+    narrow = rng.uniform(0.5, 2.0, size=(2, 3, 1))
+    q, _ = np.linalg.qr(rng.normal(size=(4, 4)))  # 0.5 q maps the shell inside it
+    f, arrays = {
+        "mul": (lambda a, x: a * x, [narrow, wide]),
+        "mul-broadcast": (lambda a, x: x * a, [narrow[0], wide]),
+        "div": (lambda a, x: x / a, [narrow, wide]),
+        "norm": (dc.norm, [wide]),
+        "logmap0": (dg.logmap0, [wide]),
+        "expmap0": (dg.expmap0, [wide]),
+        "mobius_matvec": (lambda x, w: dg.mobius_matvec(x, w), [wide, 0.5 * q]),
+    }[case]
+    tape = dc.Tape()
+    probe = rng.normal(size=f(*(tape.constant(a) for a in arrays)).shape)
+    for i, point in enumerate(arrays):
+        def build(t, x, i=i):
+            args = [x if j == i else t.constant(a) for j, a in enumerate(arrays)]
+            return dc.tsum(f(*args) * t.constant(probe))
+
+        report = _gradcheck_scalar_fn(build, point, h=h if point is wide else 1e-6)
+        assert report.passed, f"{case} input {i}: {report}"
+
+
+def test_expmap0_vjp_matches_finite_differences_just_inside_the_shell():
+    # tangent rows whose images lie 1e-9 inside the shell, where tanh saturates
+    rng = np.random.default_rng(8)
+    v = _rows(rng, (2, 3, 4), np.arctanh(1 - geo.EPS_BOUNDARY - 1e-9))
+    probe = rng.normal(size=v.shape)
+    tape = dc.Tape()
+    image = dg.expmap0(tape.constant(v))
+    assert tape.nodes[-1].attrs["inside"].all()
+    assert (np.linalg.norm(image.value, axis=-1) > 1 - geo.EPS_BOUNDARY - 2e-9).all()
+    report = _gradcheck_scalar_fn(lambda t, x: dc.tsum(dg.expmap0(x) * t.constant(probe)), v,
+                                  h=1e-10)
+    assert report.passed, report
+
+
+def test_backward_to_an_earlier_node_ignores_the_nodes_after_it():
+    x0 = np.random.default_rng(2).normal(size=(3, 4))
+
+    def build(tape):
+        x = tape.leaf(x0, requires_grad=True)
+        return x, dc.tsum(dg.logmap0(x * 0.1) * x)
+
+    tape = dc.Tape()
+    x, y = build(tape)
+    dc.tsum(dc.exp(y) * x)  # nodes that require grad, after the output
+    fresh = dc.Tape()
+    xf, yf = build(fresh)
+    assert _same_bits(dc.backward(tape, y)[x], dc.backward(fresh, yf)[xf])
 
 
 _HUGE_OR_NON_FINITE = [np.nan, np.inf, -np.inf, 1.4e154, -1.5e154, 1e200, np.finfo(float).max]

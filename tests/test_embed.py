@@ -4,6 +4,7 @@ the embedding text format."""
 
 import codecs
 import functools
+import logging
 import re
 import tracemalloc
 import warnings
@@ -14,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gradcheck import check_gradient
-from gyronet import data, embed
+from gyronet import data, embed, train
 from gyronet.checks import random_ball_points
 from gyronet.geometry import hyperboloid_origin, lorentz_inner, to_hyperboloid
 
@@ -144,6 +145,33 @@ def test_spaced_file_to_ids_peaks_under_9_5_bytes_per_character(tmp_path):
     path.write_text("".join(spaced[i:i + 100] + "\n" for i in range(0, len(spaced), 100)),
                     encoding="utf-8")
     del spaced
+    config = embed.SkipgramConfig(dim=1, epochs=0)
+    tracemalloc.start()
+    try:
+        corpus = data.ingest_corpus(path)
+        _, ingest_peak = tracemalloc.get_traced_memory()
+        assert corpus == text
+        del corpus
+        tracemalloc.reset_peak()
+        _, vocab, _ = embed.train_skipgram(data.ingest_corpus(path), config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(vocab) == len(np.unique(points))
+    assert ingest_peak <= 9.5 * n, f"ingest_corpus: {ingest_peak / n:.2f} B/char"
+    assert peak <= 9.5 * n, f"file to ids: {peak / n:.2f} B/char"
+
+
+def test_one_line_spaced_file_to_ids_peaks_under_9_5_bytes_per_character(tmp_path):
+    # the same spaced characters with no line end at all: one line of the
+    # whole file, whose whitespace must go without one str per word
+    n = 10**6
+    rng = np.random.default_rng(16)
+    weights = 1.0 / np.arange(1, 3001)
+    points = 0x4E00 + rng.choice(3000, size=n, p=weights / weights.sum())
+    text = points.astype("<u4").tobytes().decode("utf-32-le")
+    path = tmp_path / "corpus.txt"
+    path.write_text(" ".join(text[i:i + 4] for i in range(0, n, 4)), encoding="utf-8")
     config = embed.SkipgramConfig(dim=1, epochs=0)
     tracemalloc.start()
     try:
@@ -1014,15 +1042,39 @@ def test_embedding_file_refuses_hyperboloid_rows_off_the_hyperboloid(tmp_path):
     with pytest.raises(ValueError, match=r"emb\.txt:3: row is not on the hyperboloid: "
                                          r"<x, x>_L = 0\.2, not -1"):
         embed.read_embeddings(path)
-    # rows on either sheet load, and so do points far from the origin, which
-    # 9 significant digits hold only to a relative 5e-9
+    # points far from the origin load, which 9 significant digits hold only to
+    # a relative 5e-9, and so do points near it and the origin itself
     far = np.array([[3e6, -4e6, 0.0], [1e-3, 2e-3, 0.0], [0.0, 0.0, 0.0]])
     far[:, -1] = np.sqrt(1.0 + np.sum(far[:, :-1] ** 2, axis=-1))
-    far[2, -1] = -1.0
     embed.write_embeddings(path, ["u", "v", "w"], far, "hyperboloid")
     tokens, matrix, geometry = embed.read_embeddings(path)
     assert (tokens, geometry) == (["u", "v", "w"], "hyperboloid")
     np.testing.assert_allclose(matrix, far, rtol=5e-9)
+
+
+def test_embedding_file_refuses_hyperboloid_rows_of_the_lower_sheet(tmp_path, caplog):
+    # rows on the lower sheet, t < 0: to_poincare would send the first to
+    # [nan, nan] and the second to the far side of the ball
+    path = tmp_path / "emb.txt"
+    path.write_text("3 2 hyperboloid\no 0 0 1\na 0 0 -1\nb 0.5 0 -1.118033989\n",
+                    encoding="utf-8")
+    refusal = rf"^{re.escape(str(path))}:3: row is on the lower sheet \(time coordinate -1\)$"
+    with pytest.raises(ValueError, match=refusal):
+        embed.read_embeddings(path)
+    with caplog.at_level(logging.WARNING, logger="gyronet"), warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match=refusal):
+            train.load_embedding_points(path, "poincare")
+    assert not caplog.records
+    # the first refused row names its line, whichever check refuses it
+    path.write_text("3 2 hyperboloid\no 0 0 1\nb 0.5 0 -1.118033989\nc 0.5 0.2 0.3\n",
+                    encoding="utf-8")
+    with pytest.raises(ValueError, match=r"emb\.txt:3: row is on the lower sheet "
+                                         r"\(time coordinate -1\.11803399\)$"):
+        embed.read_embeddings(path)
+    path.write_text("3 2 hyperboloid\no 0 0 1\nc 0.5 0.2 0.3\na 0 0 -1\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"emb\.txt:3: row is not on the hyperboloid"):
+        embed.read_embeddings(path)
 
 
 def test_embedding_file_invalid_utf8_names_line(tmp_path):

@@ -132,7 +132,7 @@ def test_einsum_is_called_only_by_the_two_last_axis_kernels():
     calls = [(path.name, scope) for path in SOURCES
              for scope, _ in _calls_by_scope(ast.parse(path.read_text(encoding="utf-8")),
                                              "einsum")]
-    assert sorted(calls) == [("geometry.py", "_norm"), ("geometry.py", "_sum_last")], calls
+    assert sorted(calls) == [("geometry.py", "_inner"), ("geometry.py", "_sum_last")], calls
 
 
 @pytest.mark.parametrize("name", ["diffcore.py", "diffgeom.py", "hypformer.py"])
