@@ -1,20 +1,36 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
-A :class:`Tape` records primitive operations as they are executed eagerly.
-Each record keeps the op name, input node ids and the computed value, so the
-node list is topologically ordered by construction.  Every recorded value is
-checked to be finite at record time by :func:`gyronet.geometry._all_finite`;
-a non-finite value raises :class:`TapeError` naming the node index and op.
-The one value the check skips is that of a ``ball_project`` that clamps no
-row: its rows all have norms below the shell, so every entry is finite.
-A node's ``requires_grad`` flag is set when it is recorded: true when any of its
-inputs requires grad.  The tape lists its grad-enabled leaves as it makes
-them, and the ids of the recorded nodes that have the flag as it records
-them.  ``backward`` walks that second list in reverse and accumulates
-vector-Jacobian products; a gradient whose shape differs from its input's
-(the input was broadcast) is summed back to that shape.  It returns the
-listed leaves' gradients, zeros for a leaf that no gradient reached.  To
-evaluate at new inputs, record a new tape.
+A :class:`Tape` records primitive operations as they are executed eagerly,
+so the node list is topologically ordered by construction.  Every recorded
+value is checked to be finite at record time by
+:func:`gyronet.geometry._all_finite`; a non-finite value raises
+:class:`TapeError` naming the node index and op.  The one value the check
+skips is that of a ``ball_project`` that clamps no row: its rows all have
+norms below the shell, so every entry is finite.
+
+A node keeps only what its VJP reads, as ``save_for_backward`` does in
+PyTorch: each op tells :meth:`Tape.record` whether to save its input values,
+its output value, both or neither.  ``mul``, ``div`` and ``matmul`` save
+their inputs; ``log``, ``atanh``, ``asinh``, ``relu`` and ``clip_min`` their
+input; ``exp``, ``tanh`` and ``softmax`` their output; ``norm`` and ``max``
+both; ``add``, ``sub``, ``neg``, ``sum``, ``reshape``, ``swap_last``,
+``slice`` and ``ball_project`` nothing.  A grad-enabled leaf keeps its value
+and a constant keeps none.  Besides those, a node keeps its value's shape,
+its attrs and its parent nodes, and no tape or tensor; every other value is
+freed as soon as the forward drops its :class:`Tensor`.  A VJP rule gets an
+unsaved value as the node itself, which has a shape and no data, so a rule
+that reads data its op did not save raises.
+
+A node's ``requires_grad`` flag is set when it is recorded: true when any of
+its inputs requires grad.  The tape lists its grad-enabled leaves as it
+makes them, and the recorded nodes that have the flag as it records them.
+``backward`` walks that second list in reverse and accumulates
+vector-Jacobian products on the nodes they flow to; a gradient whose shape
+differs from its input's (the input was broadcast) is summed back to that
+shape.  It returns the listed leaves' gradients, zeros for a leaf that no
+gradient reached, and clears every gradient it set, also when it raises.
+The saved values stay, so a tape can be differentiated again.  To evaluate
+at new inputs, record a new tape.
 
 A forward-only tape, ``Tape(grad=False)``, is for callers that never
 differentiate, such as evaluation.  Every op runs the same forward and the
@@ -63,25 +79,42 @@ _all = np.logical_and.reduce
 
 
 class Node:
-    __slots__ = ("op", "inputs", "value", "attrs", "requires_grad")
+    """One recorded op, keeping only what its VJP reads.
 
-    def __init__(self, op, inputs, value, attrs=None, requires_grad=False):
+    ``operands`` holds, per input, the input's value when the op saves its
+    inputs and the input's node otherwise; ``out`` is the op's value when it
+    saves its output and None otherwise.  A node has a ``shape`` but no
+    array, so a rule that reads data its op did not save raises.  ``grad``
+    is set only while ``backward`` runs.
+    """
+
+    __slots__ = ("op", "parents", "operands", "out", "shape", "attrs", "requires_grad", "grad")
+
+    def __init__(self, op, parents, operands, out, shape, attrs, requires_grad):
         self.op = op
-        self.inputs = inputs
-        self.value = value
-        self.attrs = attrs or {}
+        self.parents = parents
+        self.operands = operands
+        self.out = out
+        self.shape = shape
+        self.attrs = attrs
         self.requires_grad = requires_grad
+        self.grad = None
+
+    def __array__(self, dtype=None, copy=None):
+        raise TypeError(f"a {self.op} node keeps only its shape here: its op did not save "
+                        "this value")
 
 
 class Tensor:
     """Handle to a node on a tape, with that node's (immutable) value."""
 
-    __slots__ = ("tape", "nid", "value", "norms")
+    __slots__ = ("tape", "nid", "value", "node", "norms")
 
-    def __init__(self, tape, nid, value):
+    def __init__(self, tape, nid, value, node=None):
         self.tape = tape
         self.nid = nid
         self.value = value
+        self.node = node  # None on a forward-only tape
         self.norms = None  # _norm(value), when ball_project measured it
 
     @property
@@ -152,10 +185,12 @@ class Tape:
         self.grad = grad
         self.nodes: list[Node] = []
         self.params: list[int] = []  # node ids of the grad-enabled leaves, in order
-        self.graded: list[int] = []  # node ids of the recorded nodes that require grad
+        self.graded: list[Node] = []  # the recorded nodes that require grad, in order
         self.skipped = 0  # values a forward-only tape numbered but did not keep
 
     def leaf(self, data, requires_grad=False):
+        """A leaf node; a grad-enabled leaf keeps its value, a constant keeps
+        nothing (an op that reads it saves it)."""
         value = np.asarray(data, dtype=float)
         if not self.grad:
             self.skipped += 1
@@ -163,30 +198,38 @@ class Tape:
         nodes = self.nodes
         if requires_grad:
             self.params.append(len(nodes))
-        nodes.append(Node("leaf", (), value, requires_grad=requires_grad))
-        return Tensor(self, len(nodes) - 1, value)
+        node = Node("leaf", (), (), value if requires_grad else None, value.shape, {},
+                    requires_grad)
+        nodes.append(node)
+        return Tensor(self, len(nodes) - 1, value, node)
 
     def constant(self, data):
         return self.leaf(data, requires_grad=False)
 
-    def record(self, op, inputs, value, *, _finite=False, **attrs):
+    def record(self, op, inputs, value, *, _finite=False, _inputs=False, _out=False, **attrs):
         """Append a node computed from ``inputs``; ``_finite`` marks a value
-        its op has already shown to be finite, which skips the check."""
+        its op has already shown to be finite, which skips the check.  The
+        node saves the input values when ``_inputs`` and the value itself
+        when ``_out``: each op passes exactly what its VJP reads."""
         nodes = self.nodes
         if not (_finite or _all_finite(value)):
             raise TapeError(f"non-finite value at node {len(nodes) + self.skipped} (op {op})")
         if not self.grad:
             self.skipped += 1
             return Tensor(self, self.skipped - 1, value)
-        ids = []
+        parents = []
         requires_grad = False
         for t in inputs:
-            ids.append(t.nid)
-            requires_grad = requires_grad or nodes[t.nid].requires_grad
+            parent = t.node
+            parents.append(parent)
+            requires_grad = requires_grad or parent.requires_grad
+        parents = tuple(parents)
+        node = Node(op, parents, tuple([t.value for t in inputs]) if _inputs else parents,
+                    value if _out else None, value.shape, attrs, requires_grad)
         if requires_grad:
-            self.graded.append(len(nodes))
-        nodes.append(Node(op, tuple(ids), value, attrs, requires_grad))
-        return Tensor(self, len(nodes) - 1, value)
+            self.graded.append(node)
+        nodes.append(node)
+        return Tensor(self, len(nodes) - 1, value, node)
 
 
 def _unbroadcast(grad, shape):
@@ -209,52 +252,63 @@ def _unbroadcast(grad, shape):
 def backward(tape: Tape, output: Tensor) -> dict[Tensor, np.ndarray]:
     """Reverse accumulation of d(output)/d(leaf) for all grad-enabled leaves.
 
-    Returns a dict keyed by the leaf tensors.
+    Returns a dict keyed by the leaf tensors.  Each gradient is held on the
+    node it flows to while the walk runs, and every one it set is cleared
+    before it returns or raises; the saved values stay, so a tape can be
+    differentiated again.
     """
     if not tape.grad:
         raise TapeError("backward on a forward-only tape (Tape(grad=False))")
-    nodes = tape.nodes
-    out_node = nodes[output.nid]
-    if np.size(out_node.value) != 1:
-        raise TapeError(f"backward output must be scalar, got shape {np.shape(out_node.value)}")
-    grads: dict[int, np.ndarray] = {output.nid: np.ones_like(np.asarray(out_node.value, dtype=float))}
-    pop, get = grads.pop, grads.get
-    for nid in reversed(tape.graded):  # no leaf is listed, so each keeps its gradient
-        g = pop(nid, None)
-        if g is None:
-            continue
-        node = nodes[nid]
-        inputs = node.inputs
-        if len(inputs) == 1:  # its one input requires grad, as the node does
-            j = inputs[0]
-            val = nodes[j].value
-            pg = _BACKWARD[node.op][0](g, node.value, (val,), node.attrs)
-            if pg.shape != val.shape:
-                pg = _unbroadcast(pg, val.shape)
-            prev = get(j)
-            grads[j] = pg if prev is None else prev + pg
-            continue
-        vals = [nodes[j].value for j in inputs]
-        for j, val, vjp in zip(inputs, vals, _BACKWARD[node.op]):
-            if not nodes[j].requires_grad:
+    out_node = output.node
+    if np.size(output.value) != 1:
+        raise TapeError(f"backward output must be scalar, got shape {out_node.shape}")
+    out_node.grad = np.ones(out_node.shape)
+    try:
+        for node in reversed(tape.graded):  # no leaf is listed, so each keeps its gradient
+            g = node.grad
+            if g is None:
                 continue
-            pg = vjp(g, node.value, vals, node.attrs)
-            if pg.shape != val.shape:
-                pg = _unbroadcast(pg, val.shape)
-            prev = get(j)
-            grads[j] = pg if prev is None else prev + pg
-    result = {}
-    for nid in tape.params:
-        value = nodes[nid].value
-        g = get(nid)
-        result[Tensor(tape, nid, value)] = np.zeros_like(value) if g is None else g
-    return result
+            node.grad = None
+            out = node.out
+            if out is None:
+                out = node
+            parents = node.parents
+            if len(parents) == 1:  # its one input requires grad, as the node does
+                parent = parents[0]
+                pg = _BACKWARD[node.op][0](g, out, node.operands, node.attrs)
+                if pg.shape != parent.shape:
+                    pg = _unbroadcast(pg, parent.shape)
+                prev = parent.grad
+                parent.grad = pg if prev is None else prev + pg
+                continue
+            for parent, vjp in zip(parents, _BACKWARD[node.op]):
+                if not parent.requires_grad:
+                    continue
+                pg = vjp(g, out, node.operands, node.attrs)
+                if pg.shape != parent.shape:
+                    pg = _unbroadcast(pg, parent.shape)
+                prev = parent.grad
+                parent.grad = pg if prev is None else prev + pg
+        result = {}
+        nodes = tape.nodes
+        for nid in tape.params:
+            leaf = nodes[nid]
+            g = leaf.grad
+            leaf.grad = None
+            result[Tensor(tape, nid, leaf.out, leaf)] = np.zeros_like(leaf.out) if g is None else g
+        out_node.grad = None
+        return result
+    except BaseException:
+        for node in tape.nodes:
+            node.grad = None
+        raise
 
 
 # ---------------------------------------------------------------------------
 # Primitive ops.  Each is an eager forward plus, in _BACKWARD, one VJP rule
-# per input, called as rule(grad_out, out_value, input_values, attrs).
-# backward calls only the rules of inputs that require grad.
+# per input, called as rule(grad_out, out_value, input_values, attrs), where
+# a value the op did not save is its shape-only node.  backward calls only
+# the rules of inputs that require grad.
 # ---------------------------------------------------------------------------
 
 _BACKWARD = {}
@@ -284,7 +338,7 @@ _BACKWARD["sub"] = (lambda g, out, v, at: g, lambda g, out, v, at: -g)
 
 def mul(a, b):
     tape = _same_tape(a, b)
-    return tape.record("mul", (a, b), a.value * b.value)
+    return tape.record("mul", (a, b), a.value * b.value, _inputs=True)
 
 
 def _narrow(x, g):
@@ -300,7 +354,7 @@ _BACKWARD["mul"] = (lambda g, out, v, at: _inner(g, v[1]) if _narrow(v[0], g) el
 
 def div(a, b):
     tape = _same_tape(a, b)
-    return tape.record("div", (a, b), a.value / b.value)
+    return tape.record("div", (a, b), a.value / b.value, _inputs=True)
 
 
 _BACKWARD["div"] = (lambda g, out, v, at: g / v[1],
@@ -317,7 +371,7 @@ _BACKWARD["neg"] = (lambda g, out, v, at: -g,)
 
 def matmul(a, b):
     tape = _same_tape(a, b)
-    return tape.record("matmul", (a, b), a.value @ b.value)
+    return tape.record("matmul", (a, b), a.value @ b.value, _inputs=True)
 
 
 _BACKWARD["matmul"] = (lambda g, out, v, at: g @ v[1].swapaxes(-1, -2),
@@ -347,7 +401,7 @@ _BACKWARD["sum"] = (
 
 def tmax(a, axis=None, keepdims=False):
     return a.tape.record("max", (a,), np.maximum.reduce(a.value, axis=axis, keepdims=keepdims),
-                         axis=axis, keepdims=keepdims)
+                         _inputs=True, _out=True, axis=axis, keepdims=keepdims)
 
 
 def _max_bwd(g, out, v, at):
@@ -365,27 +419,33 @@ def _max_bwd(g, out, v, at):
 _BACKWARD["max"] = (_max_bwd,)
 
 
-def _unary(name, f, vjp):
+def _unary(name, f, vjp, saves):
+    """An elementwise op whose VJP reads its input (``saves`` "input") or its
+    output ("out")."""
+    inputs, out = saves == "input", saves == "out"
+
     def op(a):
-        return a.tape.record(name, (a,), f(a.value))
+        return a.tape.record(name, (a,), f(a.value), _inputs=inputs, _out=out)
 
     _BACKWARD[name] = (vjp,)
     return op
 
 
-exp = _unary("exp", np.exp, lambda g, out, v, at: g * out)
-log = _unary("log", np.log, lambda g, out, v, at: g / v[0])
-tanh = _unary("tanh", np.tanh, lambda g, out, v, at: g * (1.0 - out * out))
-atanh = _unary("atanh", np.arctanh, lambda g, out, v, at: g / (1.0 - v[0] * v[0]))
-asinh = _unary("asinh", np.arcsinh, lambda g, out, v, at: g / np.sqrt(1.0 + v[0] * v[0]))
-relu = _unary("relu", lambda x: np.maximum(x, 0.0), lambda g, out, v, at: g * (v[0] > 0.0))
+exp = _unary("exp", np.exp, lambda g, out, v, at: g * out, "out")
+log = _unary("log", np.log, lambda g, out, v, at: g / v[0], "input")
+tanh = _unary("tanh", np.tanh, lambda g, out, v, at: g * (1.0 - out * out), "out")
+atanh = _unary("atanh", np.arctanh, lambda g, out, v, at: g / (1.0 - v[0] * v[0]), "input")
+asinh = _unary("asinh", np.arcsinh, lambda g, out, v, at: g / np.sqrt(1.0 + v[0] * v[0]),
+               "input")
+relu = _unary("relu", lambda x: np.maximum(x, 0.0), lambda g, out, v, at: g * (v[0] > 0.0),
+              "input")
 
 
 def softmax(a):
     """Softmax over the last axis."""
     x = a.value
     e = np.exp(x - np.max(x, axis=-1, keepdims=True))
-    return a.tape.record("softmax", (a,), e / _sum_last(e))
+    return a.tape.record("softmax", (a,), e / _sum_last(e), _out=True)
 
 
 _BACKWARD["softmax"] = (lambda g, out, v, at: out * (g - _sum_last(g * out)),)
@@ -394,7 +454,8 @@ _BACKWARD["softmax"] = (lambda g, out, v, at: out * (g - _sum_last(g * out)),)
 def norm(a):
     """Euclidean norm over the last axis, which is kept with length 1."""
     n = a.norms
-    return a.tape.record("norm", (a,), _norm(a.value) if n is None else n)
+    return a.tape.record("norm", (a,), _norm(a.value) if n is None else n, _inputs=True,
+                         _out=True)
 
 
 _BACKWARD["norm"] = (lambda g, out, v, at: v[0] * (g / np.maximum(out, _TINY)),)
@@ -405,7 +466,7 @@ def tslice(a, key):
 
 
 def _slice_bwd(g, out, v, at):
-    gx = np.zeros_like(v[0])
+    gx = np.zeros(v[0].shape)
     gx[at["key"]] = g
     return gx
 
@@ -430,7 +491,8 @@ _BACKWARD["swap_last"] = (lambda g, out, v, at: np.swapaxes(g, -1, -2),)
 
 def clip_min(a, floor):
     """Elementwise lower clamp; gradient is identity above the floor, zero below."""
-    return a.tape.record("clip_min", (a,), np.maximum(a.value, floor), floor=floor)
+    return a.tape.record("clip_min", (a,), np.maximum(a.value, floor), _inputs=True,
+                         floor=floor)
 
 
 def _clip_min_bwd(g, out, v, at):
@@ -446,19 +508,19 @@ def ball_project(a, max_norm):
 
     Gradient convention: identity for rows that were inside, zero for rows
     that got clamped (projected-gradient treatment of the boundary).  The
-    forward keeps the ``inside`` mask for the VJP.  When no row is clamped,
-    the output is the input array itself and carries its row norms.
+    forward keeps the ``inside`` mask and a ``clamped`` flag for the VJP.
+    When no row is clamped, the output is the input array itself and
+    carries its row norms.
     """
     x, inside, n = _clamp(a.value, max_norm)
     # rows that are all inside have finite norms below the shell, so every
     # entry of the unclamped value is finite
     unclamped = x is a.value
     out = a.tape.record("ball_project", (a,), x, _finite=unclamped, max_norm=max_norm,
-                        inside=inside)
+                        inside=inside, clamped=not unclamped)
     if unclamped:
         out.norms = n
     return out
 
 
-# the forward records its input array itself exactly when no row is clamped
-_BACKWARD["ball_project"] = (lambda g, out, v, at: g if out is v[0] else g * at["inside"],)
+_BACKWARD["ball_project"] = (lambda g, out, v, at: g * at["inside"] if at["clamped"] else g,)

@@ -503,10 +503,11 @@ def read_embeddings(path):
     coordinate to 9 significant digits, so within a relative 5e-9 of the point
     that was written, which moves <x, x>_L by at most 1e-8 (|s|^2 + t^2) =
     1e-8 (2 t^2 - 1) < 2e-8 t^2; the bound allows five times that, and grows
-    with t^2 so that rows far from the origin still load.  A row with
-    |t| >= 1.3e154, where t^2 overflows to inf, passes this check.  A row of
-    the lower sheet, t < 0, is refused as well: ``to_poincare`` would send it
-    to a non-finite point or to the far side of the ball.
+    with t^2 so that rows far from the origin still load.  A row whose t^2
+    overflows, |t| >= 1.3e154, is tested with every term divided by t^2, as
+    |(|s| / t)^2 - 1 + 1 / t^2| > 1e-7.  A row of the lower sheet, t < 0, is
+    refused as well: ``to_poincare`` would send it to a non-finite point or to
+    the far side of the ball.
     """
     lines = read_utf8_lines(path)
     header = next(lines, (1, ""))[1].split()
@@ -542,15 +543,19 @@ def read_embeddings(path):
         raise ValueError(f"{path}:{int(np.argmax(bad)) + 2}: non-finite coordinate")
     if geometry == "hyperboloid":
         t = matrix[:, -1]
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflowing t^2 passes
+        with np.errstate(over="ignore", invalid="ignore"):
             inner = lorentz_inner(matrix, matrix)
-            off = np.abs(inner + 1.0) > 1e-7 * (t * t)
+            t2 = t * t
+            off = np.abs(inner + 1.0) > 1e-7 * t2
+            huge = np.isinf(t2)
+            scaled = matrix[huge, :-1] / t[huge, None]
+            off[huge] = np.abs(np.sum(scaled * scaled, axis=-1) - 1.0 + 1.0 / t2[huge]) > 1e-7
         bad = off | (t < 0.0)
         if bad.any():
             i = int(np.argmax(bad))
             if off[i]:
-                raise ValueError(f"{path}:{i + 2}: row is not on the hyperboloid: "
-                                 f"<x, x>_L = {inner[i]:.9g}, not -1")
+                value = f": <x, x>_L = {inner[i]:.9g}, not -1" if np.isfinite(inner[i]) else ""
+                raise ValueError(f"{path}:{i + 2}: row is not on the hyperboloid{value}")
             raise ValueError(f"{path}:{i + 2}: row is on the lower sheet "
                              f"(time coordinate {t[i]:.9g})")
     return tokens, matrix, geometry

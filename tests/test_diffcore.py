@@ -1,5 +1,6 @@
 """Tests for the tape autodiff core and the differentiable ball operations."""
 
+import json
 import tracemalloc
 import warnings
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tape_memory
 from gradcheck import check_gradient
 from gyronet import data
 from gyronet import diffcore as dc
@@ -16,6 +18,7 @@ from gyronet import geometry as geo
 from gyronet import hypformer as hf
 from gyronet import train
 from gyronet.checks import random_ball_points
+from taperecord import Recorded, node_log, recorded_bytes
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +184,181 @@ def test_unused_leaf_gets_zero_gradient():
     y = tape.leaf([5.0], requires_grad=True)
     grads = dc.backward(tape, dc.tsum(x * x))
     np.testing.assert_array_equal(grads[y], [0.0])
+
+
+def test_backward_clears_the_gradients_it_held_on_the_nodes():
+    tape = dc.Tape()
+    x = tape.leaf([1.0, 2.0], requires_grad=True)
+    y = dc.tanh(x * x)
+    loss = dc.tsum(y * y)
+    first = dc.backward(tape, loss)[x]
+    assert all(node.grad is None for node in tape.nodes)
+    assert _same_bits(dc.backward(tape, loss)[x], first)
+
+
+def test_backward_clears_the_gradients_it_held_when_it_raises(monkeypatch):
+    tape = dc.Tape()
+    x = tape.leaf([1.0, 2.0], requires_grad=True)
+    y = dc.exp(x) + dc.tanh(x)
+    loss = dc.tsum(dc.exp(y))  # the exp of x runs after the sum, the tanh and the outer exp
+    (exp_rule,) = dc._BACKWARD["exp"]
+    calls = []
+
+    def second_exp_fails(g, out, v, at):
+        calls.append(g)
+        if len(calls) == 2:
+            raise FloatingPointError("rule failed")
+        return exp_rule(g, out, v, at)
+
+    monkeypatch.setitem(dc._BACKWARD, "exp", (second_exp_fails,))
+    with pytest.raises(FloatingPointError, match="rule failed"):
+        dc.backward(tape, loss)
+    assert len(calls) == 2 and all(node.grad is None for node in tape.nodes)
+    monkeypatch.setitem(dc._BACKWARD, "exp", (exp_rule,))
+    fresh = dc.Tape()
+    xf = fresh.leaf([1.0, 2.0], requires_grad=True)
+    expected = dc.backward(fresh, dc.tsum(dc.exp(dc.exp(xf) + dc.tanh(xf))))[xf]
+    assert _same_bits(dc.backward(tape, loss)[x], expected)
+
+
+# ---------------------------------------------------------------------------
+# What a node keeps: each op saves what its VJP reads, and nothing else
+# ---------------------------------------------------------------------------
+
+# what each op's node keeps: its inputs' values, its own value, both or neither
+_SAVES = {
+    "mul": {"inputs"}, "div": {"inputs"}, "matmul": {"inputs"},
+    "log": {"inputs"}, "atanh": {"inputs"}, "asinh": {"inputs"}, "relu": {"inputs"},
+    "clip_min": {"inputs"},
+    "exp": {"out"}, "tanh": {"out"}, "softmax": {"out"},
+    "norm": {"inputs", "out"}, "max": {"inputs", "out"},
+    "add": set(), "sub": set(), "neg": set(), "sum": set(), "reshape": set(),
+    "swap_last": set(), "slice": set(), "ball_project": set(),
+}
+
+
+def test_every_vjp_op_declares_its_saves():
+    assert _SAVES.keys() == dc._BACKWARD.keys()
+
+
+@pytest.mark.parametrize("op", sorted(dc._BACKWARD))
+def test_each_node_keeps_exactly_its_declared_saves(op):
+    f, arrays = _op_cases(np.random.default_rng(0))[op]
+    tape = dc.Tape()
+    xs = [tape.leaf(a, requires_grad=True) for a in arrays]
+    out = f(*xs)
+    node = out.node
+    assert node.op == op and node.shape == np.shape(out.value)
+    assert len(node.parents) == len(xs) and all(p is x.node for p, x in zip(node.parents, xs))
+    kept = [x.value if "inputs" in _SAVES[op] else x.node for x in xs]
+    assert len(node.operands) == len(xs) and all(v is k for v, k in zip(node.operands, kept))
+    assert node.out is (out.value if "out" in _SAVES[op] else None)
+
+
+def test_a_parameter_leaf_keeps_its_value_and_a_constant_nothing():
+    tape = dc.Tape()
+    x = tape.leaf([1.0, 2.0], requires_grad=True)
+    c = tape.constant(np.zeros((2, 3)))
+    assert x.node.out is x.value and c.node.out is None
+    assert x.node.operands == c.node.operands == () and c.node.shape == (2, 3)
+
+
+def test_a_rule_that_reads_an_unsaved_value_raises():
+    tape = dc.Tape()
+    x = tape.constant([1.0, 2.0])
+    y = x + x  # add saves nothing: its operands are its parents, shape-only stand-ins
+    (mul_x, _) = dc._BACKWARD["mul"]
+    with pytest.raises(TypeError, match="a leaf node keeps only its shape"):
+        mul_x(np.ones(2), y.node, y.node.operands, {})
+    assert np.shape(y.node.operands[0]) == (2,)
+
+
+def _save_oracle_cases():
+    """(op, function, input arrays, which inputs require grad) for every
+    primitive: each input requiring grad alone and both together, operands
+    of one shape, broadcast against each other and of last axis 1 against
+    wide rows; ball_project clamped and not, clip_min at its floor and above
+    it, and max with ties."""
+    rng = np.random.default_rng(11)
+    cases = []
+
+    def add(op, f, arrays, flags=None, tag=""):
+        for flag in flags or [(True,) * len(arrays)]:
+            name = "".join("xy"[i] for i, r in enumerate(flag) if r)
+            cases.append(pytest.param(op, f, arrays, flag, id=f"{op}{tag}-d{name}"))
+
+    pairs = [(True, False), (False, True), (True, True)]
+    shapes = {"same": ((2, 3, 4), (2, 3, 4)), "broadcast": ((2, 3, 4), (4,)),
+              "narrow-y": ((2, 3, 4), (2, 3, 1)), "narrow-x": ((2, 3, 1), (2, 3, 4))}
+    for op, f in (("add", lambda x, y: x + y), ("sub", lambda x, y: x - y),
+                  ("mul", lambda x, y: x * y), ("div", lambda x, y: x / y)):
+        for kind, (sx, sy) in shapes.items():
+            y = rng.uniform(0.5, 2.0, size=sy) if op == "div" else rng.normal(size=sy)
+            add(op, f, [rng.normal(size=sx), y], pairs, f"-{kind}")
+    add("matmul", dc.matmul, [rng.normal(size=(3, 4)), rng.normal(size=(4, 2))], pairs)
+    add("matmul", dc.matmul, [rng.normal(size=(2, 3, 4)), rng.normal(size=(4, 2))], pairs,
+        "-batch")
+    a = rng.normal(size=(3, 4))
+    a[1] = 0.0  # a zero row, where norm's VJP divides by its floor
+    ties = np.array([[1.0, 3.0, 3.0, 0.0], [2.0, 2.0, 2.0, 2.0], [-1.0, 0.5, -1.0, 0.5]])
+    inside = random_ball_points(rng, 3, 4, radius=0.8)
+    for op, f, x, tag in (
+            ("neg", dc.neg, a, ""), ("exp", dc.exp, a, ""),
+            ("log", dc.log, rng.uniform(0.5, 2.0, size=(3, 4)), ""), ("tanh", dc.tanh, a, ""),
+            ("atanh", dc.atanh, rng.uniform(-0.8, 0.8, size=(3, 4)), ""),
+            ("asinh", dc.asinh, a, ""), ("relu", dc.relu, a, ""),
+            ("softmax", dc.softmax, a, ""), ("norm", dc.norm, a, ""),
+            ("sum", dc.tsum, a, "-all"), ("sum", lambda x: dc.tsum(x, axis=0), a, "-axis0"),
+            ("sum", lambda x: dc.tsum(x, axis=-1, keepdims=True), a, "-last-kept"),
+            ("sum", lambda x: dc.tsum(x, axis=-1), a, "-last"),
+            ("reshape", lambda x: dc.reshape(x, (2, 6)), a, ""),
+            ("swap_last", dc.swap_last, a, ""), ("slice", lambda x: x[1:, ::2], a, ""),
+            ("clip_min", lambda x: dc.clip_min(x, 0.0), np.abs(a) + 0.5, "-above"),
+            ("clip_min", lambda x: dc.clip_min(x, 0.0), np.where(a < 0.0, -0.0, a), "-at"),
+            ("clip_min", lambda x: dc.clip_min(x, 0.5), a, "-below"),
+            ("max", lambda x: dc.tmax(x, axis=-1), ties, "-ties-last"),
+            ("max", lambda x: dc.tmax(x, axis=0, keepdims=True), ties, "-ties-first"),
+            ("max", dc.tmax, ties, "-ties-all"),
+            ("ball_project", lambda x: dc.ball_project(x, 0.9), inside, "-unclamped"),
+            ("ball_project", lambda x: dc.ball_project(x, 0.9), inside * 3.0, "-clamped")):
+        add(op, f, [x], tag=tag)
+    return cases
+
+
+_SAVE_ORACLE_CASES = _save_oracle_cases()
+
+
+def _leaf_grads(op, f, arrays, flags):
+    tape = dc.Tape()
+    xs = [tape.leaf(a, requires_grad=r) for a, r in zip(arrays, flags)]
+    out = f(*xs)
+    assert out.node.op == op
+    probe = np.linspace(-1.0, 2.0, np.size(out.value)).reshape(out.shape)
+    grads = dc.backward(tape, dc.tsum(out * tape.constant(probe)))
+    return [grads[x] for x, r in zip(xs, flags) if r]
+
+
+def test_save_oracle_covers_every_vjp_op():
+    assert {case.values[0] for case in _SAVE_ORACLE_CASES} == dc._BACKWARD.keys()
+
+
+@pytest.mark.parametrize("op, f, arrays, flags", _SAVE_ORACLE_CASES)
+def test_vjps_read_only_what_their_ops_save(op, f, arrays, flags):
+    # an unsaved value reaches a rule as a shape-only node, on which reading
+    # data raises; against a tape whose nodes keep every input and output,
+    # the gradients must be the same bits
+    grads = _leaf_grads(op, f, arrays, flags)
+    record = dc.Tape.record
+
+    def keep_everything(self, op, inputs, value, *, _inputs=False, _out=False, **kwargs):
+        return record(self, op, inputs, value, _inputs=True, _out=True, **kwargs)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(dc.Tape, "record", keep_everything)
+        full = _leaf_grads(op, f, arrays, flags)
+    assert len(grads) == len(full) == sum(flags)
+    for g, expected in zip(grads, full):
+        assert _same_bits(g, expected)
 
 
 # ---------------------------------------------------------------------------
@@ -433,13 +611,15 @@ def test_merged_formulas_give_the_same_bits_through_both_bindings(data):
         geo.conformal_factor(x, c).tobytes()
 
 
-def _node_lines(tape):
-    """Each node as its op, input ids, non-array attrs and, for a 0-d leaf, value."""
+def _node_lines(log):
+    """Each logged node as its op, input ids, non-array attrs other than
+    ``ball_project``'s ``clamped`` flag, which postdates these lines, and,
+    for a 0-d leaf, value."""
     lines = []
-    for node in tape.nodes:
+    for node in log:
         words = [node.op, ",".join(map(str, node.inputs))]
         words += [f"{k}={v!r}" for k, v in sorted(node.attrs.items())
-                  if not isinstance(v, np.ndarray)]
+                  if not isinstance(v, np.ndarray) and k != "clamped"]
         if node.op == "leaf" and np.ndim(node.value) == 0:
             words.append(repr(float(node.value)))
         lines.append(" ".join(filter(None, words)))
@@ -561,13 +741,18 @@ reshape 67 shape=(2, 2)
 
 def test_merged_formulas_record_the_same_nodes():
     x = [[0.1, 0.2, -0.3], [0.0, 0.5, 0.1]]
-    tape = dc.Tape()
-    dg.mobius_add(tape.constant(x), tape.constant([[0.3, -0.1, 0.2], [0.4, 0.0, -0.2]]), 2.0)
-    assert _node_lines(tape) == _MOBIUS_ADD_NODES.strip("\n").split("\n")
-    tape = dc.Tape()
-    dg.mlr_scores(tape.constant(x), tape.constant([[1.0, 0.0, 0.5], [0.2, -1.0, 0.3]]),
-                  tape.constant([[0.1, 0.1, 0.0], [-0.2, 0.0, 0.1]]), 2.0)
-    assert _node_lines(tape) == _MLR_SCORES_NODES.strip("\n").split("\n")
+    with node_log() as log:
+        tape = dc.Tape()
+        dg.mobius_add(tape.constant(x), tape.constant([[0.3, -0.1, 0.2], [0.4, 0.0, -0.2]]),
+                      2.0)
+    assert len(log) == len(tape.nodes)
+    assert _node_lines(log) == _MOBIUS_ADD_NODES.strip("\n").split("\n")
+    with node_log() as log:
+        tape = dc.Tape()
+        dg.mlr_scores(tape.constant(x), tape.constant([[1.0, 0.0, 0.5], [0.2, -1.0, 0.3]]),
+                      tape.constant([[0.1, 0.1, 0.0], [-0.2, 0.0, 0.1]]), 2.0)
+    assert len(log) == len(tape.nodes)
+    assert _node_lines(log) == _MLR_SCORES_NODES.strip("\n").split("\n")
 
 
 def test_constant_subgraph_gets_no_vjp_call(monkeypatch):
@@ -625,14 +810,28 @@ def test_diffgeom_matches_geometry_kernels(rng):
 # written, kept as the oracle the faster ones must match bit for bit
 # ---------------------------------------------------------------------------
 
-def _reference_record(self, op, inputs, value, **attrs):
+def _reference_leaf(self, data, requires_grad=False):
+    value = np.asarray(data, dtype=float)
+    self.nodes.append(Recorded("leaf", (), value, {}, requires_grad))
+    return dc.Tensor(self, len(self.nodes) - 1, value)
+
+
+def _reference_record(self, op, inputs, value, *, _finite=False, _inputs=False, _out=False,
+                      **attrs):
     nodes = self.nodes
     if not np.isfinite(value).all():
         raise dc.TapeError(f"non-finite value at node {len(nodes)} (op {op})")
     ids = tuple([t.nid for t in inputs])
     requires_grad = any([nodes[j].requires_grad for j in ids])
-    nodes.append(dc.Node(op, ids, value, attrs, requires_grad))
+    nodes.append(Recorded(op, ids, value, attrs, requires_grad))
     return dc.Tensor(self, len(nodes) - 1, value)
+
+
+def _reference_tape(m):
+    """Patch ``m`` so that tapes keep every node whole, as first written:
+    ``tape.nodes`` holds a ``Recorded`` per node, with its value."""
+    m.setattr(dc.Tape, "leaf", _reference_leaf)
+    m.setattr(dc.Tape, "record", _reference_record)
 
 
 def _reference_ball_project(a, max_norm):
@@ -696,7 +895,8 @@ _REFERENCE_RULES = {
 
 
 def _reference_backward(tape, output):
-    """Leaf gradients keyed by node id."""
+    """Leaf gradients keyed by node id, on a tape recorded under
+    ``_reference_tape``."""
     rules = {**dc._BACKWARD, **_REFERENCE_RULES}
     nodes = tape.nodes
     grads = {output.nid: np.ones_like(np.asarray(nodes[output.nid].value, dtype=float))}
@@ -748,18 +948,19 @@ def _classifier_step(geometry):
 @pytest.mark.parametrize("geometry", hf.GEOMETRIES)
 def test_tape_equals_reference_bit_for_bit(monkeypatch, geometry):
     with monkeypatch.context() as m:
-        m.setattr(dc.Tape, "record", _reference_record)
+        _reference_tape(m)
         m.setattr(dc, "ball_project", _reference_ball_project)
         ref_tape, ref_loss = _classifier_step(geometry)
     ref_grads = _reference_backward(ref_tape, ref_loss)
-    tape, loss = _classifier_step(geometry)
+    with node_log() as log:  # every value the tape recorded, which its nodes keep only in part
+        tape, loss = _classifier_step(geometry)
     grads = {t.nid: g for t, g in dc.backward(tape, loss).items()}
 
-    assert len(tape.nodes) == len(ref_tape.nodes)
-    for nid, (node, ref) in enumerate(zip(tape.nodes, ref_tape.nodes)):
-        assert (node.op, node.inputs, node.requires_grad) == (ref.op, ref.inputs,
-                                                              ref.requires_grad), nid
-        assert _same_bits(node.value, ref.value), (nid, node.op)
+    assert len(tape.nodes) == len(log) == len(ref_tape.nodes)
+    for nid, (node, logged, ref) in enumerate(zip(tape.nodes, log, ref_tape.nodes)):
+        assert (node.op, logged.inputs, node.requires_grad) == (ref.op, ref.inputs,
+                                                                ref.requires_grad), nid
+        assert _same_bits(logged.value, ref.value), (nid, node.op)
     assert grads.keys() == ref_grads.keys() and grads
     for nid, g in grads.items():
         assert _same_bits(g, ref_grads[nid]), nid
@@ -769,6 +970,72 @@ def test_tape_equals_reference_bit_for_bit(monkeypatch, geometry):
         assert any(not inside.all() for inside in projections)
     else:
         assert not projections
+
+
+# (geometry, shape, batch, length, input radius, init gain, positional scale),
+# each where no row of the base point reaches the ball's shell.  At dim 100 a
+# positional scale of 1 puts exp_0 of the encodings on the shell, so the
+# paper-size cases take 0.1.
+_DIRECTIONAL_CASES = {
+    "poincare-desk": ("poincare", dict(model_dim=8, num_heads=2, head_dim=4, ffn_dim=12),
+                      4, 5, 0.3, 0.3, 1.0),
+    "euclidean-desk": ("euclidean", dict(model_dim=8, num_heads=2, head_dim=4, ffn_dim=12),
+                       4, 5, 0.6, 1.0, 1.0),
+    "poincare-paper": ("poincare", dict(model_dim=100, num_heads=4, head_dim=25, ffn_dim=200),
+                       2, 64, 0.5, 0.5, 0.1),
+    "euclidean-paper": ("euclidean", dict(model_dim=100, num_heads=4, head_dim=25, ffn_dim=200),
+                        2, 64, 0.5, 1.0, 0.1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_DIRECTIONAL_CASES))
+def test_whole_model_directional_derivatives_match_central_differences(case):
+    # the tape's gradient of the whole parameter vector, along 6 random unit
+    # directions, against central differences of forward-only losses, with
+    # 2 layers, residuals, dropout of fixed masks, UNK slots and padding
+    geometry, shape, batch, length, radius, gain, pe_scale = _DIRECTIONAL_CASES[case]
+    cfg = hf.TransformerConfig(geometry=geometry, num_layers=2, num_classes=3, dropout=0.2,
+                               use_residual=True, max_seq_len=length, pe_scale=pe_scale,
+                               **shape)
+    rng = np.random.default_rng(17)
+    params = hf.init_params(cfg, rng, gain=gain)
+    for name in sorted(hf.manifold_param_names(cfg) | {"unk"}):  # off the origin
+        params[name] = params[name] + rng.normal(0.0, 0.02, params[name].shape)
+    unk = (rng.random((batch, length, 1)) < 0.2).astype(float)
+    points = random_ball_points(rng, batch * length, cfg.model_dim, radius=radius)
+    points = points.reshape(batch, length, cfg.model_dim) * (1.0 - unk)
+    mask = np.ones((batch, length))
+    for row in range(1, batch):
+        mask[row, length - row:] = 0.0
+        points[row, length - row:] = 0.0
+        unk[row, length - row:] = 0.0
+    assert unk.any() and not mask.all()
+    labels = rng.integers(0, cfg.num_classes, size=batch)
+
+    def forward(p, grad=False):
+        return train._forward_batch(p, points, unk, mask, labels, cfg,
+                                    rng=np.random.default_rng(18), training=True, grad=grad)
+
+    tape, tensors, _, loss = forward(params, grad=True)
+    projections = [n for n in tape.nodes if n.op == "ball_project"]
+    assert (len(projections) > 0) == (geometry == "poincare")
+    assert not any(n.attrs["clamped"] for n in projections)  # no row clamps
+    grads = dc.backward(tape, loss)
+    names = sorted(params)
+    analytic, numeric = [], []
+    h = 1e-5
+    for _ in range(6):
+        v = {n: rng.normal(size=params[n].shape) for n in names}
+        scale = np.sqrt(sum(np.sum(v[n] * v[n]) for n in names))
+        v = {n: v[n] / scale for n in names}
+        analytic.append(sum(float(np.sum(grads[tensors[n]] * v[n])) for n in names))
+        up, down = (float(forward({n: params[n] + s * h * v[n] for n in names})[3].value)
+                    for s in (1.0, -1.0))
+        numeric.append((up - down) / (2.0 * h))
+    analytic, numeric = np.array(analytic), np.array(numeric)
+    err = np.max(np.abs(analytic - numeric)) / max(np.max(np.abs(analytic)),
+                                                   np.max(np.abs(numeric)), 1e-8)
+    assert np.max(np.abs(analytic)) > 1e-4 and err < 1e-4, (err, analytic, numeric)
 
 
 @pytest.mark.parametrize("x", [
@@ -784,19 +1051,27 @@ def test_vjp_rules_equal_the_reference_at_the_boundaries(x):
     # max_norm 5 puts the rows of norm 5 exactly on the shell, where they are
     # clamped; the clip_min floor 0 is met by the zeros and -0.0
     max_norm, floor = 5.0, 0.0
-    tape = dc.Tape()
-    tx = tape.leaf(x, requires_grad=True)
-    projected = dc.ball_project(tx, max_norm)
-    clipped = dc.clip_min(tx, floor)
-    rows = dc.tsum(dc.matmul(projected, dc.swap_last(clipped)), axis=-1)
-    cols = dc.tsum(projected * clipped, axis=0, keepdims=True)
-    # ty's gradient is -0.0 throughout, which pins the sign of a zero
-    ty = tape.leaf(x, requires_grad=True)
-    loss = (dc.tsum(rows * rows) + dc.tsum(cols * tape.constant([1.0, -2.0, 3.0]))
-            + dc.tsum(dc.tmax(clipped, axis=-1)) + dc.tsum(projected)
-            + dc.tsum(dc.tsum(ty, axis=0) * tape.constant(-0.0)))
+
+    def build():
+        tape = dc.Tape()
+        tx = tape.leaf(x, requires_grad=True)
+        projected = dc.ball_project(tx, max_norm)
+        clipped = dc.clip_min(tx, floor)
+        rows = dc.tsum(dc.matmul(projected, dc.swap_last(clipped)), axis=-1)
+        cols = dc.tsum(projected * clipped, axis=0, keepdims=True)
+        # ty's gradient is -0.0 throughout, which pins the sign of a zero
+        ty = tape.leaf(x, requires_grad=True)
+        loss = (dc.tsum(rows * rows) + dc.tsum(cols * tape.constant([1.0, -2.0, 3.0]))
+                + dc.tsum(dc.tmax(clipped, axis=-1)) + dc.tsum(projected)
+                + dc.tsum(dc.tsum(ty, axis=0) * tape.constant(-0.0)))
+        return tape, (tx, ty, projected, clipped), loss
+
+    with pytest.MonkeyPatch.context() as m:
+        _reference_tape(m)
+        ref_tape, _, ref_loss = build()
+    ref = _reference_backward(ref_tape, ref_loss)
+    tape, (tx, ty, projected, clipped), loss = build()
     grads = {t.nid: g for t, g in dc.backward(tape, loss).items()}
-    ref = _reference_backward(tape, loss)
     assert grads.keys() == ref.keys() == {tx.nid, ty.nid}
     for nid, g in grads.items():
         assert _same_bits(g, ref[nid]), nid
@@ -806,7 +1081,7 @@ def test_vjp_rules_equal_the_reference_at_the_boundaries(x):
                       (clipped, (x > floor).all())):
         node = tape.nodes[t.nid]
         (rule,) = dc._BACKWARD[node.op]
-        assert (rule(g, node.value, [x], node.attrs) is g) == passes, node.op
+        assert (rule(g, node, [x], node.attrs) is g) == passes, node.op
 
 
 # ---------------------------------------------------------------------------
@@ -884,7 +1159,7 @@ def test_each_map_widens_its_rows_once(name):
     weight = tape.leaf(rng.normal(size=(n, n)), requires_grad=True)
     start = len(tape.nodes)
     getattr(dg, name)(x, *([weight] if name == "mobius_matvec" else []))
-    ops = [(node.op, np.shape(node.value)) for node in tape.nodes[start:]]
+    ops = [(node.op, node.shape) for node in tape.nodes[start:]]
     after_norms = ops[max(i for i, (op, _) in enumerate(ops) if op == "norm") + 1:]
     wide = [op for op, shape in after_norms if shape == (b, l, n)]
     assert wide == (["mul"] if name == "logmap0" else ["mul", "ball_project"]), ops
@@ -1330,3 +1605,40 @@ def test_train_classifier_frees_each_step_tape_before_the_next(geometry):
     step_peak = _traced_peak(one_step)
     epoch_peak = _traced_peak(lambda: train.train_classifier(dataset, token_map, cfg, steps))
     assert epoch_peak <= 1.5 * step_peak, (epoch_peak / step_peak, step_peak)
+
+
+@pytest.mark.parametrize("geometry, bound", [("poincare", 0.7), ("euclidean", 0.6)])
+def test_a_forward_holds_well_under_the_arrays_it_recorded(geometry, bound):
+    # a node keeps only what its VJP reads, so of the arrays a forward
+    # records, those that no VJP reads are freed when the forward drops them;
+    # a tape that kept every value would hold slightly more than all of them
+    cfg = hf.TransformerConfig(geometry=geometry, model_dim=48, num_heads=4, head_dim=12,
+                               ffn_dim=96, max_seq_len=32)
+    rng = np.random.default_rng(0)
+    params = hf.init_params(cfg, rng)
+    points = rng.normal(size=(8, 32, 48))
+    points *= 0.5 / np.linalg.norm(points, axis=-1, keepdims=True)
+    unk, mask = np.zeros((8, 32, 1)), np.ones((8, 32))
+    labels = rng.integers(0, cfg.num_classes, size=8)
+    with recorded_bytes() as recorded:
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            step = train._forward_batch(params, points, unk, mask, labels, cfg)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+    assert len(step[0].nodes) > 0
+    assert held <= bound * recorded[0], (held / recorded[0], held, recorded[0])
+
+
+def test_tape_memory_harness_reports_the_desk_step(capsys):
+    report = tape_memory.main(["--sizes", "desk", "--steps", "2"])
+    assert json.loads(capsys.readouterr().out) == report
+    assert report["memory"]["desk"]["poincare"]["nodes"] == 1251
+    assert report["memory"]["desk"]["euclidean"]["nodes"] == 166
+    for geometry in hf.GEOMETRIES:
+        memory = report["memory"]["desk"][geometry]
+        assert memory["tape_bytes"] > 0
+        assert 0 < memory["traced_after_forward_bytes"] <= memory["step_peak_bytes"]
+        assert report["step_ms"]["desk"][geometry] > 0

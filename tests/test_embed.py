@@ -1077,6 +1077,34 @@ def test_embedding_file_refuses_hyperboloid_rows_of_the_lower_sheet(tmp_path, ca
         embed.read_embeddings(path)
 
 
+@pytest.mark.parametrize("row", ["a 0 0 1e200", "b 1e180 1e180 1e200"])
+def test_embedding_file_refuses_far_rows_off_the_hyperboloid(tmp_path, row):
+    # t^2 overflows to inf, so the unscaled test, inf > 1e-7 inf, would pass them
+    path = tmp_path / "emb.txt"
+    path.write_text(f"2 2 hyperboloid\no 0 0 1\n{row}\n", encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:3: row is not on the "
+                                             r"hyperboloid$"):
+            embed.read_embeddings(path)
+
+
+def test_embedding_file_loads_far_rows_on_the_hyperboloid(tmp_path, caplog):
+    # |s| = t = 1e200 to float64 precision: (s / t)^2 - 1 + 1 / t^2 rounds to 0
+    path = tmp_path / "emb.txt"
+    path.write_text("2 2 hyperboloid\no 0 0 1\nc 6e199 -8e199 1e200\n", encoding="utf-8")
+    with warnings.catch_warnings(), caplog.at_level(logging.WARNING, logger="gyronet"):
+        warnings.simplefilter("error")
+        tokens, matrix, geometry = embed.read_embeddings(path)
+        token_map = train.load_embedding_points(path, "poincare")
+    assert (tokens, geometry) == (["o", "c"], "hyperboloid")
+    np.testing.assert_array_equal(matrix[1], [6e199, -8e199, 1e200])
+    # the far row goes onto the ball's shell, along its direction
+    np.testing.assert_allclose(token_map.points[1], np.array([0.6, -0.8]) * (1 - 1e-5),
+                               rtol=1e-12)
+    assert len(caplog.records) == 1 and "moved 1 of 2 rows" in caplog.records[0].getMessage()
+
+
 def test_embedding_file_invalid_utf8_names_line(tmp_path):
     path = tmp_path / "emb.txt"
     path.write_bytes(b"1 2 euclidean\n\xff 0.1 0.2\n")

@@ -10,6 +10,7 @@ from gyronet import diffgeom as dg
 from gyronet import geometry as geo
 from gyronet import hypformer as hf
 from gyronet.checks import random_ball_points
+from taperecord import node_log
 
 
 def _config(**kw):
@@ -423,9 +424,11 @@ def test_blocks_flat_limit_is_euclidean(rng):
 
 def _recorded(block, arrays):
     """Output value and (op, inputs) sequence of ``block`` on a new tape."""
-    tape = dc.Tape()
-    out = block(*[tape.constant(a) for a in arrays])
-    return out.value, [(node.op, node.inputs) for node in tape.nodes]
+    with node_log() as log:
+        tape = dc.Tape()
+        out = block(*[tape.constant(a) for a in arrays])
+    assert len(log) == len(tape.nodes)
+    return out.value, [(node.op, node.inputs) for node in log]
 
 
 def test_euclidean_forward_calls_no_diffgeom(rng, monkeypatch):
@@ -464,8 +467,10 @@ def test_classifier_forward_clamps_points_into_the_ball(rng):
 
 def test_intermediate_points_stay_in_ball(rng):
     cfg = _config(num_layers=2)
-    tape, params, scores = _forward(cfg, rng)
-    for node in tape.nodes:
+    with node_log() as log:
+        tape, params, scores = _forward(cfg, rng)
+    assert len(log) == len(tape.nodes)
+    for node in log:
         assert np.all(np.isfinite(node.value))
 
 
