@@ -22,7 +22,7 @@ import numpy as np
 
 from . import bundle, checks, data, diffcore, embed, train
 from .geometry import EPS_BOUNDARY, to_hyperboloid, to_poincare
-from .hypformer import TransformerConfig, param_shapes
+from .hypformer import TransformerConfig, param_shapes, positions_on_the_shell
 
 log = logging.getLogger("gyronet")
 
@@ -253,6 +253,12 @@ def cmd_train_classifier(argv):
         num_classes=len(dataset.label_to_id), dropout=args.dropout,
         max_seq_len=args.max_seq_len, pe_scale=args.pe_scale,
         use_residual=args.residual)
+    if config.geometry == "poincare":
+        clamped, scale = positions_on_the_shell(config)
+        if clamped:
+            log.warning("exp_0 puts %d of %d positional encodings on the ball's 1 - %g shell "
+                        "at --pe-scale %g; --pe-scale %g keeps them all inside",
+                        clamped, config.max_seq_len, EPS_BOUNDARY, config.pe_scale, scale)
     settings = train.TrainSettings(
         epochs=args.epochs, batch_size=args.batch_size, seed=args.seed,
         lr=args.lr, manifold_lr=args.manifold_lr,

@@ -2,11 +2,59 @@
 
 A :class:`Tape` records primitive operations as they are executed eagerly,
 so the node list is topologically ordered by construction.  Every recorded
-value is checked to be finite at record time by
-:func:`gyronet.geometry._all_finite`; a non-finite value raises
-:class:`TapeError` naming the node index and op.  The one value the check
-skips is that of a ``ball_project`` that clamps no row: its rows all have
-norms below the shell, so every entry is finite.
+value is finite: a non-finite value raises :class:`TapeError` naming the
+node index and op.  Each :class:`Tensor` carries bounds ``lo <= |entry| <=
+hi`` that hold for all its entries, and each op computes its output's bounds
+from its inputs' with a few float operations.  :meth:`Tape.record` scans a
+value with :func:`gyronet.geometry._magnitude`, the one finite scan, only when
+its ``hi`` is not below ``_PROVEN = 2**1000``, and a scanned value takes the
+scan's result as its ``hi``: the square root of its sum of squares, or its
+largest ``|entry|`` when that sum overflows.  So each value is scanned at
+most once, and only when its op cannot prove it finite.
+
+Unknown is ``hi = inf, lo = 0``; every test of a bound is written so that a
+NaN bound (as from ``inf * 0``) reads as unknown, and ``min`` and ``max``
+take the operand that may be NaN first, since ``max(h, nan)`` is ``h``.  A
+finite Python-float leaf ``x`` has ``hi = lo = |x|``.  An array leaf, which
+holds parameters or data, is unknown and is not checked itself, so the first
+op that reads it scans its own output, and a non-finite leaf fails there.
+The rules, for inputs ``a`` and ``b`` with entries ``x`` and ``y``:
+
+- ``add``, ``sub``: ``|x +- y| <= |x| + |y|``, so ``hi = hi_a + hi_b``.
+- ``mul``: ``|xy| = |x||y|``, so ``hi = hi_a * hi_b`` and ``lo = lo_a * lo_b``.
+- ``div``: ``|x / y| <= hi_a / lo_b`` when ``lo_b > 0``; otherwise a divisor
+  may be 0 and the bound is unknown.
+- ``neg``, ``slice``, ``reshape``, ``swap_last``: the entries are the
+  input's, up to sign, so both bounds carry over.  ``relu`` and ``max``: each
+  entry is an input entry or 0, so ``hi`` carries over.
+- ``clip_min(f)``: each entry is an input entry or ``f``, so ``hi = max(|f|,
+  hi_a)``; each is at least ``f``, so ``lo = f`` when ``f > 0``.
+- ``tanh``: ``|tanh x| <= 1``.  ``softmax``: ``e_i <= sum(e)``, and so each
+  entry is at most 1.  Both hold for a finite input (``hi_a < inf``); a NaN
+  stays NaN.
+- ``exp``: ``exp(x) <= exp(hi_a)``, taken when ``hi_a < 700``: exp overflows
+  at 709.78.  ``atanh``: ``|atanh x| <= atanh(hi_a)``, taken when ``hi_a <
+  1 - 2**-20``, whose margin below the pole at 1 covers the rounding of the
+  input's bound.  ``asinh``: ``|asinh x| <= asinh(hi_a)``, for a finite
+  ``hi_a``.
+- ``log``: none.  ``lo`` bounds ``|x|``, not ``x``, so ``lo > 0`` allows a
+  negative entry, whose log is NaN.
+- ``matmul``: each entry sums ``k`` products of at most ``hi_a hi_b``, so
+  ``hi = k hi_a hi_b``.  ``sum``: ``hi = count * hi_a`` over the ``count``
+  terms of each sum.  ``norm``: ``sqrt(n hi_a**2) = sqrt(n) hi_a`` over ``n``
+  coordinates, taken while ``n hi_a**2 < 2**1000``, so that the sum of
+  squares cannot overflow.
+- ``ball_project``: a row it keeps has a norm below ``max_norm`` (a NaN norm
+  fails that test), so its entries are too; a clamped row of a finite input
+  is scaled by ``max_norm / norm <= 1``, or to 0 when its norm overflowed.
+  So ``hi = min(max_norm, hi_a)``, for any input when no row is clamped and
+  for a finite one when some row is.
+
+Each rule holds in real arithmetic; the op and the rule round, so an entry
+may pass its bound by a relative few units in the last place per op (``n``
+of them for an ``n``-term sum), compounded along the chain.  ``_PROVEN`` is
+2**24 below the largest double, so an entry of a value bounded below it
+could overflow only after more than 10**16 such roundings.
 
 A node keeps only what its VJP reads, as ``save_for_backward`` does in
 PyTorch: each op tells :meth:`Tape.record` whether to save its input values,
@@ -71,11 +119,19 @@ First-order gradients only.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .geometry import _TINY, _all_finite, _clamp, _inner, _norm, _sum_last
+from .geometry import _TINY, _clamp, _inner, _magnitude, _norm, _sum_last
 
 _all = np.logical_and.reduce
+_INF = math.inf
+# a value whose bound is below this has finite entries: 2^24 below the largest
+# double, which is far more than the rounding of any chain of bound rules
+_PROVEN = 2.0 ** 1000
+# atanh's bound needs its input's bound below 1 by more than that rounding
+_ATANH_MAX = 1.0 - 2.0 ** -20
 
 
 class Node:
@@ -106,16 +162,19 @@ class Node:
 
 
 class Tensor:
-    """Handle to a node on a tape, with that node's (immutable) value."""
+    """Handle to a node on a tape, with that node's (immutable) value and the
+    bounds ``lo <= |entry| <= hi`` that hold for every entry of it."""
 
-    __slots__ = ("tape", "nid", "value", "node", "norms")
+    __slots__ = ("tape", "nid", "value", "node", "norms", "hi", "lo")
 
-    def __init__(self, tape, nid, value, node=None):
+    def __init__(self, tape, nid, value, node=None, hi=_INF, lo=0.0):
         self.tape = tape
         self.nid = nid
         self.value = value
         self.node = node  # None on a forward-only tape
         self.norms = None  # _norm(value), when ball_project measured it
+        self.hi = hi
+        self.lo = lo
 
     @property
     def shape(self):
@@ -190,46 +249,59 @@ class Tape:
 
     def leaf(self, data, requires_grad=False):
         """A leaf node; a grad-enabled leaf keeps its value, a constant keeps
-        nothing (an op that reads it saves it)."""
+        nothing (an op that reads it saves it).  A finite Python float is its
+        own bound; an array's bound is unknown, and its value is not checked."""
         value = np.asarray(data, dtype=float)
+        hi = lo = abs(float(data)) if isinstance(data, float) else _INF
+        if not hi < _INF:
+            hi, lo = _INF, 0.0
         if not self.grad:
             self.skipped += 1
-            return Tensor(self, self.skipped - 1, value)
+            return Tensor(self, self.skipped - 1, value, None, hi, lo)
         nodes = self.nodes
         if requires_grad:
             self.params.append(len(nodes))
         node = Node("leaf", (), (), value if requires_grad else None, value.shape, {},
                     requires_grad)
         nodes.append(node)
-        return Tensor(self, len(nodes) - 1, value, node)
+        return Tensor(self, len(nodes) - 1, value, node, hi, lo)
 
     def constant(self, data):
         return self.leaf(data, requires_grad=False)
 
-    def record(self, op, inputs, value, *, _finite=False, _inputs=False, _out=False, **attrs):
-        """Append a node computed from ``inputs``; ``_finite`` marks a value
-        its op has already shown to be finite, which skips the check.  The
-        node saves the input values when ``_inputs`` and the value itself
-        when ``_out``: each op passes exactly what its VJP reads."""
+    def record(self, op, inputs, value, *, _hi=_INF, _lo=0.0, _inputs=False, _out=False,
+               **attrs):
+        """Append a node computed from ``inputs``, whose entries its op bounds
+        by ``_lo <= |entry| <= _hi``.  A value whose ``_hi`` is not below
+        ``_PROVEN`` is scanned, and takes the scan's bound.  The node saves
+        the input values when ``_inputs`` and the value itself when ``_out``:
+        each op passes exactly what its VJP reads."""
         nodes = self.nodes
-        if not (_finite or _all_finite(value)):
-            raise TapeError(f"non-finite value at node {len(nodes) + self.skipped} (op {op})")
+        if not _hi < _PROVEN:
+            _hi = _magnitude(value)
+            if not _hi < _INF:
+                raise TapeError(f"non-finite value at node {len(nodes) + self.skipped} (op {op})")
         if not self.grad:
             self.skipped += 1
-            return Tensor(self, self.skipped - 1, value)
-        parents = []
-        requires_grad = False
-        for t in inputs:
-            parent = t.node
-            parents.append(parent)
-            requires_grad = requires_grad or parent.requires_grad
-        parents = tuple(parents)
-        node = Node(op, parents, tuple([t.value for t in inputs]) if _inputs else parents,
-                    value if _out else None, value.shape, attrs, requires_grad)
+            return Tensor(self, self.skipped - 1, value, None, _hi, _lo)
+        if len(inputs) == 1:
+            a, = inputs
+            pa = a.node
+            parents = (pa,)
+            requires_grad = pa.requires_grad
+            operands = (a.value,) if _inputs else parents
+        else:
+            a, b = inputs
+            pa, pb = a.node, b.node
+            parents = (pa, pb)
+            requires_grad = pa.requires_grad or pb.requires_grad
+            operands = (a.value, b.value) if _inputs else parents
+        node = Node(op, parents, operands, value if _out else None, value.shape, attrs,
+                    requires_grad)
         if requires_grad:
             self.graded.append(node)
         nodes.append(node)
-        return Tensor(self, len(nodes) - 1, value, node)
+        return Tensor(self, len(nodes) - 1, value, node, _hi, _lo)
 
 
 def _unbroadcast(grad, shape):
@@ -281,14 +353,20 @@ def backward(tape: Tape, output: Tensor) -> dict[Tensor, np.ndarray]:
                 prev = parent.grad
                 parent.grad = pg if prev is None else prev + pg
                 continue
-            for parent, vjp in zip(parents, _BACKWARD[node.op]):
-                if not parent.requires_grad:
-                    continue
-                pg = vjp(g, out, node.operands, node.attrs)
-                if pg.shape != parent.shape:
-                    pg = _unbroadcast(pg, parent.shape)
-                prev = parent.grad
-                parent.grad = pg if prev is None else prev + pg
+            pa, pb = parents
+            rule_a, rule_b = _BACKWARD[node.op]
+            if pa.requires_grad:
+                pg = rule_a(g, out, node.operands, node.attrs)
+                if pg.shape != pa.shape:
+                    pg = _unbroadcast(pg, pa.shape)
+                prev = pa.grad
+                pa.grad = pg if prev is None else prev + pg
+            if pb.requires_grad:
+                pg = rule_b(g, out, node.operands, node.attrs)
+                if pg.shape != pb.shape:
+                    pg = _unbroadcast(pg, pb.shape)
+                prev = pb.grad
+                pb.grad = pg if prev is None else prev + pg
         result = {}
         nodes = tape.nodes
         for nid in tape.params:
@@ -322,7 +400,7 @@ def _same_tape(a, b):
 
 def add(a, b):
     tape = _same_tape(a, b)
-    return tape.record("add", (a, b), a.value + b.value)
+    return tape.record("add", (a, b), a.value + b.value, _hi=a.hi + b.hi)
 
 
 _BACKWARD["add"] = (lambda g, out, v, at: g,) * 2
@@ -330,7 +408,7 @@ _BACKWARD["add"] = (lambda g, out, v, at: g,) * 2
 
 def sub(a, b):
     tape = _same_tape(a, b)
-    return tape.record("sub", (a, b), a.value - b.value)
+    return tape.record("sub", (a, b), a.value - b.value, _hi=a.hi + b.hi)
 
 
 _BACKWARD["sub"] = (lambda g, out, v, at: g, lambda g, out, v, at: -g)
@@ -338,7 +416,8 @@ _BACKWARD["sub"] = (lambda g, out, v, at: g, lambda g, out, v, at: -g)
 
 def mul(a, b):
     tape = _same_tape(a, b)
-    return tape.record("mul", (a, b), a.value * b.value, _inputs=True)
+    return tape.record("mul", (a, b), a.value * b.value, _hi=a.hi * b.hi, _lo=a.lo * b.lo,
+                       _inputs=True)
 
 
 def _narrow(x, g):
@@ -354,7 +433,9 @@ _BACKWARD["mul"] = (lambda g, out, v, at: _inner(g, v[1]) if _narrow(v[0], g) el
 
 def div(a, b):
     tape = _same_tape(a, b)
-    return tape.record("div", (a, b), a.value / b.value, _inputs=True)
+    lo = b.lo
+    return tape.record("div", (a, b), a.value / b.value, _hi=a.hi / lo if lo > 0.0 else _INF,
+                       _inputs=True)
 
 
 _BACKWARD["div"] = (lambda g, out, v, at: g / v[1],
@@ -363,7 +444,7 @@ _BACKWARD["div"] = (lambda g, out, v, at: g / v[1],
 
 
 def neg(a):
-    return a.tape.record("neg", (a,), -a.value)
+    return a.tape.record("neg", (a,), -a.value, _hi=a.hi, _lo=a.lo)
 
 
 _BACKWARD["neg"] = (lambda g, out, v, at: -g,)
@@ -371,7 +452,9 @@ _BACKWARD["neg"] = (lambda g, out, v, at: -g,)
 
 def matmul(a, b):
     tape = _same_tape(a, b)
-    return tape.record("matmul", (a, b), a.value @ b.value, _inputs=True)
+    x = a.value
+    return tape.record("matmul", (a, b), x @ b.value, _hi=x.shape[-1] * a.hi * b.hi,
+                       _inputs=True)
 
 
 _BACKWARD["matmul"] = (lambda g, out, v, at: g @ v[1].swapaxes(-1, -2),
@@ -379,11 +462,13 @@ _BACKWARD["matmul"] = (lambda g, out, v, at: g @ v[1].swapaxes(-1, -2),
 
 
 def tsum(a, axis=None, keepdims=False):
+    x = a.value
     if axis == -1:
-        value = _sum_last(a.value) if keepdims else _sum_last(a.value)[..., 0]
+        value = _sum_last(x) if keepdims else _sum_last(x)[..., 0]
     else:
-        value = np.add.reduce(a.value, axis=axis, keepdims=keepdims)
-    return a.tape.record("sum", (a,), value, axis=axis, keepdims=keepdims)
+        value = np.add.reduce(x, axis=axis, keepdims=keepdims)
+    count = x.size // max(value.size, 1)  # the terms of each sum
+    return a.tape.record("sum", (a,), value, _hi=count * a.hi, axis=axis, keepdims=keepdims)
 
 
 def _expand_reduced(g, x_shape, axis, keepdims):
@@ -401,7 +486,7 @@ _BACKWARD["sum"] = (
 
 def tmax(a, axis=None, keepdims=False):
     return a.tape.record("max", (a,), np.maximum.reduce(a.value, axis=axis, keepdims=keepdims),
-                         _inputs=True, _out=True, axis=axis, keepdims=keepdims)
+                         _hi=a.hi, _inputs=True, _out=True, axis=axis, keepdims=keepdims)
 
 
 def _max_bwd(g, out, v, at):
@@ -419,33 +504,38 @@ def _max_bwd(g, out, v, at):
 _BACKWARD["max"] = (_max_bwd,)
 
 
-def _unary(name, f, vjp, saves):
+def _unary(name, f, vjp, saves, bound):
     """An elementwise op whose VJP reads its input (``saves`` "input") or its
-    output ("out")."""
+    output ("out"), and whose output is bounded by ``bound(hi)`` of its
+    input's bound."""
     inputs, out = saves == "input", saves == "out"
 
     def op(a):
-        return a.tape.record(name, (a,), f(a.value), _inputs=inputs, _out=out)
+        return a.tape.record(name, (a,), f(a.value), _hi=bound(a.hi), _inputs=inputs, _out=out)
 
     _BACKWARD[name] = (vjp,)
     return op
 
 
-exp = _unary("exp", np.exp, lambda g, out, v, at: g * out, "out")
-log = _unary("log", np.log, lambda g, out, v, at: g / v[0], "input")
-tanh = _unary("tanh", np.tanh, lambda g, out, v, at: g * (1.0 - out * out), "out")
-atanh = _unary("atanh", np.arctanh, lambda g, out, v, at: g / (1.0 - v[0] * v[0]), "input")
+exp = _unary("exp", np.exp, lambda g, out, v, at: g * out, "out",
+             lambda h: math.exp(h) if h < 700.0 else _INF)
+log = _unary("log", np.log, lambda g, out, v, at: g / v[0], "input", lambda h: _INF)
+tanh = _unary("tanh", np.tanh, lambda g, out, v, at: g * (1.0 - out * out), "out",
+              lambda h: 1.0 if h < _INF else _INF)
+atanh = _unary("atanh", np.arctanh, lambda g, out, v, at: g / (1.0 - v[0] * v[0]), "input",
+               lambda h: math.atanh(h) if h < _ATANH_MAX else _INF)
 asinh = _unary("asinh", np.arcsinh, lambda g, out, v, at: g / np.sqrt(1.0 + v[0] * v[0]),
-               "input")
+               "input", lambda h: math.asinh(h) if h < _INF else _INF)
 relu = _unary("relu", lambda x: np.maximum(x, 0.0), lambda g, out, v, at: g * (v[0] > 0.0),
-              "input")
+              "input", lambda h: h)
 
 
 def softmax(a):
     """Softmax over the last axis."""
     x = a.value
     e = np.exp(x - np.max(x, axis=-1, keepdims=True))
-    return a.tape.record("softmax", (a,), e / _sum_last(e), _out=True)
+    return a.tape.record("softmax", (a,), e / _sum_last(e), _hi=1.0 if a.hi < _INF else _INF,
+                         _out=True)
 
 
 _BACKWARD["softmax"] = (lambda g, out, v, at: out * (g - _sum_last(g * out)),)
@@ -453,8 +543,9 @@ _BACKWARD["softmax"] = (lambda g, out, v, at: out * (g - _sum_last(g * out)),)
 
 def norm(a):
     """Euclidean norm over the last axis, which is kept with length 1."""
-    n = a.norms
-    return a.tape.record("norm", (a,), _norm(a.value) if n is None else n, _inputs=True,
+    n, h, k = a.norms, a.hi, a.value.shape[-1]
+    return a.tape.record("norm", (a,), _norm(a.value) if n is None else n,
+                         _hi=math.sqrt(k) * h if k * h * h < _PROVEN else _INF, _inputs=True,
                          _out=True)
 
 
@@ -462,7 +553,7 @@ _BACKWARD["norm"] = (lambda g, out, v, at: v[0] * (g / np.maximum(out, _TINY)),)
 
 
 def tslice(a, key):
-    return a.tape.record("slice", (a,), a.value[key], key=key)
+    return a.tape.record("slice", (a,), a.value[key], _hi=a.hi, _lo=a.lo, key=key)
 
 
 def _slice_bwd(g, out, v, at):
@@ -475,7 +566,8 @@ _BACKWARD["slice"] = (_slice_bwd,)
 
 
 def reshape(a, shape):
-    return a.tape.record("reshape", (a,), np.reshape(a.value, shape), shape=shape)
+    return a.tape.record("reshape", (a,), np.reshape(a.value, shape), _hi=a.hi, _lo=a.lo,
+                         shape=shape)
 
 
 _BACKWARD["reshape"] = (lambda g, out, v, at: np.reshape(g, np.shape(v[0])),)
@@ -483,7 +575,7 @@ _BACKWARD["reshape"] = (lambda g, out, v, at: np.reshape(g, np.shape(v[0])),)
 
 def swap_last(a):
     """Transpose the last two axes (used for attention score matrices)."""
-    return a.tape.record("swap_last", (a,), np.swapaxes(a.value, -1, -2))
+    return a.tape.record("swap_last", (a,), np.swapaxes(a.value, -1, -2), _hi=a.hi, _lo=a.lo)
 
 
 _BACKWARD["swap_last"] = (lambda g, out, v, at: np.swapaxes(g, -1, -2),)
@@ -491,8 +583,10 @@ _BACKWARD["swap_last"] = (lambda g, out, v, at: np.swapaxes(g, -1, -2),)
 
 def clip_min(a, floor):
     """Elementwise lower clamp; gradient is identity above the floor, zero below."""
-    return a.tape.record("clip_min", (a,), np.maximum(a.value, floor), _inputs=True,
-                         floor=floor)
+    f = float(floor)
+    # the floor first: max(h, nan) would be h
+    return a.tape.record("clip_min", (a,), np.maximum(a.value, floor), _hi=max(abs(f), a.hi),
+                         _lo=f if f > 0.0 else 0.0, _inputs=True, floor=floor)
 
 
 def _clip_min_bwd(g, out, v, at):
@@ -513,11 +607,12 @@ def ball_project(a, max_norm):
     carries its row norms.
     """
     x, inside, n = _clamp(a.value, max_norm)
-    # rows that are all inside have finite norms below the shell, so every
-    # entry of the unclamped value is finite
     unclamped = x is a.value
-    out = a.tape.record("ball_project", (a,), x, _finite=unclamped, max_norm=max_norm,
-                        inside=inside, clamped=not unclamped)
+    h = a.hi
+    # max_norm first: min(h, nan) would be h
+    out = a.tape.record("ball_project", (a,), x,
+                        _hi=min(float(max_norm), h) if unclamped or h < _INF else _INF,
+                        max_norm=max_norm, inside=inside, clamped=not unclamped)
     if unclamped:
         out.norms = n
     return out

@@ -22,15 +22,24 @@ EPS_BOUNDARY = 1e-5
 _TINY = 1e-15  # floor of a dividing norm; artanh's argument stays <= 1 - _TINY
 
 
+def _magnitude(x):
+    """A bound on every |entry| of the array ``x`` that is finite exactly when
+    every entry is: the one finite scan of the tape, the skip-gram trainer and
+    the optimizers.  It is the square root of the sum of squares, which one
+    ``np.vdot`` gives for most arrays.  The largest |entry| decides when that
+    sum is not finite (a NaN, an infinity, or finite entries of 1.4e154 or more,
+    whose squares overflow) and for an ``x`` that is not C-contiguous, which
+    ``np.vdot`` would copy; ``np.maximum`` carries a NaN through."""
+    if x.flags.c_contiguous:
+        m = math.sqrt(np.vdot(x, x))
+        if m < math.inf:
+            return m
+    return float(np.maximum.reduce(np.abs(x), axis=None, initial=0.0))
+
+
 def _all_finite(x):
-    """Whether every entry of the array ``x`` is finite; the one finite check
-    of the tape, the skip-gram trainer and the optimizers.  A sum of squares is
-    finite only when every entry is, so one ``np.vdot`` decides most arrays.
-    The exact ``np.isfinite`` reduction decides when it is not (a NaN, an
-    infinity, or finite entries of 1.4e154 or more, whose squares overflow),
-    and for an ``x`` that is not C-contiguous, which ``np.vdot`` would copy."""
-    return (x.flags.c_contiguous and math.isfinite(np.vdot(x, x))) \
-        or np.logical_and.reduce(np.isfinite(x), axis=None)
+    """Whether every entry of the array ``x`` is finite, by :func:`_magnitude`."""
+    return _magnitude(x) < math.inf
 
 
 def _sum_last(a):

@@ -23,6 +23,7 @@ import numpy as np
 
 from . import diffcore as dc
 from . import diffgeom as dg
+from .geometry import EPS_BOUNDARY
 
 GEOMETRIES = ("euclidean", "poincare")
 
@@ -101,6 +102,23 @@ def positional_encoding_matrix(length, d):
     pe[:, 0::2] = np.sin(angles)
     pe[:, 1::2] = np.cos(angles[:, :d // 2])
     return pe
+
+
+def positions_on_the_shell(config: TransformerConfig):
+    """How many of the ``max_seq_len`` positional encodings exp_0 puts on the
+    ball's ``1 - EPS_BOUNDARY`` shell, where the projection clamps them, and
+    the largest ``pe_scale`` of three significant digits that keeps them all
+    inside.
+
+    exp_0 maps a tangent vector of norm r to a point of norm c tanh(r / c),
+    which reaches the shell at r = c artanh(1 - EPS_BOUNDARY).
+    """
+    norms = np.linalg.norm(positional_encoding_matrix(config.max_seq_len, config.model_dim),
+                           axis=-1)
+    reach = config.curvature * math.atanh(1.0 - EPS_BOUNDARY)
+    limit = reach / float(norms.max())  # the scale at which the farthest encoding gets there
+    step = 10.0 ** (math.floor(math.log10(limit)) - 2)
+    return int(np.sum(abs(config.pe_scale) * norms >= reach)), (math.ceil(limit / step) - 1) * step
 
 
 def param_shapes(config: TransformerConfig):
@@ -282,6 +300,9 @@ def classifier_forward(tape, params, points, mask, config: TransformerConfig,
         q, k, v = [_matvec(x, params[p + t], c) for t in ("wq", "wk", "wv")]
         heads = [split_heads(t, config.num_heads, config.head_dim, c) for t in (q, k, v)]
         outs = [hyperbolic_attention(qi, ki, vi, mask_bias, c) for qi, ki, vi in zip(*heads)]
+        # a forward-only tape holds none of these, so the merge, where the
+        # forward's memory peaks, runs without them
+        del q, k, v, heads
         merged = merge_heads(outs, [params[p + "merge"][j] for j in range(config.num_heads)], c)
         if config.use_residual:
             merged = _add(x, merged, c)

@@ -1,7 +1,7 @@
 """Step-memory harness: what one classifier training step holds.
 
 For each geometry and size it builds untrained parameters and a batch of
-input rows of norm 0.5, then reports
+input rows of norm 0.5.  For a training size it reports, under ``memory``,
 
 - ``nodes``: the tape's node count;
 - ``tape_bytes``: the bytes of the arrays the tape's nodes hold after the
@@ -10,20 +10,28 @@ input rows of norm 0.5, then reports
   forward, above what was live before it;
 - ``step_peak_bytes``: tracemalloc's peak over the forward and ``backward``;
 
-all deterministic, and in its own field the median wall time of a step
-(forward and ``backward``) in ms, with tracemalloc off.  Sizes:
+and for the ``eval`` size, which runs a forward-only tape as evaluation
+does, ``forward_peak_bytes``: tracemalloc's peak over that forward.  Under
+``scans`` it gives the values one forward records and how many of them
+``Tape.record`` scans, the rest being proved finite by their bounds.  These
+are deterministic.  Each size also reports median wall times in ms, with
+tracemalloc off: ``forward_ms``, and for a training size ``backward_ms`` and
+``step_ms`` (forward and ``backward`` timed as one).  Sizes:
 
 - ``desk``: the default classifier (dim 16, 2 layers, 4 heads of 4, FFN 32),
   batch 16, length 6;
+- ``eval``: the desk classifier on one evaluation chunk of
+  ``EVAL_BATCH_SIZE * 64`` positions: 227 utterances of length 9;
 - ``paper``: the ``hyp-c2v-100`` presets' size (dim 100, 4 heads of 25, FFN
   200), batch 16, length 64.
 
 Run from the repository root, with OpenBLAS on one thread for timings::
 
-    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/tape_memory.py [--sizes desk paper] [--steps N]
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/tape_memory.py [--sizes SIZE ...] [--steps N]
 
-It prints one JSON object, ``{"memory": {...}, "step_ms": {...}}``, keyed
-by size and then geometry.  pytest does not collect this file.
+It prints one JSON object whose keys are ``memory``, ``scans`` and the
+timings, each keyed by size and then geometry.  pytest does not collect this
+file.
 """
 
 import argparse
@@ -39,8 +47,10 @@ from gyronet import diffcore as dc
 from gyronet import hypformer as hf
 from gyronet import train
 
+_DESK = dict(model_dim=16, num_heads=4, head_dim=4, ffn_dim=32)
 SIZES = {
-    "desk": (dict(model_dim=16, num_heads=4, head_dim=4, ffn_dim=32), 16, 6),
+    "desk": (_DESK, 16, 6),
+    "eval": (_DESK, train.EVAL_BATCH_SIZE * 64 // 9, 9),
     "paper": (dict(model_dim=100, num_heads=4, head_dim=25, ffn_dim=200), 16, 64),
 }
 
@@ -81,35 +91,76 @@ def _held_bytes(nodes):
     return sum(bases.values())
 
 
+def count_scans(forward):
+    """(values recorded, values scanned) by one call of ``forward``."""
+    recorded, scanned = [0], [0]
+    record, magnitude = dc.Tape.record, dc._magnitude
+
+    def counted_record(self, *args, **kwargs):
+        recorded[0] += 1
+        return record(self, *args, **kwargs)
+
+    def counted_magnitude(value):
+        scanned[0] += 1
+        return magnitude(value)
+
+    dc.Tape.record, dc._magnitude = counted_record, counted_magnitude
+    try:
+        forward()
+    finally:
+        dc.Tape.record, dc._magnitude = record, magnitude
+    return recorded[0], scanned[0]
+
+
+def _median_ms(times):
+    return round(statistics.median(times) * 1e3, 3)
+
+
 def measure(geometry, size, steps):
+    """The reports of one geometry at one size: {report key: value}."""
     cfg, params, points, unk, mask, labels = step_inputs(geometry, size)
+    grad = size != "eval"
 
     def forward():
-        return train._forward_batch(params, points, unk, mask, labels, cfg)
+        return train._forward_batch(params, points, unk, mask, labels, cfg, grad=grad)
 
     tape, _, _, loss = forward()  # warm up
-    dc.backward(tape, loss)
+    if grad:
+        dc.backward(tape, loss)
     del tape, loss
+    values, scanned = count_scans(forward)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         tape, _, _, loss = forward()
         after_forward = tracemalloc.get_traced_memory()[0] - before
-        dc.backward(tape, loss)
+        if grad:
+            dc.backward(tape, loss)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    memory = {"nodes": len(tape.nodes), "tape_bytes": _held_bytes(tape.nodes),
-              "traced_after_forward_bytes": after_forward, "step_peak_bytes": peak}
+    if grad:
+        memory = {"nodes": len(tape.nodes), "tape_bytes": _held_bytes(tape.nodes),
+                  "traced_after_forward_bytes": after_forward, "step_peak_bytes": peak}
+    else:
+        memory = {"forward_peak_bytes": peak}
     del tape, loss
-    times = []
+    fwd, bwd = [], []
     for _ in range(steps):
         t0 = time.perf_counter()
         tape, _, _, loss = forward()
-        dc.backward(tape, loss)
-        times.append((time.perf_counter() - t0) * 1e3)
+        t1 = time.perf_counter()
+        if grad:
+            dc.backward(tape, loss)
+        fwd.append(t1 - t0)
+        bwd.append(time.perf_counter() - t1)
         del tape, loss
-    return memory, round(statistics.median(times), 3)
+    report = {"memory": memory, "scans": {"values": values, "scanned": scanned},
+              "forward_ms": _median_ms(fwd)}
+    if grad:
+        report["backward_ms"] = _median_ms(bwd)
+        report["step_ms"] = _median_ms([f + b for f, b in zip(fwd, bwd)])
+    return report
 
 
 def main(argv=None):
@@ -117,14 +168,11 @@ def main(argv=None):
     parser.add_argument("--sizes", nargs="+", choices=sorted(SIZES), default=sorted(SIZES))
     parser.add_argument("--steps", type=int, default=15, help="timed steps per case")
     args = parser.parse_args(argv)
-    report = {"memory": {}, "step_ms": {}}
+    report = {}
     for size in args.sizes:
-        for key in report:
-            report[key][size] = {}
         for geometry in hf.GEOMETRIES:
-            memory, ms = measure(geometry, size, args.steps)
-            report["memory"][size][geometry] = memory
-            report["step_ms"][size][geometry] = ms
+            for key, value in measure(geometry, size, args.steps).items():
+                report.setdefault(key, {}).setdefault(size, {})[geometry] = value
     json.dump(report, sys.stdout, indent=2, sort_keys=True)
     print()
     return report

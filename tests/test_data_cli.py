@@ -929,6 +929,29 @@ def test_cli_non_finite_embedding_names_file_and_line(tmp_path, capsys):
     assert f"error: {emb}:4: non-finite coordinate" in capsys.readouterr().err
 
 
+def test_train_classifier_warns_when_positional_encodings_reach_the_shell(tmp_path, caplog):
+    # a sinusoidal encoding row has norm sqrt(d / 2): 7.07 at dim 100, whose
+    # exp_0 at scale 1 lies past the 1 - 1e-5 shell, and 2.83 at dim 16
+    dataset, chars = _tiny_dataset(tmp_path)
+    warned = {}
+    for dim, scale in ((100, "1"), (100, "0.863"), (16, "1")):
+        emb = tmp_path / f"b{dim}.txt"
+        embed.write_embeddings(emb, chars, np.random.default_rng(0).normal(0, 0.01,
+                                                                            (len(chars), dim)),
+                               "poincare")
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="gyronet"):
+            assert cli.main(["train-classifier", "--embeddings", str(emb), "--data",
+                             str(dataset), "--epochs", "1", "--layers", "1", "--heads", "2",
+                             "--pe-scale", scale, "--out", str(tmp_path / "m.bin")]) == 0
+        warned[dim, scale] = [r.getMessage() for r in caplog.records
+                              if r.levelno == logging.WARNING]
+    assert warned == {
+        (100, "1"): ["exp_0 puts 64 of 64 positional encodings on the ball's 1 - 1e-05 shell "
+                     "at --pe-scale 1; --pe-scale 0.863 keeps them all inside"],
+        (100, "0.863"): [], (16, "1"): []}
+
+
 def _tiny_euclidean_model(tmp_path):
     """(dataset, dim-4 embeddings, one-layer two-head euclidean model) paths."""
     dataset, chars = _tiny_dataset(tmp_path)

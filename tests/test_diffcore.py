@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tape_memory
@@ -816,8 +816,8 @@ def _reference_leaf(self, data, requires_grad=False):
     return dc.Tensor(self, len(self.nodes) - 1, value)
 
 
-def _reference_record(self, op, inputs, value, *, _finite=False, _inputs=False, _out=False,
-                      **attrs):
+def _reference_record(self, op, inputs, value, *, _hi=None, _lo=None, _inputs=False,
+                      _out=False, **attrs):
     nodes = self.nodes
     if not np.isfinite(value).all():
         raise dc.TapeError(f"non-finite value at node {len(nodes)} (op {op})")
@@ -1309,13 +1309,171 @@ def test_a_projection_of_rows_that_are_not_finite_fails_at_the_same_node(grad, b
 @pytest.mark.parametrize("grad", [True, False], ids=["recording", "forward-only"])
 def test_an_unclamped_projection_is_not_checked_again(monkeypatch, grad):
     checked = []
-    monkeypatch.setattr(dc, "_all_finite", lambda v: checked.append(v) or geo._all_finite(v))
+    monkeypatch.setattr(dc, "_magnitude", lambda v: checked.append(v) or geo._magnitude(v))
     tape = dc.Tape(grad=grad)
     tx = tape.leaf(np.array([[0.1, 0.2], [0.0, -0.0]]), requires_grad=True)
     out = dc.ball_project(tx, 1.0 - geo.EPS_BOUNDARY)
     assert out.value is tx.value and not checked
     clamped = dc.ball_project(tx, 0.1)
     assert clamped.value is not tx.value and len(checked) == 1 and checked[0] is clamped.value
+
+
+# ---------------------------------------------------------------------------
+# Magnitude bounds: a value is scanned only when its op cannot bound it
+# ---------------------------------------------------------------------------
+
+def _with_bounds(t):
+    """``t`` with its tightest bounds: its largest and smallest |entry|."""
+    a = np.abs(t.value)
+    t.hi, t.lo = float(a.max()), float(a.min())
+    return t
+
+
+# op -> (forward of two tensors and a drawn parameter, whether it takes a
+# second tensor); the parameter is clip_min's floor and ball_project's radius
+_BOUND_OPS = {
+    "add": (lambda a, b, p: a + b, True),
+    "sub": (lambda a, b, p: a - b, True),
+    "mul": (lambda a, b, p: a * b, True),
+    "div": (lambda a, b, p: a / b, True),
+    "matmul": (lambda a, b, p: dc.matmul(a, b), True),
+    "neg": (lambda a, b, p: -a, False),
+    "exp": (lambda a, b, p: dc.exp(a), False),
+    "log": (lambda a, b, p: dc.log(a), False),
+    "tanh": (lambda a, b, p: dc.tanh(a), False),
+    "atanh": (lambda a, b, p: dc.atanh(a), False),
+    "asinh": (lambda a, b, p: dc.asinh(a), False),
+    "relu": (lambda a, b, p: dc.relu(a), False),
+    "softmax": (lambda a, b, p: dc.softmax(a), False),
+    "norm": (lambda a, b, p: dc.norm(a), False),
+    "sum-last": (lambda a, b, p: dc.tsum(a, axis=-1, keepdims=True), False),
+    "sum-first": (lambda a, b, p: dc.tsum(a, axis=0), False),
+    "sum-all": (lambda a, b, p: dc.tsum(a), False),
+    "max": (lambda a, b, p: dc.tmax(a, axis=-1, keepdims=True), False),
+    "slice": (lambda a, b, p: a[::-1, 1:], False),
+    "reshape": (lambda a, b, p: dc.reshape(a, a.shape[::-1]), False),
+    "swap_last": (lambda a, b, p: dc.swap_last(a), False),
+    "clip_min": (lambda a, b, p: dc.clip_min(a, p), False),
+    "ball_project": (lambda a, b, p: dc.ball_project(a, abs(p)), False),
+}
+
+
+def _entries(draw, shape, low, high):
+    """An array of ``shape`` whose entries have magnitudes 10**u, u drawn in
+    [low, high], random signs and some exact zeros."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(low, high, shape)
+    return np.where(rng.random(shape) < draw(st.sampled_from([0.0, 0.2])), 0.0, x)
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(st.sampled_from(sorted(_BOUND_OPS)), st.data())
+def test_every_op_bound_holds_and_each_finite_value_is_scanned_only_where_its_rule_says(name,
+                                                                                       data):
+    forward, binary = _BOUND_OPS[name]
+    low, high = data.draw(st.sampled_from([(-4.0, 0.0), (-2.0, 2.0), (0.0, 4.0)]))
+    x = _entries(data.draw, (3, 4), low, high)
+    if name == "atanh":  # inside (-1, 1), up to the largest double below 1
+        x = np.clip(np.tanh(x), -np.nextafter(1.0, 0.0), np.nextafter(1.0, 0.0))
+    tape = dc.Tape(grad=data.draw(st.booleans()))
+    a = _with_bounds(tape.constant(x))
+    if name != "matmul" and data.draw(st.booleans()):  # a float is its own bound
+        b = tape.leaf(float(_entries(data.draw, (), low, high)))
+    else:
+        b = _with_bounds(tape.constant(_entries(data.draw, (4, 2) if name == "matmul" else (3, 4),
+                                                low, high)))
+    param = data.draw(st.sampled_from([-1.0, 0.0, 1e-15, 0.5, 3.0]))
+    scanned = []
+    with pytest.MonkeyPatch.context() as m, np.errstate(all="ignore"):
+        m.setattr(dc, "_magnitude", lambda v: scanned.append(v) or geo._magnitude(v))
+        try:
+            out = forward(a, b, param)
+        except dc.TapeError:  # a log of a negative entry, a division by 0, an overflow
+            out = None
+    # every input is finite, so only these rules leave a value unproved
+    unproved = {"log": True, "div": binary and b.lo == 0.0, "exp": a.hi >= 700.0,
+                "atanh": a.hi >= 1.0 - 2.0 ** -20}
+    assert len(scanned) == unproved.get(name, False)
+    if out is not None:
+        value = np.abs(out.value)
+        assert np.all(value <= out.hi * (1.0 + 1e-12)), (out.hi, value.max())
+        assert np.all(value >= out.lo), (out.lo, value.min())
+
+
+# a leaf: an array, possibly with NaN, infinities, zeros, magnitudes from
+# 1e150 to 1e300 or rows outside the unit ball, or a Python float
+_SPECIAL = [0.0, -0.0, np.nan, np.inf, -np.inf, 1e150, -1e200, 1e300]
+_CONSTANTS = [0.0, -0.0, 0.5, -2.0, 3.0, 1e-300, 1e150, -1e300, np.nan, np.inf]
+_CHAIN_OPS = {**{name: forward for name, (forward, _) in _BOUND_OPS.items()},
+              "swap-matmul": lambda a, b, p: dc.matmul(a, dc.swap_last(b))}
+
+
+@st.composite
+def _chains(draw):
+    """Leaves and up to 10 steps, each an op, two indices into the tensors made
+    so far and a parameter."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    arrays = []
+    for _ in range(draw(st.integers(1, 3))):
+        x = rng.normal(size=(3, 3)) * 10.0 ** draw(st.sampled_from([-3, 0, 2, 150, 300]))
+        for at, special in draw(st.lists(st.tuples(st.integers(0, 8), st.sampled_from(_SPECIAL)),
+                                         max_size=2)):
+            x.flat[at] = special
+        arrays.append(x)
+    constants = draw(st.lists(st.sampled_from(_CONSTANTS), max_size=3))
+    steps = draw(st.lists(st.tuples(st.sampled_from(sorted(_CHAIN_OPS)), st.integers(0, 20),
+                                    st.integers(0, 20),
+                                    st.sampled_from([0.0, 1e-15, 0.9, 2.0, np.nan])),
+                          min_size=1, max_size=10))
+    return arrays, constants, steps
+
+
+def _run_chain(grad, arrays, constants, steps):
+    """The value of each step that ran, and the text of the ``TapeError``
+    that stopped the chain or None.  A step whose shapes do not fit is
+    skipped, as it is on every tape."""
+    tape = dc.Tape(grad=grad)
+    made = [tape.leaf(x, requires_grad=True) for x in arrays] + [tape.leaf(f) for f in constants]
+    values = []
+    with np.errstate(all="ignore"):
+        for name, i, j, param in steps:
+            try:
+                out = _CHAIN_OPS[name](made[i % len(made)], made[j % len(made)], param)
+            except dc.TapeError as exc:
+                return values, str(exc)
+            except (ValueError, IndexError, TypeError):
+                continue
+            made.append(out)
+            values.append(out.value)
+    return values, None
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(_chains(), st.booleans())
+@example(([np.ones((3, 3))], [2.0], [("neg", 1, 0, 0.0), ("log", 2, 0, 0.0)]), True)
+@example(([np.ones((3, 3))], [0.0], [("div", 0, 1, 0.0)]), False)
+@example(([np.full((3, 3), 0.5)], [], [("tanh", 0, 0, 0.0), ("atanh", 1, 0, 0.0),
+                                       ("mul", 2, 2, 0.0), ("exp", 3, 0, 0.0)]), True)
+@example(([np.full((3, 3), 1e200)], [], [("ball_project", 0, 0, 0.9), ("norm", 1, 0, 0.0),
+                                         ("mul", 0, 0, 0.0)]), True)
+def test_a_chain_of_bounded_ops_fails_where_a_tape_that_scans_every_value_does(chain, grad):
+    arrays, constants, steps = chain
+    values, error = _run_chain(grad, arrays, constants, steps)
+    with pytest.MonkeyPatch.context() as m:
+        _reference_tape(m)
+        ref_values, ref_error = _run_chain(True, arrays, constants, steps)
+    assert error == ref_error
+    assert len(values) == len(ref_values)
+    assert all(_same_bits(v, r) for v, r in zip(values, ref_values))
+
+
+@pytest.mark.parametrize("geometry, values, most", [("poincare", 973, 120),
+                                                     ("euclidean", 130, 40)])
+def test_a_desk_forward_scans_only_the_values_its_bounds_leave_unproved(geometry, values, most):
+    cfg, params, points, unk, mask, labels = tape_memory.step_inputs(geometry, "desk")
+    counts = tape_memory.count_scans(
+        lambda: train._forward_batch(params, points, unk, mask, labels, cfg))
+    assert counts[0] == values and counts[1] <= most, counts
 
 
 # ---------------------------------------------------------------------------
@@ -1641,4 +1799,7 @@ def test_tape_memory_harness_reports_the_desk_step(capsys):
         memory = report["memory"]["desk"][geometry]
         assert memory["tape_bytes"] > 0
         assert 0 < memory["traced_after_forward_bytes"] <= memory["step_peak_bytes"]
-        assert report["step_ms"]["desk"][geometry] > 0
+        assert 0 < report["scans"]["desk"][geometry]["scanned"] < 200
+        for key in ("step_ms", "forward_ms", "backward_ms"):
+            assert report[key]["desk"][geometry] > 0
+    assert report["scans"]["desk"]["poincare"]["values"] == 973

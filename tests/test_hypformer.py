@@ -1,6 +1,8 @@
 """Tests for the transformer building blocks in both geometries and for the
 model bundle format."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -359,6 +361,33 @@ def test_classifier_padding_invariance(rng):
     base = run(pts, np.ones((1, 4)))
     pad = run(padded, np.concatenate([np.ones((1, 4)), np.zeros((1, 3))], axis=1))
     np.testing.assert_allclose(base, pad, atol=1e-10)
+
+
+@pytest.mark.parametrize("geometry", hf.GEOMETRIES)
+def test_a_forward_only_forward_frees_q_k_and_v_before_merging_heads(monkeypatch, rng, geometry):
+    # merge_heads is where a forward-only forward's memory peaks; a layer's
+    # q, k and v projections and their heads are no longer read there
+    cfg = _config(geometry=geometry, num_layers=2)
+    params_np = hf.init_params(cfg, rng)
+    projections, alive = [], []
+    matvec, merge_heads = hf._matvec, hf.merge_heads
+
+    def kept_matvec(x, w, c):
+        out = matvec(x, w, c)
+        projections.append(weakref.ref(out.value))
+        return out
+
+    def checked_merge_heads(heads, merge_w, c):
+        alive.append([ref() is not None for ref in projections[-3:]])  # this layer's q, k, v
+        return merge_heads(heads, merge_w, c)
+
+    monkeypatch.setattr(hf, "_matvec", kept_matvec)
+    monkeypatch.setattr(hf, "merge_heads", checked_merge_heads)
+    tape = dc.Tape(grad=False)
+    params = {k: tape.leaf(v, requires_grad=True) for k, v in params_np.items()}
+    points = tape.constant(random_ball_points(rng, 6, cfg.model_dim, radius=0.5).reshape(2, 3, -1))
+    hf.classifier_forward(tape, params, points, np.ones((2, 3)), cfg)
+    assert alive == [[False] * 3] * cfg.num_layers
 
 
 def test_classifier_rejects_fully_masked(rng):
