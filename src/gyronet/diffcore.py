@@ -43,7 +43,12 @@ The rules, for inputs ``a`` and ``b`` with entries ``x`` and ``y``:
   ``hi = k hi_a hi_b``.  ``sum``: ``hi = count * hi_a`` over the ``count``
   terms of each sum.  ``norm``: ``sqrt(n hi_a**2) = sqrt(n) hi_a`` over ``n``
   coordinates, taken while ``n hi_a**2 < 2**1000``, so that the sum of
-  squares cannot overflow.
+  squares cannot overflow.  A ``norm`` that records the row norms an
+  unclamped ``ball_project`` measured takes ``hi = max_norm`` of that clamp:
+  it kept every row because its norm was below ``max_norm``, a test made on
+  these very norms.  So ``atanh(norm / c)`` of a projection of radius ``c``,
+  whose ``max_norm / c`` is ``1 - 1e-5`` up to rounding, is below
+  ``_ATANH_MAX`` and is proved.
 - ``ball_project``: a row it keeps has a norm below ``max_norm`` (a NaN norm
   fails that test), so its entries are too; a clamped row of a finite input
   is scaled by ``max_norm / norm <= 1``, or to 0 when its norm overflowed.
@@ -94,14 +99,27 @@ shell and rescales only when some row is clamped.  The clamp measures the
 row norms of its input, so when it clamps no row, its output ``Tensor``,
 whose value is that same input array, carries those norms as ``norms``; a
 ``norm`` of that tensor records them as its value instead of measuring
-again.  They are the same function's result on the same array, so the bits,
-the node and its finite check are those of a fresh ``norm``.  Every other
-tensor has ``norms`` None.  Two VJP
-rules pass the output gradient through as it is where their mask is all
-true, which is bitwise the product with that mask: ``ball_project`` when no
-row was clamped, and ``clip_min`` when no entry is at or below its floor.
-Gradient arrays may therefore be shared between nodes, as those of ``add``
-always were; no rule writes into one.
+again.  They are the same function's result on the same array, so the bits
+and the node are those of a fresh ``norm``; the tensor carries the clamp's
+``max_norm`` as ``norms_hi``, the bound of those norms.  Every other tensor
+has ``norms`` None.
+
+Three rules pass a value through as it is, each bitwise the product it
+stands for:
+
+- the VJP of ``ball_project`` passes the output gradient through when no row
+  was clamped, and that of ``clip_min`` when no entry is at or below its
+  floor: each is the product with a mask that is all true;
+- every leaf of the float 1.0 has the one read-only value ``_ONE``.  A
+  ``mul`` with a ``_ONE`` operand, or a ``div`` by one, records its other
+  operand's own array as its value, and its VJP for that operand returns the
+  output gradient itself: ``x * 1.0`` and ``x / 1.0`` are ``x`` bit for bit.
+  The leaf and the op are still recorded.  These are the scalings by a ball
+  radius ``c = 1``; ROADMAP item 18 deletes them, and their leaves of 1.0,
+  from the graph, and this rule with them.
+
+So values and gradient arrays may be shared between nodes, as those of
+``add`` always were; no op and no rule writes into one.
 
 Every sum over the last axis, in ``tsum``, ``softmax`` and its VJP and in
 summing a broadcast gradient back over a last axis of length 1, is
@@ -109,10 +127,14 @@ summing a broadcast gradient back over a last axis of length 1, is
 ``_inner``, sums a product over the last axis: ``norm`` and the clamp take
 ``_norm``, its square root, and the ``mul`` and ``div`` VJPs of an operand
 whose last axis is 1 against a wider one sum the gradient times the other
-operand with it before anything is as wide as the rows.  Both kernels are
-``np.einsum``, whose bits for a row do not depend on the batch it is in.
-Sums over other axes are ``np.add.reduce``, as is the ``max`` VJP's count
-of tied entries, which is exact in any order.
+operand with it before anything is as wide as the rows.  Both kernels call
+``c_einsum``, the C function behind ``np.einsum``, whose bits for a row do
+not depend on the batch it is in: the same bits as ``np.einsum`` without its
+Python dispatch, which cost as much as the kernel on these short rows (numpy
+1.x, which does not export it, takes ``np.einsum`` itself).  Sums over other
+axes are ``np.add.reduce``, as is the ``max`` VJP's count of tied entries,
+which is exact in any order; the tape calls array methods and ufuncs, not
+the ``np.shape``, ``np.sum`` or ``np.swapaxes`` wrappers around them.
 
 First-order gradients only.
 """
@@ -132,6 +154,10 @@ _INF = math.inf
 _PROVEN = 2.0 ** 1000
 # atanh's bound needs its input's bound below 1 by more than that rounding
 _ATANH_MAX = 1.0 - 2.0 ** -20
+# the value of every leaf of the float 1.0: mul and div by it pass the other
+# operand through
+_ONE = np.array(1.0)
+_ONE.flags.writeable = False
 
 
 class Node:
@@ -165,20 +191,21 @@ class Tensor:
     """Handle to a node on a tape, with that node's (immutable) value and the
     bounds ``lo <= |entry| <= hi`` that hold for every entry of it."""
 
-    __slots__ = ("tape", "nid", "value", "node", "norms", "hi", "lo")
+    __slots__ = ("tape", "nid", "value", "node", "norms", "norms_hi", "hi", "lo")
 
     def __init__(self, tape, nid, value, node=None, hi=_INF, lo=0.0):
         self.tape = tape
         self.nid = nid
         self.value = value
         self.node = node  # None on a forward-only tape
-        self.norms = None  # _norm(value), when ball_project measured it
+        # _norm(value) when ball_project measured it, and then norms_hi bounds them
+        self.norms = None
         self.hi = hi
         self.lo = lo
 
     @property
     def shape(self):
-        return np.shape(self.value)
+        return self.value.shape
 
     def __hash__(self):
         return hash((id(self.tape), self.nid))
@@ -250,8 +277,9 @@ class Tape:
     def leaf(self, data, requires_grad=False):
         """A leaf node; a grad-enabled leaf keeps its value, a constant keeps
         nothing (an op that reads it saves it).  A finite Python float is its
-        own bound; an array's bound is unknown, and its value is not checked."""
-        value = np.asarray(data, dtype=float)
+        own bound; an array's bound is unknown, and its value is not checked.
+        Every leaf of the float 1.0 has the value ``_ONE``."""
+        value = _ONE if isinstance(data, float) and data == 1.0 else np.asarray(data, dtype=float)
         hi = lo = abs(float(data)) if isinstance(data, float) else _INF
         if not hi < _INF:
             hi, lo = _INF, 0.0
@@ -332,7 +360,7 @@ def backward(tape: Tape, output: Tensor) -> dict[Tensor, np.ndarray]:
     if not tape.grad:
         raise TapeError("backward on a forward-only tape (Tape(grad=False))")
     out_node = output.node
-    if np.size(output.value) != 1:
+    if output.value.size != 1:
         raise TapeError(f"backward output must be scalar, got shape {out_node.shape}")
     out_node.grad = np.ones(out_node.shape)
     try:
@@ -416,8 +444,9 @@ _BACKWARD["sub"] = (lambda g, out, v, at: g, lambda g, out, v, at: -g)
 
 def mul(a, b):
     tape = _same_tape(a, b)
-    return tape.record("mul", (a, b), a.value * b.value, _hi=a.hi * b.hi, _lo=a.lo * b.lo,
-                       _inputs=True)
+    x, y = a.value, b.value
+    return tape.record("mul", (a, b), y if x is _ONE else x if y is _ONE else x * y,
+                       _hi=a.hi * b.hi, _lo=a.lo * b.lo, _inputs=True)
 
 
 def _narrow(x, g):
@@ -425,20 +454,29 @@ def _narrow(x, g):
     return x.shape[-1:] == (1,) and g.shape[-1] != 1
 
 
-# an operand of last axis 1 against a wider one takes the last-axis inner
-# product of the gradient and the other operand, not the full-width product
-_BACKWARD["mul"] = (lambda g, out, v, at: _inner(g, v[1]) if _narrow(v[0], g) else g * v[1],
-                    lambda g, out, v, at: _inner(g, v[0]) if _narrow(v[1], g) else g * v[0])
+def _mul_bwd(g, other, x):
+    """The VJP of ``mul`` for its operand ``x``: the gradient itself when
+    ``other`` is ``_ONE``; the last-axis inner product of the gradient and
+    ``other`` when ``x`` has a last axis of 1 against a wider one, not the
+    full-width product; else their product."""
+    if other is _ONE:
+        return g
+    return _inner(g, other) if _narrow(x, g) else g * other
+
+
+_BACKWARD["mul"] = (lambda g, out, v, at: _mul_bwd(g, v[1], v[0]),
+                    lambda g, out, v, at: _mul_bwd(g, v[0], v[1]))
 
 
 def div(a, b):
     tape = _same_tape(a, b)
+    x, y = a.value, b.value
     lo = b.lo
-    return tape.record("div", (a, b), a.value / b.value, _hi=a.hi / lo if lo > 0.0 else _INF,
-                       _inputs=True)
+    return tape.record("div", (a, b), x if y is _ONE else x / y,
+                       _hi=a.hi / lo if lo > 0.0 else _INF, _inputs=True)
 
 
-_BACKWARD["div"] = (lambda g, out, v, at: g / v[1],
+_BACKWARD["div"] = (lambda g, out, v, at: g if v[1] is _ONE else g / v[1],
                     lambda g, out, v, at: (-_inner(g, v[0]) if _narrow(v[1], g) else -g * v[0])
                     / (v[1] * v[1]))
 
@@ -481,7 +519,7 @@ def _expand_reduced(g, x_shape, axis, keepdims):
 
 
 _BACKWARD["sum"] = (
-    lambda g, out, v, at: _expand_reduced(g, np.shape(v[0]), at["axis"], at["keepdims"]),)
+    lambda g, out, v, at: _expand_reduced(g, v[0].shape, at["axis"], at["keepdims"]),)
 
 
 def tmax(a, axis=None, keepdims=False):
@@ -494,10 +532,10 @@ def _max_bwd(g, out, v, at):
     axis, keepdims = at["axis"], at["keepdims"]
     out_k = out if (keepdims or axis is None) else np.expand_dims(out, axis)
     if axis is None:
-        out_k = np.broadcast_to(out_k, np.shape(x)) if np.ndim(out_k) else out_k
+        out_k = np.broadcast_to(out_k, x.shape) if out_k.ndim else out_k
     mask = (x == out_k).astype(float)
-    count = np.sum(mask, axis=axis, keepdims=True) if axis is not None else np.sum(mask)
-    g_exp = _expand_reduced(g, np.shape(x), axis, keepdims)
+    count = np.add.reduce(mask, axis=axis, keepdims=axis is not None)
+    g_exp = _expand_reduced(g, x.shape, axis, keepdims)
     return g_exp * mask / count
 
 
@@ -533,7 +571,7 @@ relu = _unary("relu", lambda x: np.maximum(x, 0.0), lambda g, out, v, at: g * (v
 def softmax(a):
     """Softmax over the last axis."""
     x = a.value
-    e = np.exp(x - np.max(x, axis=-1, keepdims=True))
+    e = np.exp(x - np.maximum.reduce(x, axis=-1, keepdims=True))
     return a.tape.record("softmax", (a,), e / _sum_last(e), _hi=1.0 if a.hi < _INF else _INF,
                          _out=True)
 
@@ -543,10 +581,13 @@ _BACKWARD["softmax"] = (lambda g, out, v, at: out * (g - _sum_last(g * out)),)
 
 def norm(a):
     """Euclidean norm over the last axis, which is kept with length 1."""
-    n, h, k = a.norms, a.hi, a.value.shape[-1]
-    return a.tape.record("norm", (a,), _norm(a.value) if n is None else n,
-                         _hi=math.sqrt(k) * h if k * h * h < _PROVEN else _INF, _inputs=True,
-                         _out=True)
+    n = a.norms
+    if n is None:
+        h, k = a.hi, a.value.shape[-1]
+        return a.tape.record("norm", (a,), _norm(a.value),
+                             _hi=math.sqrt(k) * h if k * h * h < _PROVEN else _INF,
+                             _inputs=True, _out=True)
+    return a.tape.record("norm", (a,), n, _hi=a.norms_hi, _inputs=True, _out=True)
 
 
 _BACKWARD["norm"] = (lambda g, out, v, at: v[0] * (g / np.maximum(out, _TINY)),)
@@ -566,19 +607,19 @@ _BACKWARD["slice"] = (_slice_bwd,)
 
 
 def reshape(a, shape):
-    return a.tape.record("reshape", (a,), np.reshape(a.value, shape), _hi=a.hi, _lo=a.lo,
+    return a.tape.record("reshape", (a,), a.value.reshape(shape), _hi=a.hi, _lo=a.lo,
                          shape=shape)
 
 
-_BACKWARD["reshape"] = (lambda g, out, v, at: np.reshape(g, np.shape(v[0])),)
+_BACKWARD["reshape"] = (lambda g, out, v, at: g.reshape(v[0].shape),)
 
 
 def swap_last(a):
     """Transpose the last two axes (used for attention score matrices)."""
-    return a.tape.record("swap_last", (a,), np.swapaxes(a.value, -1, -2), _hi=a.hi, _lo=a.lo)
+    return a.tape.record("swap_last", (a,), a.value.swapaxes(-1, -2), _hi=a.hi, _lo=a.lo)
 
 
-_BACKWARD["swap_last"] = (lambda g, out, v, at: np.swapaxes(g, -1, -2),)
+_BACKWARD["swap_last"] = (lambda g, out, v, at: g.swapaxes(-1, -2),)
 
 
 def clip_min(a, floor):
@@ -614,7 +655,7 @@ def ball_project(a, max_norm):
                         _hi=min(float(max_norm), h) if unclamped or h < _INF else _INF,
                         max_norm=max_norm, inside=inside, clamped=not unclamped)
     if unclamped:
-        out.norms = n
+        out.norms, out.norms_hi = n, float(max_norm)
     return out
 
 

@@ -149,9 +149,32 @@ def _forward_batch(params_np, points_np, unk_np, mask, labels, config,
     return tape, tensors, scores, loss
 
 
+def _update(params, grads, opt, manifold, lr, c):
+    """Each parameter's update from its gradient in ``grads``, in place in
+    ``params``: RMSProp in ``sorted(params)`` order, then one Riemannian step
+    per row width, on the rows of every ball parameter of that width stacked
+    in that order and split back.  Each kernel of the step works row by row,
+    so a row gets the bits a step of its own parameter would give."""
+    widths = {}
+    for name in sorted(params):
+        if name in manifold:
+            widths.setdefault(params[name].shape[-1], []).append(name)
+        else:
+            params[name] = opt.step(name, params[name], grads[name])
+    for width, names in widths.items():
+        stacked = rsgd_step_poincare(
+            np.concatenate([params[name].reshape(-1, width) for name in names]),
+            np.concatenate([grads[name].reshape(-1, width) for name in names]), lr, c)
+        start = 0
+        for name in names:
+            p = params[name]
+            params[name] = stacked[start:start + p.size // width].reshape(p.shape)
+            start += p.size // width
+
+
 def _train_step(params, opt, manifold, dataset, batch, token_map, config, settings, rng):
     """One training step on the record indices ``batch``: forward, backward,
-    then each parameter's update in ``sorted(params)`` order, in place in
+    then the update of every parameter by ``_update``, in place in
     ``params``.  Returns the batch's mean loss as a float and its count of
     correct predictions.  The step's tape, leaf tensors, scores and gradients
     are freed when it returns, before the next step records its tape."""
@@ -161,13 +184,8 @@ def _train_step(params, opt, manifold, dataset, batch, token_map, config, settin
     tape, tensors, scores, loss = _forward_batch(
         params, points_np, unk_np, mask, labels, config, rng=rng, training=True)
     grads = dc.backward(tape, loss)
-    for name in sorted(params):
-        g = grads[tensors[name]]
-        if name in manifold:
-            params[name] = rsgd_step_poincare(
-                params[name], g, settings.manifold_lr, config.curvature)
-        else:
-            params[name] = opt.step(name, params[name], g)
+    _update(params, {name: grads[t] for name, t in tensors.items()}, opt, manifold,
+            settings.manifold_lr, config.curvature)
     return float(loss.value), int(np.sum(np.argmax(scores.value, axis=-1) == labels))
 
 

@@ -15,8 +15,11 @@ does, ``forward_peak_bytes``: tracemalloc's peak over that forward.  Under
 ``scans`` it gives the values one forward records and how many of them
 ``Tape.record`` scans, the rest being proved finite by their bounds.  These
 are deterministic.  Each size also reports median wall times in ms, with
-tracemalloc off: ``forward_ms``, and for a training size ``backward_ms`` and
-``step_ms`` (forward and ``backward`` timed as one).  Sizes:
+tracemalloc off: ``forward_ms``, and for a training size ``backward_ms``,
+``step_ms`` (forward and ``backward`` timed as one) and ``update_ms``, one
+optimizer pass over the step's gradients as ``train._train_step`` makes it
+(``train._update`` at ``TrainSettings``' default rates), so that the three
+parts of a training step are forward, backward and update.  Sizes:
 
 - ``desk``: the default classifier (dim 16, 2 layers, 4 heads of 4, FFN 32),
   batch 16, length 6;
@@ -46,6 +49,7 @@ import numpy as np
 from gyronet import diffcore as dc
 from gyronet import hypformer as hf
 from gyronet import train
+from gyronet.optim import RmsProp
 
 _DESK = dict(model_dim=16, num_heads=4, head_dim=4, ffn_dim=32)
 SIZES = {
@@ -145,21 +149,29 @@ def measure(geometry, size, steps):
     else:
         memory = {"forward_peak_bytes": peak}
     del tape, loss
-    fwd, bwd = [], []
+    settings = train.TrainSettings()
+    opt, manifold = RmsProp(lr=settings.lr), hf.manifold_param_names(cfg)
+    fwd, bwd, upd = [], [], []
     for _ in range(steps):
         t0 = time.perf_counter()
-        tape, _, _, loss = forward()
+        tape, tensors, _, loss = forward()
         t1 = time.perf_counter()
+        grads = dc.backward(tape, loss) if grad else None
+        t2 = time.perf_counter()
         if grad:
-            dc.backward(tape, loss)
+            # a copy of the dict, so that every pass starts from the same parameters
+            train._update(dict(params), {name: grads[t] for name, t in tensors.items()}, opt,
+                          manifold, settings.manifold_lr, cfg.curvature)
+            upd.append(time.perf_counter() - t2)
         fwd.append(t1 - t0)
-        bwd.append(time.perf_counter() - t1)
-        del tape, loss
+        bwd.append(t2 - t1)
+        del tape, tensors, loss, grads
     report = {"memory": memory, "scans": {"values": values, "scanned": scanned},
               "forward_ms": _median_ms(fwd)}
     if grad:
         report["backward_ms"] = _median_ms(bwd)
         report["step_ms"] = _median_ms([f + b for f, b in zip(fwd, bwd)])
+        report["update_ms"] = _median_ms(upd)
     return report
 
 

@@ -1346,6 +1346,7 @@ _BOUND_OPS = {
     "relu": (lambda a, b, p: dc.relu(a), False),
     "softmax": (lambda a, b, p: dc.softmax(a), False),
     "norm": (lambda a, b, p: dc.norm(a), False),
+    "norm-projected": (lambda a, b, p: dc.norm(dc.ball_project(a, abs(p))), False),
     "sum-last": (lambda a, b, p: dc.tsum(a, axis=-1, keepdims=True), False),
     "sum-first": (lambda a, b, p: dc.tsum(a, axis=0), False),
     "sum-all": (lambda a, b, p: dc.tsum(a), False),
@@ -1467,13 +1468,116 @@ def test_a_chain_of_bounded_ops_fails_where_a_tape_that_scans_every_value_does(c
     assert all(_same_bits(v, r) for v, r in zip(values, ref_values))
 
 
-@pytest.mark.parametrize("geometry, values, most", [("poincare", 973, 120),
+@pytest.mark.parametrize("geometry, values, most", [("poincare", 973, 70),
                                                      ("euclidean", 130, 40)])
 def test_a_desk_forward_scans_only_the_values_its_bounds_leave_unproved(geometry, values, most):
     cfg, params, points, unk, mask, labels = tape_memory.step_inputs(geometry, "desk")
     counts = tape_memory.count_scans(
         lambda: train._forward_batch(params, points, unk, mask, labels, cfg))
     assert counts[0] == values and counts[1] <= most, counts
+
+
+@pytest.mark.parametrize("grad", [True, False], ids=["recording", "forward-only"])
+@pytest.mark.parametrize("c", [1.0, 0.25, 3.0])
+def test_atanh_of_the_norms_an_unclamped_projection_measured_is_proved(c, grad):
+    # every row norm of an unclamped projection is below its max_norm, and so
+    # is their ratio to c below 1 - 1e-5; a clamped projection carries no
+    # norms, and the atanh of its rows' norms is scanned
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(5, 16))
+    x *= 0.9 * c / np.linalg.norm(x, axis=-1, keepdims=True)
+    for rows, scans in ((x, 0), (x * 2.0, 1)):
+        tape = dc.Tape(grad=grad)
+        projected = dg.project(tape.leaf(rows), c)
+        scanned = []
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(dc, "_magnitude", lambda v: scanned.append(v) or geo._magnitude(v))
+            n = dc.norm(projected)
+            out = dc.atanh(n / c)
+        assert len(scanned) == scans
+        if not scans:
+            assert n.hi == c * (1.0 - geo.EPS_BOUNDARY) and np.all(n.value < n.hi)
+        assert np.all(np.abs(out.value) <= out.hi)
+
+
+# ---------------------------------------------------------------------------
+# Scalings by 1.0: the other operand and the gradient pass through
+# ---------------------------------------------------------------------------
+
+_ONE_FORMS = {"mul-left": lambda x, one: one * x, "mul-right": lambda x, one: x * one,
+              "div": lambda x, one: x / one}
+
+
+@pytest.mark.parametrize("form", sorted(_ONE_FORMS))
+@pytest.mark.parametrize("grad", [True, False], ids=["recording", "forward-only"])
+def test_a_scaling_by_the_float_one_passes_its_operand_and_gradient_through(form, grad):
+    tape = dc.Tape(grad=grad)
+    x = tape.leaf(np.array([[0.5, -2.0], [3.0, -0.25]]), requires_grad=True)
+    one = tape.leaf(1.0)
+    assert one.value is dc._ONE and tape.leaf(1.0).value is dc._ONE
+    assert not dc._ONE.flags.writeable
+    out = _ONE_FORMS[form](x, one)
+    assert out.value is x.value
+    if grad:
+        node = out.node
+        # each leaf and the op are nodes, as without the shortcut
+        assert node.op == form[:3] and [n.op for n in tape.nodes] == ["leaf"] * 3 + [node.op]
+        g = np.array([[1.0, 2.0], [-3.0, 0.5]])
+        rule = dc._BACKWARD[node.op][0 if form != "mul-left" else 1]
+        assert rule(g, node, node.operands, node.attrs) is g
+    reciprocal = one / x  # 1.0 as the dividend is no identity
+    assert reciprocal.value is not x.value and _same_bits(reciprocal.value, 1.0 / x.value)
+
+
+@pytest.mark.parametrize("form", sorted(_ONE_FORMS))
+@pytest.mark.parametrize("constant", [-1.0, 1.0 + 2.0 ** -52, "array", 1],
+                         ids=["minus-one", "one-plus-ulp", "array", "int"])
+def test_a_scaling_by_any_other_one_takes_the_full_path(form, constant):
+    tape = dc.Tape()
+    x = tape.leaf(np.array([[0.5, -2.0], [3.0, 0.0]]), requires_grad=True)
+    one = tape.leaf(np.asarray(1.0) if constant == "array" else constant)
+    assert one.value is not dc._ONE
+    out = _ONE_FORMS[form](x, one)
+    expected = _ONE_FORMS[form](x.value, one.value)
+    assert out.value is not x.value and _same_bits(out.value, expected)
+    g = np.array([[1.0, 2.0], [-3.0, 0.5]])
+    node = out.node
+    pg = dc._BACKWARD[node.op][0 if form != "mul-left" else 1](g, node, node.operands, {})
+    assert pg is not g and _same_bits(pg, g * one.value if node.op == "mul" else g / one.value)
+
+
+def _without_the_one(m):
+    """Patch ``m`` so that each leaf of 1.0 gets a fresh 1.0 array of its own,
+    not ``_ONE``: its scalings run the full ``mul`` and ``div``."""
+    leaf = dc.Tape.leaf
+
+    def fresh_leaf(self, data, requires_grad=False):
+        t = leaf(self, data, requires_grad)
+        if t.value is dc._ONE:
+            t.value = np.array(1.0)
+        return t
+
+    m.setattr(dc.Tape, "leaf", fresh_leaf)
+
+
+def test_a_desk_step_has_the_same_bits_without_the_one_shortcut():
+    cfg, params, points, unk, mask, labels = tape_memory.step_inputs("poincare", "desk")
+    runs = []
+    for shortcut in (True, False):
+        with pytest.MonkeyPatch.context() as m:
+            if not shortcut:
+                _without_the_one(m)
+            with node_log() as log:
+                tape, tensors, _, loss = train._forward_batch(params, points, unk, mask,
+                                                              labels, cfg)
+            grads = dc.backward(tape, loss)
+        passed = sum(r.op in ("mul", "div") and any(r.value is log[i].value for i in r.inputs)
+                     for r in log)
+        runs.append((passed, len(tape.nodes), np.asarray(loss.value).tobytes(),
+                     [grads[tensors[name]].tobytes() for name in sorted(params)]))
+    (passed, nodes, loss, grads), (ref_passed, ref_nodes, ref_loss, ref_grads) = runs
+    assert passed == 178 and ref_passed == 0  # every scaling by the radius c = 1
+    assert nodes == ref_nodes == 1251 and loss == ref_loss and grads == ref_grads
 
 
 # ---------------------------------------------------------------------------
@@ -1800,6 +1904,6 @@ def test_tape_memory_harness_reports_the_desk_step(capsys):
         assert memory["tape_bytes"] > 0
         assert 0 < memory["traced_after_forward_bytes"] <= memory["step_peak_bytes"]
         assert 0 < report["scans"]["desk"][geometry]["scanned"] < 200
-        for key in ("step_ms", "forward_ms", "backward_ms"):
+        for key in ("step_ms", "forward_ms", "backward_ms", "update_ms"):
             assert report[key]["desk"][geometry] > 0
     assert report["scans"]["desk"]["poincare"]["values"] == 973

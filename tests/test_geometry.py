@@ -18,6 +18,36 @@ from gyronet.embed import rsgd_step_hyperboloid
 
 
 # ---------------------------------------------------------------------------
+# Last-axis kernels
+# ---------------------------------------------------------------------------
+
+def _kernel_cases():
+    """(name, a, b) operands of the two last-axis kernels, ``b`` of the same
+    shape as ``a`` or broadcasting against it."""
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(4, 6, 16))
+    heads = x[..., 4:8]  # one head's coordinates, as split_heads slices them
+    return [
+        ("contiguous", x, rng.normal(size=x.shape)),
+        ("strided", heads, x[..., 8:12]),
+        ("broadcast", rng.normal(size=(4, 6, 1, 16)), rng.normal(size=(3, 16))),
+        ("broadcast-view", np.broadcast_to(x[:1], x.shape), x),
+        ("0-row", np.empty((0, 16)), np.empty((0, 16))),
+        ("0-d leading axes", rng.normal(size=16), rng.normal(size=16)),
+    ]
+
+
+@pytest.mark.parametrize("name, a, b", _kernel_cases(), ids=[c[0] for c in _kernel_cases()])
+def test_last_axis_kernels_give_np_einsum_bits(name, a, b):
+    # the kernels call einsum's C function, without np.einsum's dispatch
+    pairs = [(geo._sum_last(a), np.einsum("...i->...", a)[..., None]),
+             (geo._inner(a, b), np.einsum("...i,...i->...", a, b)[..., None])]
+    for got, want in pairs:
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+
+
+# ---------------------------------------------------------------------------
 # Mobius addition / negation / gyration
 # ---------------------------------------------------------------------------
 

@@ -149,3 +149,107 @@ def test_restart_schedule_resets_state(monkeypatch):
         _, resets = _train_logging_restarts(monkeypatch, epochs, restart_epoch)
         # the one reset empties accumulators that earlier steps had filled
         assert resets == [True]
+
+
+# ---------------------------------------------------------------------------
+# The classifier's update: one Riemannian step per row width
+# ---------------------------------------------------------------------------
+
+_WIDTHS = {"desk": dict(model_dim=16, num_heads=4, head_dim=4, ffn_dim=32),
+           "paper": dict(model_dim=100, num_heads=4, head_dim=25, ffn_dim=200)}
+
+
+def _update_case(size, seed=0):
+    """(config, parameters, gradients by name): ball parameters inside the
+    ball, some rows near its shell and one at the origin, and gradients large
+    enough that some steps reach the shell."""
+    cfg = hf.TransformerConfig(geometry="poincare", num_layers=2, **_WIDTHS[size])
+    rng = np.random.default_rng(seed)
+    params = hf.init_params(cfg, rng)
+    for name in hf.manifold_param_names(cfg):
+        rows = rng.normal(size=params[name].shape)
+        radius = rng.choice([0.0, 0.5, 1.0 - 2e-5], size=rows.shape[:-1] + (1,))
+        params[name] = rows * radius / np.linalg.norm(rows, axis=-1, keepdims=True)
+    grads = {name: rng.normal(size=p.shape) * 10.0 ** rng.integers(-3, 3) for name, p in
+             params.items()}
+    return cfg, params, grads
+
+
+def _reference_update(params, grads, opt, manifold, lr, c):
+    """Each parameter's own step, in sorted order, as training first did it."""
+    for name in sorted(params):
+        if name in manifold:
+            params[name] = rsgd_step_poincare(params[name], grads[name], lr, c)
+        else:
+            params[name] = opt.step(name, params[name], grads[name])
+
+
+@pytest.mark.parametrize("size, widths", [("desk", [16, 32]), ("paper", [100, 200])])
+def test_one_riemannian_step_per_row_width_equals_a_step_per_parameter(monkeypatch, size,
+                                                                       widths):
+    cfg, params, grads = _update_case(size)
+    manifold = hf.manifold_param_names(cfg)
+    calls = []
+
+    def counted(param, grad, lr, c=1.0):
+        calls.append(param.shape)
+        return rsgd_step_poincare(param, grad, lr, c)
+
+    results = []
+    for update in (train._update, _reference_update):
+        got = dict(params)
+        opt = RmsProp(lr=0.001)
+        for _ in range(2):  # the second step starts from the first's (split) rows
+            with monkeypatch.context() as m:
+                m.setattr(train, "rsgd_step_poincare", counted)
+                update(got, grads, opt, manifold, 0.05, cfg.curvature)
+        results.append(got)
+    grouped, reference = results
+    assert grouped.keys() == reference.keys() == params.keys()
+    for name in params:
+        assert grouped[name].shape == params[name].shape, name
+        assert grouped[name].tobytes() == reference[name].tobytes(), name
+    # two calls per grouped update
+    rows = sum(params[name].size // widths[0] for name in manifold
+               if params[name].shape[-1] == widths[0])
+    assert sorted(calls[:2]) == sorted([(rows, widths[0]), (2, widths[1])])
+    assert calls[2:] == calls[:2]
+    assert rows == 2 + 1 + cfg.num_classes  # ffn_b2 of each layer, unk and mlr_p
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_a_non_finite_gradient_of_any_ball_parameter_stops_the_update(bad):
+    cfg, params, grads = _update_case("desk")
+    for name in sorted(hf.manifold_param_names(cfg)):
+        broken = dict(grads)
+        broken[name] = grads[name].copy()
+        broken[name].flat[-1] = bad
+        with pytest.raises(ValueError) as info:
+            train._update(dict(params), broken, RmsProp(), hf.manifold_param_names(cfg), 0.05,
+                          cfg.curvature)
+        assert str(info.value) == "non-finite gradient in rsgd_step_poincare", name
+
+
+def test_a_training_step_equals_one_with_a_step_per_parameter(monkeypatch):
+    # the whole _train_step, with its grouped update and with the reference
+    dataset = data.generate_synthetic_intents(3, 4, 30, seed=0, composites=0, noise_len=1)
+    chars = sorted({ch for utterance, _ in dataset.records for ch in utterance})
+    points = geo.project_to_ball(np.random.default_rng(0).normal(0, 0.3, (len(chars), 16)))
+    token_map = train.TokenMap(chars, points)
+    config = hf.TransformerConfig(geometry="poincare", num_classes=3, **_WIDTHS["desk"])
+    settings = train.TrainSettings(manifold_lr=0.5)
+    batch = list(dataset.train_indices[:8])
+    results = []
+    for reference in (False, True):
+        with monkeypatch.context() as m:
+            if reference:
+                m.setattr(train, "_update", _reference_update)
+            params = hf.init_params(config, np.random.default_rng(1))
+            opt, rng = RmsProp(lr=settings.lr), np.random.default_rng(2)
+            manifold = hf.manifold_param_names(config)
+            for _ in range(3):
+                loss, _ = train._train_step(params, opt, manifold, dataset, batch, token_map,
+                                            config, settings, rng)
+            results.append((loss, {name: p.tobytes() for name, p in params.items()}))
+    assert results[0] == results[1]
+    assert any(results[0][1][name] != np.zeros(16).tobytes() for name in ("unk", "layer0.ffn_b2"))

@@ -129,10 +129,17 @@ def _is_minus_one(node):
 
 
 def test_einsum_is_called_only_by_the_two_last_axis_kernels():
-    calls = [(path.name, scope) for path in SOURCES
-             for scope, _ in _calls_by_scope(ast.parse(path.read_text(encoding="utf-8")),
-                                             "einsum")]
+    # np.einsum, its kernel c_einsum and the fallback that binds c_einsum to
+    # np.einsum: each is called only by the two kernels, and only
+    # geometry.py names either
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    calls = [(name, scope) for name, tree in trees.items() for kernel in ("einsum", "c_einsum")
+             for scope, _ in _calls_by_scope(tree, kernel)]
     assert sorted(calls) == [("geometry.py", "_inner"), ("geometry.py", "_sum_last")], calls
+    named = {name for name, tree in trees.items() for node in ast.walk(tree)
+             if "einsum" in (getattr(node, "id", None) or getattr(node, "attr", None)
+                             or getattr(node, "name", None) or "")}
+    assert named == {"geometry.py"}, named
 
 
 @pytest.mark.parametrize("name", ["diffcore.py", "diffgeom.py", "hypformer.py"])
