@@ -19,7 +19,13 @@ tracemalloc off: ``forward_ms``, and for a training size ``backward_ms``,
 ``step_ms`` (forward and ``backward`` timed as one) and ``update_ms``, one
 optimizer pass over the step's gradients as ``train._train_step`` makes it
 (``train._update`` at ``TrainSettings``' default rates), so that the three
-parts of a training step are forward, backward and update.  Sizes:
+parts of a training step are forward, backward and update.  Beside them,
+``minor_faults`` is the median count of minor page faults
+(``getrusage``'s ``ru_minflt``) of one timed forward (``eval``) or of one
+forward and ``backward`` (a training size): the pages the kernel had to
+zero because the allocator had returned them.  Before it times anything the
+harness sets the allocator policy that ``gyronet.cli.main`` sets
+(``cli._keep_freed_pages``), so its numbers describe the CLI.  Sizes:
 
 - ``desk``: the default classifier (dim 16, 2 layers, 4 heads of 4, FFN 32),
   batch 16, length 6;
@@ -32,13 +38,14 @@ Run from the repository root, with OpenBLAS on one thread for timings::
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/tape_memory.py [--sizes SIZE ...] [--steps N]
 
-It prints one JSON object whose keys are ``memory``, ``scans`` and the
-timings, each keyed by size and then geometry.  pytest does not collect this
+It prints one JSON object whose keys are ``memory``, ``scans``, the
+timings and ``minor_faults``, each keyed by size and then geometry.  pytest does not collect this
 file.
 """
 
 import argparse
 import json
+import resource
 import statistics
 import sys
 import time
@@ -46,6 +53,7 @@ import tracemalloc
 
 import numpy as np
 
+from gyronet import cli
 from gyronet import diffcore as dc
 from gyronet import hypformer as hf
 from gyronet import train
@@ -151,13 +159,15 @@ def measure(geometry, size, steps):
     del tape, loss
     settings = train.TrainSettings()
     opt, manifold = RmsProp(lr=settings.lr), hf.manifold_param_names(cfg)
-    fwd, bwd, upd = [], [], []
+    fwd, bwd, upd, faults = [], [], [], []
     for _ in range(steps):
+        f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         t0 = time.perf_counter()
         tape, tensors, _, loss = forward()
         t1 = time.perf_counter()
         grads = dc.backward(tape, loss) if grad else None
         t2 = time.perf_counter()
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0)
         if grad:
             # a copy of the dict, so that every pass starts from the same parameters
             train._update(dict(params), {name: grads[t] for name, t in tensors.items()}, opt,
@@ -167,7 +177,7 @@ def measure(geometry, size, steps):
         bwd.append(t2 - t1)
         del tape, tensors, loss, grads
     report = {"memory": memory, "scans": {"values": values, "scanned": scanned},
-              "forward_ms": _median_ms(fwd)}
+              "forward_ms": _median_ms(fwd), "minor_faults": statistics.median(faults)}
     if grad:
         report["backward_ms"] = _median_ms(bwd)
         report["step_ms"] = _median_ms([f + b for f, b in zip(fwd, bwd)])
@@ -180,6 +190,7 @@ def main(argv=None):
     parser.add_argument("--sizes", nargs="+", choices=sorted(SIZES), default=sorted(SIZES))
     parser.add_argument("--steps", type=int, default=15, help="timed steps per case")
     args = parser.parse_args(argv)
+    cli._keep_freed_pages()
     report = {}
     for size in args.sizes:
         for geometry in hf.GEOMETRIES:

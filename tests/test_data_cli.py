@@ -1,12 +1,18 @@
 """Tests for corpus/dataset plumbing and the batch CLI."""
 
 import codecs
+import ctypes
 import hashlib
 import json
 import logging
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -498,6 +504,83 @@ def test_cli_geometry_check(capsys):
     names = [line.split()[1] for line in out.strip().splitlines()]
     assert len(names) == len(set(names)) == 5
     assert all("PASS" in line for line in out.strip().splitlines())
+
+
+@pytest.fixture
+def fresh_allocator_policy():
+    """Lets one test's ``cli.main`` set the allocator policy again."""
+    cli._keep_freed_pages.cache_clear()
+    yield
+    cli._keep_freed_pages.cache_clear()
+
+
+@pytest.mark.parametrize("answer, expected", [
+    (1, [(cli._M_MMAP_THRESHOLD, 32 << 20), (cli._M_TRIM_THRESHOLD, 64 << 20)]),
+    (0, [(cli._M_MMAP_THRESHOLD, 32 << 20)]),  # refused: the trim threshold is left alone
+])
+def test_cli_sets_the_allocator_policy_once_per_process(monkeypatch, capsys,
+                                                        fresh_allocator_policy, answer, expected):
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return answer
+
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
+    assert cli.main(["geometry-check"]) == 0
+    assert calls == expected
+    assert cli.main(["geometry-check"]) == 0
+    assert calls == expected
+
+
+def test_cli_runs_where_the_c_library_has_no_mallopt(monkeypatch, capsys,
+                                                     fresh_allocator_policy):
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: SimpleNamespace())
+    assert cli.main(["geometry-check"]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+
+def _has_mallopt():
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+# After one cli.main, each steady-state forward of one evaluation chunk
+# (tests/tape_memory.py's eval size) prints its minor page faults.
+_EVAL_FAULTS = """
+import resource
+import tape_memory
+from gyronet import cli, train
+assert cli.main(["geometry-check"]) == 0
+for geometry in ("poincare", "euclidean"):
+    cfg, params, points, unk, mask, labels = tape_memory.step_inputs(geometry, "eval")
+    faults = []
+    for _ in range(6):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        train._forward_batch(params, points, unk, mask, labels, cfg, grad=False)
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    print(geometry, *faults[2:])
+"""
+
+
+@pytest.mark.skipif(not _has_mallopt(), reason="the C library has no mallopt")
+def test_cli_process_keeps_the_pages_an_evaluation_forward_frees():
+    # glibc's own policy hands a chunk's pages back after each forward, so the
+    # next one faults them in again: about 1200 (ball) and 600 (flat) per forward
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(root / "src"), str(root / "tests"), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", _EVAL_FAULTS], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    faults = {line.split()[0]: [int(n) for n in line.split()[1:]]
+              for line in done.stdout.splitlines() if not line.startswith("suite ")}
+    assert set(faults) == {"poincare", "euclidean"}
+    for geometry, counts in faults.items():
+        assert max(counts) <= 50, (geometry, counts)
 
 
 def test_cli_unknown_command(capsys):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import tape_memory
 from gradcheck import check_gradient
-from gyronet import data
+from gyronet import cli, data
 from gyronet import diffcore as dc
 from gyronet import diffgeom as dg
 from gyronet import geometry as geo
@@ -1906,4 +1906,7 @@ def test_tape_memory_harness_reports_the_desk_step(capsys):
         assert 0 < report["scans"]["desk"][geometry]["scanned"] < 200
         for key in ("step_ms", "forward_ms", "backward_ms", "update_ms"):
             assert report[key]["desk"][geometry] > 0
+        assert report["minor_faults"]["desk"][geometry] >= 0
     assert report["scans"]["desk"]["poincare"]["values"] == 973
+    # the harness times under the allocator policy that cli.main sets
+    assert cli._keep_freed_pages.cache_info().currsize == 1
