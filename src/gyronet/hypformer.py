@@ -32,9 +32,9 @@ GEOMETRIES = ("euclidean", "poincare")
 class TransformerConfig:
     """Classifier shape and geometry, stored as a bundle's config block.
 
-    ``curvature`` is the ball radius c, not a curvature: points of the
-    Poincare ball satisfy ||x|| < c and its sectional curvature is -1/c^2.
-    The key keeps its name, so that bundles keep their bytes.
+    The ball is the unit ball.  The block keeps the radius line, at 1.0, that
+    bundles have always held, so that they keep their bytes, and
+    :meth:`from_dict` refuses any other radius.
     """
 
     geometry: str = "poincare"
@@ -46,7 +46,6 @@ class TransformerConfig:
     num_classes: int = 8
     dropout: float = 0.0
     max_seq_len: int = 64
-    curvature: float = 1.0
     pe_scale: float = 1.0
     use_residual: bool = False
 
@@ -60,8 +59,6 @@ class TransformerConfig:
                 raise ValueError(f"{name} must be >= 1, got {value}")
         if not (0.0 <= self.dropout < 1.0):
             raise ValueError("dropout must be in [0, 1)")
-        if not (math.isfinite(self.curvature) and self.curvature > 0):
-            raise ValueError(f"curvature must be finite and > 0, got {self.curvature}")
         if not math.isfinite(self.pe_scale):
             raise ValueError(f"pe_scale must be finite, got {self.pe_scale}")
 
@@ -71,11 +68,14 @@ class TransformerConfig:
         return self.num_heads * self.head_dim
 
     def to_dict(self):
-        """Config block of a model bundle: field name -> string."""
-        return {f.name: _FORMAT.get(f.type, str)(getattr(self, f.name)) for f in fields(self)}
+        """Config block of a model bundle: field name -> string, and the radius."""
+        block = {f.name: _FORMAT.get(f.type, str)(getattr(self, f.name)) for f in fields(self)}
+        return block | {"curvature": "1.0"}
 
     @classmethod
     def from_dict(cls, d):
+        if float(d["curvature"]) != 1.0:
+            raise ValueError(f"curvature must be 1.0, the unit ball, got {d['curvature']!r}")
         return cls(**{f.name: _PARSE[f.type](d[f.name]) for f in fields(cls)})
 
 
@@ -110,12 +110,16 @@ def positions_on_the_shell(config: TransformerConfig):
     the largest ``pe_scale`` of three significant digits that keeps them all
     inside.
 
-    exp_0 maps a tangent vector of norm r to a point of norm c tanh(r / c),
-    which reaches the shell at r = c artanh(1 - EPS_BOUNDARY).
+    exp_0 maps a tangent vector of norm r to a point of norm tanh(r), which
+    reaches the shell at r = artanh(1 - EPS_BOUNDARY).  When every encoding is
+    the origin (one position at model dim 1), no scale moves one: the count is
+    0 and the scale unbounded.
     """
     norms = np.linalg.norm(positional_encoding_matrix(config.max_seq_len, config.model_dim),
                            axis=-1)
-    reach = config.curvature * math.atanh(1.0 - EPS_BOUNDARY)
+    if not norms.any():
+        return 0, math.inf
+    reach = math.atanh(1.0 - EPS_BOUNDARY)
     limit = reach / float(norms.max())  # the scale at which the farthest encoding gets there
     step = 10.0 ** (math.floor(math.log10(limit)) - 2)
     return int(np.sum(abs(config.pe_scale) * norms >= reach)), (math.ceil(limit / step) - 1) * step
@@ -284,7 +288,7 @@ def classifier_forward(tape, params, points, mask, config: TransformerConfig,
     mask = np.asarray(mask, dtype=float)
     if not np.all(mask.sum(axis=-1) >= 1):
         raise ValueError("every sequence needs at least one unmasked position")
-    c = config.curvature if config.geometry == "poincare" else None
+    c = 1.0 if config.geometry == "poincare" else None
     # a point made by adding coordinates (UNK substitution) may leave the ball
     points = _project(points, c)
     length = points.shape[-2]

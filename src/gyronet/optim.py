@@ -35,8 +35,8 @@ class RmsProp:
         self.acc.clear()
 
 
-def rsgd_step_poincare(param, euclidean_grad, lr, c=1.0):
-    """One Riemannian SGD step on the ball.
+def rsgd_step_poincare(param, euclidean_grad, lr):
+    """One Riemannian SGD step on the unit ball.
 
     The euclidean gradient is rescaled by the inverse metric factor 1/lambda^2
     and the step is taken along the exponential map; the result stays strictly
@@ -47,9 +47,9 @@ def rsgd_step_poincare(param, euclidean_grad, lr, c=1.0):
     grad = np.asarray(euclidean_grad, dtype=float)
     if not _all_finite(grad):
         raise ValueError("non-finite gradient in rsgd_step_poincare")
-    lam = conformal_factor(param, c)
+    lam = conformal_factor(param)
     step = -lr * (grad / (lam * lam))
     if not _all_finite(_norm(step)):
         raise ValueError("non-finite step in rsgd_step_poincare")
-    return project_to_ball(exp_map_poincare(param, step, c), c)
+    return project_to_ball(exp_map_poincare(param, step))
 

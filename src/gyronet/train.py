@@ -76,10 +76,19 @@ class TokenMap:
 def load_embedding_points(path, classifier_geometry):
     """Load an embedding file and adapt it to the classifier geometry.
 
+    The classifier looks up one row per character, so a token that is not one
+    character, which no character matches, and a repeated token, whose earlier
+    rows no character reaches, raise ``ValueError("<path>:<line>: ...")``.
     Ball rows that reach the ``1 - EPS_BOUNDARY`` shell are moved onto it, and
     a warning names how many moved and the largest distance from the origin
     among them."""
     tokens, matrix, geometry = read_embeddings(path)
+    first = {}
+    for i, token in enumerate(tokens):
+        if len(token) != 1:
+            raise ValueError(f"{path}:{i + 2}: token {token!r} is not one character")
+        if first.setdefault(token, i) != i:
+            raise ValueError(f"{path}:{i + 2}: token {token!r} repeats line {first[token] + 2}")
     if classifier_geometry == "poincare":
         if geometry == "hyperboloid":
             ball = to_poincare(matrix)
@@ -149,7 +158,7 @@ def _forward_batch(params_np, points_np, unk_np, mask, labels, config,
     return tape, tensors, scores, loss
 
 
-def _update(params, grads, opt, manifold, lr, c):
+def _update(params, grads, opt, manifold, lr):
     """Each parameter's update from its gradient in ``grads``, in place in
     ``params``: RMSProp in ``sorted(params)`` order, then one Riemannian step
     per row width, on the rows of every ball parameter of that width stacked
@@ -164,7 +173,7 @@ def _update(params, grads, opt, manifold, lr, c):
     for width, names in widths.items():
         stacked = rsgd_step_poincare(
             np.concatenate([params[name].reshape(-1, width) for name in names]),
-            np.concatenate([grads[name].reshape(-1, width) for name in names]), lr, c)
+            np.concatenate([grads[name].reshape(-1, width) for name in names]), lr)
         start = 0
         for name in names:
             p = params[name]
@@ -185,7 +194,7 @@ def _train_step(params, opt, manifold, dataset, batch, token_map, config, settin
         params, points_np, unk_np, mask, labels, config, rng=rng, training=True)
     grads = dc.backward(tape, loss)
     _update(params, {name: grads[t] for name, t in tensors.items()}, opt, manifold,
-            settings.manifold_lr, config.curvature)
+            settings.manifold_lr)
     return float(loss.value), int(np.sum(np.argmax(scores.value, axis=-1) == labels))
 
 

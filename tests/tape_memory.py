@@ -171,7 +171,7 @@ def measure(geometry, size, steps):
         if grad:
             # a copy of the dict, so that every pass starts from the same parameters
             train._update(dict(params), {name: grads[t] for name, t in tensors.items()}, opt,
-                          manifold, settings.manifold_lr, cfg.curvature)
+                          manifold, settings.manifold_lr)
             upd.append(time.perf_counter() - t2)
         fwd.append(t1 - t0)
         bwd.append(t2 - t1)

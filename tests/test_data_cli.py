@@ -467,6 +467,33 @@ def test_rows_moved_onto_the_shell_are_reported(tmp_path, caplog):
         ", 1 of 2 ball rows at or past the 1 - 1e-05 shell")
 
 
+@pytest.mark.parametrize("tokens, refusal", [
+    (["ab", "c", "c"], "2: token 'ab' is not one character"),
+    (["a", "", "c"], "3: token '' is not one character"),
+    (["c", "a", "c"], "4: token 'c' repeats line 2"),
+])
+def test_loader_refuses_tokens_that_no_character_reaches(tmp_path, tokens, refusal):
+    # each would leave a row unused: "abc" would encode as UNK, UNK and the last "c"
+    path = tmp_path / "emb.txt"
+    embed.write_embeddings(path, tokens, np.full((3, 2), 0.1), "poincare")
+    assert embed.read_embeddings(path)[0] == tokens
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:{refusal}$"):
+        train.load_embedding_points(path, "poincare")
+
+
+def test_loader_takes_the_space_token_of_keep_whitespace(tmp_path):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("ab cd\nef gh\n" * 20, encoding="utf-8")
+    emb = tmp_path / "e.txt"
+    assert cli.main(["train-embeddings", "--corpus", str(corpus), "--keep-whitespace",
+                     "--dim", "3", "--epochs", "1", "--window", "1", "--negatives", "2",
+                     "--out", str(emb)]) == 0
+    token_map = train.load_embedding_points(emb, "poincare")
+    assert " " in token_map.token_to_row
+    _, unk, mask = token_map.encode(["ab cd"], 8)
+    assert mask.sum() == 5 and not unk.any()
+
+
 def test_cli_convert_rejects_euclidean(tmp_path, capsys):
     path = tmp_path / "e.txt"
     embed.write_embeddings(path, ["x"], np.array([[0.1, 0.2]]), "euclidean")
@@ -1035,6 +1062,18 @@ def test_train_classifier_warns_when_positional_encodings_reach_the_shell(tmp_pa
         (100, "0.863"): [], (16, "1"): []}
 
 
+def test_train_classifier_runs_when_every_positional_encoding_is_the_origin(tmp_path, caplog):
+    # at dim 1 the one encoding of --max-seq-len 1 is sin(0) = 0
+    dataset, chars = _tiny_dataset(tmp_path)
+    emb = tmp_path / "b1.txt"
+    embed.write_embeddings(emb, chars, np.linspace(-0.5, 0.5, len(chars))[:, None], "poincare")
+    with caplog.at_level(logging.WARNING, logger="gyronet"):
+        assert cli.main(["train-classifier", "--embeddings", str(emb), "--data", str(dataset),
+                         "--epochs", "1", "--layers", "1", "--heads", "1",
+                         "--max-seq-len", "1", "--out", str(tmp_path / "m.bin")]) == 0
+    assert not caplog.records
+
+
 def _tiny_euclidean_model(tmp_path):
     """(dataset, dim-4 embeddings, one-layer two-head euclidean model) paths."""
     dataset, chars = _tiny_dataset(tmp_path)
@@ -1142,9 +1181,10 @@ def tiny_poincare_model(tmp_path_factory):
 
 
 @pytest.mark.parametrize("key, value, message", [
-    ("curvature", "-1", "curvature must be finite and > 0, got -1.0"),
-    ("curvature", "0", "curvature must be finite and > 0, got 0.0"),
-    ("curvature", "nan", "curvature must be finite and > 0, got nan"),
+    ("curvature", "-1", "curvature must be 1.0, the unit ball, got '-1'"),
+    ("curvature", "0", "curvature must be 1.0, the unit ball, got '0'"),
+    ("curvature", "nan", "curvature must be 1.0, the unit ball, got 'nan'"),
+    ("curvature", "0.5", "curvature must be 1.0, the unit ball, got '0.5'"),
     ("max_seq_len", "0", "max_seq_len must be >= 1, got 0"),
     ("model_dim", "0", "model_dim must be >= 1, got 0"),
     ("num_heads", "0", "num_heads must be >= 1, got 0"),
@@ -1167,3 +1207,4 @@ def test_cli_evaluate_refuses_bad_config_values(tiny_poincare_model, tmp_path, c
     assert code == 1
     err = capsys.readouterr().err
     assert err.splitlines() == [f"gyronet evaluate: error: {bad}: bad config block: {message}"]
+

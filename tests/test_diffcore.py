@@ -1594,7 +1594,6 @@ def _classifier_batches(draw):
         num_heads=draw(st.integers(1, 3)), head_dim=draw(st.integers(1, 3)),
         ffn_dim=draw(st.integers(2, 6)), num_classes=draw(st.integers(2, 4)),
         dropout=draw(st.sampled_from([0.0, 0.3])),
-        curvature=draw(st.sampled_from([0.25, 1.0, 3.0])),
         use_residual=draw(st.booleans()))
     b, length = draw(st.integers(1, 3)), draw(st.integers(1, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -1603,7 +1602,7 @@ def _classifier_batches(draw):
     kind = rng.integers(0, 3, size=(b * length, 1))
     radius = np.where(kind == 0, 0.9 * rng.random((b * length, 1)),
                       np.where(kind == 1, 1.0 - 1e-5 * rng.random((b * length, 1)), 0.0))
-    points = (direction * radius * cfg.curvature).reshape(b, length, cfg.model_dim)
+    points = (direction * radius).reshape(b, length, cfg.model_dim)
     unk = (rng.random((b, length, 1)) < 0.2).astype(float)
     mask = np.ones((b, length))
     for row, keep in enumerate(rng.integers(1, length + 1, size=b)):
@@ -1611,7 +1610,7 @@ def _classifier_batches(draw):
         points[row, keep:] = 0.0
         unk[row, keep:] = 0.0
     params = hf.init_params(cfg, rng)
-    params["unk"] = random_ball_points(rng, 1, cfg.model_dim, radius=0.5)[0] * cfg.curvature
+    params["unk"] = random_ball_points(rng, 1, cfg.model_dim, radius=0.5)[0]
     labels = rng.integers(0, cfg.num_classes, size=b)
     return cfg, params, points, unk, mask, labels, draw(st.booleans())
 

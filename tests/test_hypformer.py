@@ -1,6 +1,7 @@
 """Tests for the transformer building blocks in both geometries and for the
 model bundle format."""
 
+import math
 import weakref
 
 import numpy as np
@@ -57,20 +58,26 @@ def test_positional_encoding_matrix_equals_the_loop_bit_for_bit(d):
 
 
 def test_attach_positions():
-    cfg = _config(model_dim=2)
     tape = dc.Tape()
     x = tape.constant([0.5, 0.0])
     pe0 = tape.constant([0.0, 0.0])
-    np.testing.assert_allclose(hf.attach_positions(x, pe0, cfg.curvature).value, [0.5, 0.0],
-                               atol=1e-12)
+    np.testing.assert_allclose(hf.attach_positions(x, pe0, 1.0).value, [0.5, 0.0], atol=1e-12)
     zero = tape.constant([0.0, 0.0])
     pe = tape.constant([0.3, 0.1])
-    np.testing.assert_allclose(hf.attach_positions(zero, pe, cfg.curvature).value,
+    np.testing.assert_allclose(hf.attach_positions(zero, pe, 1.0).value,
                                geo.exp_map_poincare(np.zeros(2), np.array([0.3, 0.1])),
                                atol=1e-12)
     pe2 = tape.constant([np.arctanh(0.5), 0.0])
-    np.testing.assert_allclose(hf.attach_positions(x, pe2, cfg.curvature).value, [0.8, 0.0],
-                               atol=1e-12)
+    np.testing.assert_allclose(hf.attach_positions(x, pe2, 1.0).value, [0.8, 0.0], atol=1e-12)
+
+
+def test_positions_on_the_shell_when_every_encoding_is_the_origin():
+    # at model dim 1 the only encoding of one position is sin(0) = 0, which
+    # no scale moves; that of a second position, sin(1), reaches the shell at
+    # scale artanh(1 - 1e-5) / sin(1) = 7.2528
+    assert hf.positions_on_the_shell(_config(model_dim=1, max_seq_len=1)) == (0, math.inf)
+    assert hf.positions_on_the_shell(_config(model_dim=1, max_seq_len=2)) == (0, 7.25)
+    assert hf.positions_on_the_shell(_config(model_dim=1, max_seq_len=2, pe_scale=7.26))[0] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -524,9 +531,6 @@ def test_config_round_trip():
 
 
 @pytest.mark.parametrize("key, value, message", [
-    ("curvature", -1.0, "curvature must be finite and > 0, got -1.0"),
-    ("curvature", 0.0, "curvature must be finite and > 0, got 0.0"),
-    ("curvature", float("nan"), "curvature must be finite and > 0, got nan"),
     ("pe_scale", float("inf"), "pe_scale must be finite, got inf"),
     ("model_dim", 0, "model_dim must be >= 1, got 0"),
     ("num_layers", 0, "num_layers must be >= 1, got 0"),
@@ -540,19 +544,30 @@ def test_config_refuses_values_that_break_the_model(key, value, message):
     with pytest.raises(ValueError) as info:
         _config(**{key: value})
     assert str(info.value) == message
-    _config(geometry="euclidean", curvature=0.5, pe_scale=0.0)
+    _config(geometry="euclidean", pe_scale=0.0)
+
+
+@pytest.mark.parametrize("value", ["-1", "0", "nan", "0.5", "3"])
+def test_config_from_dict_refuses_a_ball_radius_other_than_1(value):
+    block = {**_config().to_dict(), "curvature": value}
+    with pytest.raises(ValueError) as info:
+        hf.TransformerConfig.from_dict(block)
+    assert str(info.value) == f"curvature must be 1.0, the unit ball, got '{value}'"
+    assert hf.TransformerConfig.from_dict({**block, "curvature": "1.0"}) == _config()
+    del block["curvature"]
+    with pytest.raises(KeyError):
+        hf.TransformerConfig.from_dict(block)
 
 
 def test_config_to_dict_strings():
     cfg = hf.TransformerConfig(geometry="euclidean", model_dim=6, num_layers=3, num_heads=2,
                                head_dim=3, ffn_dim=12, num_classes=5, dropout=0.25,
-                               max_seq_len=32, curvature=0.5, pe_scale=1e-07,
-                               use_residual=True)
+                               max_seq_len=32, pe_scale=1e-07, use_residual=True)
     assert list(cfg.to_dict().items()) == [
         ("geometry", "euclidean"), ("model_dim", "6"), ("num_layers", "3"),
         ("num_heads", "2"), ("head_dim", "3"), ("ffn_dim", "12"), ("num_classes", "5"),
-        ("dropout", "0.25"), ("max_seq_len", "32"), ("curvature", "0.5"),
-        ("pe_scale", "1e-07"), ("use_residual", "1")]
+        ("dropout", "0.25"), ("max_seq_len", "32"), ("pe_scale", "1e-07"),
+        ("use_residual", "1"), ("curvature", "1.0")]
     assert hf.TransformerConfig().to_dict()["use_residual"] == "0"
     assert hf.TransformerConfig.from_dict(cfg.to_dict()) == cfg
 

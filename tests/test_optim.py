@@ -175,11 +175,11 @@ def _update_case(size, seed=0):
     return cfg, params, grads
 
 
-def _reference_update(params, grads, opt, manifold, lr, c):
+def _reference_update(params, grads, opt, manifold, lr):
     """Each parameter's own step, in sorted order, as training first did it."""
     for name in sorted(params):
         if name in manifold:
-            params[name] = rsgd_step_poincare(params[name], grads[name], lr, c)
+            params[name] = rsgd_step_poincare(params[name], grads[name], lr)
         else:
             params[name] = opt.step(name, params[name], grads[name])
 
@@ -191,9 +191,9 @@ def test_one_riemannian_step_per_row_width_equals_a_step_per_parameter(monkeypat
     manifold = hf.manifold_param_names(cfg)
     calls = []
 
-    def counted(param, grad, lr, c=1.0):
+    def counted(param, grad, lr):
         calls.append(param.shape)
-        return rsgd_step_poincare(param, grad, lr, c)
+        return rsgd_step_poincare(param, grad, lr)
 
     results = []
     for update in (train._update, _reference_update):
@@ -202,7 +202,7 @@ def test_one_riemannian_step_per_row_width_equals_a_step_per_parameter(monkeypat
         for _ in range(2):  # the second step starts from the first's (split) rows
             with monkeypatch.context() as m:
                 m.setattr(train, "rsgd_step_poincare", counted)
-                update(got, grads, opt, manifold, 0.05, cfg.curvature)
+                update(got, grads, opt, manifold, 0.05)
         results.append(got)
     grouped, reference = results
     assert grouped.keys() == reference.keys() == params.keys()
@@ -225,8 +225,7 @@ def test_a_non_finite_gradient_of_any_ball_parameter_stops_the_update(bad):
         broken[name] = grads[name].copy()
         broken[name].flat[-1] = bad
         with pytest.raises(ValueError) as info:
-            train._update(dict(params), broken, RmsProp(), hf.manifold_param_names(cfg), 0.05,
-                          cfg.curvature)
+            train._update(dict(params), broken, RmsProp(), hf.manifold_param_names(cfg), 0.05)
         assert str(info.value) == "non-finite gradient in rsgd_step_poincare", name
 
 

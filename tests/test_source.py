@@ -1,11 +1,15 @@
 """Static checks on the package source."""
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import pytest
 
 import gyronet
+from gyronet.embed import SkipgramConfig
+from gyronet.hypformer import TransformerConfig
+from gyronet.train import TrainSettings
 
 SOURCES = sorted(Path(gyronet.__file__).parent.glob("*.py"))
 
@@ -152,3 +156,16 @@ def test_the_tape_sums_no_last_axis_but_by_the_kernel(name):
              and any(_is_minus_one(arg) for arg in node.args[1:2]
                      + [kw.value for kw in node.keywords if kw.arg == "axis"])]
     assert not found, "a last-axis sum outside geometry's kernel: " + ", ".join(found)
+
+
+@pytest.mark.parametrize("cls", [TransformerConfig, TrainSettings, SkipgramConfig],
+                         ids=lambda cls: cls.__name__)
+def test_the_cli_passes_every_setting_by_keyword(cls):
+    # a field that cli.py leaves at its default is a setting no flag reaches
+    tree = ast.parse((Path(gyronet.__file__).parent / "cli.py").read_text(encoding="utf-8"))
+    calls = [call for _, call in _calls_by_scope(tree, cls.__name__)]
+    assert calls, f"cli.py never constructs {cls.__name__}"
+    for call in calls:
+        passed = {kw.arg for kw in call.keywords}
+        unset = [f.name for f in dataclasses.fields(cls) if f.name not in passed]
+        assert not unset, f"cli.py:{call.lineno}: {cls.__name__} without {unset}"
