@@ -267,9 +267,12 @@ def cmd_train_classifier(argv):
         restart_epoch=args.restart_epoch)
     params, history = train.train_classifier(dataset, token_map, config, settings,
                                              log_fn=log.info)
-    metrics = train.evaluate_classifier(
-        dataset, dataset.heldout_indices or dataset.train_indices,
-        token_map, params, config)
+    try:
+        metrics = train.evaluate_classifier(
+            dataset, dataset.heldout_indices or dataset.train_indices,
+            token_map, params, config)
+    except train.NonFiniteScores as exc:
+        raise CliError(f"the model trained for {args.out}: {exc}") from None
     meta = config.to_dict()
     meta["labels"] = "\t".join(dataset.id_to_label)
     meta["epochs"] = str(args.epochs)
@@ -337,7 +340,10 @@ def cmd_evaluate(argv):
     if not indices:
         raise CliError(f"the {args.split} split of {args.data} is empty "
                        f"at --holdout {args.holdout}")
-    metrics = train.evaluate_classifier(dataset, indices, token_map, params, config)
+    try:
+        metrics = train.evaluate_classifier(dataset, indices, token_map, params, config)
+    except train.NonFiniteScores as exc:
+        raise CliError(f"{args.model}: {exc}") from None
     _write_report(args.metrics_out, metrics, epochs, geometry, config.model_dim, args.seed)
 
 

@@ -85,13 +85,6 @@ gradient reached, and clears every gradient it set, also when it raises.
 The saved values stay, so a tape can be differentiated again.  To evaluate
 at new inputs, record a new tape.
 
-A forward-only tape, ``Tape(grad=False)``, is for callers that never
-differentiate, such as evaluation.  Every op runs the same forward and the
-same finite check with the same ``TapeError`` text, and a running count gives
-each value the node index a recording tape would, so each tensor keeps a
-distinct ``nid``; but no node is created and no value is kept.  ``backward``
-refuses such a tape.
-
 :func:`norm`, :func:`softmax` and :func:`ball_project` act on the last
 axis; ``norm`` and ``ball_project`` run :mod:`gyronet.geometry`'s norm and
 radial clamp, which keeps its input array itself when no row reaches the
@@ -197,7 +190,7 @@ class Tensor:
         self.tape = tape
         self.nid = nid
         self.value = value
-        self.node = node  # None on a forward-only tape
+        self.node = node
         # _norm(value) when ball_project measured it, and then norms_hi bounds them
         self.norms = None
         self.hi = hi
@@ -260,19 +253,12 @@ class TapeError(RuntimeError):
 
 
 class Tape:
-    """Append-only record of primitive operations.
+    """Append-only record of primitive operations."""
 
-    ``Tape(grad=False)`` is forward-only: it checks and numbers every value
-    as a recording tape would, but keeps no nodes, so it cannot be
-    differentiated.
-    """
-
-    def __init__(self, grad=True):
-        self.grad = grad
+    def __init__(self):
         self.nodes: list[Node] = []
         self.params: list[int] = []  # node ids of the grad-enabled leaves, in order
         self.graded: list[Node] = []  # the recorded nodes that require grad, in order
-        self.skipped = 0  # values a forward-only tape numbered but did not keep
 
     def leaf(self, data, requires_grad=False):
         """A leaf node; a grad-enabled leaf keeps its value, a constant keeps
@@ -283,9 +269,6 @@ class Tape:
         hi = lo = abs(float(data)) if isinstance(data, float) else _INF
         if not hi < _INF:
             hi, lo = _INF, 0.0
-        if not self.grad:
-            self.skipped += 1
-            return Tensor(self, self.skipped - 1, value, None, hi, lo)
         nodes = self.nodes
         if requires_grad:
             self.params.append(len(nodes))
@@ -308,10 +291,7 @@ class Tape:
         if not _hi < _PROVEN:
             _hi = _magnitude(value)
             if not _hi < _INF:
-                raise TapeError(f"non-finite value at node {len(nodes) + self.skipped} (op {op})")
-        if not self.grad:
-            self.skipped += 1
-            return Tensor(self, self.skipped - 1, value, None, _hi, _lo)
+                raise TapeError(f"non-finite value at node {len(nodes)} (op {op})")
         if len(inputs) == 1:
             a, = inputs
             pa = a.node
@@ -357,8 +337,6 @@ def backward(tape: Tape, output: Tensor) -> dict[Tensor, np.ndarray]:
     before it returns or raises; the saved values stay, so a tape can be
     differentiated again.
     """
-    if not tape.grad:
-        raise TapeError("backward on a forward-only tape (Tape(grad=False))")
     out_node = output.node
     if output.value.size != 1:
         raise TapeError(f"backward output must be scalar, got shape {out_node.shape}")
@@ -499,12 +477,16 @@ _BACKWARD["matmul"] = (lambda g, out, v, at: g @ v[1].swapaxes(-1, -2),
                        lambda g, out, v, at: v[0].swapaxes(-1, -2) @ g)
 
 
+def _sum(x, axis=None, keepdims=False):
+    """``tsum``'s forward on an array: ``_sum_last`` over the last axis."""
+    if axis == -1:
+        return _sum_last(x) if keepdims else _sum_last(x)[..., 0]
+    return np.add.reduce(x, axis=axis, keepdims=keepdims)
+
+
 def tsum(a, axis=None, keepdims=False):
     x = a.value
-    if axis == -1:
-        value = _sum_last(x) if keepdims else _sum_last(x)[..., 0]
-    else:
-        value = np.add.reduce(x, axis=axis, keepdims=keepdims)
+    value = _sum(x, axis, keepdims)
     count = x.size // max(value.size, 1)  # the terms of each sum
     return a.tape.record("sum", (a,), value, _hi=count * a.hi, axis=axis, keepdims=keepdims)
 
@@ -568,11 +550,15 @@ relu = _unary("relu", lambda x: np.maximum(x, 0.0), lambda g, out, v, at: g * (v
               "input", lambda h: h)
 
 
+def _softmax(x):
+    """``softmax``'s forward on an array."""
+    e = np.exp(x - np.maximum.reduce(x, axis=-1, keepdims=True))
+    return e / _sum_last(e)
+
+
 def softmax(a):
     """Softmax over the last axis."""
-    x = a.value
-    e = np.exp(x - np.maximum.reduce(x, axis=-1, keepdims=True))
-    return a.tape.record("softmax", (a,), e / _sum_last(e), _hi=1.0 if a.hi < _INF else _INF,
+    return a.tape.record("softmax", (a,), _softmax(a.value), _hi=1.0 if a.hi < _INF else _INF,
                          _out=True)
 
 

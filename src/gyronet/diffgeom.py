@@ -3,21 +3,23 @@
 These operate on :class:`~gyronet.diffcore.Tensor` values so that gradients
 flow through them.  Points live along the last axis; leading axes broadcast.
 Mobius addition and the conformal factor are :mod:`gyronet.geometry`'s own
-bodies, bound to the tape's last-axis sum and to :func:`project`, so each is
-written once and gives the kernels' bits.  The other maps still have a tape
-form of their own, which differs from ``geometry`` as follows:
+bodies, bound to the tape's last-axis sum and to :func:`project`.  Each map
+here has a fused array kernel in ``geometry`` with the same layout and
+formula, which evaluation runs (``_expmap0``, ``_logmap0``, ``_matvec``,
+``_mobius_add_rows`` and ``_mlr_scores``); they differ from these maps only
+as follows:
 
-- ``expmap0`` and ``logmap0``: ``geometry`` has no map at the origin; its
-  ``exp_map_poincare`` and ``log_map_poincare`` at the origin add an
-  ``np.where`` zero-row guard and a Mobius addition, and the log map holds the
-  artanh argument below ``1 - _TINY``, for which the tape has no op;
-- ``geometry`` computes ``(c tanh(t) v) / ||v||`` where the tape computes
-  ``(c tanh(t) / ||v||) v``, which are different bits: the tape divides the
-  per-row coefficient by the norm first and widens it to the row once;
-- ``mobius_matvec`` takes its weight as (n_in, n_out), ``geometry`` takes
-  ``M`` as (m, n) and computes ``x @ M.T``, with the artanh bound and the
-  ``(nx > 0) & (ny > 0)`` mask;
-- ``mlr_scores`` has no ``geometry`` kernel.
+- a kernel takes its ball inputs' row norms from the kernel that made them,
+  where the tape measures them again (but for an unclamped projection's),
+  and folds the ball projection into its per-row coefficient, from which it
+  also takes its output's row norms;
+- the array Mobius addition makes its coefficients from the operands' norms
+  and one inner product, and measures its output's norms only where its two
+  terms cancel;
+- ``geometry`` holds artanh's argument below ``1 - _TINY``, which projected
+  inputs never reach, and the tape's ``atanh`` has no such bound;
+- the array MLR makes ``w = (-p) (+) x`` only where its terms cancel;
+  otherwise ``<w, a>`` comes from the coefficients and two matrix products.
 """
 
 from __future__ import annotations

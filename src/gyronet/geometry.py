@@ -82,16 +82,24 @@ def _norm(x, keepdims=True):
     return n if keepdims else n[..., 0]
 
 
+def _onto_shell(n, maxnorm):
+    """The mask of the rows of norm ``n`` inside ``maxnorm``, and the factor
+    per row that moves the others onto that shell: 1 inside, NaN for a NaN
+    norm, and None when every row is inside."""
+    inside = n < maxnorm
+    if np.logical_and.reduce(inside, axis=None):
+        return inside, None
+    return inside, np.where(inside, 1.0, maxnorm / np.maximum(n, _TINY))
+
+
 def _clamp(x, maxnorm):
     """Rows of norm ``maxnorm`` or more rescaled onto that shell, the mask of
     the rows inside it, and the norms ``_norm(x)`` of the input rows.  When
     every row is inside, the rows are ``x`` itself: ``x * 1.0`` would be the
     same bits."""
     n = _norm(x)
-    inside = n < maxnorm
-    if not np.logical_and.reduce(inside, axis=None):
-        x = x * np.where(inside, 1.0, maxnorm / np.maximum(n, _TINY))
-    return x, inside, n
+    inside, s = _onto_shell(n, maxnorm)
+    return (x if s is None else x * s), inside, n
 
 
 def _artanh(n, c):
@@ -202,28 +210,120 @@ def transport_from_origin_poincare(x, v, c=1.0):
     return 2.0 / lam * np.asarray(v, dtype=float)
 
 
-def mobius_matvec(M, x, c=1.0):
-    """Mobius matrix-vector multiplication M^(x)_c applied to ball points.
-
-    M has shape (m, n); x has shape (..., n).  Mx = 0 maps to the origin.
-    """
-    M = np.asarray(M, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if M.shape[-1] != x.shape[-1]:
-        raise ValueError(f"matrix expects dim {M.shape[-1]}, point has {x.shape[-1]}")
-    y = x @ M.T
-    nx = _norm(x)
-    ny = _norm(y)
-    t = ny / np.maximum(nx, _TINY) * _artanh(nx, c)
-    return project_to_ball(_tanh_along(c, t, y, ny, (nx > 0) & (ny > 0)), c)
-
-
 def bias_translate(x, b, c=1.0):
     """Bias translation exp_x(P_{0->x}(log_0(b))); agrees with mobius_add(x, b)."""
     origin = np.zeros_like(np.asarray(b, dtype=float))
     v0 = log_map_poincare(origin, b, c)
     vx = transport_from_origin_poincare(x, v0, c)
     return exp_map_poincare(x, vx, c)
+
+
+# ---------------------------------------------------------------------------
+# Fused kernels in the layouts of the classifier's tape maps
+# ---------------------------------------------------------------------------
+#
+# Each ball point here travels with the norms of its rows, ``(x, nx)`` with
+# ``nx`` kept as ``_norm(x)`` keeps it: the kernel that makes a point knows
+# them from its per-row coefficients, so no kernel measures its inputs again.
+# A kernel scales whole rows by one narrow coefficient, and folds the ball
+# projection into that coefficient.  A row whose norm overflows gets a NaN
+# norm (0 * inf), and so NaN coordinates, never a finite row in its place.
+
+def _shell(n, c):
+    """The factor per row that moves the rows of norm ``n`` at or past the
+    ball's shell onto it, None when every row is inside, and the norms after it."""
+    maxnorm = c * (1.0 - EPS_BOUNDARY)
+    s = _onto_shell(n, maxnorm)[1]
+    return (None, n) if s is None else (s, np.minimum(n, maxnorm))
+
+
+def _project(x, c):
+    """``(project_to_ball(x, c), its row norms)``."""
+    out, _, n = _clamp(x, c * (1.0 - EPS_BOUNDARY))
+    return out, (n if out is x else _shell(n, c)[1])
+
+
+def _scaled(v, k, n, c):
+    """``(k v, its row norms)`` for rows ``v`` and coefficients ``k >= 0``
+    whose products have norms ``n``, the rows past the shell moved onto it."""
+    s, n = _shell(n, c)
+    return (k if s is None else k * s) * v, n
+
+
+def _expmap0(v, c):
+    """exp_0 of the tangent rows ``v``: ``(c tanh(||v|| / c) / ||v||) v``."""
+    n = _norm(v)
+    k = c * np.tanh(n / c) / np.maximum(n, _TINY)
+    return _scaled(v, k, k * n, c)
+
+
+def _logmap0(y, ny, c):
+    """log_0 of the ball rows ``y`` of norms ``ny``: ``(c artanh(||y|| / c) / ||y||) y``."""
+    return (c * _artanh(ny, c) / np.maximum(ny, _TINY)) * y
+
+
+def _matvec(x, nx, weight, c):
+    """The Mobius matvec of the ball rows ``x`` of norms ``nx`` by ``weight``
+    (n_in, n_out): ``y = x @ weight`` scaled by ``c tanh(||y|| / ||x||
+    artanh(||x|| / c)) / ||y||``, which maps ``y = 0`` to the origin."""
+    y = x @ weight
+    ny = _norm(y)
+    k = c * np.tanh(ny / np.maximum(nx, _TINY) * _artanh(nx, c)) / np.maximum(ny, _TINY)
+    return _scaled(y, k, k * ny, c)
+
+
+def mobius_matvec(x, weight, c=1.0):
+    """Mobius matrix-vector multiplication of ball points ``x`` (..., n_in) by
+    ``weight`` (n_in, n_out); a point that ``weight`` maps to 0 maps to the origin."""
+    x = np.asarray(x, dtype=float)
+    return _matvec(x, _norm(x), np.asarray(weight, dtype=float), c)[0]
+
+
+def _gyro_coefficients(x2, y2, xy, c):
+    """``(a, b, n)`` such that ``a x + b y`` is x (+)_c y, projected, and
+    ``n`` its row norms, from ``||x||^2 / c^2``, ``||y||^2 / c^2`` and ``2 <x,
+    y> / c^2``.  Where the two terms cancel, ``a x + b y`` is unprojected and
+    ``n`` None, for the caller to measure: once ``a^2 x2 + b^2 y2`` passes 4
+    in a row, ``den`` is small against its own terms and keeps too few digits
+    to give ``n``."""
+    den = 1.0 + xy + x2 * y2
+    a = (1.0 + xy + y2) / den
+    b = (1.0 - x2) / den
+    if not np.logical_and.reduce(a * a * x2 + b * b * y2 <= 4.0, axis=None):
+        return a, b, None
+    # 1 - ||x (+) y||^2 / c^2 = (1 - x2)(1 - y2) / den, good to a few units of
+    # 1e-16 of itself, which keeps the digits of a norm next to the shell
+    s, n = _shell(c * np.sqrt(np.maximum(1.0 - b * (1.0 - y2), 0.0)), c)
+    return (a, b, n) if s is None else (a * s, b * s, n)
+
+
+def _mobius_add_rows(x, nx, y, ny, c):
+    """``(x (+)_c y, its row norms)`` from the operands' row norms and one
+    inner product; leading axes broadcast."""
+    c2 = c * c
+    a, b, n = _gyro_coefficients(nx * nx / c2, ny * ny / c2, 2.0 * _inner(x, y) / c2, c)
+    out = a * x
+    out += b * y  # in place: one row-wide temporary, not two
+    return (out, n) if n is not None else _project(out, c)
+
+
+def _mlr_scores(x, nx, normals, offsets, c):
+    """Hyperbolic multinomial logistic regression scores (..., K) of the ball
+    rows ``x`` (..., n) of norms ``nx``, for class normals and offsets (K, n):
+    ``c lambda_p ||a|| asinh(2 <w, a> / (c (1 - ||w||^2 / c^2) ||a||))`` with
+    ``w = (-p) (+)_c x``.  ``w`` is made only where its coefficients cancel;
+    otherwise its inner products come from them and two matrix products."""
+    c2 = c * c
+    na = np.maximum(_norm(normals, keepdims=False), _TINY)
+    lam = _conformal_factor(offsets, c, _sum_last)[..., 0]
+    a, b, n = _gyro_coefficients(_inner(offsets, offsets)[..., 0] / c2, nx * nx / c2,
+                                 -2.0 * (x @ offsets.T) / c2, c)
+    if n is None:
+        w, n = _project(a[..., None] * -offsets + b[..., None] * x[..., None, :], c)
+        wa, n = _inner(w, normals)[..., 0], n[..., 0]
+    else:
+        wa = b * (x @ normals.T) - a * _inner(offsets, normals)[..., 0]
+    return c * lam * na * np.arcsinh(2.0 * wa / (c * (1.0 - n * n / c2) * na))
 
 
 # ---------------------------------------------------------------------------

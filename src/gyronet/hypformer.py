@@ -12,17 +12,23 @@ Mobius addition becomes ``+``, Mobius matvec becomes matmul and log_0/exp_0
 become the identity.  Every block takes the ball radius ``c`` and reads
 ``c=None`` as flat space; only the classification head keeps one form per
 geometry.
+
+Each block body is written once, over the binding of its operands: on tape
+tensors each op records on their tape (training), and on numpy arrays it runs
+numpy's and :mod:`gyronet.geometry`'s fused kernels with no tape (evaluation).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import diffcore as dc
 from . import diffgeom as dg
+from . import geometry
 from .geometry import EPS_BOUNDARY
 
 GEOMETRIES = ("euclidean", "poincare")
@@ -174,32 +180,91 @@ def manifold_param_names(config: TransformerConfig):
 
 
 # ---------------------------------------------------------------------------
-# Building blocks (operate on diffcore tensors)
+# Bindings: each block body is written once, over the ops of its operands
+# ---------------------------------------------------------------------------
+
+class _Point:
+    """A ball point on arrays: its coordinates ``value`` and their row norms
+    ``norms``, which the kernel that made it knew, so that the next kernel
+    does not measure them again.  Indexing it gives coordinates, as a tensor
+    slice does."""
+
+    __slots__ = ("value", "norms")
+
+    def __init__(self, value, norms):
+        self.value = value
+        self.norms = norms
+
+    def __getitem__(self, key):
+        return self.value[key]
+
+
+def _rows(x):
+    """``(coordinates, row norms)`` of a ball point, measured for a parameter."""
+    return (x.value, x.norms) if isinstance(x, _Point) else (x, geometry._norm(x))
+
+
+# on tape tensors: diffcore's and diffgeom's ops, looked up at each call, so
+# that a wrapper installed on one of them sees every call
+_TAPE = SimpleNamespace(
+    constant=lambda like, value: like.tape.constant(value),
+    matmul=lambda a, b: dc.matmul(a, b), swap_last=dc.swap_last, softmax=dc.softmax,
+    relu=dc.relu, exp=dc.exp, log=dc.log, tmax=dc.tmax, tsum=dc.tsum,
+    project=lambda x, c: dg.project(x, c),
+    mobius_add=lambda x, y, c: dg.mobius_add(x, y, c),
+    mobius_matvec=lambda x, w, c: dg.mobius_matvec(x, w, c),
+    logmap0=lambda x, c: dg.logmap0(x, c),
+    expmap0=lambda v, c: dg.expmap0(v, c),
+    mlr_scores=lambda x, a, p, c: dg.mlr_scores(x, a, p, c))
+
+# on numpy arrays: the same forwards as the tape's flat ops, and geometry's
+# fused kernels on ball points that carry their row norms
+_ARRAYS = SimpleNamespace(
+    constant=lambda like, value: value,
+    matmul=np.matmul, swap_last=lambda a: a.swapaxes(-1, -2), softmax=dc._softmax,
+    relu=lambda a: np.maximum(a, 0.0), exp=np.exp, log=np.log,
+    tmax=lambda a, axis=None, keepdims=False: np.maximum.reduce(a, axis=axis, keepdims=keepdims),
+    tsum=dc._sum,
+    project=lambda x, c: _Point(*geometry._project(x, c)),
+    mobius_add=lambda x, y, c: _Point(*geometry._mobius_add_rows(*_rows(x), *_rows(y), c)),
+    mobius_matvec=lambda x, w, c: _Point(*geometry._matvec(*_rows(x), w, c)),
+    logmap0=lambda x, c: geometry._logmap0(*_rows(x), c),
+    expmap0=lambda v, c: _Point(*geometry._expmap0(v, c)),
+    mlr_scores=lambda x, a, p, c: geometry._mlr_scores(*_rows(x), a, p, c))
+
+
+def _ops(x):
+    """The binding of the value ``x``: the tape's for a tensor, else the arrays'."""
+    return _TAPE if isinstance(x, dc.Tensor) else _ARRAYS
+
+
+# ---------------------------------------------------------------------------
+# Building blocks
 # ---------------------------------------------------------------------------
 
 def _add(x, y, c):
-    return x + y if c is None else dg.mobius_add(x, y, c)
+    return x + y if c is None else _ops(x).mobius_add(x, y, c)
 
 
 def _matvec(x, w, c):
-    return dc.matmul(x, w) if c is None else dg.mobius_matvec(x, w, c)
+    return _ops(x).matmul(x, w) if c is None else _ops(x).mobius_matvec(x, w, c)
 
 
 def _log0(x, c):
-    return x if c is None else dg.logmap0(x, c)
+    return x if c is None else _ops(x).logmap0(x, c)
 
 
 def _exp0(v, c):
-    return v if c is None else dg.expmap0(v, c)
+    return v if c is None else _ops(v).expmap0(v, c)
 
 
 def _project(x, c):
-    return x if c is None else dg.project(x, c)
+    return x if c is None else _ops(x).project(x, c)
 
 
 def attach_positions(x, pe, c):
     """Add positional information: x (+) exp_0(PE), which is x + PE in flat
-    space.  ``pe`` is a constant tensor."""
+    space.  ``pe`` is a constant."""
     return _add(x, _exp0(pe, c), c)
 
 
@@ -208,11 +273,12 @@ def scaled_dot_attention(q, k, v, mask_bias):
     d_k = q.shape[-1]
     if d_k == 0:
         raise ValueError("attention requires d_k > 0")
-    logits = dc.matmul(q, dc.swap_last(k)) * (1.0 / math.sqrt(d_k))
+    ops = _ops(q)
+    logits = ops.matmul(q, ops.swap_last(k)) * (1.0 / math.sqrt(d_k))
     if mask_bias is not None:
         logits = logits + mask_bias
-    weights = dc.softmax(logits)
-    return dc.matmul(weights, v)
+    weights = ops.softmax(logits)
+    return ops.matmul(weights, v)
 
 
 def hyperbolic_attention(q, k, v, mask_bias, c=1.0):
@@ -247,7 +313,7 @@ def merge_heads(heads, merge_w, c):
 def hyperbolic_ffn(x, w1, b1, w2, b2, c=1.0):
     """Two-layer feed-forward on the ball with a lifted ReLU in between."""
     h = _add(_matvec(x, w1, c), b1, c)
-    h = _exp0(dc.relu(_log0(h, c)), c)
+    h = _exp0(_ops(x).relu(_log0(h, c)), c)
     return _add(_matvec(h, w2, c), b2, c)
 
 
@@ -262,7 +328,7 @@ def tangent_dropout(x, rate, rng, training, c):
     if not training or rate <= 0.0:
         return x
     keep = (rng.random(x.shape) >= rate).astype(float) / (1.0 - rate)
-    mask = x.tape.constant(keep)
+    mask = _ops(x).constant(x, keep)
     return _exp0(_log0(x, c) * mask, c)
 
 
@@ -272,29 +338,31 @@ def pooled_representation(x, mask_keep, c):
     positions."""
     t = _log0(x, c)
     neg = (1.0 - mask_keep) * (-1e30)
-    return _exp0(dc.tmax(t + neg, axis=-2, keepdims=False), c)
+    return _exp0(_ops(t).tmax(t + neg, axis=-2, keepdims=False), c)
 
 
-def classifier_forward(tape, params, points, mask, config: TransformerConfig,
-                       rng=None, training=False):
+def classifier_forward(params, points, mask, config: TransformerConfig, rng=None,
+                       training=False):
     """Run the full classifier.
 
-    ``params``: dict of parameter tensors on ``tape``; ``points``: tensor of
-    sequence points (B, L, n), first clamped into the ball on the ball;
-    ``mask``: numpy array (B, L) with 1 for real tokens; ``rng`` draws
-    dropout masks when ``training``.  Returns the class-score tensor (B, K); apply
-    :func:`dc.softmax` for probabilities.
+    ``points``: sequence points (B, L, n), first clamped into the ball on the
+    ball; ``params``: dict of parameters; ``mask``: numpy array (B, L) with 1
+    for real tokens; ``rng`` draws dropout masks when ``training``.  Returns
+    the class scores (B, K); apply :func:`dc.softmax` for probabilities.
+    Tensors on a tape record there; numpy arrays run through
+    :mod:`gyronet.geometry`'s fused kernels and record nothing.
     """
     mask = np.asarray(mask, dtype=float)
     if not np.all(mask.sum(axis=-1) >= 1):
         raise ValueError("every sequence needs at least one unmasked position")
     c = 1.0 if config.geometry == "poincare" else None
+    ops, length = _ops(points), points.shape[-2]
     # a point made by adding coordinates (UNK substitution) may leave the ball
     points = _project(points, c)
-    length = points.shape[-2]
-    pe = tape.constant(config.pe_scale * positional_encoding_matrix(length, config.model_dim))
-    mask_bias = tape.constant((-1e9) * (1.0 - mask)[..., None, :])  # (B, 1, L)
-    mask_keep = tape.constant(mask[..., None])  # (B, L, 1)
+    pe = config.pe_scale * positional_encoding_matrix(length, config.model_dim)
+    pe = ops.constant(points, pe)
+    mask_bias = ops.constant(points, (-1e9) * (1.0 - mask)[..., None, :])  # (B, 1, L)
+    mask_keep = ops.constant(points, mask[..., None])  # (B, L, 1)
 
     x = attach_positions(points, pe, c)
     for i in range(config.num_layers):
@@ -304,8 +372,8 @@ def classifier_forward(tape, params, points, mask, config: TransformerConfig,
         q, k, v = [_matvec(x, params[p + t], c) for t in ("wq", "wk", "wv")]
         heads = [split_heads(t, config.num_heads, config.head_dim, c) for t in (q, k, v)]
         outs = [hyperbolic_attention(qi, ki, vi, mask_bias, c) for qi, ki, vi in zip(*heads)]
-        # a forward-only tape holds none of these, so the merge, where the
-        # forward's memory peaks, runs without them
+        # on arrays nothing else holds these, so the merge, where an
+        # evaluation forward's memory peaks, runs without them
         del q, k, v, heads
         merged = merge_heads(outs, [params[p + "merge"][j] for j in range(config.num_heads)], c)
         if config.use_residual:
@@ -319,29 +387,31 @@ def classifier_forward(tape, params, points, mask, config: TransformerConfig,
 
     pooled = pooled_representation(x, mask_keep, c)
     if c is not None:
-        return dg.mlr_scores(pooled, params["mlr_a"], params["mlr_p"], c)
-    return dc.matmul(pooled, params["out_w"]) + params["out_b"]
+        return _ops(pooled).mlr_scores(pooled, params["mlr_a"], params["mlr_p"], c)
+    return ops.matmul(pooled, params["out_w"]) + params["out_b"]
 
 
-def embed_sequences(tape, base_points, unk_mask, unk_param):
+def embed_sequences(base_points, unk_mask, unk_param):
     """Combine frozen embedding points with the trainable UNK point.
 
     ``base_points``: numpy (B, L, n) with zeros at UNK slots; ``unk_mask``:
-    numpy (B, L, 1) flags; ``unk_param``: parameter tensor of shape (n,).
+    numpy (B, L, 1) flags; ``unk_param``: the UNK parameter, of shape (n,),
+    a tensor, on whose tape the result is, or an array.
     """
-    base = tape.constant(base_points)
-    flags = tape.constant(np.asarray(unk_mask, dtype=float))
+    ops = _ops(unk_param)
+    base = ops.constant(unk_param, base_points)
+    flags = ops.constant(unk_param, np.asarray(unk_mask, dtype=float))
     return base + flags * unk_param
 
 
 def cross_entropy(scores, labels):
     """Mean negative log-likelihood of integer labels under softmaxed scores."""
-    tape = scores.tape
+    ops = _ops(scores)
     b, k = scores.shape
     onehot = np.zeros((b, k))
     onehot[np.arange(b), np.asarray(labels, dtype=int)] = 1.0
-    m = dc.tmax(scores, axis=-1, keepdims=True)
-    lse = m + dc.log(dc.tsum(dc.exp(scores - m), axis=-1, keepdims=True))
+    m = ops.tmax(scores, axis=-1, keepdims=True)
+    lse = m + ops.log(ops.tsum(ops.exp(scores - m), axis=-1, keepdims=True))
     logp = scores - lse
-    picked = dc.tsum(tape.constant(onehot) * logp)
+    picked = ops.tsum(ops.constant(scores, onehot) * logp)
     return -picked * (1.0 / b)

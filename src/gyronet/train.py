@@ -9,13 +9,14 @@ MLR offsets, the UNK point) are updated with Riemannian SGD on the ball.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import diffcore as dc
 from .embed import read_embeddings
-from .geometry import EPS_BOUNDARY, project_to_ball, to_poincare
+from .geometry import EPS_BOUNDARY, _all_finite, project_to_ball, to_poincare
 from .hypformer import (
     TransformerConfig,
     classifier_forward,
@@ -145,17 +146,35 @@ def _build_batch(records, indices, token_map, max_len):
 
 
 def _forward_batch(params_np, points_np, unk_np, mask, labels, config,
-                   rng=None, training=False, grad=True):
-    """Classifier scores and loss on a new tape; ``grad=False`` gives a
-    forward-only tape (same values, no nodes kept, no ``backward``)."""
-    tape = dc.Tape(grad=grad)
+                   rng=None, training=False):
+    """Classifier scores and loss recorded on a new tape."""
+    tape = dc.Tape()
     tensors = {name: tape.leaf(value, requires_grad=True)
                for name, value in params_np.items()}
-    pts = embed_sequences(tape, points_np, unk_np, tensors["unk"])
-    scores = classifier_forward(tape, tensors, pts, mask, config,
-                                rng=rng, training=training)
+    pts = embed_sequences(points_np, unk_np, tensors["unk"])
+    scores = classifier_forward(tensors, pts, mask, config, rng=rng, training=training)
     loss = cross_entropy(scores, labels) if labels is not None else None
     return tape, tensors, scores, loss
+
+
+class NonFiniteScores(ValueError):
+    """An evaluation forward whose scores or cross-entropy are not finite."""
+
+
+def _score_batch(params, points_np, unk_np, mask, labels, config):
+    """Classifier scores and mean cross-entropy of one batch, on arrays: the
+    same block bodies as ``_forward_batch``, through :mod:`gyronet.geometry`'s
+    fused kernels, with no tape.  Where a value overflows, numpy warns of
+    nothing; scores or a cross-entropy that are not finite raise
+    :class:`NonFiniteScores`."""
+    with np.errstate(all="ignore"):
+        pts = embed_sequences(points_np, unk_np, params["unk"])
+        scores = classifier_forward(params, pts, mask, config)
+        loss = float(cross_entropy(scores, labels))
+    if not (_all_finite(scores) and math.isfinite(loss)):
+        raise NonFiniteScores(f"non-finite class scores or cross-entropy on a batch of "
+                              f"{len(labels)} utterances")
+    return scores, loss
 
 
 def _update(params, grads, opt, manifold, lr):
@@ -249,9 +268,10 @@ def evaluate_classifier(dataset, indices, token_map, params, config):
 
     The indices are sorted by encoded length and scored in chunks of at most
     ``EVAL_BATCH_SIZE * max_seq_len`` padded positions, each padded only to
-    its own longest row, on forward-only tapes.  The chunks, and so the
+    its own longest row, by ``_score_batch``.  The chunks, and so the
     metrics, depend only on the index set, not on its order.  An empty
-    ``indices`` raises ``ValueError``.
+    ``indices`` raises ``ValueError``, and scores that are not finite
+    :class:`NonFiniteScores`.
     """
     indices = list(indices)
     if not indices:
@@ -262,10 +282,9 @@ def evaluate_classifier(dataset, indices, token_map, params, config):
     for batch in _length_chunks(records, indices, config.max_seq_len):
         points_np, unk_np, mask = _build_batch(records, batch, token_map, config.max_seq_len)
         labels = np.array([label_to_id[records[i][1]] for i in batch])
-        _, _, scores, loss = _forward_batch(
-            params, points_np, unk_np, mask, labels, config, grad=False)
-        ce_sum += float(loss.value) * len(batch)
-        correct += int(np.sum(np.argmax(scores.value, axis=-1) == labels))
+        scores, loss = _score_batch(params, points_np, unk_np, mask, labels, config)
+        ce_sum += loss * len(batch)
+        correct += int(np.sum(np.argmax(scores, axis=-1) == labels))
         total += len(batch)
     return {
         "accuracy": correct / total,

@@ -10,11 +10,12 @@ input rows of norm 0.5.  For a training size it reports, under ``memory``,
   forward, above what was live before it;
 - ``step_peak_bytes``: tracemalloc's peak over the forward and ``backward``;
 
-and for the ``eval`` size, which runs a forward-only tape as evaluation
-does, ``forward_peak_bytes``: tracemalloc's peak over that forward.  Under
-``scans`` it gives the values one forward records and how many of them
-``Tape.record`` scans, the rest being proved finite by their bounds.  These
-are deterministic.  Each size also reports median wall times in ms, with
+and for the ``eval`` size, which scores the chunk on arrays with no tape, as
+evaluation does (``train._score_batch``), ``forward_peak_bytes``:
+tracemalloc's peak over that forward.  Under ``scans`` a training size gives
+the values one forward records and how many of them ``Tape.record`` scans,
+the rest being proved finite by their bounds.  These are deterministic.
+Each size also reports median wall times in ms, with
 tracemalloc off: ``forward_ms``, and for a training size ``backward_ms``,
 ``step_ms`` (forward and ``backward`` timed as one) and ``update_ms``, one
 optimizer pass over the step's gradients as ``train._train_step`` makes it
@@ -128,17 +129,42 @@ def _median_ms(times):
     return round(statistics.median(times) * 1e3, 3)
 
 
+def _measure_eval(cfg, params, points, unk, mask, labels, steps):
+    """The reports of one evaluation chunk, scored on arrays as evaluation does."""
+
+    def forward():
+        return train._score_batch(params, points, unk, mask, labels, cfg)
+
+    forward()  # warm up
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        forward()
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    fwd, faults = [], []
+    for _ in range(steps):
+        f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        t0 = time.perf_counter()
+        forward()
+        fwd.append(time.perf_counter() - t0)
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0)
+    return {"memory": {"forward_peak_bytes": peak}, "forward_ms": _median_ms(fwd),
+            "minor_faults": statistics.median(faults)}
+
+
 def measure(geometry, size, steps):
     """The reports of one geometry at one size: {report key: value}."""
     cfg, params, points, unk, mask, labels = step_inputs(geometry, size)
-    grad = size != "eval"
+    if size == "eval":
+        return _measure_eval(cfg, params, points, unk, mask, labels, steps)
 
     def forward():
-        return train._forward_batch(params, points, unk, mask, labels, cfg, grad=grad)
+        return train._forward_batch(params, points, unk, mask, labels, cfg)
 
     tape, _, _, loss = forward()  # warm up
-    if grad:
-        dc.backward(tape, loss)
+    dc.backward(tape, loss)
     del tape, loss
     values, scanned = count_scans(forward)
     tracemalloc.start()
@@ -146,16 +172,12 @@ def measure(geometry, size, steps):
         before = tracemalloc.get_traced_memory()[0]
         tape, _, _, loss = forward()
         after_forward = tracemalloc.get_traced_memory()[0] - before
-        if grad:
-            dc.backward(tape, loss)
+        dc.backward(tape, loss)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    if grad:
-        memory = {"nodes": len(tape.nodes), "tape_bytes": _held_bytes(tape.nodes),
-                  "traced_after_forward_bytes": after_forward, "step_peak_bytes": peak}
-    else:
-        memory = {"forward_peak_bytes": peak}
+    memory = {"nodes": len(tape.nodes), "tape_bytes": _held_bytes(tape.nodes),
+              "traced_after_forward_bytes": after_forward, "step_peak_bytes": peak}
     del tape, loss
     settings = train.TrainSettings()
     opt, manifold = RmsProp(lr=settings.lr), hf.manifold_param_names(cfg)
@@ -165,24 +187,20 @@ def measure(geometry, size, steps):
         t0 = time.perf_counter()
         tape, tensors, _, loss = forward()
         t1 = time.perf_counter()
-        grads = dc.backward(tape, loss) if grad else None
+        grads = dc.backward(tape, loss)
         t2 = time.perf_counter()
         faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0)
-        if grad:
-            # a copy of the dict, so that every pass starts from the same parameters
-            train._update(dict(params), {name: grads[t] for name, t in tensors.items()}, opt,
-                          manifold, settings.manifold_lr)
-            upd.append(time.perf_counter() - t2)
+        # a copy of the dict, so that every pass starts from the same parameters
+        train._update(dict(params), {name: grads[t] for name, t in tensors.items()}, opt,
+                      manifold, settings.manifold_lr)
+        upd.append(time.perf_counter() - t2)
         fwd.append(t1 - t0)
         bwd.append(t2 - t1)
         del tape, tensors, loss, grads
-    report = {"memory": memory, "scans": {"values": values, "scanned": scanned},
-              "forward_ms": _median_ms(fwd), "minor_faults": statistics.median(faults)}
-    if grad:
-        report["backward_ms"] = _median_ms(bwd)
-        report["step_ms"] = _median_ms([f + b for f, b in zip(fwd, bwd)])
-        report["update_ms"] = _median_ms(upd)
-    return report
+    return {"memory": memory, "scans": {"values": values, "scanned": scanned},
+            "forward_ms": _median_ms(fwd), "backward_ms": _median_ms(bwd),
+            "step_ms": _median_ms([f + b for f, b in zip(fwd, bwd)]),
+            "update_ms": _median_ms(upd), "minor_faults": statistics.median(faults)}
 
 
 def main(argv=None):

@@ -24,23 +24,20 @@ class Recorded(NamedTuple):
 @contextlib.contextmanager
 def node_log():
     """Yield a list that, while the context is open, gets one ``Recorded``
-    per node made by ``Tape.leaf`` or ``Tape.record`` on a recording tape,
-    in order.  A forward-only tape makes no node and logs none."""
+    per node made by ``Tape.leaf`` or ``Tape.record``, in order."""
     log = []
     leaf, record = dc.Tape.leaf, dc.Tape.record
 
     def logged_leaf(self, data, requires_grad=False):
         t = leaf(self, data, requires_grad)
-        if t.node is not None:
-            log.append(Recorded("leaf", (), t.value, {}, requires_grad))
+        log.append(Recorded("leaf", (), t.value, {}, requires_grad))
         return t
 
     def logged_record(self, op, inputs, value, **kwargs):
         t = record(self, op, inputs, value, **kwargs)
-        if t.node is not None:
-            attrs = {k: v for k, v in kwargs.items() if not k.startswith("_")}
-            log.append(Recorded(op, tuple(x.nid for x in inputs), value, attrs,
-                                t.node.requires_grad))
+        attrs = {k: v for k, v in kwargs.items() if not k.startswith("_")}
+        log.append(Recorded(op, tuple(x.nid for x in inputs), value, attrs,
+                            t.node.requires_grad))
         return t
 
     with pytest.MonkeyPatch.context() as m:
@@ -52,7 +49,7 @@ def node_log():
 @contextlib.contextmanager
 def recorded_bytes():
     """Yield a one-entry list that, while the context is open, sums the
-    bytes of the arrays that recording tapes record, each array once.  A
+    bytes of the arrays that tapes record, each array once.  A
     view and a value that is one of its op's inputs (or a leaf's own data)
     add nothing.  No array is kept alive by the count."""
     total = [0]
@@ -72,14 +69,12 @@ def recorded_bytes():
 
     def counted_leaf(self, data, requires_grad=False):
         t = leaf(self, data, requires_grad)
-        if self.grad:
-            count(t.value, (data,))
+        count(t.value, (data,))
         return t
 
     def counted_record(self, op, inputs, value, **kwargs):
         t = record(self, op, inputs, value, **kwargs)
-        if self.grad:
-            count(value, [x.value for x in inputs])
+        count(value, [x.value for x in inputs])
         return t
 
     with pytest.MonkeyPatch.context() as m:

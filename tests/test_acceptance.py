@@ -144,10 +144,10 @@ def _full_model_gradcheck(seed):
     pts = random_ball_points(rng, 3, 8, radius=0.3).reshape(1, 3, 8)
     labels = np.array([seed % 3])
 
-    def record(params, grad=True):
-        tape = dc.Tape(grad=grad)
+    def record(params):
+        tape = dc.Tape()
         tensors = {k: tape.leaf(v, requires_grad=True) for k, v in params.items()}
-        scores = hf.classifier_forward(tape, tensors, tape.constant(pts),
+        scores = hf.classifier_forward(tensors, tape.constant(pts),
                                        np.ones((1, 3)), cfg)
         return tape, tensors, hf.cross_entropy(scores, labels)
 
@@ -156,7 +156,7 @@ def _full_model_gradcheck(seed):
     worst = 0.0
     for name in sorted(params_np):
         def fn(arr, name=name):  # finite differences read only the loss value
-            return float(record({**params_np, name: arr}, grad=False)[2].value)
+            return float(record({**params_np, name: arr})[2].value)
 
         report = check_gradient(fn, params_np[name].copy(), grads[tensors[name]])
         worst = max(worst, report.max_rel_err)

@@ -586,7 +586,7 @@ for geometry in ("poincare", "euclidean"):
     faults = []
     for _ in range(6):
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        train._forward_batch(params, points, unk, mask, labels, cfg, grad=False)
+        train._score_batch(params, points, unk, mask, labels, cfg)
         faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
     print(geometry, *faults[2:])
 """
@@ -1024,6 +1024,58 @@ def test_cli_diverging_run_reports_tape_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "gyronet train-classifier: error: non-finite value at node" in err
     assert "Traceback" not in err
+
+
+def _tiny_model(tmp_path, geometry, *flags):
+    """(dataset, embeddings, train-classifier's exit code, model) of a tiny run."""
+    dataset, chars = _tiny_dataset(tmp_path)
+    emb = tmp_path / "e.txt"
+    kind = "hyperboloid" if geometry == "poincare" else "euclidean"
+    rows = embed.init_embeddings(len(chars), 4, kind, np.random.default_rng(0)).A
+    embed.write_embeddings(emb, chars, rows, kind)
+    model = tmp_path / "model.bin"
+    code = cli.main(["train-classifier", "--geometry", geometry, "--embeddings", str(emb),
+                     "--data", str(dataset), "--epochs", "1", "--layers", "1",
+                     "--heads", "2", "--out", str(model), *flags])
+    return dataset, emb, code, model
+
+
+@pytest.mark.parametrize("geometry", ["poincare", "euclidean"])
+def test_cli_evaluate_refuses_a_bundle_whose_scores_overflow(tmp_path, capsys, geometry):
+    # wq and wk entries of 1e200: a query's norm overflows on the ball (its
+    # row is then NaN, not the origin), the attention logits in flat space
+    dataset, emb, code, model = _tiny_model(tmp_path, geometry)
+    assert code == 0
+    kind, meta, params = bundle.load_bundle(model)
+    huge = {name: np.full_like(params[name], 1e200) for name in ("layer0.wq", "layer0.wk")}
+    bad = tmp_path / "bad.bin"
+    bundle.save_bundle(bad, kind, meta, params | huge)
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warning is printed
+        code = cli.main(["evaluate", "--model", str(bad), "--embeddings", str(emb),
+                         "--data", str(dataset), "--split", "all"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        f"gyronet evaluate: error: {bad}: non-finite class scores or cross-entropy on a "
+        f"batch of 18 utterances"]
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("geometry", ["poincare", "euclidean"])
+def test_cli_train_classifier_refuses_held_out_scores_that_overflow(tmp_path, capsys, geometry):
+    # no epoch, so no tape: the held-out pass is the first forward, and
+    # positions scaled by 1e300 overflow it
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dataset, emb, code, model = _tiny_model(tmp_path, geometry, "--epochs", "0",
+                                                "--pe-scale", "1e300")
+    assert code == 1 and not model.exists()
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error" in line]
+    assert errors == [f"gyronet train-classifier: error: the model trained for {model}: "
+                      "non-finite class scores or cross-entropy on a batch of 3 utterances"]
 
 
 def test_cli_non_finite_embedding_names_file_and_line(tmp_path, capsys):

@@ -75,18 +75,17 @@ _NON_FINITE = {
 }
 
 
-@pytest.mark.parametrize("grad, build, plain, check, index, op", [
-    pytest.param(grad, *case, id=name if grad else f"{name}-forward-only")
-    for grad in (True, False) for name, case in _NON_FINITE.items()])
-def test_non_finite_value_names_exact_node_and_op(grad, build, plain, check, index, op):
-    tape = dc.Tape(grad=grad)
+@pytest.mark.parametrize("build, plain, check, index, op", [
+    pytest.param(*case, id=name) for name, case in _NON_FINITE.items()])
+def test_non_finite_value_names_exact_node_and_op(build, plain, check, index, op):
+    tape = dc.Tape()
     x = tape.leaf([2.0, 0.5], requires_grad=True)
     with np.errstate(all="ignore"):
         assert check(plain(x.value)).any()
         with pytest.raises(dc.TapeError, match=rf"^non-finite value at node {index} \(op {op}\)$"):
             build(x)
-    # the bad node is not recorded; a forward-only tape records none
-    assert len(tape.nodes) == (index if grad else 0)
+    # the bad node is not recorded
+    assert len(tape.nodes) == index
 
 
 def test_extreme_finite_values_record_cleanly():
@@ -157,25 +156,6 @@ def test_backward_through_slice_and_broadcast():
     out = dc.tsum(x[:2]) + dc.tsum(x[1:]) + dc.tsum(rows * x)
     grads = dc.backward(tape, out)
     np.testing.assert_array_equal(grads[x], [3.0, 4.0, 3.0])
-
-
-def test_backward_refuses_forward_only_tape():
-    tape = dc.Tape(grad=False)
-    x = tape.leaf([1.0, 2.0], requires_grad=True)
-    loss = dc.tsum(x * x)
-    with pytest.raises(dc.TapeError, match="forward-only"):
-        dc.backward(tape, loss)
-
-
-def test_forward_only_tensors_are_distinct():
-    tape = dc.Tape(grad=False)
-    x = tape.leaf([1.0, 2.0], requires_grad=True)
-    y = tape.constant([1.0, 2.0])
-    z = x + y
-    assert [t.nid for t in (x, y, z)] == [0, 1, 2]
-    assert x != y and y != z and x != z
-    assert len({x, y, z}) == 3
-    assert tape.nodes == []
 
 
 def test_unused_leaf_gets_zero_gradient():
@@ -580,21 +560,16 @@ def _ball_rows(draw, c=None, shape=None):
 def test_norm_of_a_projection_reuses_its_bits(case):
     c, x = case
     clamped = not np.all(geo._norm(x) < c * (1.0 - geo.EPS_BOUNDARY))
-    runs = []
-    for grad in (True, False):
-        tape = dc.Tape(grad=grad)
-        projected = dg.project(tape.leaf(x), c)
-        n = dc.norm(projected)
-        assert n.value.tobytes() == geo._norm(projected.value).tobytes()
-        assert n.value.shape == x.shape[:-1] + (1,)
-        if clamped:
-            assert projected.norms is None and projected.value is not x
-        else:  # the projection's own input array, with the norms it measured
-            assert projected.value is x and n.value is projected.norms
-        runs.append((projected.value.tobytes(), n.value.tobytes()))
-        if grad:
-            assert [node.op for node in tape.nodes] == ["leaf", "ball_project", "norm"]
-    assert runs[0] == runs[1]
+    tape = dc.Tape()
+    projected = dg.project(tape.leaf(x), c)
+    n = dc.norm(projected)
+    assert n.value.tobytes() == geo._norm(projected.value).tobytes()
+    assert n.value.shape == x.shape[:-1] + (1,)
+    if clamped:
+        assert projected.norms is None and projected.value is not x
+    else:  # the projection's own input array, with the norms it measured
+        assert projected.value is x and n.value is projected.norms
+    assert [node.op for node in tape.nodes] == ["leaf", "ball_project", "norm"]
 
 
 @settings(max_examples=300, deadline=None, database=None)
@@ -802,7 +777,61 @@ def test_diffgeom_matches_geometry_kernels(rng):
     np.testing.assert_allclose(dg.expmap0(tx).value,
                                geo.exp_map_poincare(np.zeros(3), x), atol=1e-12)
     np.testing.assert_allclose(dg.mobius_matvec(tx, tape.constant(w)).value,
-                               geo.mobius_matvec(w.T, x), atol=1e-12)
+                               geo.mobius_matvec(x, w), atol=1e-12)
+
+
+def _terms(x, y, c):
+    """The size of the terms that x (+)_c y sums: any form of it rounds by a
+    few units of 1e-16 of this, which is large where its terms cancel."""
+    xy, x2, y2 = 2.0 * geo._inner(x, y) / c**2, geo._inner(x, x) / c**2, geo._inner(y, y) / c**2
+    n = np.sqrt(x2 * c * c), np.sqrt(y2 * c * c)
+    return (np.abs(1.0 + xy + y2) * n[0] + np.abs(1.0 - x2) * n[1]
+            + c * (1.0 + np.abs(xy) + x2 * y2)) / np.abs(1.0 + xy + x2 * y2)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_ball_rows(), st.integers(0, 2**32 - 1))
+def test_fused_ball_kernels_agree_with_the_tape_maps(case, seed):
+    # geometry's fused kernels against diffgeom's maps on rows inside the
+    # ball, on and next to its shell, at the origin and subnormal.  Each ball
+    # point's carried norms square to its rows' within a few roundings of c^2,
+    # the accuracy its next kernel needs (a Mobius addition adds the square to
+    # 1; near 0, artanh(n) / n is 1 + n^2 / 3).  Each result differs from the
+    # tape's by a few rounding errors of the terms it sums, scaled by the slope
+    # of artanh (1 / (1 - r^2), 5e4 at the shell) where the map takes one.
+    c, raw = case
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(seed)
+    x, nx = geo._project(raw, c)
+    y, ny = x[::-1].copy(), nx[::-1].copy()
+    n = x.shape[-1]
+    weight, normals = rng.normal(size=(n, n)), rng.normal(size=(3, n))
+    # the last offset lies toward the first row, where w's two terms cancel
+    offsets = np.concatenate([geo.project_to_ball(0.3 * c * rng.normal(size=(2, n)), c),
+                              0.9 * x.reshape(-1, n)[:1]])
+    tape = dc.Tape()
+    tx, ty = tape.constant(x), tape.constant(y)
+    exp, matvec, add = (geo._expmap0(4.0 * c * x, c), geo._matvec(x, nx, weight, c),
+                        geo._mobius_add_rows(x, nx, y, ny, c))
+    for value, norms in ((x, nx), exp, matvec, add):  # as good as measured, squared
+        assert np.all(np.abs(norms * norms - geo._inner(value, value)) <= 16.0 * eps * c * c)
+    room = 1.0 - (nx / c) ** 2
+    assert np.all(np.abs(exp[0] - dg.expmap0(tape.constant(4.0 * c * x), c).value) <= 4 * eps * c)
+    log = dg.logmap0(tx, c).value
+    assert np.all(np.abs(geo._logmap0(x, nx, c) - log) <= 4 * eps * (geo._norm(log) / room))
+    want = dg.mobius_matvec(tx, tape.constant(weight), c).value
+    assert np.all(np.abs(matvec[0] - want) <= 4 * eps * c / room)
+    assert np.all(np.abs(add[0] - dg.mobius_add(tx, ty, c).value) <= 4 * eps * _terms(x, y, c))
+    rows, row_norms = x.reshape(-1, n), nx.reshape(-1, 1)
+    want = dg.mlr_scores(tape.constant(rows), tape.constant(normals), tape.constant(offsets),
+                         c).value
+    # a score's slope along w is c lambda_p ||a|| / (1 - ||w||^2 / c^2) / c
+    w = geo.mobius_add(-offsets, rows[:, None, :], c)
+    room = 1.0 - (geo._norm(w)[..., 0] / c) ** 2
+    slope = (geo.conformal_factor(offsets, c) * geo._norm(normals))[..., 0] / room
+    bound = 32 * eps * (np.abs(want).max(axis=-1, keepdims=True) / room
+                        + slope * _terms(-offsets, rows[:, None, :], c)[..., 0])
+    assert np.all(np.abs(geo._mlr_scores(rows, row_norms, normals, offsets, c) - want) <= bound)
 
 
 # ---------------------------------------------------------------------------
@@ -991,7 +1020,7 @@ _DIRECTIONAL_CASES = {
 @pytest.mark.parametrize("case", sorted(_DIRECTIONAL_CASES))
 def test_whole_model_directional_derivatives_match_central_differences(case):
     # the tape's gradient of the whole parameter vector, along 6 random unit
-    # directions, against central differences of forward-only losses, with
+    # directions, against central differences of recorded losses, with
     # 2 layers, residuals, dropout of fixed masks, UNK slots and padding
     geometry, shape, batch, length, radius, gain, pe_scale = _DIRECTIONAL_CASES[case]
     cfg = hf.TransformerConfig(geometry=geometry, num_layers=2, num_classes=3, dropout=0.2,
@@ -1012,11 +1041,11 @@ def test_whole_model_directional_derivatives_match_central_differences(case):
     assert unk.any() and not mask.all()
     labels = rng.integers(0, cfg.num_classes, size=batch)
 
-    def forward(p, grad=False):
+    def forward(p):
         return train._forward_batch(p, points, unk, mask, labels, cfg,
-                                    rng=np.random.default_rng(18), training=True, grad=grad)
+                                    rng=np.random.default_rng(18), training=True)
 
-    tape, tensors, _, loss = forward(params, grad=True)
+    tape, tensors, _, loss = forward(params)
     projections = [n for n in tape.nodes if n.op == "ball_project"]
     assert (len(projections) > 0) == (geometry == "poincare")
     assert not any(n.attrs["clamped"] for n in projections)  # no row clamps
@@ -1267,10 +1296,10 @@ def _recorded_values(draw):
 
 
 @settings(max_examples=300, deadline=None, database=None)
-@given(_recorded_values(), st.booleans(), st.integers(0, 3))
-def test_record_refuses_exactly_the_non_finite_values(value, grad, before):
+@given(_recorded_values(), st.integers(0, 3))
+def test_record_refuses_exactly_the_non_finite_values(value, before):
     finite = bool(np.isfinite(value).all())
-    tape = dc.Tape(grad=grad)
+    tape = dc.Tape()
     with warnings.catch_warnings(), np.errstate(all="raise"):
         warnings.simplefilter("error")
         x = tape.leaf(1.0, requires_grad=True)
@@ -1283,20 +1312,19 @@ def test_record_refuses_exactly_the_non_finite_values(value, grad, before):
             with pytest.raises(dc.TapeError) as info:
                 tape.record("probe", (x,), value)
             assert str(info.value) == f"non-finite value at node {before + 1} (op probe)"
-    assert len(tape.nodes) == (before + 1 + finite if grad else 0)
+    assert len(tape.nodes) == before + 1 + finite
 
 
-@pytest.mark.parametrize("grad", [True, False], ids=["recording", "forward-only"])
 @pytest.mark.parametrize("bad, node, op", [(np.nan, 1, "ball_project"),
                                            (np.inf, 1, "ball_project"),
                                            (-np.inf, 1, "ball_project"),
                                            # the row of norm inf is clamped to zeros
                                            (1e200, 3, "mul")])
-def test_a_projection_of_rows_that_are_not_finite_fails_at_the_same_node(grad, bad, node, op):
+def test_a_projection_of_rows_that_are_not_finite_fails_at_the_same_node(bad, node, op):
     # a row that is not finite, or whose square overflows, has no norm below
     # the shell, so the projection clamps it into a new array, which is checked
     x = np.array([[0.1, 0.2], [bad, 0.3], [0.0, -0.0]])
-    tape = dc.Tape(grad=grad)
+    tape = dc.Tape()
     tx = tape.leaf(x, requires_grad=True)
     with np.errstate(all="ignore"), pytest.raises(dc.TapeError) as info:
         out = dc.ball_project(tx, 1.0 - geo.EPS_BOUNDARY)
@@ -1306,11 +1334,10 @@ def test_a_projection_of_rows_that_are_not_finite_fails_at_the_same_node(grad, b
     assert str(info.value) == f"non-finite value at node {node} (op {op})"
 
 
-@pytest.mark.parametrize("grad", [True, False], ids=["recording", "forward-only"])
-def test_an_unclamped_projection_is_not_checked_again(monkeypatch, grad):
+def test_an_unclamped_projection_is_not_checked_again(monkeypatch):
     checked = []
     monkeypatch.setattr(dc, "_magnitude", lambda v: checked.append(v) or geo._magnitude(v))
-    tape = dc.Tape(grad=grad)
+    tape = dc.Tape()
     tx = tape.leaf(np.array([[0.1, 0.2], [0.0, -0.0]]), requires_grad=True)
     out = dc.ball_project(tx, 1.0 - geo.EPS_BOUNDARY)
     assert out.value is tx.value and not checked
@@ -1376,7 +1403,7 @@ def test_every_op_bound_holds_and_each_finite_value_is_scanned_only_where_its_ru
     x = _entries(data.draw, (3, 4), low, high)
     if name == "atanh":  # inside (-1, 1), up to the largest double below 1
         x = np.clip(np.tanh(x), -np.nextafter(1.0, 0.0), np.nextafter(1.0, 0.0))
-    tape = dc.Tape(grad=data.draw(st.booleans()))
+    tape = dc.Tape()
     a = _with_bounds(tape.constant(x))
     if name != "matmul" and data.draw(st.booleans()):  # a float is its own bound
         b = tape.leaf(float(_entries(data.draw, (), low, high)))
@@ -1429,11 +1456,11 @@ def _chains(draw):
     return arrays, constants, steps
 
 
-def _run_chain(grad, arrays, constants, steps):
+def _run_chain(arrays, constants, steps):
     """The value of each step that ran, and the text of the ``TapeError``
     that stopped the chain or None.  A step whose shapes do not fit is
     skipped, as it is on every tape."""
-    tape = dc.Tape(grad=grad)
+    tape = dc.Tape()
     made = [tape.leaf(x, requires_grad=True) for x in arrays] + [tape.leaf(f) for f in constants]
     values = []
     with np.errstate(all="ignore"):
@@ -1450,19 +1477,19 @@ def _run_chain(grad, arrays, constants, steps):
 
 
 @settings(max_examples=400, deadline=None, database=None)
-@given(_chains(), st.booleans())
-@example(([np.ones((3, 3))], [2.0], [("neg", 1, 0, 0.0), ("log", 2, 0, 0.0)]), True)
-@example(([np.ones((3, 3))], [0.0], [("div", 0, 1, 0.0)]), False)
+@given(_chains())
+@example(([np.ones((3, 3))], [2.0], [("neg", 1, 0, 0.0), ("log", 2, 0, 0.0)]))
+@example(([np.ones((3, 3))], [0.0], [("div", 0, 1, 0.0)]))
 @example(([np.full((3, 3), 0.5)], [], [("tanh", 0, 0, 0.0), ("atanh", 1, 0, 0.0),
-                                       ("mul", 2, 2, 0.0), ("exp", 3, 0, 0.0)]), True)
+                                       ("mul", 2, 2, 0.0), ("exp", 3, 0, 0.0)]))
 @example(([np.full((3, 3), 1e200)], [], [("ball_project", 0, 0, 0.9), ("norm", 1, 0, 0.0),
-                                         ("mul", 0, 0, 0.0)]), True)
-def test_a_chain_of_bounded_ops_fails_where_a_tape_that_scans_every_value_does(chain, grad):
+                                         ("mul", 0, 0, 0.0)]))
+def test_a_chain_of_bounded_ops_fails_where_a_tape_that_scans_every_value_does(chain):
     arrays, constants, steps = chain
-    values, error = _run_chain(grad, arrays, constants, steps)
+    values, error = _run_chain(arrays, constants, steps)
     with pytest.MonkeyPatch.context() as m:
         _reference_tape(m)
-        ref_values, ref_error = _run_chain(True, arrays, constants, steps)
+        ref_values, ref_error = _run_chain(arrays, constants, steps)
     assert error == ref_error
     assert len(values) == len(ref_values)
     assert all(_same_bits(v, r) for v, r in zip(values, ref_values))
@@ -1477,9 +1504,8 @@ def test_a_desk_forward_scans_only_the_values_its_bounds_leave_unproved(geometry
     assert counts[0] == values and counts[1] <= most, counts
 
 
-@pytest.mark.parametrize("grad", [True, False], ids=["recording", "forward-only"])
 @pytest.mark.parametrize("c", [1.0, 0.25, 3.0])
-def test_atanh_of_the_norms_an_unclamped_projection_measured_is_proved(c, grad):
+def test_atanh_of_the_norms_an_unclamped_projection_measured_is_proved(c):
     # every row norm of an unclamped projection is below its max_norm, and so
     # is their ratio to c below 1 - 1e-5; a clamped projection carries no
     # norms, and the atanh of its rows' norms is scanned
@@ -1487,7 +1513,7 @@ def test_atanh_of_the_norms_an_unclamped_projection_measured_is_proved(c, grad):
     x = rng.normal(size=(5, 16))
     x *= 0.9 * c / np.linalg.norm(x, axis=-1, keepdims=True)
     for rows, scans in ((x, 0), (x * 2.0, 1)):
-        tape = dc.Tape(grad=grad)
+        tape = dc.Tape()
         projected = dg.project(tape.leaf(rows), c)
         scanned = []
         with pytest.MonkeyPatch.context() as m:
@@ -1500,6 +1526,33 @@ def test_atanh_of_the_norms_an_unclamped_projection_measured_is_proved(c, grad):
         assert np.all(np.abs(out.value) <= out.hi)
 
 
+@pytest.mark.parametrize("c", [1.0, 0.25, 3.0])
+def test_the_norms_an_array_projection_carries_keep_log0_finite(c):
+    # the array path's projection carries its rows' norms: an unclamped one
+    # passes its rows and their norms through, a clamped one puts them on the
+    # shell; either way the norms are below c, and log_0 from them is finite
+    # and agrees with the tape's, which measures its rows again
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(5, 16))
+    x *= 0.9 * c / np.linalg.norm(x, axis=-1, keepdims=True)
+    shell = c * (1.0 - geo.EPS_BOUNDARY)
+    eps = np.finfo(float).eps
+    for rows, clamped in ((x, False), (x * 2.0, True)):
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            out, norms = geo._project(rows, c)
+            log = geo._logmap0(out, norms, c)
+        assert (out is not rows) == clamped
+        if clamped:
+            assert np.all(norms == shell)
+        else:
+            assert _same_bits(norms, geo._norm(rows)) and np.all(norms < shell)
+        assert np.all(np.abs(norms - geo._norm(out)) <= 4 * eps * c)
+        assert np.isfinite(log).all()
+        want = dg.logmap0(dc.Tape().constant(out), c).value
+        np.testing.assert_allclose(log, want, rtol=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # Scalings by 1.0: the other operand and the gradient pass through
 # ---------------------------------------------------------------------------
@@ -1509,22 +1562,20 @@ _ONE_FORMS = {"mul-left": lambda x, one: one * x, "mul-right": lambda x, one: x 
 
 
 @pytest.mark.parametrize("form", sorted(_ONE_FORMS))
-@pytest.mark.parametrize("grad", [True, False], ids=["recording", "forward-only"])
-def test_a_scaling_by_the_float_one_passes_its_operand_and_gradient_through(form, grad):
-    tape = dc.Tape(grad=grad)
+def test_a_scaling_by_the_float_one_passes_its_operand_and_gradient_through(form):
+    tape = dc.Tape()
     x = tape.leaf(np.array([[0.5, -2.0], [3.0, -0.25]]), requires_grad=True)
     one = tape.leaf(1.0)
     assert one.value is dc._ONE and tape.leaf(1.0).value is dc._ONE
     assert not dc._ONE.flags.writeable
     out = _ONE_FORMS[form](x, one)
     assert out.value is x.value
-    if grad:
-        node = out.node
-        # each leaf and the op are nodes, as without the shortcut
-        assert node.op == form[:3] and [n.op for n in tape.nodes] == ["leaf"] * 3 + [node.op]
-        g = np.array([[1.0, 2.0], [-3.0, 0.5]])
-        rule = dc._BACKWARD[node.op][0 if form != "mul-left" else 1]
-        assert rule(g, node, node.operands, node.attrs) is g
+    node = out.node
+    # each leaf and the op are nodes, as without the shortcut
+    assert node.op == form[:3] and [n.op for n in tape.nodes] == ["leaf"] * 3 + [node.op]
+    g = np.array([[1.0, 2.0], [-3.0, 0.5]])
+    rule = dc._BACKWARD[node.op][0 if form != "mul-left" else 1]
+    assert rule(g, node, node.operands, node.attrs) is g
     reciprocal = one / x  # 1.0 as the dividend is no identity
     assert reciprocal.value is not x.value and _same_bits(reciprocal.value, 1.0 / x.value)
 
@@ -1581,20 +1632,30 @@ def test_a_desk_step_has_the_same_bits_without_the_one_shortcut():
 
 
 # ---------------------------------------------------------------------------
-# Forward-only tape: the same values as a recording tape, no nodes kept
+# Array forward: the recording tape's scores from geometry's fused kernels
 # ---------------------------------------------------------------------------
+
+_ORACLE_SHAPES = {
+    "desk": dict(model_dim=16, num_heads=4, head_dim=4, ffn_dim=32),
+    "paper": dict(model_dim=100, num_heads=4, head_dim=25, ffn_dim=200),
+}
+
 
 @st.composite
 def _classifier_batches(draw):
     """A config and one batch whose rows lie inside the ball, on its last
-    1e-5 of radius, or exactly at the origin; some positions are masked."""
+    1e-5 of radius, or exactly at the origin; some positions are masked.
+    The ball parameters lie off the origin, so every Mobius addition moves."""
+    shape = draw(st.sampled_from(["small", *_ORACLE_SHAPES]))
+    if shape == "small":
+        dims = dict(model_dim=draw(st.integers(2, 5)), num_heads=draw(st.integers(1, 3)),
+                    head_dim=draw(st.integers(1, 3)), ffn_dim=draw(st.integers(2, 6)))
+    else:
+        dims = _ORACLE_SHAPES[shape]
     cfg = hf.TransformerConfig(
-        geometry=draw(st.sampled_from(hf.GEOMETRIES)),
-        model_dim=draw(st.integers(2, 5)), num_layers=draw(st.integers(1, 2)),
-        num_heads=draw(st.integers(1, 3)), head_dim=draw(st.integers(1, 3)),
-        ffn_dim=draw(st.integers(2, 6)), num_classes=draw(st.integers(2, 4)),
-        dropout=draw(st.sampled_from([0.0, 0.3])),
-        use_residual=draw(st.booleans()))
+        geometry=draw(st.sampled_from(hf.GEOMETRIES)), num_layers=draw(st.integers(1, 2)),
+        num_classes=draw(st.integers(2, 4)), use_residual=draw(st.booleans()),
+        pe_scale=draw(st.sampled_from([0.1, 1.0])), **dims)
     b, length = draw(st.integers(1, 3)), draw(st.integers(1, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     direction = rng.normal(size=(b * length, cfg.model_dim))
@@ -1610,21 +1671,90 @@ def _classifier_batches(draw):
         points[row, keep:] = 0.0
         unk[row, keep:] = 0.0
     params = hf.init_params(cfg, rng)
-    params["unk"] = random_ball_points(rng, 1, cfg.model_dim, radius=0.5)[0]
+    for name in sorted(hf.manifold_param_names(cfg) | {"unk"}):
+        shape = params[name].shape
+        params[name] = random_ball_points(rng, int(np.prod(shape[:-1])), shape[-1],
+                                          radius=0.5).reshape(shape)
     labels = rng.integers(0, cfg.num_classes, size=b)
-    return cfg, params, points, unk, mask, labels, draw(st.booleans())
+    return cfg, params, points, unk, mask, labels
 
 
-@settings(max_examples=60, deadline=None, database=None)
+def _extended_forward(params, points, unk, mask, labels, cfg):
+    """The array forward's scores and cross-entropy in np.longdouble."""
+    ext = {name: value.astype(np.longdouble) for name, value in params.items()}
+    with np.errstate(all="ignore"):
+        pts = hf.embed_sequences(points.astype(np.longdouble), unk, ext["unk"])
+        scores = hf.classifier_forward(ext, pts, mask, cfg)
+        return scores, hf.cross_entropy(scores, labels)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="np.longdouble is no wider than float64 here")
+@settings(max_examples=150, deadline=None, database=None)
 @given(_classifier_batches())
-def test_forward_only_batch_equals_recording_tape(batch):
-    cfg, params, points, unk, mask, labels, training = batch
-    runs = [train._forward_batch(params, points, unk, mask, labels, cfg,
-                                 rng=np.random.default_rng(5), training=training, grad=grad)
-            for grad in (True, False)]
-    (recording, _, scores, loss), (forward_only, _, fo_scores, fo_loss) = runs
-    assert _same_bits(fo_scores.value, scores.value) and _same_bits(fo_loss.value, loss.value)
-    assert forward_only.nodes == [] and forward_only.skipped == len(recording.nodes)
+def test_array_forward_scores_as_the_recording_tape(batch):
+    # Both forwards are compared with the array forward in extended precision.
+    # Near the shell a float64 forward is ill-conditioned (log_0's slope there
+    # is 1 / (1 - r^2) = 5e4): the tape's own scores may lie 1e-11 of a row's
+    # largest |score| from that reference, and no other rounding can then
+    # agree with the tape to 1e-12.  So the array path must agree with the
+    # tape to 1e-12 where the tape lies within 1e-14 of the reference (in
+    # 3991 drawn batches on the ball it agreed to 1.6e-13 there), and lie
+    # within 4e-12 of the reference plus 8 times the tape's own distance from
+    # it everywhere (at most 0.9 of that bound in those batches).
+    cfg, params, points, unk, mask, labels = batch
+    _, _, recorded, recorded_loss = train._forward_batch(params, points, unk, mask, labels, cfg)
+    scores, loss = train._score_batch(params, points, unk, mask, labels, cfg)
+    want, want_loss = recorded.value, float(recorded_loss.value)
+    if cfg.geometry == "euclidean":  # the same numpy calls, in the same order
+        assert _same_bits(scores, want) and loss == want_loss
+        return
+    ref, ref_loss = _extended_forward(params, points, unk, mask, labels, cfg)
+    scale = np.abs(want).max(axis=-1, keepdims=True)
+    error, tape_error = (np.max(np.abs(s - ref) / scale) for s in (scores, want))
+    if tape_error <= 1e-14:
+        assert np.all(np.abs(scores - want) <= 1e-12 * scale)
+    assert error <= 4e-12 + 8.0 * tape_error, (error, tape_error)
+    ce_scale = max(float(scale.max()), 1.0)
+    assert abs(loss - ref_loss) <= 4e-12 * ce_scale + 8.0 * abs(want_loss - ref_loss)
+    top, second = np.sort(want, axis=-1)[:, :-3:-1].T
+    decided = top - second > 1e-9
+    assert np.array_equal(np.argmax(scores, axis=-1)[decided], np.argmax(want, axis=-1)[decided])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200],
+                         ids=["nan", "+inf", "-inf", "1e200"])
+@pytest.mark.parametrize("geometry", ["poincare", "euclidean"])
+def test_the_array_forward_refuses_a_weight_that_is_not_finite_as_the_tape_does(geometry, bad):
+    # one entry of the value projection that is not finite, or whose products
+    # overflow, leaves no score finite: the recording tape refuses it at a
+    # node, the array forward with NonFiniteScores, and no numpy warning
+    cfg, params, points, unk, mask, labels = tape_memory.step_inputs(geometry, "desk")
+    params = dict(params, **{"layer0.wv": params["layer0.wv"].copy()})
+    params["layer0.wv"][0, 0] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(train.NonFiniteScores,
+                           match=rf"^non-finite class scores or cross-entropy on a batch "
+                                 rf"of {len(labels)} utterances$"):
+            train._score_batch(params, points, unk, mask, labels, cfg)
+    with np.errstate(all="ignore"), pytest.raises(dc.TapeError, match="^non-finite value at node"):
+        train._forward_batch(params, points, unk, mask, labels, cfg)
+
+
+def test_the_array_forward_refuses_finite_scores_whose_cross_entropy_is_not():
+    # class biases of +-1e308 keep every score finite, but the cross-entropy
+    # sums their exponentials past the largest float
+    cfg, params, points, unk, mask, labels = tape_memory.step_inputs("euclidean", "desk")
+    params = dict(params, out_b=np.where(np.arange(cfg.num_classes) % 2 == 0, 1e308, -1e308))
+    with np.errstate(all="ignore"):
+        scores = hf.classifier_forward(params, hf.embed_sequences(points, unk, params["unk"]),
+                                       mask, cfg)
+    assert np.isfinite(scores).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(train.NonFiniteScores):
+            train._score_batch(params, points, unk, mask, labels, cfg)
 
 
 def _per_character_batch(token_map, utterances, max_len):
@@ -1699,26 +1829,34 @@ def _tiny_evaluation(geometry):
 
 
 @pytest.mark.parametrize("geometry", hf.GEOMETRIES)
-def test_evaluate_classifier_runs_forward_only_tapes(monkeypatch, geometry):
+def test_evaluate_classifier_scores_on_arrays_with_no_tape(monkeypatch, geometry):
     dataset, token_map, params, cfg = _tiny_evaluation(geometry)
     indices = list(range(len(dataset.records)))
     assert len(indices) > train.EVAL_BATCH_SIZE
-    forward = train._forward_batch
-    tapes = []
+    score = train._score_batch
+    chunks = []
 
-    def spy(*args, **kwargs):
-        out = forward(*args, **kwargs)
-        tapes.append(out[0])
-        return out
+    def recording(params_np, points, unk, mask, labels, config):
+        _, _, scores, loss = train._forward_batch(params_np, points, unk, mask, labels, config)
+        return scores.value, float(loss.value)
 
-    def recording(*args, **kwargs):
-        return forward(*args, **{**kwargs, "grad": True})
+    def spy(*args):
+        chunks.append(args[1].shape)
+        return score(*args)
 
-    monkeypatch.setattr(train, "_forward_batch", recording)
+    def refuse(*args, **kwargs):
+        raise AssertionError("evaluation made a tape")
+
+    monkeypatch.setattr(train, "_score_batch", recording)
     expected = train.evaluate_classifier(dataset, indices, token_map, params, cfg)
-    monkeypatch.setattr(train, "_forward_batch", spy)
-    assert train.evaluate_classifier(dataset, indices, token_map, params, cfg) == expected
-    assert len(tapes) == 2 and all(not t.grad and t.nodes == [] for t in tapes)
+    monkeypatch.setattr(train, "_score_batch", spy)
+    monkeypatch.setattr(dc, "Tape", refuse)
+    got = train.evaluate_classifier(dataset, indices, token_map, params, cfg)
+    assert len(chunks) == 2 and got["accuracy"] == expected["accuracy"]
+    if geometry == "euclidean":  # the same numpy calls as the tape's
+        assert got == expected
+    else:
+        assert abs(got["cross_entropy"] - expected["cross_entropy"]) <= 1e-12
 
 
 @pytest.mark.parametrize("geometry", hf.GEOMETRIES)
@@ -1733,19 +1871,19 @@ def test_evaluate_classifier_metrics_do_not_depend_on_index_order(geometry):
 
 def _spy_evaluation(monkeypatch, dataset, indices, token_map, params, cfg):
     """(row indices, mask) of every evaluation forward, in call order."""
-    build, forward = train._build_batch, train._forward_batch
+    build, score = train._build_batch, train._score_batch
     rows, masks = [], []
 
     def build_spy(records, batch, *args):
         rows.append(list(batch))
         return build(records, batch, *args)
 
-    def forward_spy(params_np, points_np, unk_np, mask, *args, **kwargs):
+    def score_spy(params_np, points_np, unk_np, mask, *args):
         masks.append(mask)
-        return forward(params_np, points_np, unk_np, mask, *args, **kwargs)
+        return score(params_np, points_np, unk_np, mask, *args)
 
     monkeypatch.setattr(train, "_build_batch", build_spy)
-    monkeypatch.setattr(train, "_forward_batch", forward_spy)
+    monkeypatch.setattr(train, "_score_batch", score_spy)
     train.evaluate_classifier(dataset, indices, token_map, params, cfg)
     return list(zip(rows, masks, strict=True))
 
@@ -1791,31 +1929,39 @@ def test_evaluate_classifier_forward_count_follows_the_lengths(monkeypatch):
     assert [mask.shape for _, mask in forwards] == [(100, 1), (32, 4), (3, 4)]
 
 
-def test_evaluate_classifier_reuses_the_norms_of_unclamped_projections(monkeypatch):
+def test_evaluate_classifier_makes_fewer_full_width_inner_passes(monkeypatch):
     # the benchmark's classify-poincare sizes: 8 intents of 63 utterances,
-    # 16-dimensional embeddings and the default classifier, two forwards
+    # 16-dimensional embeddings and the default classifier, two forwards.
+    # Every _inner reads whole rows.  A recording tape's forward makes 98:
+    # 31 norms and 67 projections.  On arrays each ball point carries the
+    # norms its kernel knew, a Mobius addition makes one inner product, and
+    # the MLR makes its class products by matmul, so a forward makes 73.
     dataset = data.generate_synthetic_intents(8, 63, 48, seed=1, composites=2, noise_len=3)
     chars = sorted({ch for utterance, _ in dataset.records for ch in utterance})
     rng = np.random.default_rng(5)
     token_map = train.TokenMap(chars, random_ball_points(rng, len(chars), 16, radius=0.8))
     cfg = hf.TransformerConfig(model_dim=16)
     params = hf.init_params(cfg, rng)
-    counts = {"_norm": 0, "norm": 0, "ball_project": 0, "forward": 0}
+    inner, score = geo._inner, train._score_batch
+    passes, chunks = [], []
 
-    def counted(fn, key):
-        def wrapper(*args, **kwargs):
-            counts[key] += 1
-            return fn(*args, **kwargs)
-        return wrapper
+    def counted(a, b):
+        passes.append(np.shape(a)[-1])
+        return inner(a, b)
 
-    for module, name, key in ((geo, "_norm", "_norm"), (dc, "_norm", "_norm"),
-                              (dc, "norm", "norm"), (dc, "ball_project", "ball_project"),
-                              (train, "_forward_batch", "forward")):
-        monkeypatch.setattr(module, name, counted(getattr(module, name), key))
+    def recorded(*args):
+        chunks.append(args[1:4])
+        return score(*args)
+
+    monkeypatch.setattr(geo, "_inner", counted)
+    monkeypatch.setattr(dc, "_inner", counted)
+    monkeypatch.setattr(train, "_score_batch", recorded)
     train.evaluate_classifier(dataset, range(len(dataset.records)), token_map, params, cfg)
-    # the graph is unchanged: 76 norm and 67 ball_project ops per forward;
-    # 45 of the norms read an unclamped projection's norms instead of a pass
-    assert counts == {"_norm": 196, "norm": 152, "ball_project": 134, "forward": 2}
+    assert len(chunks) == 2 and len(passes) == 2 * 73 and min(passes) > 1
+    del passes[:]
+    for points, unk, mask in chunks:
+        train._forward_batch(params, points, unk, mask, None, cfg)
+    assert len(passes) == 2 * 98
 
 
 def test_evaluate_classifier_refuses_no_indices():
@@ -1891,6 +2037,18 @@ def test_a_forward_holds_well_under_the_arrays_it_recorded(geometry, bound):
             tracemalloc.stop()
     assert len(step[0].nodes) > 0
     assert held <= bound * recorded[0], (held / recorded[0], held, recorded[0])
+
+
+def test_tape_memory_harness_reports_an_evaluation_chunk_on_arrays(capsys):
+    # the chunk is scored as evaluation scores it, with no tape, and its
+    # forward peaks within 3.41 MB on the ball and 2.64 MB in flat space
+    report = tape_memory.main(["--sizes", "eval", "--steps", "2"])
+    assert json.loads(capsys.readouterr().out) == report
+    assert "scans" not in report
+    for geometry, bound in (("poincare", 3.41e6), ("euclidean", 2.64e6)):
+        assert 0 < report["memory"]["eval"][geometry]["forward_peak_bytes"] <= bound
+        assert report["forward_ms"]["eval"][geometry] > 0
+        assert report["minor_faults"]["eval"][geometry] >= 0
 
 
 def test_tape_memory_harness_reports_the_desk_step(capsys):

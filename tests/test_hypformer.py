@@ -183,8 +183,8 @@ def test_merge_heads_definitions(rng):
     m1 = tape.constant(rng.normal(size=(3, 3)) * 0.5)
     m2 = tape.constant(rng.normal(size=(3, 3)) * 0.5)
     merged = hf.merge_heads([h1, h2], [m1, m2], 1.0).value
-    expect = geo.mobius_add(geo.mobius_matvec(m1.value.T, h1.value),
-                            geo.mobius_matvec(m2.value.T, h2.value))
+    expect = geo.mobius_add(geo.mobius_matvec(h1.value, m1.value),
+                            geo.mobius_matvec(h2.value, m2.value))
     np.testing.assert_allclose(merged, expect, atol=1e-10)
 
 
@@ -220,10 +220,10 @@ def test_hyperbolic_ffn_matches_composition(rng):
     tape = dc.Tape()
     out = hf.hyperbolic_ffn(tape.constant(x_np), tape.constant(w1), tape.constant(b1),
                             tape.constant(w2), tape.constant(b2)).value
-    h = geo.mobius_add(geo.mobius_matvec(w1.T, x_np), b1)
+    h = geo.mobius_add(geo.mobius_matvec(x_np, w1), b1)
     origin = np.zeros_like(h)  # exp_0(ReLU(log_0(h)))
     h = geo.exp_map_poincare(origin, np.maximum(geo.log_map_poincare(origin, h), 0.0))
-    manual = geo.mobius_add(geo.mobius_matvec(w2.T, h), b2)
+    manual = geo.mobius_add(geo.mobius_matvec(h, w2), b2)
     np.testing.assert_allclose(out, manual, atol=1e-10)
 
 
@@ -334,7 +334,7 @@ def _forward(config, rng, length=5, batch=2):
         pts = rng.normal(size=(batch * length, config.model_dim)) * 0.3
     pts = tape.constant(pts.reshape(batch, length, config.model_dim))
     mask = np.ones((batch, length))
-    return tape, params, hf.classifier_forward(tape, params, pts, mask, config)
+    return tape, params, hf.classifier_forward(params, pts, mask, config)
 
 
 def test_classifier_forward_probabilities(rng):
@@ -363,7 +363,7 @@ def test_classifier_padding_invariance(rng):
     def run(points, mask):
         tape = dc.Tape()
         params = {k: tape.constant(v) for k, v in params_np.items()}
-        return hf.classifier_forward(tape, params, tape.constant(points), mask, cfg).value
+        return hf.classifier_forward(params, tape.constant(points), mask, cfg).value
 
     base = run(pts, np.ones((1, 4)))
     pad = run(padded, np.concatenate([np.ones((1, 4)), np.zeros((1, 3))], axis=1))
@@ -371,17 +371,17 @@ def test_classifier_padding_invariance(rng):
 
 
 @pytest.mark.parametrize("geometry", hf.GEOMETRIES)
-def test_a_forward_only_forward_frees_q_k_and_v_before_merging_heads(monkeypatch, rng, geometry):
-    # merge_heads is where a forward-only forward's memory peaks; a layer's
+def test_an_array_forward_frees_q_k_and_v_before_merging_heads(monkeypatch, rng, geometry):
+    # merge_heads is where an evaluation forward's memory peaks; a layer's
     # q, k and v projections and their heads are no longer read there
     cfg = _config(geometry=geometry, num_layers=2)
-    params_np = hf.init_params(cfg, rng)
+    params = hf.init_params(cfg, rng)
     projections, alive = [], []
     matvec, merge_heads = hf._matvec, hf.merge_heads
 
     def kept_matvec(x, w, c):
         out = matvec(x, w, c)
-        projections.append(weakref.ref(out.value))
+        projections.append(weakref.ref(out.value if c is not None else out))
         return out
 
     def checked_merge_heads(heads, merge_w, c):
@@ -390,10 +390,8 @@ def test_a_forward_only_forward_frees_q_k_and_v_before_merging_heads(monkeypatch
 
     monkeypatch.setattr(hf, "_matvec", kept_matvec)
     monkeypatch.setattr(hf, "merge_heads", checked_merge_heads)
-    tape = dc.Tape(grad=False)
-    params = {k: tape.leaf(v, requires_grad=True) for k, v in params_np.items()}
-    points = tape.constant(random_ball_points(rng, 6, cfg.model_dim, radius=0.5).reshape(2, 3, -1))
-    hf.classifier_forward(tape, params, points, np.ones((2, 3)), cfg)
+    points = random_ball_points(rng, 6, cfg.model_dim, radius=0.5).reshape(2, 3, -1)
+    hf.classifier_forward(params, points, np.ones((2, 3)), cfg)
     assert alive == [[False] * 3] * cfg.num_layers
 
 
@@ -404,7 +402,7 @@ def test_classifier_rejects_fully_masked(rng):
     params = {k: tape.constant(v) for k, v in params_np.items()}
     pts = tape.constant(np.zeros((1, 3, cfg.model_dim)))
     with pytest.raises(ValueError):
-        hf.classifier_forward(tape, params, pts, np.zeros((1, 3)), cfg)
+        hf.classifier_forward(params, pts, np.zeros((1, 3)), cfg)
 
 
 def test_flat_limit_consistency(rng):
@@ -480,7 +478,7 @@ def test_euclidean_forward_calls_no_diffgeom(rng, monkeypatch):
         tape = dc.Tape()
         params = {k: tape.leaf(v, requires_grad=True) for k, v in params_np.items()}
         pts = tape.constant(rng.normal(size=(2, 5, cfg.model_dim)))
-        scores = hf.classifier_forward(tape, params, pts, np.ones((2, 5)), cfg,
+        scores = hf.classifier_forward(params, pts, np.ones((2, 5)), cfg,
                                        rng=rng, training=True)
         dc.backward(tape, hf.cross_entropy(scores, np.array([0, 2])))
 
@@ -494,7 +492,7 @@ def test_classifier_forward_clamps_points_into_the_ball(rng):
     def scores(points):
         tape = dc.Tape()
         params = {k: tape.constant(v) for k, v in params_np.items()}
-        return hf.classifier_forward(tape, params, tape.constant(points),
+        return hf.classifier_forward(params, tape.constant(points),
                                      np.ones((2, 3)), cfg).value
 
     np.testing.assert_allclose(scores(outside), scores(geo.project_to_ball(outside)),
