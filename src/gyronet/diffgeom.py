@@ -3,11 +3,12 @@
 These operate on :class:`~gyronet.diffcore.Tensor` values so that gradients
 flow through them.  Points live along the last axis; leading axes broadcast.
 Mobius addition and the conformal factor are :mod:`gyronet.geometry`'s own
-bodies, bound to the tape's last-axis sum and to :func:`project`.  Each map
-here has a fused array kernel in ``geometry`` with the same layout and
-formula, which evaluation runs (``_expmap0``, ``_logmap0``, ``_matvec``,
-``_mobius_add_rows`` and ``_mlr_scores``); they differ from these maps only
-as follows:
+bodies, bound to the tape's last-axis sum and to :func:`project`.  The
+classifier calls each map at its default radius, 1, and its tape records the
+scalings by ``c``.  Each has a fused array kernel on the unit ball in
+``geometry``, with the same layout and formula, which evaluation runs
+(``_expmap0``, ``_logmap0``, ``_matvec``, ``_mobius_add_rows`` and
+``_mlr_scores``); they differ from these maps at c = 1 only as follows:
 
 - a kernel takes its ball inputs' row norms from the kernel that made them,
   where the tape measures them again (but for an unclamped projection's),

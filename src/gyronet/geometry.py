@@ -6,8 +6,8 @@ Poincare point of dimension n is an array (..., n) with euclidean norm < c; a
 hyperboloid point is an array (..., n+1) in Minkowski coordinates with
 <x, x>_L = -1 and positive last coordinate.
 
-The ball radius c defaults to 1, which simplifies most formulas; it is kept as
-an explicit parameter throughout.
+The ball radius c defaults to 1, which simplifies most formulas; the public
+maps take it as a parameter, and the classifier's fused kernels fix it at 1.
 """
 
 from __future__ import annotations
@@ -222,108 +222,105 @@ def bias_translate(x, b, c=1.0):
 # Fused kernels in the layouts of the classifier's tape maps
 # ---------------------------------------------------------------------------
 #
-# Each ball point here travels with the norms of its rows, ``(x, nx)`` with
-# ``nx`` kept as ``_norm(x)`` keeps it: the kernel that makes a point knows
-# them from its per-row coefficients, so no kernel measures its inputs again.
-# A kernel scales whole rows by one narrow coefficient, and folds the ball
-# projection into that coefficient.  A row whose norm overflows gets a NaN
-# norm (0 * inf), and so NaN coordinates, never a finite row in its place.
+# Each point here lies in the unit ball and travels with the norms of its
+# rows, ``(x, nx)`` with ``nx`` kept as ``_norm(x)`` keeps it: the kernel that
+# makes a point knows them from its per-row coefficients, so no kernel
+# measures its inputs again.  A kernel scales whole rows by one narrow
+# coefficient, and folds the ball projection into that coefficient.  A row
+# whose norm overflows gets a NaN norm (0 * inf), and so NaN coordinates.
 
-def _shell(n, c):
+def _shell(n):
     """The factor per row that moves the rows of norm ``n`` at or past the
     ball's shell onto it, None when every row is inside, and the norms after it."""
-    maxnorm = c * (1.0 - EPS_BOUNDARY)
+    maxnorm = 1.0 - EPS_BOUNDARY
     s = _onto_shell(n, maxnorm)[1]
     return (None, n) if s is None else (s, np.minimum(n, maxnorm))
 
 
-def _project(x, c):
-    """``(project_to_ball(x, c), its row norms)``."""
-    out, _, n = _clamp(x, c * (1.0 - EPS_BOUNDARY))
-    return out, (n if out is x else _shell(n, c)[1])
+def _project(x):
+    """``(project_to_ball(x), its row norms)``."""
+    out, _, n = _clamp(x, 1.0 - EPS_BOUNDARY)
+    return out, (n if out is x else _shell(n)[1])
 
 
-def _scaled(v, k, n, c):
+def _scaled(v, k, n):
     """``(k v, its row norms)`` for rows ``v`` and coefficients ``k >= 0``
     whose products have norms ``n``, the rows past the shell moved onto it."""
-    s, n = _shell(n, c)
+    s, n = _shell(n)
     return (k if s is None else k * s) * v, n
 
 
-def _expmap0(v, c):
-    """exp_0 of the tangent rows ``v``: ``(c tanh(||v|| / c) / ||v||) v``."""
+def _expmap0(v):
+    """exp_0 of the tangent rows ``v``: ``(tanh(||v||) / ||v||) v``."""
     n = _norm(v)
-    k = c * np.tanh(n / c) / np.maximum(n, _TINY)
-    return _scaled(v, k, k * n, c)
+    k = np.tanh(n) / np.maximum(n, _TINY)
+    return _scaled(v, k, k * n)
 
 
-def _logmap0(y, ny, c):
-    """log_0 of the ball rows ``y`` of norms ``ny``: ``(c artanh(||y|| / c) / ||y||) y``."""
-    return (c * _artanh(ny, c) / np.maximum(ny, _TINY)) * y
+def _logmap0(y, ny):
+    """log_0 of the ball rows ``y`` of norms ``ny``: ``(artanh(||y||) / ||y||) y``."""
+    return (_artanh(ny, 1.0) / np.maximum(ny, _TINY)) * y
 
 
-def _matvec(x, nx, weight, c):
+def _matvec(x, nx, weight):
     """The Mobius matvec of the ball rows ``x`` of norms ``nx`` by ``weight``
-    (n_in, n_out): ``y = x @ weight`` scaled by ``c tanh(||y|| / ||x||
-    artanh(||x|| / c)) / ||y||``, which maps ``y = 0`` to the origin."""
+    (n_in, n_out): ``y = x @ weight`` scaled by ``tanh(||y|| / ||x||
+    artanh(||x||)) / ||y||``, which maps ``y = 0`` to the origin."""
     y = x @ weight
     ny = _norm(y)
-    k = c * np.tanh(ny / np.maximum(nx, _TINY) * _artanh(nx, c)) / np.maximum(ny, _TINY)
-    return _scaled(y, k, k * ny, c)
+    k = np.tanh(ny / np.maximum(nx, _TINY) * _artanh(nx, 1.0)) / np.maximum(ny, _TINY)
+    return _scaled(y, k, k * ny)
 
 
-def mobius_matvec(x, weight, c=1.0):
-    """Mobius matrix-vector multiplication of ball points ``x`` (..., n_in) by
-    ``weight`` (n_in, n_out); a point that ``weight`` maps to 0 maps to the origin."""
+def mobius_matvec(x, weight):
+    """Mobius matrix-vector multiplication of unit-ball points ``x`` (..., n_in)
+    by ``weight`` (n_in, n_out); a point that ``weight`` maps to 0 maps to the origin."""
     x = np.asarray(x, dtype=float)
-    return _matvec(x, _norm(x), np.asarray(weight, dtype=float), c)[0]
+    return _matvec(x, _norm(x), np.asarray(weight, dtype=float))[0]
 
 
-def _gyro_coefficients(x2, y2, xy, c):
-    """``(a, b, n)`` such that ``a x + b y`` is x (+)_c y, projected, and
-    ``n`` its row norms, from ``||x||^2 / c^2``, ``||y||^2 / c^2`` and ``2 <x,
-    y> / c^2``.  Where the two terms cancel, ``a x + b y`` is unprojected and
-    ``n`` None, for the caller to measure: once ``a^2 x2 + b^2 y2`` passes 4
-    in a row, ``den`` is small against its own terms and keeps too few digits
-    to give ``n``."""
+def _gyro_coefficients(x2, y2, xy):
+    """``(a, b, n)`` such that ``a x + b y`` is x (+) y, projected, and ``n``
+    its row norms, from ``||x||^2``, ``||y||^2`` and ``2 <x, y>``.  Where the
+    two terms cancel, ``a x + b y`` is unprojected and ``n`` None, for the
+    caller to measure: once ``a^2 x2 + b^2 y2`` passes 4 in a row, ``den`` is
+    small against its own terms and keeps too few digits to give ``n``."""
     den = 1.0 + xy + x2 * y2
     a = (1.0 + xy + y2) / den
     b = (1.0 - x2) / den
     if not np.logical_and.reduce(a * a * x2 + b * b * y2 <= 4.0, axis=None):
         return a, b, None
-    # 1 - ||x (+) y||^2 / c^2 = (1 - x2)(1 - y2) / den, good to a few units of
+    # 1 - ||x (+) y||^2 = (1 - x2)(1 - y2) / den, good to a few units of
     # 1e-16 of itself, which keeps the digits of a norm next to the shell
-    s, n = _shell(c * np.sqrt(np.maximum(1.0 - b * (1.0 - y2), 0.0)), c)
+    s, n = _shell(np.sqrt(np.maximum(1.0 - b * (1.0 - y2), 0.0)))
     return (a, b, n) if s is None else (a * s, b * s, n)
 
 
-def _mobius_add_rows(x, nx, y, ny, c):
-    """``(x (+)_c y, its row norms)`` from the operands' row norms and one
-    inner product; leading axes broadcast."""
-    c2 = c * c
-    a, b, n = _gyro_coefficients(nx * nx / c2, ny * ny / c2, 2.0 * _inner(x, y) / c2, c)
+def _mobius_add_rows(x, nx, y, ny):
+    """``(x (+) y, its row norms)`` from the operands' row norms and one inner
+    product; leading axes broadcast."""
+    a, b, n = _gyro_coefficients(nx * nx, ny * ny, 2.0 * _inner(x, y))
     out = a * x
     out += b * y  # in place: one row-wide temporary, not two
-    return (out, n) if n is not None else _project(out, c)
+    return (out, n) if n is not None else _project(out)
 
 
-def _mlr_scores(x, nx, normals, offsets, c):
+def _mlr_scores(x, nx, normals, offsets):
     """Hyperbolic multinomial logistic regression scores (..., K) of the ball
     rows ``x`` (..., n) of norms ``nx``, for class normals and offsets (K, n):
-    ``c lambda_p ||a|| asinh(2 <w, a> / (c (1 - ||w||^2 / c^2) ||a||))`` with
-    ``w = (-p) (+)_c x``.  ``w`` is made only where its coefficients cancel;
-    otherwise its inner products come from them and two matrix products."""
-    c2 = c * c
+    ``lambda_p ||a|| asinh(2 <w, a> / ((1 - ||w||^2) ||a||))`` with ``w = (-p)
+    (+) x``.  ``w`` is made only where its coefficients cancel; otherwise its
+    inner products come from them and two matrix products."""
     na = np.maximum(_norm(normals, keepdims=False), _TINY)
-    lam = _conformal_factor(offsets, c, _sum_last)[..., 0]
-    a, b, n = _gyro_coefficients(_inner(offsets, offsets)[..., 0] / c2, nx * nx / c2,
-                                 -2.0 * (x @ offsets.T) / c2, c)
+    lam = _conformal_factor(offsets, 1.0, _sum_last)[..., 0]
+    a, b, n = _gyro_coefficients(_inner(offsets, offsets)[..., 0], nx * nx,
+                                 -2.0 * (x @ offsets.T))
     if n is None:
-        w, n = _project(a[..., None] * -offsets + b[..., None] * x[..., None, :], c)
+        w, n = _project(a[..., None] * -offsets + b[..., None] * x[..., None, :])
         wa, n = _inner(w, normals)[..., 0], n[..., 0]
     else:
         wa = b * (x @ normals.T) - a * _inner(offsets, normals)[..., 0]
-    return c * lam * na * np.arcsinh(2.0 * wa / (c * (1.0 - n * n / c2) * na))
+    return lam * na * np.arcsinh(2.0 * wa / ((1.0 - n * n) * na))
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,9 @@ regression.
 
 The euclidean variant is the same network in flat space, the limit in which
 Mobius addition becomes ``+``, Mobius matvec becomes matmul and log_0/exp_0
-become the identity.  Every block takes the ball radius ``c`` and reads
-``c=None`` as flat space; only the classification head keeps one form per
-geometry.
+become the identity.  Every block takes the switch ``ball``, True by default,
+and is the flat-space formula with ``ball=False``; the ball is the unit ball.
+Only the classification head keeps one form per geometry.
 
 Each block body is written once, over the binding of its operands: on tape
 tensors each op records on their tape (training), and on numpy arrays it runs
@@ -204,18 +204,18 @@ def _rows(x):
     return (x.value, x.norms) if isinstance(x, _Point) else (x, geometry._norm(x))
 
 
-# on tape tensors: diffcore's and diffgeom's ops, looked up at each call, so
-# that a wrapper installed on one of them sees every call
+# on tape tensors: diffcore's ops and diffgeom's at its default radius, looked
+# up at each call, so that a wrapper installed on one of them sees every call
 _TAPE = SimpleNamespace(
     constant=lambda like, value: like.tape.constant(value),
     matmul=lambda a, b: dc.matmul(a, b), swap_last=dc.swap_last, softmax=dc.softmax,
     relu=dc.relu, exp=dc.exp, log=dc.log, tmax=dc.tmax, tsum=dc.tsum,
-    project=lambda x, c: dg.project(x, c),
-    mobius_add=lambda x, y, c: dg.mobius_add(x, y, c),
-    mobius_matvec=lambda x, w, c: dg.mobius_matvec(x, w, c),
-    logmap0=lambda x, c: dg.logmap0(x, c),
-    expmap0=lambda v, c: dg.expmap0(v, c),
-    mlr_scores=lambda x, a, p, c: dg.mlr_scores(x, a, p, c))
+    project=lambda x: dg.project(x),
+    mobius_add=lambda x, y: dg.mobius_add(x, y),
+    mobius_matvec=lambda x, w: dg.mobius_matvec(x, w),
+    logmap0=lambda x: dg.logmap0(x),
+    expmap0=lambda v: dg.expmap0(v),
+    mlr_scores=lambda x, a, p: dg.mlr_scores(x, a, p))
 
 # on numpy arrays: the same forwards as the tape's flat ops, and geometry's
 # fused kernels on ball points that carry their row norms
@@ -225,12 +225,12 @@ _ARRAYS = SimpleNamespace(
     relu=lambda a: np.maximum(a, 0.0), exp=np.exp, log=np.log,
     tmax=lambda a, axis=None, keepdims=False: np.maximum.reduce(a, axis=axis, keepdims=keepdims),
     tsum=dc._sum,
-    project=lambda x, c: _Point(*geometry._project(x, c)),
-    mobius_add=lambda x, y, c: _Point(*geometry._mobius_add_rows(*_rows(x), *_rows(y), c)),
-    mobius_matvec=lambda x, w, c: _Point(*geometry._matvec(*_rows(x), w, c)),
-    logmap0=lambda x, c: geometry._logmap0(*_rows(x), c),
-    expmap0=lambda v, c: _Point(*geometry._expmap0(v, c)),
-    mlr_scores=lambda x, a, p, c: geometry._mlr_scores(*_rows(x), a, p, c))
+    project=lambda x: _Point(*geometry._project(x)),
+    mobius_add=lambda x, y: _Point(*geometry._mobius_add_rows(*_rows(x), *_rows(y))),
+    mobius_matvec=lambda x, w: _Point(*geometry._matvec(*_rows(x), w)),
+    logmap0=lambda x: geometry._logmap0(*_rows(x)),
+    expmap0=lambda v: _Point(*geometry._expmap0(v)),
+    mlr_scores=lambda x, a, p: geometry._mlr_scores(*_rows(x), a, p))
 
 
 def _ops(x):
@@ -242,30 +242,30 @@ def _ops(x):
 # Building blocks
 # ---------------------------------------------------------------------------
 
-def _add(x, y, c):
-    return x + y if c is None else _ops(x).mobius_add(x, y, c)
+def _add(x, y, ball):
+    return _ops(x).mobius_add(x, y) if ball else x + y
 
 
-def _matvec(x, w, c):
-    return _ops(x).matmul(x, w) if c is None else _ops(x).mobius_matvec(x, w, c)
+def _matvec(x, w, ball):
+    return _ops(x).mobius_matvec(x, w) if ball else _ops(x).matmul(x, w)
 
 
-def _log0(x, c):
-    return x if c is None else _ops(x).logmap0(x, c)
+def _log0(x, ball):
+    return _ops(x).logmap0(x) if ball else x
 
 
-def _exp0(v, c):
-    return v if c is None else _ops(v).expmap0(v, c)
+def _exp0(v, ball):
+    return _ops(v).expmap0(v) if ball else v
 
 
-def _project(x, c):
-    return x if c is None else _ops(x).project(x, c)
+def _project(x, ball):
+    return _ops(x).project(x) if ball else x
 
 
-def attach_positions(x, pe, c):
+def attach_positions(x, pe, ball=True):
     """Add positional information: x (+) exp_0(PE), which is x + PE in flat
     space.  ``pe`` is a constant."""
-    return _add(x, _exp0(pe, c), c)
+    return _add(x, _exp0(pe, ball), ball)
 
 
 def scaled_dot_attention(q, k, v, mask_bias):
@@ -281,40 +281,41 @@ def scaled_dot_attention(q, k, v, mask_bias):
     return ops.matmul(weights, v)
 
 
-def hyperbolic_attention(q, k, v, mask_bias, c=1.0):
+def hyperbolic_attention(q, k, v, mask_bias, ball=True):
     """Tangent-space attention between ball points: log -> attend -> exp,
     which is :func:`scaled_dot_attention` in flat space."""
-    return _exp0(scaled_dot_attention(_log0(q, c), _log0(k, c), _log0(v, c), mask_bias), c)
+    return _exp0(scaled_dot_attention(_log0(q, ball), _log0(k, ball), _log0(v, ball),
+                                      mask_bias), ball)
 
 
-def split_heads(y, num_heads, head_dim, c=None):
+def split_heads(y, num_heads, head_dim, ball=True):
     """Slice a concatenated projection into per-head blocks.
 
     For ball points each block is re-clamped into its own ball (a coordinate
     slice can only shrink the norm, so this is a no-op except at the shell).
     """
-    return [_project(y[..., i * head_dim:(i + 1) * head_dim], c) for i in range(num_heads)]
+    return [_project(y[..., i * head_dim:(i + 1) * head_dim], ball) for i in range(num_heads)]
 
 
-def merge_heads(heads, merge_w, c):
+def merge_heads(heads, merge_w, ball=True):
     """Project each head back to model width and combine.
 
     The per-head results are gyro-added left-associated in ascending head
     order; the order is part of the contract because gyro-addition is not
     associative.  In flat space this is a plain sum.
     """
-    parts = [_matvec(h, w_i, c) for h, w_i in zip(heads, merge_w)]
+    parts = [_matvec(h, w_i, ball) for h, w_i in zip(heads, merge_w)]
     out = parts[0]
     for p in parts[1:]:
-        out = _add(out, p, c)
+        out = _add(out, p, ball)
     return out
 
 
-def hyperbolic_ffn(x, w1, b1, w2, b2, c=1.0):
+def hyperbolic_ffn(x, w1, b1, w2, b2, ball=True):
     """Two-layer feed-forward on the ball with a lifted ReLU in between."""
-    h = _add(_matvec(x, w1, c), b1, c)
-    h = _exp0(_ops(x).relu(_log0(h, c)), c)
-    return _add(_matvec(h, w2, c), b2, c)
+    h = _add(_matvec(x, w1, ball), b1, ball)
+    h = _exp0(_ops(x).relu(_log0(h, ball)), ball)
+    return _add(_matvec(h, w2, ball), b2, ball)
 
 
 def euclidean_ffn(x, w1, b1, w2, b2):
@@ -322,23 +323,23 @@ def euclidean_ffn(x, w1, b1, w2, b2):
     return dc.matmul(dc.relu(dc.matmul(x, w1) + b1), w2) + b2
 
 
-def tangent_dropout(x, rate, rng, training, c):
+def tangent_dropout(x, rate, rng, training, ball=True):
     """Inverted dropout on tangent coordinates at the origin (raw
     coordinates in flat space); identity in eval mode."""
     if not training or rate <= 0.0:
         return x
     keep = (rng.random(x.shape) >= rate).astype(float) / (1.0 - rate)
     mask = _ops(x).constant(x, keep)
-    return _exp0(_log0(x, c) * mask, c)
+    return _exp0(_log0(x, ball) * mask, ball)
 
 
-def pooled_representation(x, mask_keep, c):
+def pooled_representation(x, mask_keep, ball=True):
     """Coordinate-wise max over unmasked positions, taken in the tangent
     space at the origin.  ``mask_keep``: constant (..., L, 1), 1 for real
     positions."""
-    t = _log0(x, c)
+    t = _log0(x, ball)
     neg = (1.0 - mask_keep) * (-1e30)
-    return _exp0(_ops(t).tmax(t + neg, axis=-2, keepdims=False), c)
+    return _exp0(_ops(t).tmax(t + neg, axis=-2, keepdims=False), ball)
 
 
 def classifier_forward(params, points, mask, config: TransformerConfig, rng=None,
@@ -355,39 +356,40 @@ def classifier_forward(params, points, mask, config: TransformerConfig, rng=None
     mask = np.asarray(mask, dtype=float)
     if not np.all(mask.sum(axis=-1) >= 1):
         raise ValueError("every sequence needs at least one unmasked position")
-    c = 1.0 if config.geometry == "poincare" else None
+    ball = config.geometry == "poincare"
     ops, length = _ops(points), points.shape[-2]
     # a point made by adding coordinates (UNK substitution) may leave the ball
-    points = _project(points, c)
+    points = _project(points, ball)
     pe = config.pe_scale * positional_encoding_matrix(length, config.model_dim)
     pe = ops.constant(points, pe)
     mask_bias = ops.constant(points, (-1e9) * (1.0 - mask)[..., None, :])  # (B, 1, L)
     mask_keep = ops.constant(points, mask[..., None])  # (B, L, 1)
 
-    x = attach_positions(points, pe, c)
+    x = attach_positions(points, pe, ball)
     for i in range(config.num_layers):
         p = f"layer{i}."
         # backward sums gradients in recording order, so this order (all three
         # projections before any split) is part of what fixes the trained bits
-        q, k, v = [_matvec(x, params[p + t], c) for t in ("wq", "wk", "wv")]
-        heads = [split_heads(t, config.num_heads, config.head_dim, c) for t in (q, k, v)]
-        outs = [hyperbolic_attention(qi, ki, vi, mask_bias, c) for qi, ki, vi in zip(*heads)]
+        q, k, v = [_matvec(x, params[p + t], ball) for t in ("wq", "wk", "wv")]
+        heads = [split_heads(t, config.num_heads, config.head_dim, ball) for t in (q, k, v)]
+        outs = [hyperbolic_attention(qi, ki, vi, mask_bias, ball) for qi, ki, vi in zip(*heads)]
         # on arrays nothing else holds these, so the merge, where an
         # evaluation forward's memory peaks, runs without them
         del q, k, v, heads
-        merged = merge_heads(outs, [params[p + "merge"][j] for j in range(config.num_heads)], c)
+        merged = merge_heads(outs, [params[p + "merge"][j] for j in range(config.num_heads)],
+                             ball)
         if config.use_residual:
-            merged = _add(x, merged, c)
-        merged = tangent_dropout(merged, config.dropout, rng, training, c)
+            merged = _add(x, merged, ball)
+        merged = tangent_dropout(merged, config.dropout, rng, training, ball)
         ffn = [merged] + [params[p + t] for t in ("ffn_w1", "ffn_b1", "ffn_w2", "ffn_b2")]
-        ff = hyperbolic_ffn(*ffn, c)
+        ff = hyperbolic_ffn(*ffn, ball)
         if config.use_residual:
-            ff = _add(merged, ff, c)
-        x = tangent_dropout(ff, config.dropout, rng, training, c)
+            ff = _add(merged, ff, ball)
+        x = tangent_dropout(ff, config.dropout, rng, training, ball)
 
-    pooled = pooled_representation(x, mask_keep, c)
-    if c is not None:
-        return _ops(pooled).mlr_scores(pooled, params["mlr_a"], params["mlr_p"], c)
+    pooled = pooled_representation(x, mask_keep, ball)
+    if ball:
+        return _ops(pooled).mlr_scores(pooled, params["mlr_a"], params["mlr_p"])
     return ops.matmul(pooled, params["out_w"]) + params["out_b"]
 
 

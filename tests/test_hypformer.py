@@ -61,14 +61,16 @@ def test_attach_positions():
     tape = dc.Tape()
     x = tape.constant([0.5, 0.0])
     pe0 = tape.constant([0.0, 0.0])
-    np.testing.assert_allclose(hf.attach_positions(x, pe0, 1.0).value, [0.5, 0.0], atol=1e-12)
+    np.testing.assert_allclose(hf.attach_positions(x, pe0, ball=True).value, [0.5, 0.0],
+                               atol=1e-12)
     zero = tape.constant([0.0, 0.0])
     pe = tape.constant([0.3, 0.1])
-    np.testing.assert_allclose(hf.attach_positions(zero, pe, 1.0).value,
+    np.testing.assert_allclose(hf.attach_positions(zero, pe, ball=True).value,
                                geo.exp_map_poincare(np.zeros(2), np.array([0.3, 0.1])),
                                atol=1e-12)
     pe2 = tape.constant([np.arctanh(0.5), 0.0])
-    np.testing.assert_allclose(hf.attach_positions(x, pe2, 1.0).value, [0.8, 0.0], atol=1e-12)
+    np.testing.assert_allclose(hf.attach_positions(x, pe2, ball=True).value, [0.8, 0.0],
+                               atol=1e-12)
 
 
 def test_positions_on_the_shell_when_every_encoding_is_the_origin():
@@ -155,7 +157,7 @@ def test_split_heads_identity_single_head(rng):
     pts = random_ball_points(rng, 4, 3)
     tape = dc.Tape()
     x = tape.constant(pts)
-    heads = hf.split_heads(x, 1, 3, c=1.0)
+    heads = hf.split_heads(x, 1, 3, ball=True)
     assert len(heads) == 1
     np.testing.assert_allclose(heads[0].value, pts, atol=1e-12)
 
@@ -163,11 +165,11 @@ def test_split_heads_identity_single_head(rng):
 def test_split_heads_origin_and_partition(rng):
     tape = dc.Tape()
     zero = tape.constant(np.zeros((2, 4)))
-    for h in hf.split_heads(zero, 2, 2, c=1.0):
+    for h in hf.split_heads(zero, 2, 2, ball=True):
         assert np.abs(h.value).max() == 0.0
     pts = random_ball_points(rng, 2, 4, radius=0.5)
     x = tape.constant(pts)
-    parts = hf.split_heads(x, 2, 2, c=1.0)
+    parts = hf.split_heads(x, 2, 2, ball=True)
     np.testing.assert_array_equal(np.concatenate([p.value for p in parts], axis=-1), pts)
 
 
@@ -176,13 +178,13 @@ def test_merge_heads_definitions(rng):
     h1 = tape.constant(random_ball_points(rng, 1, 3, radius=0.5))
     h2 = tape.constant(random_ball_points(rng, 1, 3, radius=0.5))
     eye = tape.constant(np.eye(3))
-    np.testing.assert_allclose(hf.merge_heads([h1], [eye], 1.0).value,
+    np.testing.assert_allclose(hf.merge_heads([h1], [eye], ball=True).value,
                                h1.value, atol=1e-12)
     zero = tape.constant(np.zeros((1, 3)))
-    assert np.abs(hf.merge_heads([zero, zero], [eye, eye], 1.0).value).max() == 0.0
+    assert np.abs(hf.merge_heads([zero, zero], [eye, eye], ball=True).value).max() == 0.0
     m1 = tape.constant(rng.normal(size=(3, 3)) * 0.5)
     m2 = tape.constant(rng.normal(size=(3, 3)) * 0.5)
-    merged = hf.merge_heads([h1, h2], [m1, m2], 1.0).value
+    merged = hf.merge_heads([h1, h2], [m1, m2], ball=True).value
     expect = geo.mobius_add(geo.mobius_matvec(h1.value, m1.value),
                             geo.mobius_matvec(h2.value, m2.value))
     np.testing.assert_allclose(merged, expect, atol=1e-10)
@@ -192,8 +194,8 @@ def test_merge_heads_order_dependence(rng):
     tape = dc.Tape()
     heads = [tape.constant(random_ball_points(rng, 1, 3, radius=0.6)) for _ in range(3)]
     mats = [tape.constant(rng.normal(size=(3, 3))) for _ in range(3)]
-    fwd = hf.merge_heads(heads, mats, 1.0).value
-    rev = hf.merge_heads(heads[::-1], mats[::-1], 1.0).value
+    fwd = hf.merge_heads(heads, mats, ball=True).value
+    rev = hf.merge_heads(heads[::-1], mats[::-1], ball=True).value
     assert np.linalg.norm(fwd - rev) > 1e-6
 
 
@@ -232,11 +234,11 @@ def test_pooling_cases(rng):
     pt = random_ball_points(rng, 1, 3, radius=0.5)
     single = tape.constant(pt[None])  # (1, 1, 3)
     keep = tape.constant(np.ones((1, 1, 1)))
-    out = hf.pooled_representation(single, keep, 1.0)
+    out = hf.pooled_representation(single, keep, ball=True)
     np.testing.assert_allclose(out.value[0], pt[0], atol=1e-10)
     same = tape.constant(np.repeat(pt[None], 4, axis=1))
     keep4 = tape.constant(np.ones((1, 4, 1)))
-    out = hf.pooled_representation(same, keep4, 1.0)
+    out = hf.pooled_representation(same, keep4, ball=True)
     np.testing.assert_allclose(out.value[0], pt[0], atol=1e-10)
 
 
@@ -244,7 +246,7 @@ def test_pooling_two_points_value():
     tape = dc.Tape()
     pts = tape.constant(np.array([[[0.5, 0.0], [0.0, 0.5]]]))
     keep = tape.constant(np.ones((1, 2, 1)))
-    out = hf.pooled_representation(pts, keep, 1.0)
+    out = hf.pooled_representation(pts, keep, ball=True)
     t = np.arctanh(0.5)
     expect = geo.exp_map_poincare(np.zeros(2), np.array([t, t]))
     np.testing.assert_allclose(out.value[0], expect, atol=1e-10)
@@ -255,19 +257,19 @@ def test_pooling_ignores_masked_positions(rng):
     pts = random_ball_points(rng, 3, 4, radius=0.5)
     full = tape.constant(pts[None])
     keep = tape.constant(np.array([1.0, 1.0, 0.0])[None, :, None])
-    masked = hf.pooled_representation(full, keep, 1.0).value
+    masked = hf.pooled_representation(full, keep, ball=True).value
     two = tape.constant(pts[None, :2])
     keep2 = tape.constant(np.ones((1, 2, 1)))
-    np.testing.assert_allclose(masked, hf.pooled_representation(two, keep2, 1.0).value,
+    np.testing.assert_allclose(masked, hf.pooled_representation(two, keep2, ball=True).value,
                                atol=1e-12)
 
 
 def test_tangent_dropout_identity_cases(rng):
     tape = dc.Tape()
     x = tape.constant(random_ball_points(rng, 4, 3))
-    out = hf.tangent_dropout(x, 0.0, rng, True, 1.0)
+    out = hf.tangent_dropout(x, 0.0, rng, True, ball=True)
     assert out is x
-    out = hf.tangent_dropout(x, 0.5, rng, False, 1.0)
+    out = hf.tangent_dropout(x, 0.5, rng, False, ball=True)
     assert out is x
 
 
@@ -276,7 +278,7 @@ def test_tangent_dropout_unbiased(rng):
     copies = np.repeat(pt[None], 20000, axis=0)
     tape = dc.Tape()
     x = tape.constant(copies)
-    out = hf.tangent_dropout(x, 0.3, rng, True, 1.0)
+    out = hf.tangent_dropout(x, 0.3, rng, True, ball=True)
     mean_t = dg.logmap0(out).value.mean(axis=0)
     target = geo.log_map_poincare(np.zeros(3), pt)
     assert np.abs(mean_t - target).max() / np.abs(target).max() < 0.05
@@ -379,14 +381,14 @@ def test_an_array_forward_frees_q_k_and_v_before_merging_heads(monkeypatch, rng,
     projections, alive = [], []
     matvec, merge_heads = hf._matvec, hf.merge_heads
 
-    def kept_matvec(x, w, c):
-        out = matvec(x, w, c)
-        projections.append(weakref.ref(out.value if c is not None else out))
+    def kept_matvec(x, w, ball):
+        out = matvec(x, w, ball)
+        projections.append(weakref.ref(out.value if ball else out))
         return out
 
-    def checked_merge_heads(heads, merge_w, c):
+    def checked_merge_heads(heads, merge_w, ball):
         alive.append([ref() is not None for ref in projections[-3:]])  # this layer's q, k, v
-        return merge_heads(heads, merge_w, c)
+        return merge_heads(heads, merge_w, ball)
 
     monkeypatch.setattr(hf, "_matvec", kept_matvec)
     monkeypatch.setattr(hf, "merge_heads", checked_merge_heads)
@@ -424,24 +426,24 @@ def test_flat_limit_consistency(rng):
 
 
 def test_blocks_flat_limit_is_euclidean(rng):
-    """With c=None the shared blocks are the plain euclidean formulas."""
+    """With ball=False the shared blocks are the plain euclidean formulas."""
     tape = dc.Tape()
     x_np = rng.normal(size=(2, 3, 4))
     x = tape.constant(x_np)
     heads = [rng.normal(size=(2, 3, 2)) for _ in range(3)]
     mats = [rng.normal(size=(2, 4)) for _ in range(3)]
     merged = hf.merge_heads([tape.constant(h) for h in heads],
-                            [tape.constant(m) for m in mats], None)
+                            [tape.constant(m) for m in mats], ball=False)
     np.testing.assert_allclose(merged.value, sum(h @ m for h, m in zip(heads, mats)),
                                atol=1e-12)
     keep = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 0.0]])[..., None]
-    pooled = hf.pooled_representation(x, tape.constant(keep), None)
+    pooled = hf.pooled_representation(x, tape.constant(keep), ball=False)
     np.testing.assert_array_equal(pooled.value, [x_np[0, :2].max(axis=0), x_np[1, 0]])
-    dropped = hf.tangent_dropout(x, 0.4, np.random.default_rng(3), True, None)
+    dropped = hf.tangent_dropout(x, 0.4, np.random.default_rng(3), True, ball=False)
     mask = (np.random.default_rng(3).random(x_np.shape) >= 0.4) / 0.6
     np.testing.assert_array_equal(dropped.value, x_np * mask)
     pe = hf.positional_encoding_matrix(3, 4)
-    np.testing.assert_array_equal(hf.attach_positions(x, tape.constant(pe), None).value,
+    np.testing.assert_array_equal(hf.attach_positions(x, tape.constant(pe), ball=False).value,
                                   x_np + pe)
     # attention and the FFN record the very ops of their flat references
     mask_bias = (-1e9) * (1.0 - keep.transpose(0, 2, 1))
@@ -449,8 +451,8 @@ def test_blocks_flat_limit_is_euclidean(rng):
     ffn = [x_np, rng.normal(size=(4, 5)), rng.normal(size=5), rng.normal(size=(5, 4)),
            rng.normal(size=4)]
     for block, reference, arrays in (
-            (lambda *a: hf.hyperbolic_attention(*a, None), hf.scaled_dot_attention, qkv),
-            (lambda *a: hf.hyperbolic_ffn(*a, None), hf.euclidean_ffn, ffn)):
+            (lambda *a: hf.hyperbolic_attention(*a, ball=False), hf.scaled_dot_attention, qkv),
+            (lambda *a: hf.hyperbolic_ffn(*a, ball=False), hf.euclidean_ffn, ffn)):
         got, want = _recorded(block, arrays), _recorded(reference, arrays)
         np.testing.assert_array_equal(got[0], want[0])
         assert got[1] == want[1]
