@@ -22,7 +22,7 @@ import sys
 
 import numpy as np
 
-from . import bundle, checks, data, diffcore, embed, train
+from . import bundle, checks, data, embed, train
 from .geometry import EPS_BOUNDARY, to_hyperboloid, to_poincare
 from .hypformer import TransformerConfig, param_shapes, positions_on_the_shell
 
@@ -265,13 +265,13 @@ def cmd_train_classifier(argv):
         epochs=args.epochs, batch_size=args.batch_size, seed=args.seed,
         lr=args.lr, manifold_lr=args.manifold_lr,
         restart_epoch=args.restart_epoch)
-    params, history = train.train_classifier(dataset, token_map, config, settings,
-                                             log_fn=log.info)
     try:
+        params, history = train.train_classifier(dataset, token_map, config, settings,
+                                                 log_fn=log.info)
         metrics = train.evaluate_classifier(
             dataset, dataset.heldout_indices or dataset.train_indices,
             token_map, params, config)
-    except train.NonFiniteScores as exc:
+    except (train.Divergence, train.NonFiniteScores) as exc:
         raise CliError(f"the model trained for {args.out}: {exc}") from None
     meta = config.to_dict()
     meta["labels"] = "\t".join(dataset.id_to_label)
@@ -441,7 +441,7 @@ def main(argv=None):
         return 2
     try:
         result = handler(argv[1:])
-    except (CliError, ValueError, OSError, bundle.BundleError, diffcore.TapeError) as exc:
+    except (CliError, ValueError, OSError, bundle.BundleError) as exc:
         print(f"gyronet {command}: error: {exc}", file=sys.stderr)
         return 1
     return int(result or 0)

@@ -227,7 +227,8 @@ def bias_translate(x, b, c=1.0):
 # makes a point knows them from its per-row coefficients, so no kernel
 # measures its inputs again.  A kernel scales whole rows by one narrow
 # coefficient, and folds the ball projection into that coefficient.  A row
-# whose norm overflows gets a NaN norm (0 * inf), and so NaN coordinates.
+# whose norm overflows gets a NaN norm (0 * inf), and so NaN coordinates,
+# but in a projection, which clamps it as ``project_to_ball`` does.
 
 def _shell(n):
     """The factor per row that moves the rows of norm ``n`` at or past the
@@ -238,9 +239,13 @@ def _shell(n):
 
 
 def _project(x):
-    """``(project_to_ball(x), its row norms)``."""
+    """``(project_to_ball(x), its row norms)``.  A row whose norm overflows
+    goes to zeros (NaN where an entry is infinite), whose norm it measures."""
     out, _, n = _clamp(x, 1.0 - EPS_BOUNDARY)
-    return out, (n if out is x else _shell(n)[1])
+    if out is x:
+        return out, n
+    clamped = np.minimum(n, 1.0 - EPS_BOUNDARY)
+    return out, (clamped if n.max() < math.inf else np.where(n < math.inf, clamped, _norm(out)))
 
 
 def _scaled(v, k, n):

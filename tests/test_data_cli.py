@@ -1015,15 +1015,49 @@ def test_cli_diverging_run_reports_tape_error(tmp_path, capsys):
     # finite but huge coordinates overflow in the first projection
     dataset, chars = _tiny_dataset(tmp_path)
     emb = tmp_path / "huge.txt"
+    model = tmp_path / "m.bin"
     embed.write_embeddings(emb, chars, np.full((len(chars), 4), 1e200), "euclidean")
     with np.errstate(over="ignore", invalid="ignore"):
         code = cli.main(["train-classifier", "--geometry", "euclidean", "--embeddings", str(emb),
                          "--data", str(dataset), "--epochs", "1", "--layers", "1",
-                         "--heads", "2", "--out", str(tmp_path / "m.bin")])
+                         "--heads", "2", "--out", str(model)])
     assert code == 1
     err = capsys.readouterr().err
-    assert "gyronet train-classifier: error: non-finite value at node" in err
+    assert err.endswith(f"gyronet train-classifier: error: the model trained for {model}: "
+                        f"divergence (non-finite value) at epoch 0 step 0: "
+                        f"non-finite value at node 29 (op matmul)\n")
     assert "Traceback" not in err
+    assert not model.exists()
+
+
+@pytest.mark.parametrize("geometry, spoiled, cause", [
+    ("euclidean", "all", "non-finite gradient for parameter 'layer0.ffn_b1'"),
+    ("poincare", "ball", "non-finite gradient in rsgd_step_poincare")], ids=["rmsprop", "rsgd"])
+def test_cli_diverging_update_names_the_run_epoch_and_step(tmp_path, capsys, monkeypatch,
+                                                           geometry, spoiled, cause):
+    # gradients that are not finite at epoch 1 step 1 reach RMSProp, or with
+    # only the ball parameters' spoiled, the Riemannian step
+    dataset, emb, code, _ = _tiny_model(tmp_path, geometry)
+    assert code == 0
+    steps = -(-len(data.load_intent_dataset(dataset, 0.15, 0).train_indices) // 4)
+    update, calls = train._update, []
+
+    def spoiled_at_epoch_1_step_1(params, grads, opt, manifold, lr):
+        calls.append(None)
+        if len(calls) == steps + 2:
+            grads = {name: g * np.nan if spoiled == "all" or name in manifold else g
+                     for name, g in grads.items()}
+        return update(params, grads, opt, manifold, lr)
+
+    monkeypatch.setattr(train, "_update", spoiled_at_epoch_1_step_1)
+    model = tmp_path / "diverged.bin"
+    assert cli.main(["train-classifier", "--geometry", geometry, "--embeddings", str(emb),
+                     "--data", str(dataset), "--epochs", "2", "--layers", "1", "--heads", "2",
+                     "--batch-size", "4", "--out", str(model)]) == 1
+    assert capsys.readouterr().err.endswith(
+        f"gyronet train-classifier: error: the model trained for {model}: divergence "
+        f"(non-finite update) at epoch 1 step 1: {cause}\n")
+    assert not model.exists()
 
 
 def _tiny_model(tmp_path, geometry, *flags):

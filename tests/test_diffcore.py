@@ -1757,6 +1757,28 @@ def test_the_array_forward_refuses_finite_scores_whose_cross_entropy_is_not():
             train._score_batch(params, points, unk, mask, labels, cfg)
 
 
+def test_the_array_forward_scores_an_unk_point_whose_norm_overflows_as_the_tape_does():
+    # both projections clamp a row whose norm overflows to zeros; the array
+    # path's must carry the norm of that zero row, not the shell's, or every
+    # kernel after it works from a norm the row does not have
+    out, norms = geo._project(np.array([[1e200, 0.3]]))
+    assert _same_bits(out, np.zeros((1, 2))) and _same_bits(norms, geo._norm(out))
+    cfg, params, points, unk, mask, labels = tape_memory.step_inputs("poincare", "desk")
+    params = dict(params, unk=np.array([1e200, 0.3] + [0.0] * (cfg.model_dim - 2)))
+    unk, points = unk.copy(), points.copy()
+    unk[:, ::2], points[:, ::2] = 1.0, 0.0  # every other slot is UNK, and holds +0.0
+    with np.errstate(all="ignore"):
+        _, _, recorded, recorded_loss = train._forward_batch(params, points, unk, mask, labels,
+                                                             cfg)
+    scores, loss = train._score_batch(params, points, unk, mask, labels, cfg)
+    # the bound of test_array_forward_scores_as_the_recording_tape where the
+    # tape is accurate: these rows lie inside the ball, away from its shell
+    want, scale = recorded.value, np.abs(recorded.value).max(axis=-1, keepdims=True)
+    assert np.all(np.abs(scores - want) <= 1e-12 * scale)
+    assert abs(loss - float(recorded_loss.value)) <= 1e-12 * max(float(scale.max()), 1.0)
+    assert np.array_equal(np.argmax(scores, axis=-1), np.argmax(want, axis=-1))
+
+
 def _per_character_batch(token_map, utterances, max_len):
     """The encoder of earlier versions, one Python step and one numpy row per
     character, and its batch assembly: the oracle of the one-gather batch."""

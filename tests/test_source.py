@@ -158,6 +158,32 @@ def test_the_tape_sums_no_last_axis_but_by_the_kernel(name):
     assert not found, "a last-axis sum outside geometry's kernel: " + ", ".join(found)
 
 
+# geometry's fused kernels, which evaluate the classifier on arrays
+FUSED_KERNELS = {"_shell", "_project", "_scaled", "_expmap0", "_logmap0", "_matvec",
+                 "mobius_matvec", "_gyro_coefficients", "_mobius_add_rows", "_mlr_scores"}
+
+
+def test_the_classifier_takes_no_ball_radius_below_the_tape():
+    # the classifier's ball is the unit ball: no function or lambda of
+    # hypformer.py and no fused kernel takes a radius c; diffgeom keeps it,
+    # since the tape records the scalings by it
+    found, kernels = [], set()
+    for name in ("hypformer.py", "geometry.py"):
+        tree = ast.parse((Path(gyronet.__file__).parent / name).read_text(encoding="utf-8"))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.Lambda)):
+                continue
+            if name == "geometry.py":
+                if getattr(fn, "name", None) not in FUSED_KERNELS:
+                    continue
+                kernels.add(fn.name)
+            args = fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
+            if "c" in [a.arg for a in args]:
+                found.append(f"{name}:{fn.lineno} {getattr(fn, 'name', 'lambda')}")
+    assert kernels == FUSED_KERNELS, FUSED_KERNELS - kernels
+    assert not found, "a radius parameter: " + ", ".join(found)
+
+
 @pytest.mark.parametrize("cls", [TransformerConfig, TrainSettings, SkipgramConfig],
                          ids=lambda cls: cls.__name__)
 def test_the_cli_passes_every_setting_by_keyword(cls):
