@@ -92,12 +92,12 @@ POSITIVE = (lambda value: math.isfinite(value) and value > 0, "be finite and > 0
 FRACTION = (lambda value: 0.0 <= value < 1.0, "lie in [0, 1)")
 FINITE = (math.isfinite, "be finite")
 
-# Each command's bounded flags, in the order they are checked.  SkipgramConfig
-# bounds the other settings of train-embeddings; a 0 --head-dim or --ffn-dim
-# derives that size from the model dim.
+# Each command's bounded flags, in the order they are checked.  A 0 --head-dim
+# or --ffn-dim derives that size from the model dim.
 BOUNDS = {
     "gen-data": {"seed": 0, "classes": 2, "per_class": 1, "composites": 0, "noise_len": 0},
-    "train-embeddings": {"seed": 0},
+    "train-embeddings": {"seed": 0, "dim": 1, "window": 1, "negatives": 0, "epochs": 0,
+                         "min_count": 1, "lr": POSITIVE, "theta": FINITE},
     "train-classifier": {"seed": 0, "layers": 1, "heads": 1, "batch_size": 1,
                          "max_seq_len": 1, "epochs": 0, "head_dim": 0, "ffn_dim": 0,
                          "restart_epoch": -1,

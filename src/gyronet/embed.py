@@ -212,8 +212,31 @@ def _random_hyperboloid_rows(count, dim, rng, sigma=0.01):
 
 
 def hyperboloid_logit(a, b, theta):
-    """Lorentzian inner product with an additive shift."""
-    return lorentz_inner(a, b) + theta
+    """The Lorentzian inner product plus a shift, <a, b>_L + theta, as one
+    matrix product: the rows ``b`` against the center row ``a`` with its time
+    coordinate negated, with theta then added in place.  One center (n+1,)
+    against its rows (k, n+1) gives (k,) logits, and a block's centers
+    (p, n+1) against their rows (p, k, n+1) give (p, k).  Either layout makes
+    one BLAS matrix-vector product per center, so a center's logits have the
+    same bits in both."""
+    out = _matvec(b, a * _time_signs(a.shape[-1]))
+    out += theta
+    return out
+
+
+# np.matvec is numpy >= 2.2; the np.matmul form makes the same BLAS calls
+_matvec = getattr(np, "matvec", lambda m, v: np.matmul(m, v[..., None])[..., 0])
+
+
+@functools.lru_cache(maxsize=4)
+def _time_signs(cols):
+    """(1, ..., 1, -1) of ``cols`` coordinates, which turns a dot product into
+    the Lorentzian one.  Made once per width, and read-only, as every logit
+    shares it."""
+    signs = np.ones(cols)
+    signs[-1] = -1.0
+    signs.flags.writeable = False
+    return signs
 
 
 def _sigmoid(x):
@@ -347,7 +370,7 @@ def _block_gradients(block, E, theta, table):
     a = E.A.take(centers, axis=0)
     rows = E.B.take(samples, axis=0)
     if E.geometry == "hyperboloid":
-        logits = hyperboloid_logit(a[:, None, :], rows, theta)
+        logits = hyperboloid_logit(a, rows, theta)
     else:
         logits = np.matmul(rows, a[:, :, None])[..., 0]
     cols = a.shape[1]

@@ -703,15 +703,17 @@ def test_cli_config_file_refuses_bad_values(tmp_path, capsys, command, line, mes
 
 
 @pytest.mark.parametrize("flags, message", [
-    (["--lr", "nan"], "skip-gram lr must be finite and > 0, got nan"),
-    (["--lr", "0"], "skip-gram lr must be finite and > 0, got 0.0"),
-    (["--lr", "inf"], "skip-gram lr must be finite and > 0, got inf"),
-    (["--theta", "nan"], "skip-gram theta must be finite, got nan"),
-    (["--dim", "0"], "skip-gram dim must be >= 1, got 0"),
-    (["--window", "0"], "skip-gram mu must be >= 1, got 0"),
-    (["--negatives", "-1"], "skip-gram m must be >= 0, got -1"),
-    (["--epochs", "-1"], "skip-gram epochs must be >= 0, got -1"),
-], ids=["lr-nan", "lr-zero", "lr-inf", "theta-nan", "dim", "window", "negatives", "epochs"])
+    (["--lr", "nan"], "--lr must be finite and > 0, got nan"),
+    (["--lr", "0"], "--lr must be finite and > 0, got 0.0"),
+    (["--lr", "inf"], "--lr must be finite and > 0, got inf"),
+    (["--theta", "nan"], "--theta must be finite, got nan"),
+    (["--dim", "0"], "--dim must be >= 1, got 0"),
+    (["--window", "0"], "--window must be >= 1, got 0"),
+    (["--negatives", "-1"], "--negatives must be >= 0, got -1"),
+    (["--epochs", "-1"], "--epochs must be >= 0, got -1"),
+    (["--min-count", "0"], "--min-count must be >= 1, got 0"),
+], ids=["lr-nan", "lr-zero", "lr-inf", "theta-nan", "dim", "window", "negatives", "epochs",
+        "min-count"])
 def test_cli_train_embeddings_refuses_settings_that_train_nothing(tmp_path, capsys, flags,
                                                                   message):
     corpus = tmp_path / "corpus.txt"
@@ -764,15 +766,17 @@ def test_cli_train_classifier_refuses_bad_settings_before_loading(tmp_path, caps
     (["gen-data", "--seed", "-1"], "--seed must be >= 0, got -1"),
     (["gen-data", "--composites", "-1"], "--composites must be >= 0, got -1"),
     (["train-embeddings", "--seed", "-1"], "--seed must be >= 0, got -1"),
-    (["train-embeddings", "--window", "0"], "skip-gram mu must be >= 1, got 0"),
+    (["train-embeddings", "--window", "0"], "--window must be >= 1, got 0"),
+    (["train-embeddings", "--min-count", "-3"], "--min-count must be >= 1, got -3"),
     (["train-classifier", "--seed", "-1"], "--seed must be >= 0, got -1"),
     (["train-classifier", "--restart-epoch", "-5"], "--restart-epoch must be >= -1, got -5"),
     (["evaluate", "--seed", "-1"], "--seed must be >= 0, got -1"),
     (["evaluate", "--holdout", "1.5"], "--holdout must lie in [0, 1), got 1.5"),
     (["geometry-check", "--seed", "-1"], "--seed must be >= 0, got -1"),
 ], ids=["gen-data-seed", "gen-data-composites", "train-embeddings-seed",
-        "train-embeddings-window", "train-classifier-seed", "train-classifier-restart-epoch",
-        "evaluate-seed", "evaluate-holdout", "geometry-check-seed"])
+        "train-embeddings-window", "train-embeddings-min-count", "train-classifier-seed",
+        "train-classifier-restart-epoch", "evaluate-seed", "evaluate-holdout",
+        "geometry-check-seed"])
 def test_cli_refuses_out_of_bounds_flags_before_reading_inputs(tmp_path, capsys, argv,
                                                                 message):
     # no input exists: a check that ran after loading would report that instead

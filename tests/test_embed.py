@@ -4,6 +4,7 @@ the embedding text format."""
 
 import codecs
 import functools
+import json
 import logging
 import re
 import tracemalloc
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import skipgram_split
 from gradcheck import check_gradient
 from gyronet import data, embed, train
 from gyronet.checks import random_ball_points
@@ -334,10 +336,59 @@ def test_generate_pairs_equals_per_draw_sampler(monkeypatch, chunk):
 
 def test_hyperboloid_logit_values():
     o = hyperboloid_origin(2)
-    assert embed.hyperboloid_logit(o, o, 0.0) == -1.0
-    assert embed.hyperboloid_logit(o, o, 1.0) == 0.0
+    assert embed.hyperboloid_logit(o, o[None], 0.0).tolist() == [-1.0]
+    assert embed.hyperboloid_logit(o, o[None], 1.0).tolist() == [0.0]
     p = np.array([np.sinh(1.0), 0.0, np.cosh(1.0)])
-    np.testing.assert_allclose(embed.hyperboloid_logit(p, o, 0.0), -np.cosh(1.0))
+    np.testing.assert_allclose(embed.hyperboloid_logit(p, o[None], 0.0), [-np.cosh(1.0)])
+
+
+@st.composite
+def _logit_blocks(draw):
+    """A block of centers (p, n+1) and their rows (p, k, n+1) on the
+    hyperboloid, each row at the origin, near it or far out (time coordinate
+    up to about 1e6), in a random direction; and a shift."""
+    n = draw(st.integers(1, 12))
+    p, k = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    radii = draw(st.lists(st.sampled_from([0.0, 1e-8, 1e-3, 0.5, 3.0, 8.0, 14.5]),
+                          min_size=p * (k + 1), max_size=p * (k + 1)))
+    radii = np.array(radii)[:, None] * rng.uniform(0.5, 1.0, (p * (k + 1), 1))
+    directions = rng.normal(size=(p * (k + 1), n))
+    directions /= np.linalg.norm(directions, axis=-1, keepdims=True)
+    points = np.concatenate([np.sinh(radii) * directions, np.cosh(radii)], axis=-1)
+    theta = draw(st.sampled_from([0.0, 1.0, -0.5, 40.0]))
+    return points[:p], points[p:].reshape(p, k, n + 1), theta
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(_logit_blocks())
+def test_hyperboloid_logit_has_one_center_s_bits_in_either_layout(block):
+    # per-pair and block logits are one product, so a block's loss can be
+    # summed from the logits its gradients already take
+    centers, rows, theta = block
+    logits = embed.hyperboloid_logit(centers, rows, theta)
+    assert logits.shape == rows.shape[:2]
+    for a, its_rows, expected in zip(centers, rows, logits):
+        assert embed.hyperboloid_logit(a, its_rows.copy(), theta).tobytes() == expected.tobytes()
+    # the form that numpy before np.matvec takes makes the same BLAS calls
+    signed = centers * embed._time_signs(centers.shape[-1])
+    fallback = np.matmul(rows, signed[..., None])[..., 0] + theta
+    assert fallback.tobytes() == logits.tobytes()
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(_logit_blocks())
+def test_hyperboloid_logit_agrees_with_lorentz_inner(block):
+    # each side sums n + 2 products (theta the last) in its own order, so
+    # each is within (n + 2) u of the sum of their magnitudes (u = eps / 2)
+    centers, rows, theta = block
+    n = centers.shape[-1] - 1
+    expected = lorentz_inner(centers[:, None, :], rows) + theta
+    bound = (n + 2) * np.finfo(float).eps * (
+        np.abs(centers[:, None, :] * rows).sum(axis=-1) + abs(theta))
+    assert (np.abs(embed.hyperboloid_logit(centers, rows, theta) - expected) <= bound).all()
+    for a, its_rows, want, tol in zip(centers, rows, expected, bound):
+        assert (np.abs(embed.hyperboloid_logit(a, its_rows, theta) - want) <= tol).all()
 
 
 def test_pair_log_likelihood_all_zero_logits():
@@ -684,7 +735,7 @@ def test_train_skipgram_toy_hyperboloid():
     E, vocab, history = embed.train_skipgram(tokens, cfg)
     # positive pair grows confident
     a, b = vocab.token_to_id["a"], vocab.token_to_id["b"]
-    logit = embed.hyperboloid_logit(E.A[a], E.B[b], cfg.theta)
+    logit = embed.hyperboloid_logit(E.A[a], E.B[[b]], cfg.theta)[0]
     assert 1.0 / (1.0 + np.exp(-logit)) > 0.49
     assert history[-1] < history[0]
     # carrier invariant holds for every row after training
@@ -871,7 +922,7 @@ def _unique_block_gradients(block, E, theta):
     a = E.A[centers]
     rows = E.B[samples]
     if E.geometry == "hyperboloid":
-        logits = embed.hyperboloid_logit(a[:, None, :], rows, theta)
+        logits = embed.hyperboloid_logit(a, rows, theta)
     else:
         logits = np.matmul(rows, a[:, :, None])[..., 0]
     coeff = 0.0 - embed._sigmoid(logits)
@@ -966,6 +1017,24 @@ def test_block_gradients_allocate_nothing_vocabulary_sized(geometry):
     finally:
         tracemalloc.stop()
     assert peak < 64 * 1024
+
+
+def test_skipgram_split_harness_reports_each_geometry(capsys):
+    functions = {name: getattr(embed, name) for name in
+                 ["pair_log_likelihood", "_block_gradients", "rsgd_step_hyperboloid",
+                  "generate_pairs"]}
+    report = skipgram_split.main(["--runs", "1", "--chars", "60"])
+    assert json.loads(capsys.readouterr().out) == report
+    parts = {"pair_us", "loss_us", "pairs_us", "block_gradients_us", "rest_us"}
+    assert set(report) == set(embed.GEOMETRIES)
+    assert set(report["hyperboloid"]) == parts | {"pairs", "step_us"}
+    assert set(report["euclidean"]) == parts | {"pairs"}
+    for geometry in embed.GEOMETRIES:
+        # two epochs of window 1 over 60 characters
+        assert report[geometry]["pairs"] == 2 * 2 * 59
+        assert all(report[geometry][key] > 0 for key in parts - {"rest_us"})
+    # the timers are gone once it has measured
+    assert all(getattr(embed, name) is fn for name, fn in functions.items())
 
 
 # ---------------------------------------------------------------------------
