@@ -362,7 +362,7 @@ def _logit_blocks(draw):
 
 @settings(max_examples=200, deadline=None, database=None)
 @given(_logit_blocks())
-def test_hyperboloid_logit_has_one_center_s_bits_in_either_layout(block):
+def test_hyperboloid_logit_gives_a_center_the_same_bits_in_either_layout(block):
     # per-pair and block logits are one product, so a block's loss can be
     # summed from the logits its gradients already take
     centers, rows, theta = block
