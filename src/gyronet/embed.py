@@ -219,13 +219,9 @@ def hyperboloid_logit(a, b, theta):
     (p, n+1) against their rows (p, k, n+1) give (p, k).  Either layout makes
     one BLAS matrix-vector product per center, so a center's logits have the
     same bits in both."""
-    out = _matvec(b, a * _time_signs(a.shape[-1]))
+    out = np.matmul(b, (a * _time_signs(a.shape[-1]))[..., None])[..., 0]
     out += theta
     return out
-
-
-# np.matvec is numpy >= 2.2; the np.matmul form makes the same BLAS calls
-_matvec = getattr(np, "matvec", lambda m, v: np.matmul(m, v[..., None])[..., 0])
 
 
 @functools.lru_cache(maxsize=4)
