@@ -3,7 +3,8 @@
 Commands: gen-data, train-embeddings, train-classifier, evaluate, convert,
 geometry-check.  Every command is deterministic given --seed; data outputs
 carry no timestamps, so identical configs produce byte-identical files.
-Settings may come from a UTF-8 key=value config file (--config); explicit
+Settings may come from a UTF-8 key=value config file (--config), keyed by
+flag name (``out=d.tsv``), which may give required flags; explicit
 command-line flags win over config-file values.  Log level comes from the
 GYRONET_LOG environment variable (error|info|debug).
 """
@@ -53,8 +54,9 @@ FLAG_VALUES = {"1": True, "0": False, "true": True, "false": False}
 
 
 def _load_config_file(path, parser):
-    values = {}
-    valid = {action.dest: action for action in parser._actions if action.dest != "help"}
+    values = {}  # by dest; a key is a long flag's name, "_" standing for "-"
+    valid = {flag[2:].replace("-", "_"): action for action in parser._actions
+             for flag in action.option_strings if flag.startswith("--") and flag != "--help"}
     for lineno, line in data.read_utf8_lines(path):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -73,7 +75,7 @@ def _load_config_file(path, parser):
             if raw not in FLAG_VALUES:
                 raise CliError(f"{path}:{lineno}: bad value for '{key}': '{raw}' "
                                f"is not one of {', '.join(FLAG_VALUES)}")
-            values[key] = FLAG_VALUES[raw]
+            values[action.dest] = FLAG_VALUES[raw]
             continue
         try:
             value = (action.type or str)(raw)
@@ -82,7 +84,7 @@ def _load_config_file(path, parser):
         if action.choices is not None and value not in action.choices:
             raise CliError(f"{path}:{lineno}: bad value for '{key}': '{raw}' "
                            f"is not one of {', '.join(map(str, action.choices))}")
-        values[key] = value
+        values[action.dest] = value
     return values
 
 
@@ -116,10 +118,9 @@ def _parse_with_config(parser, argv):
     pre = argparse.ArgumentParser(add_help=False)
     pre.add_argument("--config")
     known, _ = pre.parse_known_args(argv)
-    ns = argparse.Namespace()
-    if known.config:
-        for key, value in _load_config_file(known.config, parser).items():
-            setattr(ns, key, value)
+    ns = argparse.Namespace(**(_load_config_file(known.config, parser) if known.config else {}))
+    for action in parser._actions:  # a flag the file gives is required nowhere else
+        action.required = action.required and not hasattr(ns, action.dest)
     args = parser.parse_args(argv, namespace=ns)
     for key, value in PRESETS.get(getattr(args, "preset", None), {}).items():
         if key != "dim":  # the embeddings fix the model dim

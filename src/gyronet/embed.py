@@ -62,11 +62,11 @@ def _code_point(token):
 
 
 class Vocabulary:
-    """One-character tokens in code-point order, with a unigram^alpha
+    """One-character tokens in code-point order, with a unigram^0.75
     negative-sampling distribution.  A token's id is its position in that
     order; tokens out of it raise ValueError."""
 
-    def __init__(self, id_to_token, counts, alpha=0.75):
+    def __init__(self, id_to_token, counts):
         self.id_to_token = list(id_to_token)
         # the vocabulary's code points, sorted since a token's id is its rank:
         # a table the size of the vocabulary, whatever its largest code point
@@ -77,7 +77,7 @@ class Vocabulary:
                              f"must be in strictly ascending code-point order")
         self.token_to_id = {t: i for i, t in enumerate(self.id_to_token)}
         self.counts = np.asarray(counts, dtype=float)
-        weights = self.counts ** alpha
+        weights = self.counts ** 0.75
         self.sampling_probs = weights / weights.sum()
         # the sum falls short of 1.0 by up to a few dozen ulps in about half
         # of all vocabularies; a draw past it would search past the last id
@@ -107,7 +107,7 @@ class Vocabulary:
         return np.searchsorted(self._cum, rng.random(m)).tolist()
 
 
-def build_vocab(tokens, min_count=1, alpha=0.75):
+def build_vocab(tokens, min_count=1):
     """The characters that a corpus holds at least ``min_count`` times, in
     code-point order, which is ``sorted`` order for one-character strings."""
     points = code_points(tokens)
@@ -121,7 +121,7 @@ def build_vocab(tokens, min_count=1, alpha=0.75):
     kept = counts >= max(min_count, 1)
     if not kept.any():
         raise ValueError("empty vocabulary after min_count filtering")
-    return Vocabulary(map(chr, seen[kept].tolist()), counts[kept], alpha)
+    return Vocabulary(map(chr, seen[kept].tolist()), counts[kept])
 
 
 @dataclass
@@ -134,7 +134,7 @@ class TrainingPair:
 def generate_pairs(ids, mu, m, vocab, rng):
     """Yield one TrainingPair per (position, in-window offset).
 
-    Negatives are drawn i.i.d. from the unigram^alpha table and resampled
+    Negatives are drawn i.i.d. from the unigram^0.75 table and resampled
     (up to 10 tries) when they collide with the positive context token.  They
     come from ``rng`` in chunks of at most NEGATIVE_CHUNK values, and a chunk
     never holds more values than the pass is certain to consume, so the pairs
@@ -203,10 +203,10 @@ def init_embeddings(vocab_size, dim, geometry, rng):
     return EmbeddingMatrices(a, b, geometry, dim)
 
 
-def _random_hyperboloid_rows(count, dim, rng, sigma=0.01):
+def _random_hyperboloid_rows(count, dim, rng):
     # gaussian tangent vectors at the apex, pushed through the exponential map
     tangents = np.concatenate(
-        [rng.normal(0.0, sigma, (count, dim)), np.zeros((count, 1))], axis=-1
+        [rng.normal(0.0, 0.01, (count, dim)), np.zeros((count, 1))], axis=-1
     )
     return exp_map_hyperboloid(hyperboloid_origin(dim), tangents)
 

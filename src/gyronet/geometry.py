@@ -2,12 +2,12 @@
 
 All functions are pure and operate on numpy arrays whose *last* axis holds the
 point coordinates, so they broadcast over arbitrary leading batch axes.  A
-Poincare point of dimension n is an array (..., n) with euclidean norm < c; a
-hyperboloid point is an array (..., n+1) in Minkowski coordinates with
-<x, x>_L = -1 and positive last coordinate.
+Poincare point of dimension n is an array (..., n) with euclidean norm < 1,
+the unit ball; a hyperboloid point is an array (..., n+1) in Minkowski
+coordinates with <x, x>_L = -1 and positive last coordinate.
 
-The ball radius c defaults to 1, which simplifies most formulas; the public
-maps take it as a parameter, and the classifier's fused kernels fix it at 1.
+No map takes a radius.  ``_C``, the radius 1.0, scales only the bodies that
+the tape shares, since the tape records each such scaling as a node.
 """
 
 from __future__ import annotations
@@ -21,10 +21,11 @@ try:  # the kernel that np.einsum calls when its optimize is False, the default
 except ImportError:  # numpy 1.x
     c_einsum = np.einsum
 
-# Any result whose norm reaches c*(1 - EPS_BOUNDARY) is radially rescaled back
+# Any result whose norm reaches 1 - EPS_BOUNDARY is radially rescaled back
 # onto that shell; prevents atanh overflow during training.
 EPS_BOUNDARY = 1e-5
 _TINY = 1e-15  # floor of a dividing norm; artanh's argument stays <= 1 - _TINY
+_C = 1.0  # the ball's radius: scaling by it is exact, but the tape records it
 
 
 def _magnitude(x):
@@ -102,22 +103,22 @@ def _clamp(x, maxnorm):
     return (x if s is None else x * s), inside, n
 
 
-def _artanh(n, c):
-    """artanh(n / c), with the ratio held below 1 so that it stays finite."""
-    return np.arctanh(np.minimum(n / c, 1.0 - _TINY))
+def _artanh(n):
+    """artanh(n), with ``n`` held below 1 so that it stays finite."""
+    return np.arctanh(np.minimum(n, 1.0 - _TINY))
 
 
-def _tanh_along(c, t, v, nv, moved):
-    """c tanh(t) v / ||v|| where ``moved``, and the origin elsewhere; ``nv`` is ||v||."""
-    return np.where(moved, c * np.tanh(t) * v / np.maximum(nv, _TINY), np.zeros_like(v))
+def _tanh_along(t, v, nv, moved):
+    """tanh(t) v / ||v|| where ``moved``, and the origin elsewhere; ``nv`` is ||v||."""
+    return np.where(moved, np.tanh(t) * v / np.maximum(nv, _TINY), np.zeros_like(v))
 
 
-def project_to_ball(x, c=1.0):
-    """Clamp points radially so that ||x|| <= c*(1 - EPS_BOUNDARY).
+def project_to_ball(x):
+    """Clamp points radially so that ||x|| <= 1 - EPS_BOUNDARY.
 
     Returns its input itself when no row reaches that shell.
     """
-    return _clamp(np.asarray(x, dtype=float), c * (1.0 - EPS_BOUNDARY))[0]
+    return _clamp(np.asarray(x, dtype=float), 1.0 - EPS_BOUNDARY)[0]
 
 
 def _check_same_dim(x, y):
@@ -127,23 +128,23 @@ def _check_same_dim(x, y):
         )
 
 
-def _mobius_add(x, y, c, sum_last, project):
-    """x (+)_c y for arrays or tape tensors, given their kept-axis sum and ball projection."""
-    c2 = c * c
+def _mobius_add(x, y, sum_last, project):
+    """x (+) y for arrays or tape tensors, given their kept-axis sum and ball projection."""
+    c2 = _C * _C
     x2 = sum_last(x * x)
     y2 = sum_last(y * y)
     xy = sum_last(x * y)
     num = (1.0 + 2.0 * xy / c2 + y2 / c2) * x + (1.0 - x2 / c2) * y
     den = 1.0 + 2.0 * xy / c2 + x2 * y2 / (c2 * c2)
-    return project(num / den, c)
+    return project(num / den)
 
 
-def mobius_add(x, y, c=1.0):
-    """Mobius addition x (+)_c y on the ball of radius c."""
+def mobius_add(x, y):
+    """Mobius addition x (+) y."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     _check_same_dim(x, y)
-    return _mobius_add(x, y, c, _sum_last, project_to_ball)
+    return _mobius_add(x, y, _sum_last, project_to_ball)
 
 
 def mobius_neg(x):
@@ -151,71 +152,70 @@ def mobius_neg(x):
     return -np.asarray(x, dtype=float)
 
 
-def gyration(a, b, v, c=1.0):
+def gyration(a, b, v):
     """gyr[a,b]v = -(a+b) (+) (a (+) (b (+) v))."""
-    return mobius_add(mobius_neg(mobius_add(a, b, c)),
-                      mobius_add(a, mobius_add(b, v, c), c), c)
+    return mobius_add(mobius_neg(mobius_add(a, b)), mobius_add(a, mobius_add(b, v)))
 
 
-def mobius_scalar_mul(r, x, c=1.0):
-    """Mobius scalar multiplication r (x)_c x.
+def mobius_scalar_mul(r, x):
+    """Mobius scalar multiplication r (x) x.
 
     The zero vector is a fixed point for every r (the formula's x/||x||
     direction is handled explicitly).
     """
     x = np.asarray(x, dtype=float)
     n = _norm(x)
-    out = _tanh_along(c, np.asarray(r, dtype=float) * _artanh(n, c), x, n, n > 0)
-    return project_to_ball(out, c)
+    out = _tanh_along(np.asarray(r, dtype=float) * _artanh(n), x, n, n > 0)
+    return project_to_ball(out)
 
 
-def _conformal_factor(x, c, sum_last):
-    return 2.0 / (1.0 - sum_last(x * x) / (c * c))
+def _conformal_factor(x, sum_last):
+    return 2.0 / (1.0 - sum_last(x * x) / (_C * _C))
 
 
-def conformal_factor(x, c=1.0):
-    """lambda_x^c = 2 / (1 - ||x||^2 / c^2) over the kept last axis; 2 at the origin."""
-    return _conformal_factor(np.asarray(x, dtype=float), c, _sum_last)
+def conformal_factor(x):
+    """lambda_x = 2 / (1 - ||x||^2) over the kept last axis; 2 at the origin."""
+    return _conformal_factor(np.asarray(x, dtype=float), _sum_last)
 
 
-def exp_map_poincare(x, v, c=1.0):
+def exp_map_poincare(x, v):
     """Exponential map of tangent vector v at ball point x."""
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
     nv = _norm(v)
-    lam = conformal_factor(x, c)
-    return mobius_add(x, _tanh_along(c, lam * nv / (2.0 * c), v, nv, nv > 0), c)
+    lam = conformal_factor(x)
+    return mobius_add(x, _tanh_along(lam * nv / 2.0, v, nv, nv > 0))
 
 
-def log_map_poincare(x, y, c=1.0):
+def log_map_poincare(x, y):
     """Logarithm map: tangent vector at x pointing toward y."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    w = mobius_add(mobius_neg(x), y, c)
+    w = mobius_add(mobius_neg(x), y)
     nw = _norm(w)
-    lam = conformal_factor(x, c)
-    out = (2.0 * c / lam) * _artanh(nw, c) * w / np.maximum(nw, _TINY)
+    lam = conformal_factor(x)
+    out = (2.0 / lam) * _artanh(nw) * w / np.maximum(nw, _TINY)
     return np.where(nw > 0, out, np.zeros_like(w))
 
 
-def poincare_distance(x, y, c=1.0):
-    """Geodesic distance 2c * atanh(||(-x) (+) y|| / c)."""
-    w = mobius_add(mobius_neg(x), y, c)
-    return 2.0 * c * _artanh(_norm(w, keepdims=False), c)
+def poincare_distance(x, y):
+    """Geodesic distance 2 atanh(||(-x) (+) y||)."""
+    w = mobius_add(mobius_neg(x), y)
+    return 2.0 * _artanh(_norm(w, keepdims=False))
 
 
-def transport_from_origin_poincare(x, v, c=1.0):
+def transport_from_origin_poincare(x, v):
     """Parallel transport of a tangent vector at the origin to the point x."""
-    lam = conformal_factor(x, c)
+    lam = conformal_factor(x)
     return 2.0 / lam * np.asarray(v, dtype=float)
 
 
-def bias_translate(x, b, c=1.0):
+def bias_translate(x, b):
     """Bias translation exp_x(P_{0->x}(log_0(b))); agrees with mobius_add(x, b)."""
     origin = np.zeros_like(np.asarray(b, dtype=float))
-    v0 = log_map_poincare(origin, b, c)
-    vx = transport_from_origin_poincare(x, v0, c)
-    return exp_map_poincare(x, vx, c)
+    v0 = log_map_poincare(origin, b)
+    vx = transport_from_origin_poincare(x, v0)
+    return exp_map_poincare(x, vx)
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +264,7 @@ def _expmap0(v):
 
 def _logmap0(y, ny):
     """log_0 of the ball rows ``y`` of norms ``ny``: ``(artanh(||y||) / ||y||) y``."""
-    return (_artanh(ny, 1.0) / np.maximum(ny, _TINY)) * y
+    return (_artanh(ny) / np.maximum(ny, _TINY)) * y
 
 
 def _matvec(x, nx, weight):
@@ -273,7 +273,7 @@ def _matvec(x, nx, weight):
     artanh(||x||)) / ||y||``, which maps ``y = 0`` to the origin."""
     y = x @ weight
     ny = _norm(y)
-    k = np.tanh(ny / np.maximum(nx, _TINY) * _artanh(nx, 1.0)) / np.maximum(ny, _TINY)
+    k = np.tanh(ny / np.maximum(nx, _TINY) * _artanh(nx)) / np.maximum(ny, _TINY)
     return _scaled(y, k, k * ny)
 
 
@@ -317,7 +317,7 @@ def _mlr_scores(x, nx, normals, offsets):
     (+) x``.  ``w`` is made only where its coefficients cancel; otherwise its
     inner products come from them and two matrix products."""
     na = np.maximum(_norm(normals, keepdims=False), _TINY)
-    lam = _conformal_factor(offsets, 1.0, _sum_last)[..., 0]
+    lam = _conformal_factor(offsets, _sum_last)[..., 0]
     a, b, n = _gyro_coefficients(_inner(offsets, offsets)[..., 0], nx * nx,
                                  -2.0 * (x @ offsets.T))
     if n is None:

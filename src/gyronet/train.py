@@ -139,12 +139,6 @@ def _length_chunks(records, indices, max_len):
     yield chunk
 
 
-def _build_batch(records, indices, token_map, max_len):
-    """The padded ``(points, unk, mask)`` of the records ``indices``, made by
-    one ``TokenMap.encode`` call: one gather of embedding rows per batch."""
-    return token_map.encode([records[i][0] for i in indices], max_len)
-
-
 def _forward_batch(params_np, points_np, unk_np, mask, labels, config,
                    rng=None, training=False):
     """Classifier scores and loss recorded on a new tape."""
@@ -212,7 +206,8 @@ def _train_step(params, opt, manifold, dataset, batch, token_map, config, settin
     correct predictions.  The step's tape, leaf tensors, scores and gradients
     are freed when it returns, before the next step records its tape."""
     records = dataset.records
-    points_np, unk_np, mask = _build_batch(records, batch, token_map, config.max_seq_len)
+    points_np, unk_np, mask = token_map.encode([records[i][0] for i in batch],
+                                               config.max_seq_len)
     labels = np.array([dataset.label_to_id[records[i][1]] for i in batch])
     tape, tensors, scores, loss = _forward_batch(
         params, points_np, unk_np, mask, labels, config, rng=rng, training=True)
@@ -291,7 +286,8 @@ def evaluate_classifier(dataset, indices, token_map, params, config):
     label_to_id = dataset.label_to_id
     total, correct, ce_sum = 0, 0, 0.0
     for batch in _length_chunks(records, indices, config.max_seq_len):
-        points_np, unk_np, mask = _build_batch(records, batch, token_map, config.max_seq_len)
+        points_np, unk_np, mask = token_map.encode([records[i][0] for i in batch],
+                                                   config.max_seq_len)
         labels = np.array([label_to_id[records[i][1]] for i in batch])
         scores, loss = _score_batch(params, points_np, unk_np, mask, labels, config)
         ce_sum += loss * len(batch)

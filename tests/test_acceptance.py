@@ -31,7 +31,7 @@ def _verdict(num, name, detail):
 
 def test_01_gyrovector_axioms():
     t0 = time.monotonic()
-    result = checks.gyro_axioms_suite(seed=0, trials=10_000, tol=1e-8)
+    result = checks.gyro_axioms_suite(seed=0)
     elapsed = time.monotonic() - t0
     assert result.passed, f"max error {result.max_error:.3e}"
     assert elapsed < 5.0
@@ -45,7 +45,7 @@ def test_01_gyrovector_axioms():
 
 def test_02_exp_log_round_trips():
     t0 = time.monotonic()
-    result = checks.exp_log_suite(seed=1, trials=1000, tol=1e-8)
+    result = checks.exp_log_suite(seed=1)
     elapsed = time.monotonic() - t0
     assert result.passed, f"max error {result.max_error:.3e}"
     assert elapsed < 5.0
@@ -59,7 +59,7 @@ def test_02_exp_log_round_trips():
 
 def test_03_model_isometry():
     t0 = time.monotonic()
-    result = checks.isometry_suite(seed=2, trials=1000, tol=1e-6)
+    result = checks.isometry_suite(seed=2)
     rng = np.random.default_rng(3)
     y = random_ball_points(rng, 1000, 3, radius=0.9)
     drift = np.abs(geo.to_poincare(geo.to_hyperboloid(y)) - y).max()
@@ -342,10 +342,42 @@ def test_10_mutation_sentinel_conversion_denominator(monkeypatch):
         num = np.concatenate([2.0 * y, 1.0 + y2], axis=-1)
         return num / (1.0 - np.sqrt(y2))
 
-    healthy = checks.isometry_suite(seed=2, trials=1000, tol=1e-6)
+    healthy = checks.isometry_suite(seed=2)
     assert healthy.passed
     monkeypatch.setattr(geo, "to_hyperboloid", broken_to_hyperboloid)
-    mutated = checks.isometry_suite(seed=2, trials=1000, tol=1e-6)
+    mutated = checks.isometry_suite(seed=2)
     assert not mutated.passed, "isometry suite failed to catch the typo mutation"
     _verdict(10, "mutation sentinel (printed conversion denominator)",
              f"mutant max_err {mutated.max_error:.2e} rejected,")
+
+
+# ---------------------------------------------------------------------------
+# Mutation sentinels for the transport and scalar suites, at their fixed sizes
+# ---------------------------------------------------------------------------
+
+def test_transport_suite_catches_swapped_cosh_and_sinh(monkeypatch):
+    def broken_transport(x, y, w):
+        # the geodesic's cosh and sinh swapped in the component that rotates
+        v = geo.log_map_hyperboloid(x, y)
+        nv = geo._lorentz_norm(v)
+        vhat = v / np.maximum(nv, 1e-15)
+        wv = geo.lorentz_inner(w, vhat, keepdims=True)
+        return wv * (np.cosh(nv) * x + np.sinh(nv) * vhat) + (w - wv * vhat)
+
+    assert checks.transport_suite().passed
+    monkeypatch.setattr(geo, "hyperboloid_parallel_transport", broken_transport)
+    mutated = checks.transport_suite()
+    assert not mutated.passed, "transport suite failed to catch the swapped cosh and sinh"
+
+
+def test_scalar_distributivity_suite_catches_a_missing_artanh(monkeypatch):
+    def broken_scalar_mul(r, x):
+        # tanh(r ||x||) for tanh(r artanh ||x||)
+        x = np.asarray(x, dtype=float)
+        n = np.linalg.norm(x, axis=-1, keepdims=True)
+        return geo.project_to_ball(np.tanh(r * n) * x / np.maximum(n, 1e-15))
+
+    assert checks.scalar_distributivity_suite().passed
+    monkeypatch.setattr(geo, "mobius_scalar_mul", broken_scalar_mul)
+    mutated = checks.scalar_distributivity_suite()
+    assert not mutated.passed, "scalar suite failed to catch the missing artanh"

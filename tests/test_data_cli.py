@@ -575,20 +575,55 @@ def _has_mallopt():
 
 
 # After one cli.main, each steady-state forward of one evaluation chunk
-# (tests/tape_memory.py's eval size) prints its minor page faults.
+# (tests/tape_memory.py's eval size) prints its minor page faults.  Lines that
+# start with "#" are the evidence a failure shows: after each forward the
+# number of Python's allocated blocks and, where glibc has mallinfo2, the bytes
+# of its main heap (arena) and of its mmapped chunks (hblkhd); at the end the
+# process's resident and anonymous memory.
 _EVAL_FAULTS = """
+import ctypes
 import resource
+import sys
 import tape_memory
 from gyronet import cli, train
+
+
+class Mallinfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks", "uordblks",
+        "fordblks", "keepcost")]
+
+
+mallinfo2 = getattr(ctypes.CDLL(None), "mallinfo2", None)
+if mallinfo2 is not None:
+    mallinfo2.argtypes, mallinfo2.restype = (), Mallinfo2
+
+
+def heap():
+    blocks = f"blocks={sys.getallocatedblocks()}"
+    if mallinfo2 is None:
+        return blocks
+    info = mallinfo2()
+    return f"{blocks},arena={info.arena},hblkhd={info.hblkhd}"
+
+
 assert cli.main(["geometry-check"]) == 0
 for geometry in ("poincare", "euclidean"):
     cfg, params, points, unk, mask, labels = tape_memory.step_inputs(geometry, "eval")
-    faults = []
+    faults, heaps = [], []
     for _ in range(6):
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         train._score_batch(params, points, unk, mask, labels, cfg)
         faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        heaps.append(heap())
     print(geometry, *faults[2:])
+    print("#", geometry, *heaps)
+try:
+    with open("/proc/self/smaps_rollup", encoding="ascii") as fh:
+        print(*("# " + line.strip() for line in fh
+                if line.startswith(("Rss:", "Anonymous:"))), sep="\\n")
+except OSError:
+    pass
 """
 
 
@@ -603,11 +638,13 @@ def test_cli_process_keeps_the_pages_an_evaluation_forward_frees():
     done = subprocess.run([sys.executable, "-c", _EVAL_FAULTS], env=env, capture_output=True,
                           text=True, timeout=300)
     assert done.returncode == 0, done.stderr
+    lines = [line for line in done.stdout.splitlines() if not line.startswith("suite ")]
+    evidence = "\n".join(line for line in lines if line.startswith("#"))
     faults = {line.split()[0]: [int(n) for n in line.split()[1:]]
-              for line in done.stdout.splitlines() if not line.startswith("suite ")}
+              for line in lines if not line.startswith("#")}
     assert set(faults) == {"poincare", "euclidean"}
     for geometry, counts in faults.items():
-        assert max(counts) <= 50, (geometry, counts)
+        assert max(counts) <= 50, f"{geometry} {counts}\n{evidence}"
 
 
 def test_cli_unknown_command(capsys):
@@ -640,6 +677,37 @@ def test_cli_config_file_unknown_key(tmp_path, capsys):
     code = cli.main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "x")])
     assert code == 1
     assert "unknown config key" in capsys.readouterr().err
+
+
+def test_cli_config_file_gives_required_flags(tmp_path, capsys):
+    out = tmp_path / "d.tsv"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"out={out}\nclasses=3\nper-class=4\ncomposites=1\n", encoding="utf-8")
+    assert cli.main(["gen-data", "--config", str(cfg)]) == 0
+    assert len(data.load_intent_dataset(out).records) == 12
+    # the command line still wins
+    out2 = tmp_path / "d2.tsv"
+    assert cli.main(["gen-data", "--config", str(cfg), "--out", str(out2)]) == 0
+    assert out2.read_bytes() == out.read_bytes()
+    # a required flag given nowhere is still refused
+    cfg.write_text("classes=3\n", encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["gen-data", "--config", str(cfg)])
+    assert exc.value.code == 2
+    assert "the following arguments are required: --out" in capsys.readouterr().err
+
+
+def test_cli_config_file_keys_are_flag_names(tmp_path, capsys):
+    emb, ball = tmp_path / "x.txt", tmp_path / "y.txt"
+    embed.write_embeddings(emb, ["a"], np.array([[0.3, 0.0, np.sqrt(1.09)]]), "hyperboloid")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"in={emb}\nout={ball}\n", encoding="utf-8")
+    assert cli.main(["convert", "--config", str(cfg)]) == 0
+    assert embed.read_embeddings(ball)[2] == "poincare"
+    # an argparse dest that is not a flag's name is no key
+    cfg.write_text(f"path_in={emb}\n", encoding="utf-8")
+    assert cli.main(["convert", "--config", str(cfg), "--out", str(ball)]) == 1
+    assert "unknown config key 'path_in'" in capsys.readouterr().err
 
 
 def test_cli_config_file_refuses_nested_config(tmp_path, capsys):

@@ -520,16 +520,14 @@ def test_ball_project_bits_and_vjp(x):
 
 
 @st.composite
-def _ball_rows(draw, c=None, shape=None):
-    """A ball radius c and rows inside the ball, exactly on and just either
-    side of the ``c * (1 - 1e-5)`` shell, at zero (either sign) and of
-    subnormal entries, in a batch of one or two leading axes; ``c`` and the
-    batch's ``shape`` are drawn unless given."""
-    if c is None:
-        c = draw(st.sampled_from([0.5, 1.0, 2.0]))
-    shell = c * (1.0 - geo.EPS_BOUNDARY)
+def _ball_rows(draw, shape=None):
+    """Rows inside the unit ball, exactly on and just either side of the
+    ``1 - 1e-5`` shell, at zero (either sign) and of subnormal entries, in a
+    batch of one or two leading axes; the batch's ``shape`` is drawn unless
+    given."""
+    shell = 1.0 - geo.EPS_BOUNDARY
     n = draw(st.integers(1, 4)) if shape is None else shape[-1]
-    coordinate = st.floats(-c, c, allow_nan=False)
+    coordinate = st.floats(-1.0, 1.0, allow_nan=False)
 
     def row(kind):
         if kind == "random":
@@ -549,19 +547,18 @@ def _ball_rows(draw, c=None, shape=None):
     count = draw(st.integers(1, 6)) if shape is None else int(np.prod(shape[:-1]))
     x = np.array([row(draw(kinds)) for _ in range(count)], dtype=float)
     if shape is not None:
-        return c, x.reshape(shape)
+        return x.reshape(shape)
     if draw(st.booleans()) and count % 2 == 0:
         x = x.reshape(2, count // 2, n)
-    return c, x
+    return x
 
 
 @settings(max_examples=300, deadline=None, database=None)
 @given(_ball_rows())
-def test_norm_of_a_projection_reuses_its_bits(case):
-    c, x = case
-    clamped = not np.all(geo._norm(x) < c * (1.0 - geo.EPS_BOUNDARY))
+def test_norm_of_a_projection_reuses_its_bits(x):
+    clamped = not np.all(geo._norm(x) < 1.0 - geo.EPS_BOUNDARY)
     tape = dc.Tape()
-    projected = dg.project(tape.leaf(x), c)
+    projected = dg.project(tape.leaf(x))
     n = dc.norm(projected)
     assert n.value.tobytes() == geo._norm(projected.value).tobytes()
     assert n.value.shape == x.shape[:-1] + (1,)
@@ -575,15 +572,15 @@ def test_norm_of_a_projection_reuses_its_bits(case):
 @settings(max_examples=300, deadline=None, database=None)
 @given(st.data())
 def test_merged_formulas_give_the_same_bits_through_both_bindings(data):
-    c, x = data.draw(_ball_rows())
-    _, y = data.draw(_ball_rows(c, x.shape))
+    x = data.draw(_ball_rows())
+    y = data.draw(_ball_rows(x.shape))
     # random rows outside the ball go onto the shell; rows past it stay
-    x, y = (np.where(geo._norm(r) < c, r, geo.project_to_ball(r, c)) for r in (x, y))
+    x, y = (np.where(geo._norm(r) < 1.0, r, geo.project_to_ball(r)) for r in (x, y))
     tape = dc.Tape()
     tx, ty = tape.constant(x), tape.constant(y)
-    assert dg.mobius_add(tx, ty, c).value.tobytes() == geo.mobius_add(x, y, c).tobytes()
-    assert geo._conformal_factor(tx, c, dg._sum_last).value.tobytes() == \
-        geo.conformal_factor(x, c).tobytes()
+    assert dg.mobius_add(tx, ty).value.tobytes() == geo.mobius_add(x, y).tobytes()
+    assert geo._conformal_factor(tx, dg._sum_last).value.tobytes() == \
+        geo.conformal_factor(x).tobytes()
 
 
 def _node_lines(log):
@@ -602,7 +599,9 @@ def _node_lines(log):
 
 
 # what dg.mobius_add and dg.mlr_scores recorded on a fresh tape at c = 2 when
-# each had its own body, before they bound geometry's
+# each had its own body, before they bound geometry's, with c = 1 put in: each
+# leaf that held c, c^2 or c^4 holds 1.0, and the projection's max_norm is
+# 1 - 1e-5
 _MOBIUS_ADD_NODES = """
 leaf
 leaf
@@ -614,15 +613,15 @@ mul 0,1
 sum 6 axis=-1 keepdims=True
 leaf 2.0
 mul 8,7
-leaf 4.0
+leaf 1.0
 div 9,10
 leaf 1.0
 add 12,11
-leaf 4.0
+leaf 1.0
 div 5,14
 add 13,15
 mul 16,0
-leaf 4.0
+leaf 1.0
 div 3,18
 leaf 1.0
 sub 20,19
@@ -630,16 +629,16 @@ mul 21,1
 add 17,22
 leaf 2.0
 mul 24,7
-leaf 4.0
+leaf 1.0
 div 25,26
 leaf 1.0
 add 28,27
 mul 3,5
-leaf 16.0
+leaf 1.0
 div 30,31
 add 29,32
 div 23,33
-ball_project 34 max_norm=1.99998
+ball_project 34 max_norm=0.99999
 """
 _MLR_SCORES_NODES = """
 leaf
@@ -655,15 +654,15 @@ mul 4,3
 sum 9 axis=-1 keepdims=True
 leaf 2.0
 mul 11,10
-leaf 4.0
+leaf 1.0
 div 12,13
 leaf 1.0
 add 15,14
-leaf 4.0
+leaf 1.0
 div 8,17
 add 16,18
 mul 19,4
-leaf 4.0
+leaf 1.0
 div 6,21
 leaf 1.0
 sub 23,22
@@ -671,21 +670,21 @@ mul 24,3
 add 20,25
 leaf 2.0
 mul 27,10
-leaf 4.0
+leaf 1.0
 div 28,29
 leaf 1.0
 add 31,30
 mul 6,8
-leaf 16.0
+leaf 1.0
 div 33,34
 add 32,35
 div 26,36
-ball_project 37 max_norm=1.99998
+ball_project 37 max_norm=0.99999
 norm 1
 clip_min 39 floor=1e-15
 mul 2,2
 sum 41 axis=-1 keepdims=True
-leaf 4.0
+leaf 1.0
 div 42,43
 leaf 1.0
 sub 45,44
@@ -697,15 +696,15 @@ mul 38,38
 sum 51 axis=-1 keepdims=True
 leaf 2.0
 mul 53,50
-leaf 4.0
+leaf 1.0
 div 52,55
 leaf 1.0
 sub 57,56
-leaf 2.0
+leaf 1.0
 mul 59,58
 mul 60,40
 div 54,61
-leaf 2.0
+leaf 1.0
 mul 63,48
 mul 64,40
 asinh 62
@@ -718,14 +717,13 @@ def test_merged_formulas_record_the_same_nodes():
     x = [[0.1, 0.2, -0.3], [0.0, 0.5, 0.1]]
     with node_log() as log:
         tape = dc.Tape()
-        dg.mobius_add(tape.constant(x), tape.constant([[0.3, -0.1, 0.2], [0.4, 0.0, -0.2]]),
-                      2.0)
+        dg.mobius_add(tape.constant(x), tape.constant([[0.3, -0.1, 0.2], [0.4, 0.0, -0.2]]))
     assert len(log) == len(tape.nodes)
     assert _node_lines(log) == _MOBIUS_ADD_NODES.strip("\n").split("\n")
     with node_log() as log:
         tape = dc.Tape()
         dg.mlr_scores(tape.constant(x), tape.constant([[1.0, 0.0, 0.5], [0.2, -1.0, 0.3]]),
-                      tape.constant([[0.1, 0.1, 0.0], [-0.2, 0.0, 0.1]]), 2.0)
+                      tape.constant([[0.1, 0.1, 0.0], [-0.2, 0.0, 0.1]]))
     assert len(log) == len(tape.nodes)
     assert _node_lines(log) == _MLR_SCORES_NODES.strip("\n").split("\n")
 
@@ -780,26 +778,25 @@ def test_diffgeom_matches_geometry_kernels(rng):
                                geo.mobius_matvec(x, w), atol=1e-12)
 
 
-def _terms(x, y, c):
-    """The size of the terms that x (+)_c y sums: any form of it rounds by a
+def _terms(x, y):
+    """The size of the terms that x (+) y sums: any form of it rounds by a
     few units of 1e-16 of this, which is large where its terms cancel."""
-    xy, x2, y2 = 2.0 * geo._inner(x, y) / c**2, geo._inner(x, x) / c**2, geo._inner(y, y) / c**2
-    n = np.sqrt(x2 * c * c), np.sqrt(y2 * c * c)
+    xy, x2, y2 = 2.0 * geo._inner(x, y), geo._inner(x, x), geo._inner(y, y)
+    n = np.sqrt(x2), np.sqrt(y2)
     return (np.abs(1.0 + xy + y2) * n[0] + np.abs(1.0 - x2) * n[1]
-            + c * (1.0 + np.abs(xy) + x2 * y2)) / np.abs(1.0 + xy + x2 * y2)
+            + (1.0 + np.abs(xy) + x2 * y2)) / np.abs(1.0 + xy + x2 * y2)
 
 
 @settings(max_examples=300, deadline=None, database=None)
-@given(_ball_rows(c=1.0), st.integers(0, 2**32 - 1))
-def test_fused_ball_kernels_agree_with_the_tape_maps(case, seed):
+@given(_ball_rows(), st.integers(0, 2**32 - 1))
+def test_fused_ball_kernels_agree_with_the_tape_maps(raw, seed):
     # geometry's fused kernels against diffgeom's maps on rows inside the
     # unit ball, on and next to its shell, at the origin and subnormal.  Each ball
-    # point's carried norms square to its rows' within a few roundings of c^2,
+    # point's carried norms square to its rows' within a few roundings of 1,
     # the accuracy its next kernel needs (a Mobius addition adds the square to
     # 1; near 0, artanh(n) / n is 1 + n^2 / 3).  Each result differs from the
     # tape's by a few rounding errors of the terms it sums, scaled by the slope
     # of artanh (1 / (1 - r^2), 5e4 at the shell) where the map takes one.
-    c, raw = case
     eps = np.finfo(float).eps
     rng = np.random.default_rng(seed)
     x, nx = geo._project(raw)
@@ -807,30 +804,29 @@ def test_fused_ball_kernels_agree_with_the_tape_maps(case, seed):
     n = x.shape[-1]
     weight, normals = rng.normal(size=(n, n)), rng.normal(size=(3, n))
     # the last offset lies toward the first row, where w's two terms cancel
-    offsets = np.concatenate([geo.project_to_ball(0.3 * c * rng.normal(size=(2, n)), c),
+    offsets = np.concatenate([geo.project_to_ball(0.3 * rng.normal(size=(2, n))),
                               0.9 * x.reshape(-1, n)[:1]])
     tape = dc.Tape()
     tx, ty = tape.constant(x), tape.constant(y)
-    exp, matvec, add = (geo._expmap0(4.0 * c * x), geo._matvec(x, nx, weight),
+    exp, matvec, add = (geo._expmap0(4.0 * x), geo._matvec(x, nx, weight),
                         geo._mobius_add_rows(x, nx, y, ny))
     for value, norms in ((x, nx), exp, matvec, add):  # as good as measured, squared
-        assert np.all(np.abs(norms * norms - geo._inner(value, value)) <= 16.0 * eps * c * c)
-    room = 1.0 - (nx / c) ** 2
-    assert np.all(np.abs(exp[0] - dg.expmap0(tape.constant(4.0 * c * x), c).value) <= 4 * eps * c)
-    log = dg.logmap0(tx, c).value
+        assert np.all(np.abs(norms * norms - geo._inner(value, value)) <= 16.0 * eps)
+    room = 1.0 - nx ** 2
+    assert np.all(np.abs(exp[0] - dg.expmap0(tape.constant(4.0 * x)).value) <= 4 * eps)
+    log = dg.logmap0(tx).value
     assert np.all(np.abs(geo._logmap0(x, nx) - log) <= 4 * eps * (geo._norm(log) / room))
-    want = dg.mobius_matvec(tx, tape.constant(weight), c).value
-    assert np.all(np.abs(matvec[0] - want) <= 4 * eps * c / room)
-    assert np.all(np.abs(add[0] - dg.mobius_add(tx, ty, c).value) <= 4 * eps * _terms(x, y, c))
+    want = dg.mobius_matvec(tx, tape.constant(weight)).value
+    assert np.all(np.abs(matvec[0] - want) <= 4 * eps / room)
+    assert np.all(np.abs(add[0] - dg.mobius_add(tx, ty).value) <= 4 * eps * _terms(x, y))
     rows, row_norms = x.reshape(-1, n), nx.reshape(-1, 1)
-    want = dg.mlr_scores(tape.constant(rows), tape.constant(normals), tape.constant(offsets),
-                         c).value
-    # a score's slope along w is c lambda_p ||a|| / (1 - ||w||^2 / c^2) / c
-    w = geo.mobius_add(-offsets, rows[:, None, :], c)
-    room = 1.0 - (geo._norm(w)[..., 0] / c) ** 2
-    slope = (geo.conformal_factor(offsets, c) * geo._norm(normals))[..., 0] / room
+    want = dg.mlr_scores(tape.constant(rows), tape.constant(normals), tape.constant(offsets)).value
+    # a score's slope along w is lambda_p ||a|| / (1 - ||w||^2)
+    w = geo.mobius_add(-offsets, rows[:, None, :])
+    room = 1.0 - geo._norm(w)[..., 0] ** 2
+    slope = (geo.conformal_factor(offsets) * geo._norm(normals))[..., 0] / room
     bound = 32 * eps * (np.abs(want).max(axis=-1, keepdims=True) / room
-                        + slope * _terms(-offsets, rows[:, None, :], c)[..., 0])
+                        + slope * _terms(-offsets, rows[:, None, :])[..., 0])
     assert np.all(np.abs(geo._mlr_scores(rows, row_norms, normals, offsets) - want) <= bound)
 
 
@@ -1504,25 +1500,24 @@ def test_a_desk_forward_scans_only_the_values_its_bounds_leave_unproved(geometry
     assert counts[0] == values and counts[1] <= most, counts
 
 
-@pytest.mark.parametrize("c", [1.0, 0.25, 3.0])
-def test_atanh_of_the_norms_an_unclamped_projection_measured_is_proved(c):
+def test_atanh_of_the_norms_an_unclamped_projection_measured_is_proved():
     # every row norm of an unclamped projection is below its max_norm, and so
-    # is their ratio to c below 1 - 1e-5; a clamped projection carries no
-    # norms, and the atanh of its rows' norms is scanned
+    # is their ratio to the radius below 1 - 1e-5; a clamped projection
+    # carries no norms, and the atanh of its rows' norms is scanned
     rng = np.random.default_rng(3)
     x = rng.normal(size=(5, 16))
-    x *= 0.9 * c / np.linalg.norm(x, axis=-1, keepdims=True)
+    x *= 0.9 / np.linalg.norm(x, axis=-1, keepdims=True)
     for rows, scans in ((x, 0), (x * 2.0, 1)):
         tape = dc.Tape()
-        projected = dg.project(tape.leaf(rows), c)
+        projected = dg.project(tape.leaf(rows))
         scanned = []
         with pytest.MonkeyPatch.context() as m:
             m.setattr(dc, "_magnitude", lambda v: scanned.append(v) or geo._magnitude(v))
             n = dc.norm(projected)
-            out = dc.atanh(n / c)
+            out = dc.atanh(n / geo._C)
         assert len(scanned) == scans
         if not scans:
-            assert n.hi == c * (1.0 - geo.EPS_BOUNDARY) and np.all(n.value < n.hi)
+            assert n.hi == 1.0 - geo.EPS_BOUNDARY and np.all(n.value < n.hi)
         assert np.all(np.abs(out.value) <= out.hi)
 
 
@@ -1549,7 +1544,7 @@ def test_the_norms_an_array_projection_carries_keep_log0_finite():
             assert _same_bits(norms, geo._norm(rows)) and np.all(norms < shell)
         assert np.all(np.abs(norms - geo._norm(out)) <= 4 * eps * c)
         assert np.isfinite(log).all()
-        want = dg.logmap0(dc.Tape().constant(out), c).value
+        want = dg.logmap0(dc.Tape().constant(out)).value
         np.testing.assert_allclose(log, want, rtol=1e-9)
 
 
@@ -1820,18 +1815,15 @@ def test_batch_encoder_equals_the_per_character_oracle(dim, max_len, utterances,
                               min_size=len(_KNOWN), max_size=len(_KNOWN)))
     token_map = train.TokenMap(_KNOWN, np.array(rows))
     expected = _per_character_batch(token_map, utterances, max_len)
-    records = [(u, "x") for u in utterances]
-    for got in (token_map.encode(utterances, max_len),
-                train._build_batch(records, range(len(records)), token_map, max_len)):
-        for a, b in zip(got, expected, strict=True):
-            assert _same_bits(a, b)
+    for a, b in zip(token_map.encode(utterances, max_len), expected, strict=True):
+        assert _same_bits(a, b)
 
 
 def test_batch_with_an_empty_utterance_is_refused():
     token_map = train.TokenMap(["a", "b"], np.full((2, 4), 0.1))
     cfg = hf.TransformerConfig(model_dim=4, num_layers=1, num_heads=2, head_dim=2,
                                ffn_dim=4, num_classes=2)
-    points, unk, mask = train._build_batch([("ab", "x"), ("", "y")], [0, 1], token_map, 8)
+    points, unk, mask = token_map.encode(["ab", ""], 8)
     assert mask.tolist() == [[1.0, 1.0], [0.0, 0.0]]
     with pytest.raises(ValueError, match="at least one unmasked position"):
         train._forward_batch(hf.init_params(cfg, np.random.default_rng(0)), points, unk,
@@ -1893,18 +1885,19 @@ def test_evaluate_classifier_metrics_do_not_depend_on_index_order(geometry):
 
 def _spy_evaluation(monkeypatch, dataset, indices, token_map, params, cfg):
     """(row indices, mask) of every evaluation forward, in call order."""
-    build, score = train._build_batch, train._score_batch
+    chunks, score = train._length_chunks, train._score_batch
     rows, masks = [], []
 
-    def build_spy(records, batch, *args):
-        rows.append(list(batch))
-        return build(records, batch, *args)
+    def chunks_spy(*args):
+        for chunk in chunks(*args):
+            rows.append(list(chunk))
+            yield chunk
 
     def score_spy(params_np, points_np, unk_np, mask, *args):
         masks.append(mask)
         return score(params_np, points_np, unk_np, mask, *args)
 
-    monkeypatch.setattr(train, "_build_batch", build_spy)
+    monkeypatch.setattr(train, "_length_chunks", chunks_spy)
     monkeypatch.setattr(train, "_score_batch", score_spy)
     train.evaluate_classifier(dataset, indices, token_map, params, cfg)
     return list(zip(rows, masks, strict=True))
@@ -2023,7 +2016,8 @@ def test_train_classifier_frees_each_step_tape_before_the_next(geometry):
     assert len(dataset.train_indices) // steps.batch_size >= 3
     batch = dataset.train_indices[:steps.batch_size]
     params = hf.init_params(cfg, np.random.default_rng(0))
-    points, unk, mask = train._build_batch(dataset.records, batch, token_map, cfg.max_seq_len)
+    points, unk, mask = token_map.encode([dataset.records[i][0] for i in batch],
+                                         cfg.max_seq_len)
     labels = np.array([dataset.label_to_id[dataset.records[i][1]] for i in batch])
 
     def one_step():

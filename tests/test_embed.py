@@ -206,11 +206,11 @@ def test_vocabulary_tables_do_not_grow_with_the_largest_code_point():
     assert peak < 1 << 20, f"{peak / 2**20:.1f} MB"
 
 
-def test_sampling_distribution_alpha_one():
-    vocab = embed.build_vocab(["a"] * 3 + ["b"], alpha=1.0)
+def test_sampling_distribution_is_the_unigram_to_the_three_quarters():
+    vocab = embed.build_vocab(["a"] * 3 + ["b"])
     np.testing.assert_allclose(
         vocab.sampling_probs[[vocab.token_to_id["a"], vocab.token_to_id["b"]]],
-        [0.75, 0.25])
+        [3 ** 0.75 / (3 ** 0.75 + 1), 1 / (3 ** 0.75 + 1)])
     assert abs(vocab.sampling_probs.sum() - 1.0) < 1e-12
 
 

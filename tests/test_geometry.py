@@ -137,8 +137,6 @@ def test_scalar_mul_integer_distributivity():
 def test_conformal_factor_values():
     assert geo.conformal_factor(np.zeros(2)) == 2.0
     np.testing.assert_allclose(geo.conformal_factor(np.array([0.6, 0.0])), 3.125)
-    # flat limit c -> infinity
-    np.testing.assert_allclose(geo.conformal_factor(np.array([0.6, 0.0]), c=1e8), 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -429,65 +427,64 @@ def test_norm_is_bitwise_the_einsum_formula(keepdims):
 # each kernel wrote them out in full before, bit for bit
 # ---------------------------------------------------------------------------
 
-def _old_project_to_ball(x, c=1.0):
+def _old_project_to_ball(x):
     x = np.asarray(x, dtype=float)
-    maxnorm = c * (1.0 - geo.EPS_BOUNDARY)
+    maxnorm = 1.0 - geo.EPS_BOUNDARY
     n = geo._norm(x)
     factor = np.where(n >= maxnorm, maxnorm / np.maximum(n, 1e-15), 1.0)
     return x * factor
 
 
-def _old_mobius_add(x, y, c=1.0):
-    c2 = c * c
+def _old_mobius_add(x, y):
     x2 = np.einsum("...i->...", x * x)[..., None]
     y2 = np.einsum("...i->...", y * y)[..., None]
     xy = np.einsum("...i->...", x * y)[..., None]
-    num = (1.0 + 2.0 * xy / c2 + y2 / c2) * x + (1.0 - x2 / c2) * y
-    den = 1.0 + 2.0 * xy / c2 + x2 * y2 / (c2 * c2)
-    return _old_project_to_ball(num / den, c)
+    num = (1.0 + 2.0 * xy + y2) * x + (1.0 - x2) * y
+    den = 1.0 + 2.0 * xy + x2 * y2
+    return _old_project_to_ball(num / den)
 
 
-def _old_mobius_scalar_mul(r, x, c=1.0):
+def _old_mobius_scalar_mul(r, x):
     n = geo._norm(x)
     safe = np.maximum(n, 1e-15)
-    scaled = c * np.tanh(np.asarray(r, dtype=float) * np.arctanh(np.minimum(n / c, 1.0 - 1e-15)))
+    scaled = np.tanh(np.asarray(r, dtype=float) * np.arctanh(np.minimum(n, 1.0 - 1e-15)))
     out = np.where(n > 0, scaled * x / safe, np.zeros_like(x))
-    return _old_project_to_ball(out, c)
+    return _old_project_to_ball(out)
 
 
-def _old_exp_map_poincare(x, v, c=1.0):
+def _old_exp_map_poincare(x, v):
     nv = geo._norm(v)
     safe = np.maximum(nv, 1e-15)
-    lam = geo.conformal_factor(x, c)
-    second = np.tanh(lam * nv / (2.0 * c)) * c * v / safe
+    lam = geo.conformal_factor(x)
+    second = np.tanh(lam * nv / 2.0) * v / safe
     second = np.where(nv > 0, second, np.zeros_like(v))
-    return _old_mobius_add(x, second, c)
+    return _old_mobius_add(x, second)
 
 
-def _old_log_map_poincare(x, y, c=1.0):
-    w = _old_mobius_add(-x, y, c)
+def _old_log_map_poincare(x, y):
+    w = _old_mobius_add(-x, y)
     nw = geo._norm(w)
     safe = np.maximum(nw, 1e-15)
-    lam = geo.conformal_factor(x, c)
-    out = (2.0 * c / lam) * np.arctanh(np.minimum(nw / c, 1.0 - 1e-15)) * w / safe
+    lam = geo.conformal_factor(x)
+    out = (2.0 / lam) * np.arctanh(np.minimum(nw, 1.0 - 1e-15)) * w / safe
     return np.where(nw > 0, out, np.zeros_like(w))
 
 
-def _old_poincare_distance(x, y, c=1.0):
-    w = _old_mobius_add(-x, y, c)
+def _old_poincare_distance(x, y):
+    w = _old_mobius_add(-x, y)
     n = geo._norm(w, keepdims=False)
-    return 2.0 * c * np.arctanh(np.minimum(n / c, 1.0 - 1e-15))
+    return 2.0 * np.arctanh(np.minimum(n, 1.0 - 1e-15))
 
 
-def _old_mobius_matvec(M, x, c=1.0):
+def _old_mobius_matvec(M, x):
     y = x @ M.T
     nx = geo._norm(x)
     ny = geo._norm(y)
     safe_x = np.maximum(nx, 1e-15)
     safe_y = np.maximum(ny, 1e-15)
-    out = c * np.tanh(ny / safe_x * np.arctanh(np.minimum(nx / c, 1.0 - 1e-15))) * y / safe_y
+    out = np.tanh(ny / safe_x * np.arctanh(np.minimum(nx, 1.0 - 1e-15))) * y / safe_y
     out = np.where((nx > 0) & (ny > 0), out, np.zeros_like(y))
-    return _old_project_to_ball(out, c)
+    return _old_project_to_ball(out)
 
 
 def _old_exp_map_hyperboloid(x, v):
@@ -550,19 +547,16 @@ _IN_BALL = ("origin", "inside", "subnormal")  # base points where the maps are d
 
 
 @settings(max_examples=300, deadline=None, database=None)
-@given(_rows(*_ALL_KINDS), _rows(*_IN_BALL), _rows(*_ALL_KINDS),
-       st.floats(-3.0, 3.0), st.sampled_from([1.0, 0.5, 2.0]))
-def test_poincare_kernels_equal_their_full_formulas_bit_for_bit(anywhere, base, other, r, c):
-    anywhere, base, other = anywhere * c, base * c, other * c  # the same kinds on radius c
+@given(_rows(*_ALL_KINDS), _rows(*_IN_BALL), st.floats(-3.0, 3.0))
+def test_poincare_kernels_equal_their_full_formulas_bit_for_bit(anywhere, base, r):
     n = min(len(base), len(anywhere))
     x, v = base[:n], anywhere[:n]
     with np.errstate(all="ignore"):
-        assert _same_bits(geo.project_to_ball(anywhere, c), _old_project_to_ball(anywhere, c))
-        assert _same_bits(geo.mobius_scalar_mul(r, anywhere, c),
-                          _old_mobius_scalar_mul(r, anywhere, c))
-        assert _same_bits(geo.exp_map_poincare(x, v, c), _old_exp_map_poincare(x, v, c))
-        assert _same_bits(geo.log_map_poincare(x, v, c), _old_log_map_poincare(x, v, c))
-        assert _same_bits(geo.poincare_distance(x, v, c), _old_poincare_distance(x, v, c))
+        assert _same_bits(geo.project_to_ball(anywhere), _old_project_to_ball(anywhere))
+        assert _same_bits(geo.mobius_scalar_mul(r, anywhere), _old_mobius_scalar_mul(r, anywhere))
+        assert _same_bits(geo.exp_map_poincare(x, v), _old_exp_map_poincare(x, v))
+        assert _same_bits(geo.log_map_poincare(x, v), _old_log_map_poincare(x, v))
+        assert _same_bits(geo.poincare_distance(x, v), _old_poincare_distance(x, v))
 
 
 @settings(max_examples=300, deadline=None, database=None)

@@ -2,11 +2,13 @@
 
 import ast
 import dataclasses
+import inspect
 from pathlib import Path
 
 import pytest
 
 import gyronet
+from gyronet import checks, embed
 from gyronet.embed import SkipgramConfig
 from gyronet.hypformer import TransformerConfig
 from gyronet.train import TrainSettings
@@ -163,25 +165,29 @@ FUSED_KERNELS = {"_shell", "_project", "_scaled", "_expmap0", "_logmap0", "_matv
                  "mobius_matvec", "_gyro_coefficients", "_mobius_add_rows", "_mlr_scores"}
 
 
-def test_the_classifier_takes_no_ball_radius_below_the_tape():
-    # the classifier's ball is the unit ball: no function or lambda of
-    # hypformer.py and no fused kernel takes a radius c; diffgeom keeps it,
-    # since the tape records the scalings by it
+def test_no_function_takes_a_setting_that_has_one_value():
+    # the ball is the unit ball: no function or lambda takes a radius c, and
+    # every fused kernel is still there to be checked; the check suites have
+    # fixed sizes and tolerances and take only their seed, which
+    # geometry-check --seed sets; the sampling exponent is 0.75
     found, kernels = [], set()
-    for name in ("hypformer.py", "geometry.py"):
-        tree = ast.parse((Path(gyronet.__file__).parent / name).read_text(encoding="utf-8"))
-        for fn in ast.walk(tree):
+    for path in SOURCES:
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if not isinstance(fn, (ast.FunctionDef, ast.Lambda)):
                 continue
-            if name == "geometry.py":
-                if getattr(fn, "name", None) not in FUSED_KERNELS:
-                    continue
-                kernels.add(fn.name)
+            name = getattr(fn, "name", "lambda")
+            if path.name == "geometry.py" and name in FUSED_KERNELS:
+                kernels.add(name)
             args = fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
             if "c" in [a.arg for a in args]:
-                found.append(f"{name}:{fn.lineno} {getattr(fn, 'name', 'lambda')}")
+                found.append(f"{path.name}:{fn.lineno} {name}")
     assert kernels == FUSED_KERNELS, FUSED_KERNELS - kernels
     assert not found, "a radius parameter: " + ", ".join(found)
+    assert len(checks.ALL_SUITES) == 5
+    for suite in checks.ALL_SUITES:
+        assert list(inspect.signature(suite).parameters) == ["seed"], suite.__name__
+    for fn in (embed.build_vocab, embed.Vocabulary):
+        assert "alpha" not in inspect.signature(fn).parameters, fn.__name__
 
 
 @pytest.mark.parametrize("cls", [TransformerConfig, TrainSettings, SkipgramConfig],
