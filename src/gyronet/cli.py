@@ -23,7 +23,7 @@ import sys
 
 import numpy as np
 
-from . import bundle, checks, data, embed, train
+from . import bundle, checks, data, embed, hypformer, train
 from .geometry import EPS_BOUNDARY, to_hyperboloid, to_poincare
 from .hypformer import TransformerConfig, param_shapes, positions_on_the_shell
 
@@ -183,8 +183,7 @@ def cmd_train_embeddings(argv):
     parser = argparse.ArgumentParser(prog="gyronet train-embeddings")
     _add_common(parser)
     parser.add_argument("--corpus", required=True)
-    parser.add_argument("--geometry", choices=["euclidean", "hyperboloid"],
-                        default="hyperboloid")
+    parser.add_argument("--geometry", choices=embed.GEOMETRIES, default="hyperboloid")
     parser.add_argument("--dim", type=int, default=10)
     parser.add_argument("--epochs", type=int, default=10)
     parser.add_argument("--lr", type=float, default=0.05)
@@ -214,7 +213,7 @@ def _classifier_parser(prog):
     _add_common(parser)
     parser.add_argument("--embeddings", required=True)
     parser.add_argument("--data", required=True)
-    parser.add_argument("--geometry", choices=["euclidean", "poincare"], default="poincare")
+    parser.add_argument("--geometry", choices=hypformer.GEOMETRIES, default="poincare")
     parser.add_argument("--preset", choices=sorted(PRESETS))
     parser.add_argument("--holdout", type=float, default=0.15)
     parser.add_argument("--epochs", type=int, default=50)

@@ -188,7 +188,6 @@ class EmbeddingMatrices:
     A: np.ndarray  # center representations, one row per token
     B: np.ndarray  # context representations
     geometry: str
-    dim: int  # manifold dimension n (hyperboloid rows carry n+1 coordinates)
 
 
 def init_embeddings(vocab_size, dim, geometry, rng):
@@ -200,7 +199,7 @@ def init_embeddings(vocab_size, dim, geometry, rng):
         b = _random_hyperboloid_rows(vocab_size, dim, rng)
     else:
         raise ValueError(f"unknown geometry '{geometry}'")
-    return EmbeddingMatrices(a, b, geometry, dim)
+    return EmbeddingMatrices(a, b, geometry)
 
 
 def _random_hyperboloid_rows(count, dim, rng):
@@ -209,19 +208,6 @@ def _random_hyperboloid_rows(count, dim, rng):
         [rng.normal(0.0, 0.01, (count, dim)), np.zeros((count, 1))], axis=-1
     )
     return exp_map_hyperboloid(hyperboloid_origin(dim), tangents)
-
-
-def hyperboloid_logit(a, b, theta):
-    """The Lorentzian inner product plus a shift, <a, b>_L + theta, as one
-    matrix product: the rows ``b`` against the center row ``a`` with its time
-    coordinate negated, with theta then added in place.  One center (n+1,)
-    against its rows (k, n+1) gives (k,) logits, and a block's centers
-    (p, n+1) against their rows (p, k, n+1) give (p, k).  Either layout makes
-    one BLAS matrix-vector product per center, so a center's logits have the
-    same bits in both."""
-    out = np.matmul(b, (a * _time_signs(a.shape[-1]))[..., None])[..., 0]
-    out += theta
-    return out
 
 
 @functools.lru_cache(maxsize=4)
@@ -235,15 +221,35 @@ def _time_signs(cols):
     return signs
 
 
+def _sample_logits(a, rows, geometry, theta):
+    """Center rows' logits against their sampled rows, one matrix-vector
+    product per center: one center (n,) against (k, n) gives (k,), and a
+    block's centers (p, n) against (p, k, n) give (p, k), with the same bits
+    per center.  On the hyperboloid, <a, b>_L + theta: the center's time
+    coordinate negated, then theta added in place; in flat space, a.b."""
+    if geometry == "hyperboloid":
+        a = a * _time_signs(a.shape[-1])
+    out = np.matmul(rows, a[..., None])[..., 0]
+    if geometry == "hyperboloid":
+        out += theta
+    return out
+
+
 def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
+def _residuals(logits):
+    """y - sigma(z) over the last axis, y = 1 in slot 0 only.  0.0 - s keeps
+    the signed zeros where sigma underflows; + 1.0 then is exactly 1.0 - s."""
+    out = 0.0 - _sigmoid(logits)
+    out[..., 0] += 1.0
+    return out
+
+
 def _pair_logits(pair, E, theta):
     rows = E.B.take([pair.context, *pair.negatives], axis=0)
-    if E.geometry == "hyperboloid":
-        return hyperboloid_logit(E.A[pair.center], rows, theta), rows
-    return rows @ E.A[pair.center], rows
+    return _sample_logits(E.A[pair.center], rows, E.geometry, theta), rows
 
 
 def pair_log_likelihood(pair, E, theta=1.0):
@@ -262,10 +268,7 @@ def _sgns_gradients(pair, E, theta):
     """Gradients of the pair log-likelihood w.r.t. the center row of A and the
     sampled rows of B; repeated sample tokens accumulate."""
     logits, rows = _pair_logits(pair, E, theta)
-    # y - sigma(z) with y = 1 for the positive only; 0.0 - s keeps the signed
-    # zeros of a subtraction where sigma underflows
-    coeff = 0.0 - _sigmoid(logits)  # (m+1,)
-    coeff[0] += 1.0
+    coeff = _residuals(logits)  # (m+1,)
     grad_a = coeff @ rows
     grads_b: dict[int, np.ndarray] = {}
     for wid, term in zip([pair.context, *pair.negatives], coeff[:, None] * E.A[pair.center]):
@@ -365,14 +368,9 @@ def _block_gradients(block, E, theta, table):
     centers, samples = ids[:p], ids[p:].reshape(p, k)
     a = E.A.take(centers, axis=0)
     rows = E.B.take(samples, axis=0)
-    if E.geometry == "hyperboloid":
-        logits = hyperboloid_logit(a, rows, theta)
-    else:
-        logits = np.matmul(rows, a[:, :, None])[..., 0]
+    coeff = _residuals(_sample_logits(a, rows, E.geometry, theta))
     cols = a.shape[1]
-    labels, slot_bins, shift, at, columns = _block_index(p, k, cols, len(E.A))
-    # y - sigma(z), y = 1 for the positive only: 1.0 - s is (0.0 - s) + 1.0
-    coeff = labels - _sigmoid(logits)
+    slot_bins, shift, at, columns = _block_index(p, k, cols, len(E.A))
     first = (samples[:, :, None] == samples[:, None, :]).argmax(axis=2)
     per_slot = _sum_rows(first[..., None] * cols + slot_bins, coeff[..., None] * a[:, None, :],
                          p * k)
@@ -393,16 +391,13 @@ def _block_gradients(block, E, theta, table):
 @functools.lru_cache(maxsize=4)
 def _block_index(p, k, cols, shift):
     """The constant arrays of a block of ``p`` pairs of ``k`` samples each,
-    on rows of ``cols`` coordinates, for an A of ``shift`` rows: the labels
-    of a pair's samples, the (slot, column) bins of each pair's first slot,
-    the id-space shift of each of the block's ``p + p * k`` rows, their
-    positions, and the column numbers.  Every block of a run but its last
-    has one shape, so they are made once; they are read-only, as every
-    block shares them."""
-    labels = np.zeros(k)
-    labels[0] = 1.0
+    on rows of ``cols`` coordinates, for an A of ``shift`` rows: the (slot,
+    column) bins of each pair's first slot, the id-space shift of each of the
+    block's ``p + p * k`` rows, their positions, and the column numbers.
+    Every block of a run but its last has one shape, so they are made once;
+    they are read-only, as every block shares them."""
     columns = np.arange(cols)
-    arrays = (labels, (k * cols) * np.arange(p)[:, None, None] + columns,
+    arrays = ((k * cols) * np.arange(p)[:, None, None] + columns,
               np.repeat([0, shift], [p, p * k]), np.arange(p + p * k), columns)
     for array in arrays:
         array.flags.writeable = False

@@ -421,17 +421,20 @@ def hyperboloid_parallel_transport(x, y, w):
 # ---------------------------------------------------------------------------
 
 def to_poincare(x):
-    """Project a hyperboloid point into the unit ball: spatial / (time + 1)."""
+    """Project a hyperboloid point into the unit ball: spatial / (time + 1).
+    A point at distance d <= 30 from the origin, time coordinate t, comes
+    back from to_hyperboloid within 2 e^d eps t per coordinate (eps =
+    2.2e-16; 2e-7 t at d = 20, 5e-3 t at 30), as 1 - |y|^2 ~ 4 e^-d is known
+    to about eps.  From about d = 36.5 some rows reach |y|^2 >= 1.0, which
+    to_hyperboloid turns into inf, NaN or a lower-sheet row."""
     x = np.asarray(x, dtype=float)
     return x[..., :-1] / (x[..., -1:] + 1.0)
 
 
 def to_hyperboloid(y):
-    """Inverse projection of the ball into the hyperboloid.
-
-    Uses the squared-norm denominator (1 - ||y||^2), which is what makes the
-    map the exact inverse of to_poincare.
-    """
+    """Inverse projection of the ball into the hyperboloid, over 1 - ||y||^2,
+    which makes it the exact inverse of to_poincare.  A ball row at distance
+    d <= 30 from the origin comes back from to_poincare within 2 eps per coordinate."""
     y = np.asarray(y, dtype=float)
     y2 = np.sum(y * y, axis=-1, keepdims=True)
     num = np.concatenate([2.0 * y, 1.0 + y2], axis=-1)

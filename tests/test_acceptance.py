@@ -100,7 +100,7 @@ def test_04_minkowski_gradient_oracle():
         grad_a, grads_b = embed.minkowski_gradients(pair, E, theta)
 
         def ll_a(row):
-            E2 = embed.EmbeddingMatrices(E.A.copy(), E.B, "hyperboloid", dim)
+            E2 = embed.EmbeddingMatrices(E.A.copy(), E.B, "hyperboloid")
             E2.A[pair.center] = row
             return embed.pair_log_likelihood(pair, E2, theta)
 
@@ -108,7 +108,7 @@ def test_04_minkowski_gradient_oracle():
         worst = max(worst, report.max_rel_err)
         for wid, gb in grads_b.items():
             def ll_b(row, wid=wid):
-                E2 = embed.EmbeddingMatrices(E.A, E.B.copy(), "hyperboloid", dim)
+                E2 = embed.EmbeddingMatrices(E.A, E.B.copy(), "hyperboloid")
                 E2.B[wid] = row
                 return embed.pair_log_likelihood(pair, E2, theta)
             report = check_gradient(ll_b, E.B[wid], _flip_last(gb))

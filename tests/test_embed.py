@@ -336,10 +336,11 @@ def test_generate_pairs_equals_per_draw_sampler(monkeypatch, chunk):
 
 def test_hyperboloid_logit_values():
     o = hyperboloid_origin(2)
-    assert embed.hyperboloid_logit(o, o[None], 0.0).tolist() == [-1.0]
-    assert embed.hyperboloid_logit(o, o[None], 1.0).tolist() == [0.0]
+    assert embed._sample_logits(o, o[None], "hyperboloid", 0.0).tolist() == [-1.0]
+    assert embed._sample_logits(o, o[None], "hyperboloid", 1.0).tolist() == [0.0]
     p = np.array([np.sinh(1.0), 0.0, np.cosh(1.0)])
-    np.testing.assert_allclose(embed.hyperboloid_logit(p, o[None], 0.0), [-np.cosh(1.0)])
+    np.testing.assert_allclose(embed._sample_logits(p, o[None], "hyperboloid", 0.0),
+                               [-np.cosh(1.0)])
 
 
 @st.composite
@@ -364,12 +365,15 @@ def _logit_blocks(draw):
 @given(_logit_blocks())
 def test_hyperboloid_logit_gives_a_center_the_same_bits_in_either_layout(block):
     # per-pair and block logits are one product, so a block's loss can be
-    # summed from the logits its gradients already take
+    # summed from the logits its gradients already take; flat space reads
+    # the same rows as plain coordinates
     centers, rows, theta = block
-    logits = embed.hyperboloid_logit(centers, rows, theta)
-    assert logits.shape == rows.shape[:2]
-    for a, its_rows, expected in zip(centers, rows, logits):
-        assert embed.hyperboloid_logit(a, its_rows.copy(), theta).tobytes() == expected.tobytes()
+    for geometry in embed.GEOMETRIES:
+        logits = embed._sample_logits(centers, rows, geometry, theta)
+        assert logits.shape == rows.shape[:2]
+        for a, its_rows, expected in zip(centers, rows, logits):
+            one = embed._sample_logits(a, its_rows.copy(), geometry, theta)
+            assert one.tobytes() == expected.tobytes()
 
 
 @settings(max_examples=200, deadline=None, database=None)
@@ -382,14 +386,16 @@ def test_hyperboloid_logit_agrees_with_lorentz_inner(block):
     expected = lorentz_inner(centers[:, None, :], rows) + theta
     bound = (n + 2) * np.finfo(float).eps * (
         np.abs(centers[:, None, :] * rows).sum(axis=-1) + abs(theta))
-    assert (np.abs(embed.hyperboloid_logit(centers, rows, theta) - expected) <= bound).all()
+    logits = embed._sample_logits(centers, rows, "hyperboloid", theta)
+    assert (np.abs(logits - expected) <= bound).all()
     for a, its_rows, want, tol in zip(centers, rows, expected, bound):
-        assert (np.abs(embed.hyperboloid_logit(a, its_rows, theta) - want) <= tol).all()
+        logits = embed._sample_logits(a, its_rows, "hyperboloid", theta)
+        assert (np.abs(logits - want) <= tol).all()
 
 
 def test_pair_log_likelihood_all_zero_logits():
     # euclidean with a zero center row: every logit is 0
-    E = embed.EmbeddingMatrices(np.zeros((2, 3)), np.ones((2, 3)), "euclidean", 3)
+    E = embed.EmbeddingMatrices(np.zeros((2, 3)), np.ones((2, 3)), "euclidean")
     pair = embed.TrainingPair(0, 1, [0, 1, 0])
     np.testing.assert_allclose(embed.pair_log_likelihood(pair, E),
                                4.0 * np.log(0.5))
@@ -429,7 +435,7 @@ def _spread_hyperboloid_rows():
         return np.array([np.sinh(r) * np.cos(phi), np.sinh(r) * np.sin(phi), np.cosh(r)])
     A = np.array([point(8.0, 0.0), point(0.3, 1.0), point(1.0, 2.0)])
     B = np.array([point(8.0, np.pi), point(0.2, 0.5), point(2.0, -1.0)])
-    return embed.EmbeddingMatrices(A, B, "hyperboloid", 2)
+    return embed.EmbeddingMatrices(A, B, "hyperboloid")
 
 
 def _logits_then(pair, E, theta):
@@ -482,7 +488,7 @@ def _same_bytes(grads, expected):
 def test_loss_and_gradients_keep_their_bytes(pair):
     E = _spread_hyperboloid_rows()
     assert _logits_then(embed.TrainingPair(0, 0, []), E, 1.0)[0][0] < -710
-    flat = embed.EmbeddingMatrices(E.A[:, :2] * 100.0, E.B[:, :2] * 100.0, "euclidean", 2)
+    flat = embed.EmbeddingMatrices(E.A[:, :2] * 100.0, E.B[:, :2] * 100.0, "euclidean")
     with np.errstate(over="ignore"):
         for theta in (1.0, -0.5):
             loss = embed.pair_log_likelihood(pair, E, theta)
@@ -514,7 +520,7 @@ def test_minkowski_gradients_match_finite_differences():
     grad_a, grads_b = embed.minkowski_gradients(pair, E, theta=1.0)
 
     def ll_of_a(row):
-        E2 = embed.EmbeddingMatrices(E.A.copy(), E.B, "hyperboloid", 3)
+        E2 = embed.EmbeddingMatrices(E.A.copy(), E.B, "hyperboloid")
         E2.A[0] = row
         return embed.pair_log_likelihood(pair, E2, 1.0)
 
@@ -525,7 +531,7 @@ def test_minkowski_gradients_match_finite_differences():
 
     for wid, gb in grads_b.items():
         def ll_of_b(row, wid=wid):
-            E2 = embed.EmbeddingMatrices(E.A, E.B.copy(), "hyperboloid", 3)
+            E2 = embed.EmbeddingMatrices(E.A, E.B.copy(), "hyperboloid")
             E2.B[wid] = row
             return embed.pair_log_likelihood(pair, E2, 1.0)
         report = check_gradient(ll_of_b, E.B[wid], _flip_last(gb))
@@ -557,7 +563,7 @@ def test_minkowski_gradients_multiplicity():
 
 
 def test_minkowski_gradients_require_hyperboloid():
-    E = embed.EmbeddingMatrices(np.zeros((2, 2)), np.zeros((2, 2)), "euclidean", 2)
+    E = embed.EmbeddingMatrices(np.zeros((2, 2)), np.zeros((2, 2)), "euclidean")
     with pytest.raises(ValueError):
         embed.minkowski_gradients(embed.TrainingPair(0, 1, []), E)
 
@@ -579,10 +585,10 @@ def test_pair_log_likelihood_refuses_exactly_the_non_finite_logits(geometry, m, 
     # coordinate of its B row (theta 0)
     if geometry == "hyperboloid":
         E = embed.EmbeddingMatrices(hyperboloid_origin(2)[None], np.zeros((m + 1, 3)),
-                                    geometry, 2)
+                                    geometry)
         E.B[:, -1] = -logits
     else:
-        E = embed.EmbeddingMatrices(np.eye(1, 3), np.zeros((m + 1, 3)), geometry, 3)
+        E = embed.EmbeddingMatrices(np.eye(1, 3), np.zeros((m + 1, 3)), geometry)
         E.B[:, 0] = logits
     pair = embed.TrainingPair(0, 0, list(range(1, m + 1)))
     finite = bool(np.isfinite(logits).all())
@@ -731,7 +737,7 @@ def test_train_skipgram_toy_hyperboloid():
     E, vocab, history = embed.train_skipgram(tokens, cfg)
     # positive pair grows confident
     a, b = vocab.token_to_id["a"], vocab.token_to_id["b"]
-    logit = embed.hyperboloid_logit(E.A[a], E.B[[b]], cfg.theta)[0]
+    logit = embed._sample_logits(E.A[a], E.B[[b]], "hyperboloid", cfg.theta)[0]
     assert 1.0 / (1.0 + np.exp(-logit)) > 0.49
     assert history[-1] < history[0]
     # carrier invariant holds for every row after training
@@ -843,7 +849,7 @@ def _per_block_reference(tokens, cfg, block_pairs):
         losses = []
         pairs = list(embed.generate_pairs(ids, cfg.mu, cfg.m, vocab, rng))
         for start in range(0, len(pairs), block_pairs):
-            at_start = embed.EmbeddingMatrices(E.A.copy(), E.B.copy(), E.geometry, E.dim)
+            at_start = embed.EmbeddingMatrices(E.A.copy(), E.B.copy(), E.geometry)
             sums_a, sums_b = {}, {}
             for pair in pairs[start:start + block_pairs]:
                 losses.append(-embed.pair_log_likelihood(pair, at_start, cfg.theta))
@@ -918,7 +924,7 @@ def _unique_block_gradients(block, E, theta):
     a = E.A[centers]
     rows = E.B[samples]
     if E.geometry == "hyperboloid":
-        logits = embed.hyperboloid_logit(a, rows, theta)
+        logits = embed._sample_logits(a, rows, "hyperboloid", theta)
     else:
         logits = np.matmul(rows, a[:, :, None])[..., 0]
     coeff = 0.0 - embed._sigmoid(logits)
@@ -950,9 +956,9 @@ def _oracle_setup():
     matrices = {
         "hyperboloid": embed.EmbeddingMatrices(
             *(to_hyperboloid(random_ball_points(rng, _ORACLE_VOCAB, 4)) for _ in "AB"),
-            "hyperboloid", 4),
+            "hyperboloid"),
         "euclidean": embed.EmbeddingMatrices(
-            *(rng.normal(size=(_ORACLE_VOCAB, 4)) for _ in "AB"), "euclidean", 4),
+            *(rng.normal(size=(_ORACLE_VOCAB, 4)) for _ in "AB"), "euclidean"),
     }
     # A's row 0 is the origin, the apex on the hyperboloid: its zero
     # coordinates make -0.0 terms, which sums that start at +0.0 turn to +0.0

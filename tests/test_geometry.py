@@ -371,6 +371,24 @@ def test_conversion_round_trip_and_invariant():
     np.testing.assert_allclose(geo.to_poincare(h), y, atol=1e-10)
 
 
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.integers(1, 12), st.integers(0, 2**32 - 1))
+def test_conversion_round_trips_hold_up_to_distance_30(n, seed):
+    # the horizon that to_poincare and to_hyperboloid state: a hyperboloid
+    # row at distance d <= 30 comes back within a relative 2 e^d eps of its
+    # time coordinate, and a ball row within 2 eps
+    rng = np.random.default_rng(seed)
+    d = np.concatenate([[0.0, 30.0], rng.uniform(0.0, 30.0, 62)])[:, None]
+    u = rng.normal(size=(64, n))
+    u /= np.linalg.norm(u, axis=-1, keepdims=True)
+    x = np.concatenate([np.sinh(d) * u, np.cosh(d)], axis=-1)
+    eps = np.finfo(float).eps
+    back = geo.to_hyperboloid(geo.to_poincare(x))
+    assert (np.abs(back - x) <= 2.0 * np.exp(d) * eps * x[:, -1:]).all()
+    y = np.tanh(d / 2.0) * u
+    assert (np.abs(geo.to_poincare(geo.to_hyperboloid(y)) - y) <= 2.0 * eps).all()
+
+
 def test_conversion_isometry():
     rng = np.random.default_rng(14)
     u = geo.to_hyperboloid(random_ball_points(rng, 500, 3, radius=0.85))

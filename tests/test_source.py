@@ -79,6 +79,15 @@ def test_tape_nodes_are_made_only_by_tape_leaf_and_record():
                                                            ("diffcore.py", "Tape.record")}, calls
 
 
+def test_the_skipgram_pair_score_is_spelled_once():
+    # the loss, the per-pair gradients and the block gradients read one
+    # logit, whose time signs make it Lorentzian, and one y - sigma(z)
+    tree = ast.parse((Path(gyronet.__file__).parent / "embed.py").read_text(encoding="utf-8"))
+    for name, caller in (("_time_signs", "_sample_logits"), ("_sigmoid", "_residuals")):
+        assert {scope for scope, _ in _calls_by_scope(tree, name)} == {caller}, name
+    assert not hasattr(embed, "hyperboloid_logit")
+
+
 def _open_mode(call):
     """The mode of an ``open`` call, second to the builtin and first to a
     path's method; "r" when it is absent or not a literal."""
